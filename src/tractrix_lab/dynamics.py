@@ -47,18 +47,17 @@ def _rk4_steering(k_half, h, c, alpha0, dense=False, variational=False):
     """RK4 sweep of the steering equation over a batch.
 
     ``k_half`` holds curvature at half-step resolution, shape ``(B or 1, 2n+1)``;
-    ``c`` broadcasts as ``(B, 1)``; ``alpha0`` is ``(B, m)``. Returns the final
-    angles ``(B, m)``, the dense history ``(B, m, n+1)`` when asked, and the
-    tangent factor when ``variational``.
+    ``h`` is the step; ``c`` broadcasts as ``(B, 1)``; ``alpha0`` is ``(B, m)``.
+    Returns the final angles ``(B, m)``, the dense history ``(B, m, n+1)`` when
+    asked, and the tangent factor when ``variational``.
     """
     alpha = np.array(alpha0, dtype=float, copy=True)
     n = (k_half.shape[1] - 1) // 2
     c = np.asarray(c, dtype=float)
     if c.ndim:
         c = c.reshape(-1, 1)
-    h = np.asarray(h, dtype=float)
-    if h.ndim:
-        h = h.reshape(-1, 1)
+    # step factors hoisted out of the loop; each product keeps its rounding
+    neg_c, half_h, sixth_h = -c, 0.5 * h, h / 6.0
     hist = np.empty(alpha.shape + (n + 1,)) if dense else None
     if dense:
         hist[..., 0] = alpha
@@ -68,27 +67,37 @@ def _rk4_steering(k_half, h, c, alpha0, dense=False, variational=False):
         km = k_half[:, 2 * j + 1, None]
         k1 = k_half[:, 2 * j + 2, None]
         s1 = k0 - c * np.sin(alpha)
-        a2 = alpha + 0.5 * h * s1
+        a2 = alpha + half_h * s1
         s2 = km - c * np.sin(a2)
-        a3 = alpha + 0.5 * h * s2
+        a3 = alpha + half_h * s2
         s3 = km - c * np.sin(a3)
         a4 = alpha + h * s3
         s4 = k1 - c * np.sin(a4)
         if variational:
-            b1 = -c * np.cos(alpha) * beta
-            b2 = -c * np.cos(a2) * (beta + 0.5 * h * b1)
-            b3 = -c * np.cos(a3) * (beta + 0.5 * h * b2)
-            b4 = -c * np.cos(a4) * (beta + h * b3)
-            beta = beta + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        alpha = alpha + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+            b1 = neg_c * np.cos(alpha) * beta
+            b2 = neg_c * np.cos(a2) * (beta + half_h * b1)
+            b3 = neg_c * np.cos(a3) * (beta + half_h * b2)
+            b4 = neg_c * np.cos(a4) * (beta + h * b3)
+            beta = beta + sixth_h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        alpha = alpha + sixth_h * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
         if dense:
             hist[..., j + 1] = alpha
     return alpha, hist, beta
 
 
 def _half_grid_curvature(track, n_steps: int) -> np.ndarray:
+    """Read-only curvature at half-step resolution, shape ``(1, 2n+1)``.
+
+    It does not depend on the wheelbase, so the grid of the last ``n_steps``
+    asked for is kept on the track and reused by every later sweep.
+    """
+    if track._k_half is not None and track._k_half[0] == n_steps:
+        return track._k_half[1]
     t = np.linspace(0.0, track.total_length, 2 * n_steps + 1)
-    return np.asarray(track.curvature(t), dtype=float)[None, :]
+    k = np.asarray(track.curvature(t), dtype=float)[None, :]
+    k.flags.writeable = False
+    track._k_half = (n_steps, k)
+    return k
 
 
 def _check_geometry(track, params: BikeParams) -> None:
@@ -135,18 +144,34 @@ def integrate_steering(track: FrontTrack, params: BikeParams, alpha0: float) -> 
     return SteeringSolution(track, params, float(alpha0), t, hist[0, 0])
 
 
+def _endpoint_sweep(track: FrontTrack, params: Sequence[BikeParams], alpha0: Sequence[float],
+                    n_steps: int, variational: bool = False):
+    """Final angles ``(B, m)`` for every wheelbase (row) and start (column), in one sweep.
+
+    Each row is computed with the same floating-point operations as a sweep
+    of that wheelbase alone, so the rows equal single-wheelbase results bit
+    for bit. Returns the tangent factors ``(B, m)`` as well when ``variational``.
+    """
+    for p in params:
+        _check_geometry(track, p)
+    k_half = _half_grid_curvature(track, n_steps)
+    h = track.total_length / n_steps
+    c = np.array([p.coefficient for p in params])
+    a0 = np.asarray(alpha0, dtype=float)
+    a0 = np.broadcast_to(a0, (len(params),) + a0.shape)
+    end, _, beta = _rk4_steering(k_half, h, c, a0, variational=variational)
+    return (end, beta) if variational else end
+
+
 def steering_endpoints(track: FrontTrack, params: BikeParams, alpha0: Sequence[float],
                        n_steps: int | None = None, variational: bool = False):
     """Final angles (and optionally d(alpha_T)/d(alpha_0)) for a batch of starts."""
-    _check_geometry(track, params)
     n = n_steps if n_steps is not None else params.steps_per_traversal * track.traversals
-    k_half = _half_grid_curvature(track, n)
-    h = track.total_length / n
-    a0 = np.asarray(alpha0, dtype=float)[None, :]
-    end, _, beta = _rk4_steering(k_half, h, params.coefficient, a0, variational=variational)
+    out = _endpoint_sweep(track, [params], alpha0, n, variational=variational)
     if variational:
+        end, beta = out
         return end[0], beta[0]
-    return end[0]
+    return out[0]
 
 
 def signed_rear_length(solution: SteeringSolution) -> float:

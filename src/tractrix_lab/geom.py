@@ -49,6 +49,19 @@ class Geometry(Enum):
 
 
 _KINDS = ("circle", "ellipse", "fourier-support", "polyline", "samples", "line")
+_SCALAR_FIELDS = ("r", "a", "b", "angle", "a0", "fillet_radius")
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
+def _numeric(key: str, value, convert):
+    """``convert(value)``, reporting a non-numeric curve-spec field as invalid input."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise InvalidCurveError(f"curve-spec field {key!r} must be numeric, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -95,15 +108,18 @@ class CurveSpec:
         if "kind" not in data:
             raise InvalidCurveError("curve spec is missing 'kind'")
         clean = dict(data)
+        for key in _SCALAR_FIELDS:
+            if clean.get(key) is not None:
+                clean[key] = _numeric(key, clean[key], float)
         for key in ("center", "start", "end"):
             if clean.get(key) is not None:
-                clean[key] = tuple(float(v) for v in clean[key])
+                clean[key] = _numeric(key, clean[key], _floats)
         for key in ("cos", "sin"):
             if key in clean:
-                clean[key] = tuple(float(v) for v in clean[key])
+                clean[key] = _numeric(key, clean[key], _floats)
         for key in ("vertices", "points"):
             if key in clean:
-                clean[key] = tuple(tuple(float(v) for v in p) for p in clean[key])
+                clean[key] = _numeric(key, clean[key], lambda ps: tuple(_floats(p) for p in ps))
         return cls(**clean)
 
     @classmethod
@@ -177,6 +193,7 @@ class FrontTrack:
         self._tan_c = tangent_fn
         self._k_c = curvature_fn
         self._k_range: tuple[float, float] | None = None
+        self._k_half: tuple[int, np.ndarray] | None = None  # (steps, half-grid curvature)
         if self.closed:
             gap = float(np.linalg.norm(position_fn(np.array([period]))[0] - position_fn(np.array([0.0]))[0]))
             if gap > 1e-8 * max(1.0, period):

@@ -6,24 +6,33 @@ wheelbases, so somewhere in between a first parabolic transition ``ell0``
 occurs, and the claim under test is ``A <= pi * ell0**2``. The scan walks a
 multiplicative ladder of wheelbases, brackets every crossing of trace = 2,
 and sharpens the first one by bisection.
+
+The whole ladder is integrated in one batched RK4 sweep. Bisection runs
+speculatively in batches of depth ``BISECT_DEPTH``: one sweep integrates
+every midpoint the next ``BISECT_DEPTH`` steps could visit, and the walk
+down that tree visits the same midpoints, computed the same way, as plain
+bisection would, so ``ell0`` keeps its exact bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from ._io import fmt17
 from ._num import wrap_angle
-from .dynamics import BikeParams, integrate_steering
+from .dynamics import BikeParams, steering_endpoints
 from .errors import ResidualError, ScanError, ValidationError
 from .geom import FrontTrack, Geometry, enclosed_area
-from .moebius import MapClass, MonodromyReport, monodromy
+from .moebius import IDENTITY_TOL, MapClass, _sweep_fits
+# The scan no longer calls ``monodromy`` itself; the name stays bound here
+# because the benchmark's span tracer (perfbench/spans.py) wraps it here.
+from .moebius import monodromy  # noqa: F401
 
 CLASSIFICATION_CSV_HEADER = "ell,trace,class"
+BISECT_DEPTH = 4  # bisection steps resolved by one batched sweep
 
 
 def _require_convex(track: FrontTrack, n_grid: int = 4096) -> np.ndarray:
@@ -48,10 +57,6 @@ def min_osculating_radius(track: FrontTrack, n_grid: int = 4096) -> float:
     return 1.0 / float(k.max())
 
 
-def _monodromy_at(track: FrontTrack, ell: float, steps: int) -> MonodromyReport:
-    return monodromy(track, BikeParams(ell=ell, steps_per_traversal=steps))
-
-
 @dataclass(frozen=True)
 class ScanSample:
     """One ladder point of the trace-versus-wheelbase curve."""
@@ -74,15 +79,33 @@ class StageCheck:
     detail: str
 
 
+def _midpoint_tree(lo: float, hi: float) -> list[float]:
+    """Midpoints the next ``BISECT_DEPTH`` bisection steps from ``(lo, hi)`` can visit.
+
+    Heap order: node ``i`` halves its interval at ``mids[i]``; node ``2i+1``
+    holds the lower half and node ``2i+2`` the upper half.
+    """
+    mids: list[float] = []
+    intervals = [(lo, hi)]
+    for _ in range(BISECT_DEPTH):
+        level = [0.5 * (a + b) for a, b in intervals]
+        mids += level
+        intervals = [half for (a, b), m in zip(intervals, level) for half in ((a, m), (m, b))]
+    return mids
+
+
 def _bisect_transition(track: FrontTrack, lo: float, hi: float, tol: float, steps: int) -> float:
     # invariant: trace(lo) > 2 >= trace(hi); the crossing is transversal for
     # every family observed, so plain bisection on trace - 2 suffices
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _monodromy_at(track, mid, steps).trace > 2.0:
-            lo = mid
-        else:
-            hi = mid
+        mids = _midpoint_tree(lo, hi)
+        fit = _sweep_fits(track, mids, steps)
+        node = 0
+        while node < len(mids) and hi - lo > tol:
+            if fit(node)[0].trace > 2.0:
+                lo, node = mids[node], 2 * node + 2
+            else:
+                hi, node = mids[node], 2 * node + 1
     return 0.5 * (lo + hi)
 
 
@@ -97,10 +120,11 @@ def _ladder(r: float, cap: float, ratio: float) -> list[float]:
     return out
 
 
-def _scan(track: FrontTrack, r: float, cap: float, ratio: float, steps: int,
-          stop_at_first: bool) -> tuple[list[ScanSample], list[tuple[float | None, float]]]:
+def _scan(ladder: list[float], fit, stop_at_first: bool
+          ) -> tuple[list[ScanSample], list[tuple[float | None, float]]]:
     """Walk the wheelbase ladder; bracket every sign change of trace - 2.
 
+    ``fit(i)`` is the fitted monodromy of ``ladder[i]`` (see ``_sweep_fits``).
     A bracket ``(lo, hi)`` has trace > 2 at ``lo`` and trace < 2 at ``hi``;
     ``lo`` is None when already the first ladder point is non-hyperbolic
     (the transition then sits at the osculating radius itself).
@@ -108,15 +132,15 @@ def _scan(track: FrontTrack, r: float, cap: float, ratio: float, steps: int,
     samples: list[ScanSample] = []
     brackets: list[tuple[float | None, float]] = []
     prev: tuple[float, float] | None = None
-    for ell in _ladder(r, cap, ratio):
-        rep = _monodromy_at(track, ell, steps)
-        samples.append(ScanSample(ell, rep.trace, rep.map_class.value))
-        below = rep.trace < 2.0
+    for i, ell in enumerate(ladder):
+        fitted, eps_par = fit(i)
+        samples.append(ScanSample(ell, fitted.trace, fitted.classify(eps_par).value))
+        below = fitted.trace < 2.0
         if below and (prev is None or prev[1] >= 2.0):
             brackets.append((None if prev is None else prev[0], ell))
             if stop_at_first:
                 return samples, brackets
-        prev = (ell, rep.trace)
+        prev = (ell, fitted.trace)
     return samples, brackets
 
 
@@ -127,7 +151,7 @@ def _resolve_first(track: FrontTrack, bracket: tuple[float | None, float], r: fl
         # the ladder started non-hyperbolic; wheelbases below the osculating
         # radius are guaranteed hyperbolic, so bracket just beneath it
         lo = r / ratio
-        if not _monodromy_at(track, lo, steps).trace > 2.0:
+        if not _sweep_fits(track, [lo], steps)(0)[0].trace > 2.0:
             raise ScanError(
                 f"trace <= 2 at ell = {lo:.6g}, below the min osculating radius {r:.6g}"
             )
@@ -143,13 +167,13 @@ def critical_length(track: FrontTrack, tol: float | None = None, *, ratio: float
     ``1e-6 * sqrt(A/pi)``). Raises :class:`ScanError` if no transition shows
     up below ``cap_factor * sqrt(A/pi)``.
     """
-    _require_convex(track)
+    r = min_osculating_radius(track)  # enforces convexity first
     area = enclosed_area(track)
     scale = math.sqrt(area / math.pi)
     if tol is None:
         tol = 1e-6 * scale
-    r = min_osculating_radius(track)
-    _, brackets = _scan(track, r, cap_factor * scale, ratio, steps_per_traversal,
+    ladder = _ladder(r, cap_factor * scale, ratio)
+    _, brackets = _scan(ladder, _sweep_fits(track, ladder, steps_per_traversal),
                         stop_at_first=True)
     if not brackets:
         raise ScanError(
@@ -170,20 +194,25 @@ def defect_bound(track: FrontTrack, ell: float, *,
     the defect really does sit above the bound.
     """
     _require_convex(track)
-    params = BikeParams(ell=ell, steps_per_traversal=steps_per_traversal)
-    rep = monodromy(track, params)
-    if rep.is_identity or rep.map_class is MapClass.ELLIPTIC:
+    return _defect_bound(track, ell, steps_per_traversal, enclosed_area(track))
+
+
+def _defect_bound(track: FrontTrack, ell: float, steps: int, area: float) -> tuple[float, float]:
+    """:func:`defect_bound` on a track already checked convex, with its area."""
+    fitted, eps_par = _sweep_fits(track, [ell], steps)(0)
+    map_class = fitted.classify(eps_par)
+    if fitted.distance_to_identity() < IDENTITY_TOL or map_class is MapClass.ELLIPTIC:
         raise ValidationError(
-            f"monodromy at ell = {ell:.6g} is {rep.map_class.value}: no closed rear track"
+            f"monodromy at ell = {ell:.6g} is {map_class.value}: no closed rear track"
         )
-    fixed = rep.fixed_points[0]  # attracting first
-    sol = integrate_steering(track, params, fixed.angle)
-    gap = abs(wrap_angle(sol.final_alpha - fixed.angle))
+    fixed = fitted.fixed_points(eps_par)[0]  # attracting first
+    params = BikeParams(ell=ell, steps_per_traversal=steps)
+    final = steering_endpoints(track, params, [fixed.angle])[0]
+    gap = abs(wrap_angle(final - fixed.angle))
     if gap > 1e-5:
         raise ResidualError(
             f"rear track failed to close at the fixed angle (gap {gap:.3g} rad)"
         )
-    area = enclosed_area(track)
     perimeter = track.period
     a0 = area - math.pi * ell**2 * track.turning_number
     defect = perimeter**2 - 4.0 * math.pi * area
@@ -254,29 +283,33 @@ def menzin_verify(track: FrontTrack, tol: float | None = None, *, ratio: float =
     are recorded per stage (with the offending wheelbase) rather than
     raised, so a counterexample would produce a readable report.
     """
-    _require_convex(track)
+    r = min_osculating_radius(track)  # enforces convexity first
     area = enclosed_area(track)
     scale = math.sqrt(area / math.pi)
     if tol is None:
         tol = 1e-6 * scale
-    r = min_osculating_radius(track)
     cap = cap_factor * scale
     steps = steps_per_traversal
     checks: list[StageCheck] = []
 
-    rep_small = _monodromy_at(track, 0.5 * r, steps)
+    # one sweep for the ladder, whose last point is the cap, and for 0.5 * r
+    ladder = _ladder(r, cap, ratio)
+    fit = _sweep_fits(track, ladder + [0.5 * r], steps)
+
+    small, eps_small = fit(len(ladder))
     checks.append(StageCheck(
         "hyperbolic_below_osculating_radius", 0.5 * r,
-        rep_small.map_class is MapClass.HYPERBOLIC,
-        f"trace = {rep_small.trace:.9g}"))
+        small.classify(eps_small) is MapClass.HYPERBOLIC,
+        f"trace = {small.trace:.9g}"))
 
-    rep_cap = _monodromy_at(track, cap, steps)
+    at_cap, eps_cap = fit(len(ladder) - 1)
     checks.append(StageCheck(
         "elliptic_at_cap", cap,
-        rep_cap.map_class is MapClass.ELLIPTIC and not rep_cap.is_identity,
-        f"trace = {rep_cap.trace:.9g}"))
+        at_cap.classify(eps_cap) is MapClass.ELLIPTIC
+        and not at_cap.distance_to_identity() < IDENTITY_TOL,
+        f"trace = {at_cap.trace:.9g}"))
 
-    samples, brackets = _scan(track, r, cap, ratio, steps, stop_at_first=False)
+    samples, brackets = _scan(ladder, fit, stop_at_first=False)
     ell0: float | None = None
     transitions: list[float] = []
     if brackets:
@@ -315,7 +348,7 @@ def menzin_verify(track: FrontTrack, tol: float | None = None, *, ratio: float =
         # of negative signed area, making the defect bound informative
         cand = 0.5 * (scale + ell0)
         try:
-            _, bound_val = defect_bound(track, cand, steps_per_traversal=steps)
+            _, bound_val = _defect_bound(track, cand, steps, area)
             defect_ell = cand
         except (ValidationError, ResidualError):
             bound_val = None

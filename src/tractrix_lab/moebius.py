@@ -8,6 +8,7 @@ a held-out probe, and classified by its normalized trace.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -21,6 +22,7 @@ from .errors import ResidualError, ValidationError
 from .geom import TWO_PI, FrontTrack
 from .dynamics import (
     BikeParams,
+    _endpoint_sweep,
     integrate_steering,
     monodromy_matrix,
     signed_rear_length,
@@ -29,6 +31,8 @@ from .dynamics import (
 
 DEFAULT_PROBES = (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
 DEFAULT_VALIDATOR = 0.5 * math.pi
+RESIDUAL_CAP = 1e-6  # default held-out residual cap of a monodromy fit
+IDENTITY_TOL = 1e-6  # default distance below which a fitted map counts as the identity
 
 
 class MapClass(str, Enum):
@@ -261,14 +265,63 @@ class MonodromyReport:
         return cls.from_dict(json.loads(text))
 
 
+def _fit(ends, starts, track: FrontTrack, params: BikeParams,
+         n_steps: int) -> tuple[MoebiusMap, float]:
+    """Map through the three probe pairs ``(starts[i], ends[i])``, and its held-out residual.
+
+    ``starts[3]`` is the validator angle and ``ends[3]`` its endpoint.
+    """
+    # A strongly contracting monodromy drops all probe endpoints onto the
+    # attracting angle, starving the three-point fit of information no
+    # matter how fine the grid; integrate the linear lift directly then.
+    sep = min(abs(math.sin(0.5 * (ends[i] - ends[j])))
+              for i in range(3) for j in range(i + 1, 3))
+    if sep < 1e-3:
+        fitted = MoebiusMap.from_matrix(monodromy_matrix(track, params, n_steps=n_steps))
+    else:
+        fitted = from_three_pairs(list(zip(starts[:3], ends[:3])))
+    predicted = fitted.act_angle(starts[3])
+    return fitted, abs(float(wrap_angle(predicted - ends[3])))
+
+
+def _parabolic_band(residual: float) -> float:
+    """Half-width of the parabolic trace band around 2 for a fit with this residual."""
+    return max(1e-7, 10.0 * residual)
+
+
+def _sweep_fits(track: FrontTrack, ells: Sequence[float], steps_per_traversal: int):
+    """Monodromy fits of one track at many wheelbases from a single RK4 sweep.
+
+    Returns ``fit(i) -> (map, eps_parabolic)`` for wheelbase ``ells[i]``,
+    computed on first use: the scan reads only the trace and the class, so
+    no fixed points or rear lengths are made. A row is fitted exactly as
+    :func:`monodromy` fits its first grid; a row whose residual exceeds the
+    cap is handed to :func:`monodromy`, which refines the grid.
+    """
+    params = [BikeParams(ell=ell, steps_per_traversal=steps_per_traversal) for ell in ells]
+    starts = np.array(list(DEFAULT_PROBES) + [DEFAULT_VALIDATOR])
+    n = steps_per_traversal * track.traversals
+    ends = _endpoint_sweep(track, params, starts, n)
+
+    @functools.cache
+    def fit(i: int) -> tuple[MoebiusMap, float]:
+        fitted, residual = _fit(ends[i], starts, track, params[i], n)
+        if not residual <= RESIDUAL_CAP:
+            rep = monodromy(track, params[i])
+            fitted, residual = rep.map, rep.residual
+        return fitted, _parabolic_band(residual)
+
+    return fit
+
+
 def monodromy(
     track: FrontTrack,
     params: BikeParams,
     probes: Sequence[float] = DEFAULT_PROBES,
     validator: float = DEFAULT_VALIDATOR,
-    residual_cap: float = 1e-6,
+    residual_cap: float = RESIDUAL_CAP,
     max_refinements: int = 6,
-    identity_tol: float = 1e-6,
+    identity_tol: float = IDENTITY_TOL,
 ) -> MonodromyReport:
     """Fit, validate, and classify the steering monodromy of ``track``.
 
@@ -286,17 +339,7 @@ def monodromy(
     n = params.steps_per_traversal * track.traversals
     for _ in range(max_refinements + 1):
         ends = steering_endpoints(track, params, starts, n_steps=n)
-        # A strongly contracting monodromy drops all probe endpoints onto the
-        # attracting angle, starving the three-point fit of information no
-        # matter how fine the grid; integrate the linear lift directly then.
-        sep = min(abs(math.sin(0.5 * (ends[i] - ends[j])))
-                  for i in range(3) for j in range(i + 1, 3))
-        if sep < 1e-3:
-            fitted = MoebiusMap.from_matrix(monodromy_matrix(track, params, n_steps=n))
-        else:
-            fitted = from_three_pairs(list(zip(probes, ends[:3])))
-        predicted = fitted.act_angle(starts[3])
-        residual = abs(float(wrap_angle(predicted - ends[3])))
+        fitted, residual = _fit(ends, starts, track, params, n)
         if residual <= residual_cap:
             break
         n *= 2
@@ -306,7 +349,7 @@ def monodromy(
             f"after {max_refinements} refinements (final steps {n // 2})"
         )
 
-    eps_par = max(1e-7, 10.0 * residual)
+    eps_par = _parabolic_band(residual)
     is_identity = fitted.distance_to_identity() < identity_tol
     fps = () if is_identity else fitted.fixed_points(eps_par)
 

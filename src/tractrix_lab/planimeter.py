@@ -34,11 +34,6 @@ NORMAL = "normal"
 CENTROID = "centroid"
 
 
-def centroid(track: FrontTrack) -> np.ndarray:
-    """Area centroid of the enclosed region, by boundary moments."""
-    return area_centroid(track)
-
-
 @dataclass(frozen=True)
 class RodLeg:
     """Rod history along one leg of a traced front path."""

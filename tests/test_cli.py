@@ -211,6 +211,16 @@ def test_malformed_json_exits_2(capsys, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", [["monodromy", "--ell", "1"], ["menzin"]])
+@pytest.mark.parametrize("field", [{"r": "x"}, {"center": ["x", 0]}])
+def test_non_numeric_field_exits_2(capsys, tmp_path, command, field):
+    spec = tmp_path / "text.json"
+    spec.write_text(json.dumps({"kind": "circle", "r": 1.0, **field}))
+    rc, cap = run(capsys, [command[0], "--input", str(spec), *command[1:]])
+    assert rc == 2
+    assert "must be numeric" in cap.err
+
+
 def test_deterministic_output(capsys, circle_spec):
     argv = ["monodromy", "--input", circle_spec, "--ell", "1", "--steps", "512"]
     _, cap1 = run(capsys, argv)

@@ -147,3 +147,81 @@ def test_menzin_random_convex_bound():
         r = tl.min_osculating_radius(track)
         rep = tl.monodromy(track, tl.BikeParams(ell=0.9 * r, steps_per_traversal=2048))
         assert rep.trace > 2.0
+
+
+# -- batched sweeps ------------------------------------------------------------
+
+BATCH_STEPS = 512
+
+
+def _fourier5_spec():
+    from conftest import random_convex_spec
+
+    return random_convex_spec(np.random.default_rng(5), n_harmonics=5)
+
+
+@pytest.mark.parametrize("spec", [{"kind": "ellipse", "a": 2.0, "b": 1.0}, _fourier5_spec()],
+                         ids=["ellipse21", "fourier5"])
+def test_batched_ladder_matches_single_monodromy(spec):
+    rep = tl.menzin_verify(tl.make_curve(spec), steps_per_traversal=BATCH_STEPS)
+    fresh = tl.make_curve(spec)  # no curvature grid shared with the scan
+    for s in rep.classification_curve:
+        single = tl.monodromy(fresh, tl.BikeParams(ell=s.ell, steps_per_traversal=BATCH_STEPS))
+        assert s.trace == single.trace
+        assert s.map_class == single.map_class.value
+
+
+def test_speculative_bisection_matches_plain(ellipse21):
+    from tractrix_lab.menzin import _bisect_transition
+
+    lo, hi, tol = 1.3, 1.6, 1e-7
+    fresh = tl.make_curve({"kind": "ellipse", "a": 2.0, "b": 1.0})
+    a, b = lo, hi
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        if tl.monodromy(fresh, tl.BikeParams(ell=mid, steps_per_traversal=BATCH_STEPS)).trace > 2.0:
+            a = mid
+        else:
+            b = mid
+    assert _bisect_transition(ellipse21, lo, hi, tol, BATCH_STEPS) == 0.5 * (a + b)
+
+
+def test_cached_curvature_grid_is_read_only(ellipse21):
+    from tractrix_lab.dynamics import _half_grid_curvature
+
+    k = _half_grid_curvature(ellipse21, BATCH_STEPS)
+    assert _half_grid_curvature(ellipse21, BATCH_STEPS) is k
+    assert not k.flags.writeable
+    with pytest.raises(ValueError):
+        k[0, 0] = 0.0
+    t = np.linspace(0.0, ellipse21.total_length, 2 * BATCH_STEPS + 1)
+    assert np.array_equal(k[0], tl.make_curve({"kind": "ellipse", "a": 2.0, "b": 1.0}).curvature(t))
+
+
+def test_lift_fallback_row_matches_monodromy(unit_circle):
+    # at ell = R / 2 the monodromy contracts by exp(-2 pi sqrt(3)): every probe
+    # lands on the attracting angle and the fit must take the linear lift
+    from tractrix_lab.moebius import DEFAULT_PROBES, _sweep_fits
+
+    ells = [0.5, 1.5]
+    params = tl.BikeParams(ell=ells[0], steps_per_traversal=BATCH_STEPS)
+    ends = tl.steering_endpoints(unit_circle, params, DEFAULT_PROBES)
+    assert min(abs(math.sin(0.5 * (ends[i] - ends[j]))) for i, j in [(0, 1), (0, 2), (1, 2)]) < 1e-3
+    fit = _sweep_fits(unit_circle, ells, BATCH_STEPS)
+    for i, ell in enumerate(ells):
+        rep = tl.monodromy(unit_circle, tl.BikeParams(ell=ell, steps_per_traversal=BATCH_STEPS))
+        fitted, eps_par = fit(i)
+        assert np.array_equal(fitted.matrix, rep.map.matrix)
+        assert eps_par == rep.eps_parabolic
+
+
+def test_refined_row_matches_monodromy(ellipse21):
+    # 16 steps leave the held-out residual above its cap: monodromy() refines
+    # the grid (to 128 steps), and the swept row must come out the same
+    from tractrix_lab.moebius import _sweep_fits
+
+    rep = tl.monodromy(ellipse21, tl.BikeParams(ell=1.0, steps_per_traversal=16))
+    assert rep.n_steps > 16
+    fitted, eps_par = _sweep_fits(ellipse21, [1.0], 16)(0)
+    assert np.array_equal(fitted.matrix, rep.map.matrix)
+    assert eps_par == rep.eps_parabolic
