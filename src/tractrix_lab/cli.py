@@ -1,12 +1,14 @@
 """Command-line surface: curve specs in, CSV/JSON reports and SVG figures out.
 
 Exit codes: 0 success, 2 validation failure (bad flags, bad curve, violated
-precondition), 3 numerical-residual failure (fit or scan did not converge).
+precondition), 3 numerical failure (fit or scan did not converge, or a
+propagated product overflowed double precision).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -25,8 +27,8 @@ from .dynamics import (
     rear_track,
     area_between_tracks,
 )
-from .errors import ResidualError, ValidationError
-from .geom import FrontTrack, Geometry, make_curve
+from .errors import InvalidCurveError, ResidualError, ValidationError
+from .geom import FrontTrack, Geometry, _numeric, make_curve
 from .menzin import menzin_verify
 from .moebius import monodromy
 from .noneuclid import develop_hyperbolic, geodesic_circle, stargazing_residual
@@ -57,20 +59,27 @@ def _geometry(name: str) -> Geometry:
         raise ValidationError(f"unknown geometry {name!r}") from None
 
 
-def _load_curve(path: str, geometry: str | None = None) -> FrontTrack:
+def _load_json_object(path: str, what: str) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise ValidationError(f"cannot read curve spec {path}: {exc}") from None
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"curve spec {path} is not valid JSON: {exc}") from None
+        raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
-        raise ValidationError("curve spec must be a JSON object")
+        raise ValidationError(f"{what} must be a JSON object")
+    return data
+
+
+def _load_curve(path: str, geometry: str | None = None) -> FrontTrack:
+    data = _load_json_object(path, "curve spec")
     if data.get("kind") == "geodesic-circle":
+        if "rho" not in data:
+            raise InvalidCurveError("geodesic-circle spec needs a radius 'rho'")
         geo = _geometry(data.get("geometry", geometry or "spherical"))
-        return geodesic_circle(float(data["rho"]), geo,
-                               traversals=int(data.get("traversals", 1)))
+        return geodesic_circle(_numeric("rho", data["rho"], float), geo,
+                               traversals=_numeric("traversals", data.get("traversals", 1), int))
     track = make_curve(data)
     if geometry and geometry != Geometry.EUCLIDEAN.value:
         track = track.reinterpreted(_geometry(geometry))
@@ -152,21 +161,7 @@ def _cmd_planimeter(args) -> int:
         raise ValidationError("planimeter needs --ell (single reading) or --ells (scan)")
     reading = measure(track, args.ell, base=args.base, placement=placement,
                       steps_per_traversal=args.steps)
-    payload = {
-        "deflection": reading.deflection,
-        "estimate": reading.estimate,
-        "exact_area": reading.exact_area,
-        "correction_estimate": reading.correction_estimate,
-        "residual_error": reading.residual_error,
-        "base_param": reading.base_param,
-        "base_point": list(reading.base_point),
-        "ell": reading.ell,
-        "placement": reading.placement,
-        "mean_square_radius": reading.mean_square_radius,
-        "rear_area": reading.rear_area,
-        "closure_defect": reading.closure_defect,
-    }
-    _emit(json.dumps(payload, indent=2), args.out)
+    _emit(json.dumps(dataclasses.asdict(reading), indent=2), args.out)
     return 0
 
 
@@ -231,17 +226,28 @@ def _cmd_develop(args) -> int:
 
 def _cmd_loopcheck(args) -> int:
     if args.input:
-        with open(args.input) as fh:
-            data = json.load(fh)
+        data = _load_json_object(args.input, "loop spec")
 
-        def coeffs(part):
-            return (float(part.get("a0", 0.0)),
-                    np.asarray(part.get("cos", []), dtype=float),
-                    np.asarray(part.get("sin", []), dtype=float))
+        def coeffs(key):
+            part = data.get(key)
+            if not isinstance(part, dict):
+                raise ValidationError(f"loop spec needs a {key!r} object of a0/cos/sin coefficients")
+            try:
+                cos_c = np.asarray(part.get("cos", []), dtype=float)
+                sin_c = np.asarray(part.get("sin", []), dtype=float)
+                a0 = float(part.get("a0", 0.0))
+            except (TypeError, ValueError):
+                raise ValidationError(f"loop spec {key!r} coefficients must be numeric") from None
+            if cos_c.ndim != 1 or sin_c.ndim != 1:
+                raise ValidationError(f"loop spec {key!r} cos/sin must be flat lists")
+            return a0, cos_c, sin_c
 
-        loop = ConfigLoop.from_fourier(
-            coeffs(data["x"]), coeffs(data["y"]), coeffs(data["theta"]),
-            winding=int(data.get("winding", 0)), n=args.steps)
+        try:
+            winding = int(data.get("winding", 0))
+        except (TypeError, ValueError):
+            raise ValidationError("loop spec 'winding' must be an integer") from None
+        loop = ConfigLoop.from_fourier(coeffs("x"), coeffs("y"), coeffs("theta"),
+                                       winding=winding, n=args.steps)
     else:
         rng = np.random.default_rng(args.seed)
         loop = random_config_loop(rng, n=args.steps)

@@ -7,13 +7,26 @@ velocity; along an arc-length front track it obeys
 
 where ``k`` is the front curvature and ``c`` is the geodesic curvature of the
 circle of radius ``ell`` in the ambient geometry (1/ell, cot(ell), coth(ell)).
-A fixed-step vectorized RK4 integrates batches of initial angles in one sweep,
-optionally propagating the tangent (variational) factor d(alpha_T)/d(alpha_0).
+
+This is the projectivization of the linear system ``z' = A(t) z`` on the
+half-angle lift ``z = (sin(alpha/2), cos(alpha/2))``, with
+``A = 1/2 [[-c, k], [-k, c]]``, and one engine does every steering
+propagation here. Classical RK4 applied to the linear system makes step
+``j`` a 2x2 matrix ``S_j = I + E_j``, a polynomial in ``A`` at the step's
+ends and midpoint; the engine builds ``E_j`` for all steps and all
+wheelbases at once from the cached half-step curvature grid. A balanced
+tree multiplies the steps into the monodromy, and a log-depth
+(Hillis-Steele) scan into the prefix products of a dense history. Factors
+travel as ``E = S - I`` and combine as ``(I + A)(I + B) = I + (A + B + AB)``,
+so thousands of nearly identical steps do not round ``I + E`` once each;
+the determinant travels beside them as ``sum log1p(tr E_j + det E_j)``.
+Angles are read back from the direction of each lifted vector; summed
+``atan2(cross, dot)`` increments between consecutive vectors choose the
+continuous branch from ``alpha0``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,7 +34,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from ._num import fourier_eval, trapezoid, wrap_angle
-from .errors import ValidationError
+from .errors import ResidualError, ValidationError
 from .geom import TWO_PI, FrontTrack, Geometry, _green_integral
 
 
@@ -41,48 +54,6 @@ class BikeParams:
     @property
     def coefficient(self) -> float:
         return self.geometry.steering_coefficient(self.ell)
-
-
-def _rk4_steering(k_half, h, c, alpha0, dense=False, variational=False):
-    """RK4 sweep of the steering equation over a batch.
-
-    ``k_half`` holds curvature at half-step resolution, shape ``(B or 1, 2n+1)``;
-    ``h`` is the step; ``c`` broadcasts as ``(B, 1)``; ``alpha0`` is ``(B, m)``.
-    Returns the final angles ``(B, m)``, the dense history ``(B, m, n+1)`` when
-    asked, and the tangent factor when ``variational``.
-    """
-    alpha = np.array(alpha0, dtype=float, copy=True)
-    n = (k_half.shape[1] - 1) // 2
-    c = np.asarray(c, dtype=float)
-    if c.ndim:
-        c = c.reshape(-1, 1)
-    # step factors hoisted out of the loop; each product keeps its rounding
-    neg_c, half_h, sixth_h = -c, 0.5 * h, h / 6.0
-    hist = np.empty(alpha.shape + (n + 1,)) if dense else None
-    if dense:
-        hist[..., 0] = alpha
-    beta = np.ones_like(alpha) if variational else None
-    for j in range(n):
-        k0 = k_half[:, 2 * j, None]
-        km = k_half[:, 2 * j + 1, None]
-        k1 = k_half[:, 2 * j + 2, None]
-        s1 = k0 - c * np.sin(alpha)
-        a2 = alpha + half_h * s1
-        s2 = km - c * np.sin(a2)
-        a3 = alpha + half_h * s2
-        s3 = km - c * np.sin(a3)
-        a4 = alpha + h * s3
-        s4 = k1 - c * np.sin(a4)
-        if variational:
-            b1 = neg_c * np.cos(alpha) * beta
-            b2 = neg_c * np.cos(a2) * (beta + half_h * b1)
-            b3 = neg_c * np.cos(a3) * (beta + half_h * b2)
-            b4 = neg_c * np.cos(a4) * (beta + h * b3)
-            beta = beta + sixth_h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        alpha = alpha + sixth_h * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
-        if dense:
-            hist[..., j + 1] = alpha
-    return alpha, hist, beta
 
 
 def _half_grid_curvature(track, n_steps: int) -> np.ndarray:
@@ -105,6 +76,156 @@ def _check_geometry(track, params: BikeParams) -> None:
         raise ValidationError(
             f"track geometry {track.geometry.value} does not match bike geometry {params.geometry.value}"
         )
+
+
+# -- the lift engine -----------------------------------------------------------
+#
+# A stack of 2x2 matrices is stored entrywise, (m00, m01, m10, m11) along
+# axis 0, and every product is spelled out in elementwise operations, so each
+# row of a batch is computed exactly as it would be alone.
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entrywise 2x2 products ``a @ b`` of two stacks."""
+    return np.stack((a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+                     a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3]))
+
+
+def _combine(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """``(I + later)(I + earlier) - I``, never forming ``I + E``."""
+    return later + earlier + _mul(later, earlier)
+
+
+def _finite(x: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(x)):
+        raise ResidualError(
+            "lift product overflowed: the monodromy is too strongly hyperbolic for double precision")
+    return x
+
+
+def _step_factors(track: FrontTrack, params: Sequence[BikeParams], n_steps: int) -> np.ndarray:
+    """``E_j = S_j - I`` for every wheelbase (row) and step, shape ``(4, B, n)``.
+
+    ``S_j`` is the RK4 step of ``z' = A z`` with ``A`` taken at the step's
+    start, midpoint and end: ``K1 = A0``, ``K2 = Am (I + h/2 K1)``,
+    ``K3 = Am (I + h/2 K2)``, ``K4 = A1 (I + h K3)`` and
+    ``E = h/6 (K1 + 2 K2 + 2 K3 + K4)``.
+    """
+    for p in params:
+        _check_geometry(track, p)
+    k = _half_grid_curvature(track, n_steps)
+    h = track.total_length / n_steps
+    diag = -0.5 * np.array([[p.coefficient] for p in params])
+
+    def gen(k_nodes):
+        off, d = np.broadcast_arrays(0.5 * k_nodes, diag)
+        return np.stack((d, off, -off, -d))
+
+    a0, am, a1 = gen(k[:, 0:-1:2]), gen(k[:, 1::2]), gen(k[:, 2::2])
+    k2 = am + (0.5 * h) * _mul(am, a0)
+    k3 = am + (0.5 * h) * _mul(am, k2)
+    k4 = a1 + h * _mul(a1, k3)
+    return (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _log_det(e: np.ndarray) -> np.ndarray:
+    """``log det`` of each row's whole product, ``sum_j log1p(tr E_j + det E_j)``."""
+    g = e[0] + e[3] + (e[0] * e[3] - e[1] * e[2])
+    if not np.all(g > -1.0):
+        raise ResidualError(
+            "an RK4 step of the lift reverses orientation: the grid is too coarse for this wheelbase")
+    return np.sum(np.log1p(g), axis=-1)
+
+
+def _tree(e: np.ndarray) -> np.ndarray:
+    """E-form of each row's product ``S_{n-1} ... S_0``, shape ``(4, B)``, by a balanced tree."""
+    while e.shape[-1] > 1:
+        even = e.shape[-1] & ~1
+        pairs = _combine(e[..., 1:even:2], e[..., 0:even:2])
+        e = np.concatenate((pairs, e[..., even:]), axis=-1)
+    return _finite(e[..., 0])
+
+
+def _scan(e: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """E-forms of the prefix products ``Q_j = S_{j-1} ... S_0``, ``j = 0..n``.
+
+    With ``reverse``, of the suffix products ``R_j = S_{n-1} ... S_j``
+    instead. Shape ``(4, B, n+1)``; ``Q_0`` and ``R_n`` are the identity.
+    Hillis-Steele doubling: ``ceil(log2(n+1))`` rounds, each one vectorized.
+    """
+    zero = np.zeros(e.shape[:-1] + (1,))
+    x = np.concatenate((e, zero) if reverse else (zero, e), axis=-1)
+    d = 1
+    while d < x.shape[-1]:
+        if reverse:
+            x[..., :-d] = _combine(x[..., d:], x[..., :-d])
+        else:
+            x[..., d:] = _combine(x[..., d:], x[..., :-d])
+        d *= 2
+    return _finite(x)
+
+
+def _lifted(f: np.ndarray, alpha0: np.ndarray) -> np.ndarray:
+    """Lifted vectors ``(I + F) z0`` of the starts ``alpha0`` (m,), shape ``(2, B, m, N)``.
+
+    ``f`` holds the E-forms ``F`` of ``N`` matrices per row, shape ``(4, B, N)``.
+    """
+    half = 0.5 * alpha0[:, None]
+    s, c = np.sin(half), np.cos(half)
+    f = f[:, :, None, :]
+    return _finite(np.stack((s + (f[0] * s + f[1] * c), c + (f[2] * s + f[3] * c))))
+
+
+def _angles(z: np.ndarray, alpha0: np.ndarray) -> np.ndarray:
+    """Steering angles along lifted histories ``z``, shape ``(B, m, N)``.
+
+    Each vector's own direction gives its angle modulo ``4 pi`` to rounding.
+    Consecutive vectors turn by less than a half turn per step, so the summed
+    ``atan2(cross, dot)`` increments pick the continuous branch from ``alpha0``.
+    """
+    u = z / np.hypot(z[0], z[1])
+    cross = u[1, ..., :-1] * u[0, ..., 1:] - u[0, ..., :-1] * u[1, ..., 1:]
+    dot = u[0, ..., :-1] * u[0, ..., 1:] + u[1, ..., :-1] * u[1, ..., 1:]
+    summed = 2.0 * np.cumsum(np.arctan2(cross, dot), axis=-1)
+    half = np.arctan2(z[0], z[1])
+    turned = 2.0 * (half - half[..., :1])
+    turned[..., 1:] += 2.0 * TWO_PI * np.round((summed - turned[..., 1:]) / (2.0 * TWO_PI))
+    return alpha0[:, None] + turned
+
+
+def _monodromy_sweep(track: FrontTrack, params: Sequence[BikeParams],
+                     n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Monodromy of every wheelbase row on one grid, shape ``(B, 2, 2)``, with its step factors.
+
+    Each product is scaled to determinant one by the carried determinant,
+    never by one recomputed from its entries: for a strongly hyperbolic
+    product ``ad - bc`` cancels to rounding noise.
+    """
+    e = _step_factors(track, params, n_steps)
+    m = (np.eye(2).reshape(4, 1) + _tree(e)) * np.exp(-0.5 * _log_det(e))
+    return m.T.reshape(-1, 2, 2), e
+
+
+def _fixed_angle_rear_length(track: FrontTrack, e: np.ndarray, angle: float,
+                             repelling: bool) -> float:
+    """Signed rear length ``\\int cos(alpha) dt`` of the closed trajectory from a fixed angle.
+
+    ``e`` are the step factors ``(4, 1, n)`` the monodromy was made from.
+    An attracting or parabolic angle is carried forward by the prefix
+    products. Forward, a repelling angle is unstable and rounding grows by
+    its multiplier; since its lift ``z*`` is fixed by the whole product, its
+    trajectory is ``adj(R_j) z*`` with the suffix products
+    ``R_j = S_{n-1} ... S_j``, along which it attracts.
+    """
+    if repelling:
+        g = _scan(e, reverse=True)
+        f = np.stack((g[3], -g[1], -g[2], g[0]))  # adj(I + G) = I + adj(G)
+    else:
+        f = _scan(e)
+    z = _lifted(f, np.array([angle]))[:, 0, 0]
+    z /= np.hypot(z[0], z[1])
+    cos_alpha = z[1] ** 2 - z[0] ** 2
+    return float(simpson(cos_alpha, dx=track.total_length / e.shape[-1]))
 
 
 @dataclass(frozen=True)
@@ -134,44 +255,36 @@ class SteeringSolution:
 
 
 def integrate_steering(track: FrontTrack, params: BikeParams, alpha0: float) -> SteeringSolution:
-    """Integrate the steering equation from ``alpha0`` over the whole track."""
-    _check_geometry(track, params)
-    n = params.steps_per_traversal * track.traversals
-    k_half = _half_grid_curvature(track, n)
-    h = track.total_length / n
-    _, hist, _ = _rk4_steering(k_half, h, params.coefficient, np.array([[alpha0]]), dense=True)
-    t = np.linspace(0.0, track.total_length, n + 1)
-    return SteeringSolution(track, params, float(alpha0), t, hist[0, 0])
+    """Integrate the steering equation from ``alpha0`` over the whole track.
 
-
-def _endpoint_sweep(track: FrontTrack, params: Sequence[BikeParams], alpha0: Sequence[float],
-                    n_steps: int, variational: bool = False):
-    """Final angles ``(B, m)`` for every wheelbase (row) and start (column), in one sweep.
-
-    Each row is computed with the same floating-point operations as a sweep
-    of that wheelbase alone, so the rows equal single-wheelbase results bit
-    for bit. Returns the tangent factors ``(B, m)`` as well when ``variational``.
+    The history is the lift's prefix scan, read back as continuous angles.
     """
-    for p in params:
-        _check_geometry(track, p)
-    k_half = _half_grid_curvature(track, n_steps)
-    h = track.total_length / n_steps
-    c = np.array([p.coefficient for p in params])
-    a0 = np.asarray(alpha0, dtype=float)
-    a0 = np.broadcast_to(a0, (len(params),) + a0.shape)
-    end, _, beta = _rk4_steering(k_half, h, c, a0, variational=variational)
-    return (end, beta) if variational else end
+    n = params.steps_per_traversal * track.traversals
+    start = np.array([float(alpha0)])
+    z = _lifted(_scan(_step_factors(track, [params], n)), start)
+    t = np.linspace(0.0, track.total_length, n + 1)
+    return SteeringSolution(track, params, float(alpha0), t, _angles(z, start)[0, 0])
 
 
 def steering_endpoints(track: FrontTrack, params: BikeParams, alpha0: Sequence[float],
                        n_steps: int | None = None, variational: bool = False):
-    """Final angles (and optionally d(alpha_T)/d(alpha_0)) for a batch of starts."""
+    """Final angles (and optionally d(alpha_T)/d(alpha_0)) for a batch of starts.
+
+    Each final angle is on the continuous branch from its start, the same as
+    ``integrate_steering(...).final_alpha``. The tangent factor of the lift
+    product ``P`` at a unit lift ``z0`` is ``det(P) / |P z0|^2``.
+    """
     n = n_steps if n_steps is not None else params.steps_per_traversal * track.traversals
-    out = _endpoint_sweep(track, [params], alpha0, n, variational=variational)
-    if variational:
-        end, beta = out
-        return end[0], beta[0]
-    return out[0]
+    starts = np.asarray(alpha0, dtype=float)
+    flat = starts.reshape(-1)
+    e = _step_factors(track, [params], n)
+    z = _lifted(_scan(e), flat)
+    end = _angles(z, flat)[0, :, -1].reshape(starts.shape)
+    if not variational:
+        return end
+    last = z[:, 0, :, -1]
+    beta = np.exp(_log_det(e)[0]) / (last[0] ** 2 + last[1] ** 2)
+    return end, beta.reshape(starts.shape)
 
 
 def signed_rear_length(solution: SteeringSolution) -> float:
@@ -181,37 +294,20 @@ def signed_rear_length(solution: SteeringSolution) -> float:
 
 def monodromy_matrix(track: FrontTrack, params: BikeParams,
                      n_steps: int | None = None) -> np.ndarray:
-    """Time-ordered product for the homogeneous half-angle lift, by RK4.
+    """Product of the lift's RK4 step matrices over the whole track.
 
     The steering equation is the projectivization of the linear system
     ``z' = A(t) z`` on ``z = (sin(alpha/2), cos(alpha/2))`` with
     ``A = [[-c/2, k/2], [-k/2, c/2]]``; the returned 2x2 matrix is the raw
-    fundamental solution over the whole track (determinant 1 up to step
-    error). Unlike the three-probe fit this stays well conditioned for
-    strongly contracting monodromies, where every probe trajectory lands on
-    the attracting angle to machine precision; entries grow only like the
-    square root of the multiplier ratio.
+    product ``S_{n-1} ... S_0`` from the engine's balanced tree, the
+    fundamental solution over the whole track up to step error (so its
+    determinant is 1 only to that error). Entries grow only like the square
+    root of the multiplier ratio, so the product stays usable for strongly
+    contracting monodromies, where every probe trajectory lands on the
+    attracting angle to machine precision.
     """
-    _check_geometry(track, params)
     n = n_steps if n_steps is not None else params.steps_per_traversal * track.traversals
-    k_half = _half_grid_curvature(track, n)[0]
-    c = params.coefficient
-    h = track.total_length / n
-
-    def gen(k):
-        return 0.5 * np.array([[-c, k], [-k, c]])
-
-    m = np.eye(2)
-    for j in range(n):
-        a0 = gen(k_half[2 * j])
-        am = gen(k_half[2 * j + 1])
-        a1 = gen(k_half[2 * j + 2])
-        s1 = a0 @ m
-        s2 = am @ (m + 0.5 * h * s1)
-        s3 = am @ (m + 0.5 * h * s2)
-        s4 = a1 @ (m + h * s3)
-        m = m + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
-    return m
+    return np.eye(2) + _tree(_step_factors(track, [params], n))[:, 0].reshape(2, 2)
 
 
 @dataclass(frozen=True)

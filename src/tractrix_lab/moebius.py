@@ -1,9 +1,14 @@
 """Moebius circle maps and the steering monodromy.
 
-The steering equation is a Riccati equation in ``x = tan(alpha/2)``, so the
-time-T map of the flow acts on steering angles as a fractional-linear map.
-The map is recovered numerically from three probe trajectories, validated on
-a held-out probe, and classified by its normalized trace.
+The steering equation is a Riccati equation in ``x = tan(alpha/2)``, the
+projectivization of a linear SL(2) system, so the time-T map of the flow acts
+on steering angles as a fractional-linear map. The monodromy is the product
+of the lift's step matrices from the engine in :mod:`.dynamics`, scaled to
+determinant one by the determinant carried through that product. Three probe
+angles fit a map of their own (:func:`from_three_pairs`), which is checked
+against the propagated map on a held-out angle; that residual is a
+conditioning check, not a discretization error bar. The map is classified
+by its normalized trace.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -20,14 +25,7 @@ import numpy as np
 from ._num import det2x2, wrap_angle
 from .errors import ResidualError, ValidationError
 from .geom import TWO_PI, FrontTrack
-from .dynamics import (
-    BikeParams,
-    _endpoint_sweep,
-    integrate_steering,
-    monodromy_matrix,
-    signed_rear_length,
-    steering_endpoints,
-)
+from .dynamics import BikeParams, _fixed_angle_rear_length, _monodromy_sweep
 
 DEFAULT_PROBES = (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
 DEFAULT_VALIDATOR = 0.5 * math.pi
@@ -67,7 +65,12 @@ class MoebiusMap:
             raise ValidationError(
                 f"Moebius matrix needs positive determinant (orientation-preserving), got {det:.3e}"
             )
-        m /= math.sqrt(det)
+        return cls._canonical(m / math.sqrt(det))
+
+    @classmethod
+    def _canonical(cls, m: np.ndarray) -> "MoebiusMap":
+        """Map of a 2x2 array already scaled to determinant one; only the sign is canonicalized."""
+        m = np.array(m, dtype=float)
         tr = m[0, 0] + m[1, 1]
         if tr < 0.0 or (tr == 0.0 and (m[0, 1] < 0.0 or (m[0, 1] == 0.0 and m[0, 0] < 0.0))):
             m = -m
@@ -153,6 +156,8 @@ class MoebiusMap:
             angle = math.atan2(v[0], v[1]) * 2.0 % TWO_PI
             return (FixedPoint(angle, 1.0),)
         tr = self.trace
+        if not math.isfinite(tr * tr):
+            raise ResidualError(f"trace {tr:.3e}: the fixed-point multipliers exceed double range")
         root = math.sqrt(tr * tr - 4.0)
         # det 1 makes the eigenvalues reciprocal; the subtractive formula for
         # the small one cancels to zero once |tr| > ~1e8, so divide instead.
@@ -265,23 +270,22 @@ class MonodromyReport:
         return cls.from_dict(json.loads(text))
 
 
-def _fit(ends, starts, track: FrontTrack, params: BikeParams,
-         n_steps: int) -> tuple[MoebiusMap, float]:
-    """Map through the three probe pairs ``(starts[i], ends[i])``, and its held-out residual.
+def _fit(matrix: np.ndarray, probes: np.ndarray, validator: float) -> tuple[MoebiusMap, float]:
+    """Map of a propagated determinant-one product, and the held-out residual of its cross-check.
 
-    ``starts[3]`` is the validator angle and ``ends[3]`` its endpoint.
+    The three-probe fit through the probes' images must predict the image
+    of ``validator``; the residual is how far it misses. A strongly
+    contracting map drops every probe onto the attracting angle, leaving no
+    three-probe fit to check: the residual is then 0.
     """
-    # A strongly contracting monodromy drops all probe endpoints onto the
-    # attracting angle, starving the three-point fit of information no
-    # matter how fine the grid; integrate the linear lift directly then.
+    fitted = MoebiusMap._canonical(matrix)
+    ends = fitted.act_angle(probes)
     sep = min(abs(math.sin(0.5 * (ends[i] - ends[j])))
               for i in range(3) for j in range(i + 1, 3))
     if sep < 1e-3:
-        fitted = MoebiusMap.from_matrix(monodromy_matrix(track, params, n_steps=n_steps))
-    else:
-        fitted = from_three_pairs(list(zip(starts[:3], ends[:3])))
-    predicted = fitted.act_angle(starts[3])
-    return fitted, abs(float(wrap_angle(predicted - ends[3])))
+        return fitted, 0.0
+    cross = from_three_pairs(list(zip(probes, ends)))
+    return fitted, abs(float(wrap_angle(cross.act_angle(validator) - fitted.act_angle(validator))))
 
 
 def _parabolic_band(residual: float) -> float:
@@ -290,7 +294,7 @@ def _parabolic_band(residual: float) -> float:
 
 
 def _sweep_fits(track: FrontTrack, ells: Sequence[float], steps_per_traversal: int):
-    """Monodromy fits of one track at many wheelbases from a single RK4 sweep.
+    """Monodromy fits of one track at many wheelbases from a single batched sweep.
 
     Returns ``fit(i) -> (map, eps_parabolic)`` for wheelbase ``ells[i]``,
     computed on first use: the scan reads only the trace and the class, so
@@ -299,13 +303,12 @@ def _sweep_fits(track: FrontTrack, ells: Sequence[float], steps_per_traversal: i
     cap is handed to :func:`monodromy`, which refines the grid.
     """
     params = [BikeParams(ell=ell, steps_per_traversal=steps_per_traversal) for ell in ells]
-    starts = np.array(list(DEFAULT_PROBES) + [DEFAULT_VALIDATOR])
-    n = steps_per_traversal * track.traversals
-    ends = _endpoint_sweep(track, params, starts, n)
+    probes = np.array(DEFAULT_PROBES)
+    mats, _ = _monodromy_sweep(track, params, steps_per_traversal * track.traversals)
 
     @functools.cache
     def fit(i: int) -> tuple[MoebiusMap, float]:
-        fitted, residual = _fit(ends[i], starts, track, params[i], n)
+        fitted, residual = _fit(mats[i], probes, DEFAULT_VALIDATOR)
         if not residual <= RESIDUAL_CAP:
             rep = monodromy(track, params[i])
             fitted, residual = rep.map, rep.residual
@@ -323,23 +326,25 @@ def monodromy(
     max_refinements: int = 6,
     identity_tol: float = IDENTITY_TOL,
 ) -> MonodromyReport:
-    """Fit, validate, and classify the steering monodromy of ``track``.
+    """Propagate, cross-check, and classify the steering monodromy of ``track``.
 
-    Three probe angles pin the Moebius map; a held-out validator angle
-    measures the fit residual. If the residual exceeds ``residual_cap`` the
-    step count is doubled, up to ``max_refinements`` times, after which a
-    :class:`ResidualError` is raised. The parabolic trace band is widened to
-    ``10 *`` the measured residual when the fit is the accuracy bottleneck.
+    The map is the lift's step product over the track. Three probe angles
+    fit a map of their own, and a held-out validator angle measures how far
+    it misses the propagated one. If that residual exceeds ``residual_cap``
+    the step count is doubled, up to ``max_refinements`` times, after which
+    a :class:`ResidualError` is raised. The parabolic trace band is widened
+    to ``10 *`` the measured residual when the fit is the accuracy
+    bottleneck. Rear lengths at the fixed angles reuse the step factors of
+    the final grid.
     """
-    probes = [float(p) for p in probes]
+    probes = np.array([float(p) for p in probes])
     if len(probes) != 3:
         raise ValidationError("monodromy fitting needs exactly three probe angles")
-    starts = np.array(probes + [float(validator)])
 
     n = params.steps_per_traversal * track.traversals
     for _ in range(max_refinements + 1):
-        ends = steering_endpoints(track, params, starts, n_steps=n)
-        fitted, residual = _fit(ends, starts, track, params, n)
+        mats, e = _monodromy_sweep(track, [params], n)
+        fitted, residual = _fit(mats[0], probes, float(validator))
         if residual <= residual_cap:
             break
         n *= 2
@@ -354,11 +359,8 @@ def monodromy(
     fps = () if is_identity else fitted.fixed_points(eps_par)
 
     # signed rear length \int cos(alpha) dt is meaningful in every geometry
-    rear = []
-    fine = replace(params, steps_per_traversal=max(params.steps_per_traversal, n // track.traversals))
-    for fp in fps:
-        sol = integrate_steering(track, fine, fp.angle)
-        rear.append(signed_rear_length(sol))
+    rear = tuple(_fixed_angle_rear_length(track, e, fp.angle, repelling=fp.multiplier > 1.0)
+                 for fp in fps)
 
     return MonodromyReport(
         map=fitted,
@@ -366,7 +368,7 @@ def monodromy(
         map_class=fitted.classify(eps_par),
         is_identity=is_identity,
         fixed_points=fps,
-        rear_lengths=tuple(rear),
+        rear_lengths=rear,
         residual=residual,
         eps_parabolic=eps_par,
         n_steps=n,

@@ -170,6 +170,8 @@ def develop_hyperbolic(k, length: float | None = None, *, n_steps: int | None = 
     if not length > 0.0:
         raise ValidationError("development length must be positive")
     n = n_steps if n_steps is not None else max(4096, int(math.ceil(256.0 * length)))
+    if n < 1:
+        raise ValidationError(f"development needs at least one step, got {n}")
     grid = np.linspace(0.0, float(length), 2 * n + 1)
     k_half = np.broadcast_to(np.asarray(k_fn(grid), dtype=float), grid.shape)
 

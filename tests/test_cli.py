@@ -221,6 +221,41 @@ def test_non_numeric_field_exits_2(capsys, tmp_path, command, field):
     assert "must be numeric" in cap.err
 
 
+@pytest.mark.parametrize("argv, spec", [
+    (["monodromy", "--ell", "0.5"], {"kind": "geodesic-circle", "rho": "x", "geometry": "spherical"}),
+    (["monodromy", "--ell", "0.5"], {"kind": "geodesic-circle", "geometry": "spherical"}),
+    (["loopcheck", "--ell", "1"], {"x": [0.0]}),
+], ids=["rho-not-numeric", "rho-missing", "loop-block-not-object"])
+def test_malformed_spec_exits_2(capsys, tmp_path, argv, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    rc, cap = run(capsys, [argv[0], "--input", str(path), *argv[1:]])
+    assert rc == 2
+    assert cap.err.startswith("error:")
+
+
+def test_develop_zero_steps_exits_2(capsys):
+    rc, cap = run(capsys, ["develop", "--constant-k", "1.2", "--length", "6", "--steps", "0"])
+    assert rc == 2
+    assert cap.err.startswith("error:")
+
+
+def test_monodromy_stiff_circle_exits_0(capsys, unit_circle_spec):
+    rc, cap = run(capsys, ["monodromy", "--input", unit_circle_spec, "--ell", "0.1"])
+    assert rc == 0
+    assert json.loads(cap.out)["trace"] == pytest.approx(
+        2.0 * math.cosh(math.pi * math.sqrt(99.0)), rel=1e-6)
+
+
+@pytest.mark.parametrize("ell", ["0.005", "0.001"], ids=["multipliers", "product"])
+def test_overflow_is_refused_with_exit_3(capsys, unit_circle_spec, ell):
+    # trace ~ exp(pi / ell): at 0.005 the multipliers leave double range,
+    # at 0.001 the lift product itself does
+    rc, cap = run(capsys, ["monodromy", "--input", unit_circle_spec, "--ell", ell])
+    assert rc == 3
+    assert "error:" in cap.err and cap.out == ""
+
+
 def test_deterministic_output(capsys, circle_spec):
     argv = ["monodromy", "--input", circle_spec, "--ell", "1", "--steps", "512"]
     _, cap1 = run(capsys, argv)

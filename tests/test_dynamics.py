@@ -118,6 +118,38 @@ def test_monodromy_matrix_matches_exponential(circle2):
     assert np.max(np.abs(m - exact)) / np.max(np.abs(exact)) < 1e-10
 
 
+def test_tree_and_scan_match_sequential_product():
+    # 1000 steps: odd counts appear at several tree levels
+    from tractrix_lab.dynamics import _scan, _step_factors, _tree
+
+    track = tl.make_curve({"kind": "ellipse", "a": 2.0, "b": 1.0})
+    e = _step_factors(track, [tl.BikeParams(ell=0.3)], 1000)
+    seq = np.eye(2)
+    for j in range(e.shape[-1]):
+        seq = (np.eye(2) + e[:, 0, j].reshape(2, 2)) @ seq
+    scale = np.max(np.abs(seq))
+    assert scale > 1e3  # strongly hyperbolic: the entries have grown
+    tree = np.eye(2) + _tree(e)[:, 0].reshape(2, 2)
+    assert np.max(np.abs(tree - seq)) <= 1e-13 * scale
+    prefix = np.eye(2) + _scan(e)[:, 0, -1].reshape(2, 2)
+    suffix = np.eye(2) + _scan(e, reverse=True)[:, 0, 0].reshape(2, 2)
+    assert np.max(np.abs(prefix - tree)) <= 1e-13 * scale
+    assert np.max(np.abs(suffix - tree)) <= 1e-13 * scale
+
+
+def test_endpoints_keep_the_continuous_branch():
+    # elliptic: alpha' = 2 - sin(alpha) >= 1, so three laps of length pi
+    # turn every start by more than 2 pi
+    track = tl.make_curve({"kind": "circle", "r": 0.5, "traversals": 3})
+    params = tl.BikeParams(ell=1.0)
+    starts = [0.3, 2.0]
+    ends = tl.steering_endpoints(track, params, starts)
+    for a0, end in zip(starts, ends):
+        final = tl.integrate_steering(track, params, a0).final_alpha
+        assert final - a0 > TWO_PI
+        assert end == pytest.approx(final, abs=1e-12)
+
+
 def test_area_between_tracks_closed(circle2):
     sol = tl.integrate_steering(circle2, tl.BikeParams(ell=1.0), math.pi / 6.0)
     # A_front - A_rear = pi ell^2 when the rod makes one turn

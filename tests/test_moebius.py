@@ -179,6 +179,32 @@ def test_monodromy_circle_oracle(circle2):
     assert rep.residual < 1e-6
 
 
+@pytest.mark.parametrize("ell, rel", [(0.01, 1e-4), (0.05, 1e-6), (0.1, 1e-6), (0.15, 1e-6),
+                                      (0.2, 1e-6)])
+def test_monodromy_stiff_circle_trace(unit_circle, ell, rel):
+    # the product's own determinant is rounding noise here; the carried one is not
+    rep = tl.monodromy(unit_circle, tl.BikeParams(ell=ell))
+    assert rep.trace == pytest.approx(2.0 * math.cosh(math.pi * math.sqrt(1.0 / ell**2 - 1.0)),
+                                      rel=rel)
+
+
+@pytest.mark.parametrize("ell", [0.1, 0.15, 0.2, 0.3])
+def test_monodromy_stiff_circle_rear_lengths(unit_circle, ell):
+    # rear circles of radius sqrt(1 - ell^2), ridden forward and backward
+    rep = tl.monodromy(unit_circle, tl.BikeParams(ell=ell))
+    exact = TWO_PI * math.sqrt(1.0 - ell**2)
+    assert rep.rear_lengths[0] == pytest.approx(exact, rel=1e-9)
+    assert rep.rear_lengths[1] == pytest.approx(-exact, rel=1e-9)
+
+
+def test_repelling_rear_length_is_propagated_backward(ellipse21):
+    # forward from the repelling angle, rounding grows by its multiplier;
+    # the reference is a backward RK4 run, along which the angle attracts
+    rep = tl.monodromy(ellipse21, tl.BikeParams(ell=0.3))
+    assert not rep.fixed_points[1].attracting
+    assert rep.rear_lengths[1] == pytest.approx(-9.40651484, abs=1e-8)
+
+
 def test_monodromy_parabolic_circle(unit_circle):
     rep = tl.monodromy(unit_circle, tl.BikeParams(ell=1.0))
     assert rep.map_class is MapClass.PARABOLIC
