@@ -19,10 +19,11 @@ tree multiplies the steps into the monodromy, and a log-depth
 (Hillis-Steele) scan into the prefix products of a dense history. Factors
 travel as ``E = S - I`` and combine as ``(I + A)(I + B) = I + (A + B + AB)``,
 so thousands of nearly identical steps do not round ``I + E`` once each;
-the determinant travels beside them as ``sum log1p(tr E_j + det E_j)``.
-Angles are read back from the direction of each lifted vector; summed
-``atan2(cross, dot)`` increments between consecutive vectors choose the
-continuous branch from ``alpha0``.
+the determinant travels beside them as ``sum log1p(tr E_j + det E_j)``. A
+monodromy comes with its step-doubling error estimate, from the same
+product taken in steps of twice the length. Angles are read back from the
+direction of each lifted vector; summed ``atan2(cross, dot)`` increments
+between consecutive vectors choose the continuous branch from ``alpha0``.
 """
 
 from __future__ import annotations
@@ -84,6 +85,8 @@ def _check_geometry(track, params: BikeParams) -> None:
 # axis 0, and every product is spelled out in elementwise operations, so each
 # row of a batch is computed exactly as it would be alone.
 
+BLOCK = 1 << 16  # row-steps per block of a batched monodromy sweep
+
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Entrywise 2x2 products ``a @ b`` of two stacks."""
@@ -103,20 +106,22 @@ def _finite(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _step_factors(track: FrontTrack, params: Sequence[BikeParams], n_steps: int) -> np.ndarray:
-    """``E_j = S_j - I`` for every wheelbase (row) and step, shape ``(4, B, n)``.
+def _coefficients(track: FrontTrack, params: Sequence[BikeParams]) -> np.ndarray:
+    """Diagonal ``-c/2`` of ``A`` for each wheelbase row, shape ``(B, 1)``."""
+    for p in params:
+        _check_geometry(track, p)
+    return -0.5 * np.array([[p.coefficient] for p in params])
 
-    ``S_j`` is the RK4 step of ``z' = A z`` with ``A`` taken at the step's
-    start, midpoint and end: ``K1 = A0``, ``K2 = Am (I + h/2 K1)``,
+
+def _factors(k: np.ndarray, h: float, diag: np.ndarray) -> np.ndarray:
+    """``E_j = S_j - I`` for every row of ``diag`` and step ``j``, shape ``(4, B, n)``.
+
+    ``k`` is the curvature at spacing ``h/2``, shape ``(1, 2n+1)``. ``S_j``
+    is the RK4 step of ``z' = A z`` with ``A`` taken at the step's start,
+    midpoint and end: ``K1 = A0``, ``K2 = Am (I + h/2 K1)``,
     ``K3 = Am (I + h/2 K2)``, ``K4 = A1 (I + h K3)`` and
     ``E = h/6 (K1 + 2 K2 + 2 K3 + K4)``.
     """
-    for p in params:
-        _check_geometry(track, p)
-    k = _half_grid_curvature(track, n_steps)
-    h = track.total_length / n_steps
-    diag = -0.5 * np.array([[p.coefficient] for p in params])
-
     def gen(k_nodes):
         off, d = np.broadcast_arrays(0.5 * k_nodes, diag)
         return np.stack((d, off, -off, -d))
@@ -128,22 +133,38 @@ def _step_factors(track: FrontTrack, params: Sequence[BikeParams], n_steps: int)
     return (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _step_factors(track: FrontTrack, params: Sequence[BikeParams], n_steps: int) -> np.ndarray:
+    """Step factors ``E_j`` of ``n_steps`` steps over the whole track, shape ``(4, B, n)``."""
+    diag = _coefficients(track, params)
+    return _factors(_half_grid_curvature(track, n_steps), track.total_length / n_steps, diag)
+
+
+def _reduce(x: np.ndarray, op) -> np.ndarray:
+    """Balanced-tree reduction of ``x`` along its last axis by ``op(later, earlier)``.
+
+    Level by level, elements ``(0, 1), (2, 3), ...`` are combined and an odd
+    last one is carried up. Reducing aligned blocks of a power-of-two length
+    first and then the block results builds this same tree, bit for bit.
+    """
+    while x.shape[-1] > 1:
+        even = x.shape[-1] & ~1
+        x = np.concatenate((op(x[..., 1:even:2], x[..., 0:even:2]), x[..., even:]), axis=-1)
+    return x[..., 0]
+
+
 def _log_det(e: np.ndarray) -> np.ndarray:
     """``log det`` of each row's whole product, ``sum_j log1p(tr E_j + det E_j)``."""
     g = e[0] + e[3] + (e[0] * e[3] - e[1] * e[2])
     if not np.all(g > -1.0):
         raise ResidualError(
             "an RK4 step of the lift reverses orientation: the grid is too coarse for this wheelbase")
-    return np.sum(np.log1p(g), axis=-1)
+    return _reduce(np.log1p(g), np.add)
 
 
 def _tree(e: np.ndarray) -> np.ndarray:
     """E-form of each row's product ``S_{n-1} ... S_0``, shape ``(4, B)``, by a balanced tree."""
-    while e.shape[-1] > 1:
-        even = e.shape[-1] & ~1
-        pairs = _combine(e[..., 1:even:2], e[..., 0:even:2])
-        e = np.concatenate((pairs, e[..., even:]), axis=-1)
-    return _finite(e[..., 0])
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+        return _finite(_reduce(e, _combine))
 
 
 def _scan(e: np.ndarray, reverse: bool = False) -> np.ndarray:
@@ -195,22 +216,51 @@ def _angles(z: np.ndarray, alpha0: np.ndarray) -> np.ndarray:
 
 def _monodromy_sweep(track: FrontTrack, params: Sequence[BikeParams],
                      n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Monodromy of every wheelbase row on one grid, shape ``(B, 2, 2)``, with its step factors.
+    """Monodromy of every wheelbase row on one grid, shape ``(B, 2, 2)``, and its error estimate.
 
     Each product is scaled to determinant one by the carried determinant,
     never by one recomputed from its entries: for a strongly hyperbolic
-    product ``ad - bc`` cancels to rounding noise.
+    product ``ad - bc`` cancels to rounding noise. The error is the
+    step-doubling estimate: the same product taken in steps of ``2h``, whose
+    midpoint curvature is already on the half grid, differs from it by
+    about 15 times its own error (RK4's error falls 16-fold when the step
+    halves). It is returned relative to the map's largest entry, shape
+    ``(B,)``. Steps are built and reduced in aligned blocks whose length is
+    a power of two, at most ``BLOCK`` row-steps each, so memory does not
+    grow with rows times steps, and every row comes out as it would alone.
     """
-    e = _step_factors(track, params, n_steps)
-    m = (np.eye(2).reshape(4, 1) + _tree(e)) * np.exp(-0.5 * _log_det(e))
-    return m.T.reshape(-1, 2, 2), e
+    diag = _coefficients(track, params)
+    k = _half_grid_curvature(track, n_steps)
+    h = track.total_length / n_steps
+    block = 2
+    while 2 * block * len(params) <= BLOCK:
+        block *= 2
+    fine, coarse, log_fine, log_coarse = [], [], [], []
+    for start in range(0, n_steps, block):
+        kb = k[:, 2 * start: 2 * min(start + block, n_steps) + 1]
+        e = _factors(kb, h, diag)
+        pairs = e.shape[-1] // 2
+        ec = np.concatenate((_factors(kb[:, :4 * pairs + 1:2], 2.0 * h, diag),
+                             e[..., 2 * pairs:]), axis=-1)  # an odd last step stays unpaired
+        fine.append(_tree(e))
+        coarse.append(_tree(ec))
+        log_fine.append(_log_det(e))
+        log_coarse.append(_log_det(ec))
+
+    def normalized(products, logs):
+        prod = np.eye(2).reshape(4, 1) + _tree(np.stack(products, axis=-1))
+        return prod * np.exp(-0.5 * _reduce(np.stack(logs, axis=-1), np.add))
+
+    m, mc = normalized(fine, log_fine), normalized(coarse, log_coarse)
+    error = np.max(np.abs(m - mc), axis=0) / (15.0 * np.max(np.abs(m), axis=0))
+    return m.T.reshape(-1, 2, 2), error
 
 
 def _fixed_angle_rear_length(track: FrontTrack, e: np.ndarray, angle: float,
                              repelling: bool) -> float:
     """Signed rear length ``\\int cos(alpha) dt`` of the closed trajectory from a fixed angle.
 
-    ``e`` are the step factors ``(4, 1, n)`` the monodromy was made from.
+    ``e`` are the step factors ``(4, 1, n)`` of the grid the monodromy was accepted on.
     An attracting or parabolic angle is carried forward by the prefix
     products. Forward, a repelling angle is unstable and rounding grows by
     its multiplier; since its lift ``z*`` is fixed by the whole product, its

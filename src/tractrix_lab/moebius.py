@@ -4,11 +4,13 @@ The steering equation is a Riccati equation in ``x = tan(alpha/2)``, the
 projectivization of a linear SL(2) system, so the time-T map of the flow acts
 on steering angles as a fractional-linear map. The monodromy is the product
 of the lift's step matrices from the engine in :mod:`.dynamics`, scaled to
-determinant one by the determinant carried through that product. Three probe
-angles fit a map of their own (:func:`from_three_pairs`), which is checked
-against the propagated map on a held-out angle; that residual is a
-conditioning check, not a discretization error bar. The map is classified
-by its normalized trace.
+determinant one by the determinant carried through that product. Its error
+bar is the step-doubling estimate that comes with it: the grid is refined
+until that estimate is under a cap, and the parabolic trace band is widened
+with it. Three probe angles fit a map of their own
+(:func:`from_three_pairs`), which is checked against the propagated map on a
+held-out angle; that residual is a conditioning check, not a discretization
+error bar. The map is classified by its normalized trace.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ import numpy as np
 from ._num import det2x2, wrap_angle
 from .errors import ResidualError, ValidationError
 from .geom import TWO_PI, FrontTrack
-from .dynamics import BikeParams, _fixed_angle_rear_length, _monodromy_sweep
+from .dynamics import BikeParams, _fixed_angle_rear_length, _monodromy_sweep, _step_factors
 
 DEFAULT_PROBES = (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
 DEFAULT_VALIDATOR = 0.5 * math.pi
-RESIDUAL_CAP = 1e-6  # default held-out residual cap of a monodromy fit
+ERROR_CAP = 1e-6  # default cap on the step-doubling (relative) error of a monodromy
 IDENTITY_TOL = 1e-6  # default distance below which a fitted map counts as the identity
 
 
@@ -251,8 +253,13 @@ class MonodromyReport:
     @classmethod
     def from_dict(cls, data: dict) -> "MonodromyReport":
         fps = tuple(FixedPoint(a, m) for a, m in zip(data["fixed_angles"], data["multipliers"]))
+        matrix = np.array(data["matrix"], dtype=float)
+        if matrix.shape != (2, 2) or not np.all(np.isfinite(matrix)):
+            raise ValidationError(f"report matrix must be a finite 2x2 array, got {data['matrix']!r}")
         return cls(
-            map=MoebiusMap.from_matrix(data["matrix"]),
+            # stored already scaled to determinant one; for a strongly
+            # hyperbolic map ad - bc of the stored entries is rounding noise
+            map=MoebiusMap._canonical(matrix),
             trace=float(data["trace"]),
             map_class=MapClass(data["class"]),
             is_identity=bool(data["is_identity"]),
@@ -270,49 +277,52 @@ class MonodromyReport:
         return cls.from_dict(json.loads(text))
 
 
-def _fit(matrix: np.ndarray, probes: np.ndarray, validator: float) -> tuple[MoebiusMap, float]:
-    """Map of a propagated determinant-one product, and the held-out residual of its cross-check.
+def _cross_check(fitted: MoebiusMap, probes: np.ndarray, validator: float) -> float:
+    """Held-out residual of the three-probe fit through the probes' images under ``fitted``.
 
-    The three-probe fit through the probes' images must predict the image
-    of ``validator``; the residual is how far it misses. A strongly
-    contracting map drops every probe onto the attracting angle, leaving no
-    three-probe fit to check: the residual is then 0.
+    The fit must predict the image of ``validator``; the residual is how far
+    it misses. A strongly contracting map drops every probe onto the
+    attracting angle, leaving no three-probe fit to check: the residual is
+    then 0.
     """
-    fitted = MoebiusMap._canonical(matrix)
     ends = fitted.act_angle(probes)
     sep = min(abs(math.sin(0.5 * (ends[i] - ends[j])))
               for i in range(3) for j in range(i + 1, 3))
     if sep < 1e-3:
-        return fitted, 0.0
+        return 0.0
     cross = from_three_pairs(list(zip(probes, ends)))
-    return fitted, abs(float(wrap_angle(cross.act_angle(validator) - fitted.act_angle(validator))))
+    return abs(float(wrap_angle(cross.act_angle(validator) - fitted.act_angle(validator))))
 
 
-def _parabolic_band(residual: float) -> float:
-    """Half-width of the parabolic trace band around 2 for a fit with this residual."""
-    return max(1e-7, 10.0 * residual)
+def _parabolic_band(fitted: MoebiusMap, error: float) -> float:
+    """Half-width of the parabolic trace band around 2: ten entry errors, at least 1e-7.
+
+    ``error`` is the step-doubling error relative to the largest entry of
+    ``fitted``; the trace's error is at most twice the entries' error.
+    """
+    return max(1e-7, 10.0 * error * float(np.max(np.abs(fitted.matrix))))
 
 
 def _sweep_fits(track: FrontTrack, ells: Sequence[float], steps_per_traversal: int):
-    """Monodromy fits of one track at many wheelbases from a single batched sweep.
+    """Monodromy maps of one track at many wheelbases from a single batched sweep.
 
     Returns ``fit(i) -> (map, eps_parabolic)`` for wheelbase ``ells[i]``,
     computed on first use: the scan reads only the trace and the class, so
-    no fixed points or rear lengths are made. A row is fitted exactly as
-    :func:`monodromy` fits its first grid; a row whose residual exceeds the
-    cap is handed to :func:`monodromy`, which refines the grid.
+    no fixed points, rear lengths or cross-checks are made. A row is
+    accepted exactly as :func:`monodromy` accepts its first grid; a row
+    whose step-doubling error exceeds the cap is handed to
+    :func:`monodromy`, which tries to refine the grid.
     """
     params = [BikeParams(ell=ell, steps_per_traversal=steps_per_traversal) for ell in ells]
-    probes = np.array(DEFAULT_PROBES)
-    mats, _ = _monodromy_sweep(track, params, steps_per_traversal * track.traversals)
+    mats, errors = _monodromy_sweep(track, params, steps_per_traversal * track.traversals)
 
     @functools.cache
     def fit(i: int) -> tuple[MoebiusMap, float]:
-        fitted, residual = _fit(mats[i], probes, DEFAULT_VALIDATOR)
-        if not residual <= RESIDUAL_CAP:
+        if not errors[i] <= ERROR_CAP:
             rep = monodromy(track, params[i])
-            fitted, residual = rep.map, rep.residual
-        return fitted, _parabolic_band(residual)
+            return rep.map, rep.eps_parabolic
+        fitted = MoebiusMap._canonical(mats[i])
+        return fitted, _parabolic_band(fitted, float(errors[i]))
 
     return fit
 
@@ -322,43 +332,47 @@ def monodromy(
     params: BikeParams,
     probes: Sequence[float] = DEFAULT_PROBES,
     validator: float = DEFAULT_VALIDATOR,
-    residual_cap: float = RESIDUAL_CAP,
+    error_cap: float = ERROR_CAP,
     max_refinements: int = 6,
     identity_tol: float = IDENTITY_TOL,
 ) -> MonodromyReport:
     """Propagate, cross-check, and classify the steering monodromy of ``track``.
 
-    The map is the lift's step product over the track. Three probe angles
-    fit a map of their own, and a held-out validator angle measures how far
-    it misses the propagated one. If that residual exceeds ``residual_cap``
-    the step count is doubled, up to ``max_refinements`` times, after which
-    a :class:`ResidualError` is raised. The parabolic trace band is widened
-    to ``10 *`` the measured residual when the fit is the accuracy
-    bottleneck. Rear lengths at the fixed angles reuse the step factors of
-    the final grid.
+    The map is the lift's step product over the track. While its
+    step-doubling error estimate (relative to the map's largest entry)
+    exceeds ``error_cap``, the step count is doubled, at most
+    ``max_refinements`` times. Refinement also stops when a doubling does
+    not reduce the estimate (the grid does not resolve the track, as with a
+    corner shorter than a step); the grid with the smallest estimate is
+    kept. The parabolic trace band is ten times that estimate in the
+    entries, and at least 1e-7. Three probe angles then fit a map of their
+    own, and a held-out validator angle measures how far it misses the
+    propagated one (the reported ``residual``). Rear lengths at the fixed
+    angles are propagated on the kept grid.
     """
     probes = np.array([float(p) for p in probes])
     if len(probes) != 3:
         raise ValidationError("monodromy fitting needs exactly three probe angles")
 
     n = params.steps_per_traversal * track.traversals
+    kept = None  # (steps, map, error) of the grid with the smallest error so far
     for _ in range(max_refinements + 1):
-        mats, e = _monodromy_sweep(track, [params], n)
-        fitted, residual = _fit(mats[0], probes, float(validator))
-        if residual <= residual_cap:
+        mats, errors = _monodromy_sweep(track, [params], n)
+        if kept is not None and not errors[0] < kept[2]:
+            break
+        kept = (n, mats[0], float(errors[0]))
+        if kept[2] <= error_cap:
             break
         n *= 2
-    else:
-        raise ResidualError(
-            f"monodromy validation residual {residual:.3e} exceeds cap {residual_cap:.3e} "
-            f"after {max_refinements} refinements (final steps {n // 2})"
-        )
+    n, matrix, error = kept
 
-    eps_par = _parabolic_band(residual)
+    fitted = MoebiusMap._canonical(matrix)
+    eps_par = _parabolic_band(fitted, error)
     is_identity = fitted.distance_to_identity() < identity_tol
     fps = () if is_identity else fitted.fixed_points(eps_par)
 
     # signed rear length \int cos(alpha) dt is meaningful in every geometry
+    e = _step_factors(track, [params], n) if fps else None
     rear = tuple(_fixed_angle_rear_length(track, e, fp.angle, repelling=fp.multiplier > 1.0)
                  for fp in fps)
 
@@ -369,7 +383,7 @@ def monodromy(
         is_identity=is_identity,
         fixed_points=fps,
         rear_lengths=rear,
-        residual=residual,
+        residual=_cross_check(fitted, probes, float(validator)),
         eps_parabolic=eps_par,
         n_steps=n,
         ell=params.ell,

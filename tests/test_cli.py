@@ -247,11 +247,14 @@ def test_monodromy_stiff_circle_exits_0(capsys, unit_circle_spec):
         2.0 * math.cosh(math.pi * math.sqrt(99.0)), rel=1e-6)
 
 
-@pytest.mark.parametrize("ell", ["0.005", "0.001"], ids=["multipliers", "product"])
-def test_overflow_is_refused_with_exit_3(capsys, unit_circle_spec, ell):
+@pytest.mark.parametrize("ell, steps", [("0.005", "4096"), ("0.001", "4096"), ("0.003", "64")],
+                         ids=["multipliers", "product", "coarse-grid"])
+def test_overflow_is_refused_with_exit_3(capsys, unit_circle_spec, ell, steps):
     # trace ~ exp(pi / ell): at 0.005 the multipliers leave double range,
-    # at 0.001 the lift product itself does
-    rc, cap = run(capsys, ["monodromy", "--input", unit_circle_spec, "--ell", ell])
+    # at 0.001 the lift product itself does; at 0.003 with 64 steps
+    # (h * c ~ 33) the grid is refined until the product overflows
+    rc, cap = run(capsys, ["monodromy", "--input", unit_circle_spec, "--ell", ell,
+                           "--steps", steps])
     assert rc == 3
     assert "error:" in cap.err and cap.out == ""
 

@@ -137,6 +137,21 @@ def test_tree_and_scan_match_sequential_product():
     assert np.max(np.abs(suffix - tree)) <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("n", [4096, 3001])
+def test_blocked_sweep_rows_match_single_rows(n):
+    # 100 rows are reduced in blocks of 256 steps, one row in a single block;
+    # aligned power-of-two blocks build the same tree, so the rows agree bit for bit
+    from tractrix_lab.dynamics import _monodromy_sweep
+
+    track = tl.make_curve({"kind": "ellipse", "a": 2.0, "b": 1.0})
+    params = [tl.BikeParams(ell=ell) for ell in np.linspace(0.2, 1.9, 100)]
+    maps, errors = _monodromy_sweep(track, params, n)
+    for i in range(0, 100, 9):
+        one, error = _monodromy_sweep(track, params[i:i + 1], n)
+        assert np.array_equal(maps[i], one[0])
+        assert errors[i] == error[0]
+
+
 def test_endpoints_keep_the_continuous_branch():
     # elliptic: alpha' = 2 - sin(alpha) >= 1, so three laps of length pi
     # turn every start by more than 2 pi

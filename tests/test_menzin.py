@@ -215,19 +215,13 @@ def test_lift_fallback_row_matches_monodromy(unit_circle):
         assert eps_par == rep.eps_parabolic
 
 
-def test_refined_row_matches_monodromy(ellipse21, monkeypatch):
-    # a row whose held-out residual exceeds the cap is handed to monodromy();
-    # the propagated map is exactly Moebius, so its residual sits at roundoff
-    # and only a cap below zero forces the hand-off. The swept row must come
-    # out as monodromy() reports it.
-    from tractrix_lab import moebius
+def test_refined_row_matches_monodromy(ellipse21):
+    # 16 steps leave the step-doubling error above its cap: monodromy() refines
+    # the grid (to 128 steps), and the swept row must come out the same
+    from tractrix_lab.moebius import _sweep_fits
 
-    real = moebius.monodromy
-    handed = []
-    monkeypatch.setattr(moebius, "RESIDUAL_CAP", -1.0)
-    monkeypatch.setattr(moebius, "monodromy", lambda *a, **kw: handed.append(a) or real(*a, **kw))
-    rep = real(ellipse21, tl.BikeParams(ell=1.0, steps_per_traversal=16))
-    fitted, eps_par = moebius._sweep_fits(ellipse21, [1.0], 16)(0)
-    assert len(handed) == 1
+    rep = tl.monodromy(ellipse21, tl.BikeParams(ell=1.0, steps_per_traversal=16))
+    assert rep.n_steps > 16
+    fitted, eps_par = _sweep_fits(ellipse21, [1.0], 16)(0)
     assert np.array_equal(fitted.matrix, rep.map.matrix)
     assert eps_par == rep.eps_parabolic

@@ -205,6 +205,36 @@ def test_repelling_rear_length_is_propagated_backward(ellipse21):
     assert rep.rear_lengths[1] == pytest.approx(-9.40651484, abs=1e-8)
 
 
+def test_report_of_a_strongly_hyperbolic_map_reads_back(unit_circle):
+    # at trace ~ 2.7e136, ad - bc of the stored entries is rounding noise
+    rep = tl.monodromy(unit_circle, tl.BikeParams(ell=0.01))
+    back = tl.MonodromyReport.from_json(rep.to_json())
+    assert np.array_equal(back.map.matrix, rep.map.matrix)
+    assert back.to_json() == rep.to_json()
+
+
+def test_coarse_grid_is_refined_to_the_error_cap(ellipse21):
+    # the step-doubling estimate of 16 steps is ~1e-2; each doubling cuts it
+    # about 16-fold until it is under the 1e-6 cap, and the map then agrees
+    # with a fine grid to that error
+    rep = tl.monodromy(ellipse21, tl.BikeParams(ell=1.0, steps_per_traversal=16))
+    fine = tl.monodromy(ellipse21, tl.BikeParams(ell=1.0, steps_per_traversal=4096))
+    assert rep.n_steps == 128
+    scale = np.max(np.abs(fine.map.matrix))
+    assert np.max(np.abs(rep.map.matrix - fine.map.matrix)) < 1e-6 * scale
+    assert rep.eps_parabolic > fine.eps_parabolic == 1e-7  # the band widens with the error
+
+
+def test_unresolved_track_keeps_the_grid_with_the_least_error():
+    # a 1e-3 fillet is shorter than two steps of the default grid: doubling
+    # the steps raises the error estimate instead of cutting it, so the
+    # first grid is kept and the parabolic band widens with its error
+    square = tl.make_curve({"kind": "polyline", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]})
+    rep = tl.monodromy(square, tl.BikeParams(ell=0.7))
+    assert rep.n_steps == 4096
+    assert rep.eps_parabolic > 0.1
+
+
 def test_monodromy_parabolic_circle(unit_circle):
     rep = tl.monodromy(unit_circle, tl.BikeParams(ell=1.0))
     assert rep.map_class is MapClass.PARABOLIC
