@@ -11,20 +11,17 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
-def panel_quad(
-    f: Callable[[np.ndarray], np.ndarray],
+def panel_nodes(
     a: float,
     b: float,
     breakpoints: Sequence[float] = (),
     min_panels: int = 512,
-) -> float:
-    """Integrate ``f`` over [a, b] with 16-point Gauss panels.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of 16-point Gauss panels on [a, b], both shaped (panels, 16).
 
     Panels never straddle a breakpoint, so piecewise-analytic integrands
     (filleted polylines) keep full quadrature accuracy.
     """
-    if b <= a:
-        return 0.0
     cuts = [a]
     for c in sorted(breakpoints):
         if a + 1e-12 < c < b - 1e-12:
@@ -39,10 +36,21 @@ def panel_quad(
     stops = np.concatenate([e[1:] for e in edges])
     half = 0.5 * (stops - starts)
     mid = 0.5 * (stops + starts)
-    # nodes shaped (panels, order), evaluated in one call
-    x = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = f(x.ravel()).reshape(x.shape)
-    return float(np.sum(half[:, None] * _GL_WEIGHTS[None, :] * vals))
+    return mid[:, None] + half[:, None] * _GL_NODES[None, :], half[:, None] * _GL_WEIGHTS[None, :]
+
+
+def panel_quad(
+    f: Callable[[np.ndarray], np.ndarray],
+    a: float,
+    b: float,
+    breakpoints: Sequence[float] = (),
+    min_panels: int = 512,
+) -> float:
+    """Integrate ``f`` over [a, b] on the panels of :func:`panel_nodes`, in one call of ``f``."""
+    if b <= a:
+        return 0.0
+    x, weights = panel_nodes(a, b, breakpoints, min_panels)
+    return float(np.sum(weights * f(x.ravel()).reshape(x.shape)))
 
 
 class ArcLengthParam:

@@ -1,4 +1,4 @@
-"""Steering dynamics of the moving rod.
+"""Steering dynamics of the moving rod, and the package's one lift engine.
 
 The state is the steering angle ``alpha`` between the rod and the front
 velocity; along an arc-length front track it obeys
@@ -10,20 +10,24 @@ circle of radius ``ell`` in the ambient geometry (1/ell, cot(ell), coth(ell)).
 
 This is the projectivization of the linear system ``z' = A(t) z`` on the
 half-angle lift ``z = (sin(alpha/2), cos(alpha/2))``, with
-``A = 1/2 [[-c, k], [-k, c]]``, and one engine does every steering
-propagation here. Classical RK4 applied to the linear system makes step
-``j`` a 2x2 matrix ``S_j = I + E_j``, a polynomial in ``A`` at the step's
-ends and midpoint; the engine builds ``E_j`` for all steps and all
-wheelbases at once from the cached half-step curvature grid. A balanced
-tree multiplies the steps into the monodromy, and a log-depth
-(Hillis-Steele) scan into the prefix products of a dense history. Factors
-travel as ``E = S - I`` and combine as ``(I + A)(I + B) = I + (A + B + AB)``,
-so thousands of nearly identical steps do not round ``I + E`` once each;
-the determinant travels beside them as ``sum log1p(tr E_j + det E_j)``. A
-monodromy comes with its step-doubling error estimate, from the same
-product taken in steps of twice the length. Angles are read back from the
-direction of each lifted vector; summed ``atan2(cross, dot)`` increments
-between consecutive vectors choose the continuous branch from ``alpha0``.
+``A = 1/2 [[-c, k], [-k, c]]``. One engine solves every such system in the
+package, fed by three generators: this steering flow, the hatchet
+planimeter's rod angle (:func:`.planimeter.rod_flow`, the same equation in
+the tangent-angle gauge), and the hyperbolic development
+(:func:`.noneuclid.develop_hyperbolic`, whose Frenet frame is the adjoint
+image of the unit bicycle's lift, ``c = 1``). Classical RK4 applied to the
+linear system makes step ``j`` a 2x2 matrix ``S_j = I + E_j``, a polynomial
+in the generator at the step's ends and midpoint (``_rk4``), built for all
+steps and all rows at once. A balanced tree multiplies the steps into the
+monodromy, and a log-depth (Hillis-Steele) scan into the prefix products of
+a dense history. Factors travel as ``E = S - I`` and combine as
+``(I + A)(I + B) = I + (A + B + AB)``, so thousands of nearly identical steps
+do not round ``I + E`` once each; the determinant travels beside them as
+``sum log1p(tr E_j + det E_j)``. A monodromy comes with its step-doubling
+error estimate, from the same product taken in steps of twice the length.
+Angles are read back from the direction of each lifted vector; summed
+``atan2(cross, dot)`` increments between consecutive vectors choose the
+continuous branch from the start angle.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from scipy.integrate import simpson
 
 from ._num import fourier_eval, trapezoid, wrap_angle
 from .errors import ResidualError, ValidationError
-from .geom import TWO_PI, FrontTrack, Geometry, _green_integral
+from .geom import TWO_PI, FrontTrack, Geometry, _area_density, _green_integral
 
 
 @dataclass(frozen=True)
@@ -113,24 +117,31 @@ def _coefficients(track: FrontTrack, params: Sequence[BikeParams]) -> np.ndarray
     return -0.5 * np.array([[p.coefficient] for p in params])
 
 
-def _factors(k: np.ndarray, h: float, diag: np.ndarray) -> np.ndarray:
-    """``E_j = S_j - I`` for every row of ``diag`` and step ``j``, shape ``(4, B, n)``.
+def _rk4(a0: np.ndarray, am: np.ndarray, a1: np.ndarray, h: float) -> np.ndarray:
+    """``E_j = S_j - I`` of the RK4 steps of ``z' = A z``, shape ``(4, B, n)``.
 
-    ``k`` is the curvature at spacing ``h/2``, shape ``(1, 2n+1)``. ``S_j``
-    is the RK4 step of ``z' = A z`` with ``A`` taken at the step's start,
+    ``a0``, ``am`` and ``a1`` are the generator ``A`` at each step's start,
     midpoint and end: ``K1 = A0``, ``K2 = Am (I + h/2 K1)``,
     ``K3 = Am (I + h/2 K2)``, ``K4 = A1 (I + h K3)`` and
     ``E = h/6 (K1 + 2 K2 + 2 K3 + K4)``.
+    """
+    k2 = am + (0.5 * h) * _mul(am, a0)
+    k3 = am + (0.5 * h) * _mul(am, k2)
+    k4 = a1 + h * _mul(a1, k3)
+    return (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _factors(k: np.ndarray, h: float, diag: np.ndarray) -> np.ndarray:
+    """Steering step factors ``E_j`` for every row of ``diag`` and step ``j``, shape ``(4, B, n)``.
+
+    ``k`` is the curvature at spacing ``h/2``, shape ``(1, 2n+1)``, and the
+    generator is ``A = [[d, k/2], [-k/2, -d]]`` with ``d = -c/2`` from ``diag``.
     """
     def gen(k_nodes):
         off, d = np.broadcast_arrays(0.5 * k_nodes, diag)
         return np.stack((d, off, -off, -d))
 
-    a0, am, a1 = gen(k[:, 0:-1:2]), gen(k[:, 1::2]), gen(k[:, 2::2])
-    k2 = am + (0.5 * h) * _mul(am, a0)
-    k3 = am + (0.5 * h) * _mul(am, k2)
-    k4 = a1 + h * _mul(a1, k3)
-    return (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
+    return _rk4(gen(k[:, 0:-1:2]), gen(k[:, 1::2]), gen(k[:, 2::2]), h)
 
 
 def _step_factors(track: FrontTrack, params: Sequence[BikeParams], n_steps: int) -> np.ndarray:
@@ -152,13 +163,13 @@ def _reduce(x: np.ndarray, op) -> np.ndarray:
     return x[..., 0]
 
 
-def _log_det(e: np.ndarray) -> np.ndarray:
-    """``log det`` of each row's whole product, ``sum_j log1p(tr E_j + det E_j)``."""
+def _log_dets(e: np.ndarray) -> np.ndarray:
+    """``log det S_j = log1p(tr E_j + det E_j)`` of every step, shape of ``e[0]``."""
     g = e[0] + e[3] + (e[0] * e[3] - e[1] * e[2])
     if not np.all(g > -1.0):
         raise ResidualError(
             "an RK4 step of the lift reverses orientation: the grid is too coarse for this wheelbase")
-    return _reduce(np.log1p(g), np.add)
+    return np.log1p(g)
 
 
 def _tree(e: np.ndarray) -> np.ndarray:
@@ -177,12 +188,13 @@ def _scan(e: np.ndarray, reverse: bool = False) -> np.ndarray:
     zero = np.zeros(e.shape[:-1] + (1,))
     x = np.concatenate((e, zero) if reverse else (zero, e), axis=-1)
     d = 1
-    while d < x.shape[-1]:
-        if reverse:
-            x[..., :-d] = _combine(x[..., d:], x[..., :-d])
-        else:
-            x[..., d:] = _combine(x[..., d:], x[..., :-d])
-        d *= 2
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+        while d < x.shape[-1]:
+            if reverse:
+                x[..., :-d] = _combine(x[..., d:], x[..., :-d])
+            else:
+                x[..., d:] = _combine(x[..., d:], x[..., :-d])
+            d *= 2
     return _finite(x)
 
 
@@ -244,8 +256,8 @@ def _monodromy_sweep(track: FrontTrack, params: Sequence[BikeParams],
                              e[..., 2 * pairs:]), axis=-1)  # an odd last step stays unpaired
         fine.append(_tree(e))
         coarse.append(_tree(ec))
-        log_fine.append(_log_det(e))
-        log_coarse.append(_log_det(ec))
+        log_fine.append(_reduce(_log_dets(e), np.add))
+        log_coarse.append(_reduce(_log_dets(ec), np.add))
 
     def normalized(products, logs):
         prod = np.eye(2).reshape(4, 1) + _tree(np.stack(products, axis=-1))
@@ -333,7 +345,7 @@ def steering_endpoints(track: FrontTrack, params: BikeParams, alpha0: Sequence[f
     if not variational:
         return end
     last = z[:, 0, :, -1]
-    beta = np.exp(_log_det(e)[0]) / (last[0] ** 2 + last[1] ** 2)
+    beta = np.exp(_reduce(_log_dets(e), np.add)[0]) / (last[0] ** 2 + last[1] ** 2)
     return end, beta.reshape(starts.shape)
 
 
@@ -407,7 +419,7 @@ def area_between_tracks(solution: SteeringSolution) -> float:
     """
     rt = rear_track(solution)
     track = solution.track
-    area_front = _green_integral(track, lambda x, y, cph, sph: 0.5 * (x * sph - y * cph))
+    area_front = _green_integral(track, _area_density)[0]
     x, y = rt.points[:, 0], rt.points[:, 1]
     dx = np.cos(solution.alpha) * np.cos(rt.theta)
     dy = np.cos(solution.alpha) * np.sin(rt.theta)

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from ._num import ArcLengthParam, fit_fourier, fourier_eval, panel_quad, wrap_angle
+from ._num import ArcLengthParam, fit_fourier, fourier_eval, panel_nodes, wrap_angle
 from .errors import InvalidCurveError, ValidationError
 
 TWO_PI = 2.0 * math.pi
@@ -56,12 +56,20 @@ def _floats(values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
-def _numeric(key: str, value, convert):
-    """``convert(value)``, reporting a non-numeric curve-spec field as invalid input."""
+def _point(value) -> tuple[float, float]:
+    x, y = value
+    return float(x), float(y)
+
+
+def _numeric(key: str, value, convert, shape: str = ""):
+    """``convert(value)``, reporting a non-numeric or non-finite curve-spec field as invalid input."""
     try:
-        return convert(value)
+        out = convert(value)
     except (TypeError, ValueError):
-        raise InvalidCurveError(f"curve-spec field {key!r} must be numeric, got {value!r}") from None
+        raise InvalidCurveError(f"curve-spec field {key!r} must be numeric{shape}, got {value!r}") from None
+    if not np.all(np.isfinite(out)):
+        raise InvalidCurveError(f"curve-spec field {key!r} must be finite, got {value!r}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -113,13 +121,14 @@ class CurveSpec:
                 clean[key] = _numeric(key, clean[key], float)
         for key in ("center", "start", "end"):
             if clean.get(key) is not None:
-                clean[key] = _numeric(key, clean[key], _floats)
+                clean[key] = _numeric(key, clean[key], _point, " [x, y]")
         for key in ("cos", "sin"):
             if key in clean:
                 clean[key] = _numeric(key, clean[key], _floats)
         for key in ("vertices", "points"):
             if key in clean:
-                clean[key] = _numeric(key, clean[key], lambda ps: tuple(_floats(p) for p in ps))
+                clean[key] = _numeric(key, clean[key], lambda ps: tuple(_point(p) for p in ps),
+                                      " [x, y] pairs")
         return cls(**clean)
 
     @classmethod
@@ -179,8 +188,8 @@ class FrontTrack:
         spec: CurveSpec | None = None,
         label: str = "",
     ):
-        if not period > 0.0:
-            raise InvalidCurveError("track must have positive length")
+        if not (period > 0.0 and math.isfinite(period * traversals)):
+            raise InvalidCurveError(f"track must have positive finite length, got {period!r}")
         self.period = float(period)
         self.traversals = int(traversals)
         self.total_length = self.period * self.traversals
@@ -648,43 +657,57 @@ def make_curve(spec: CurveSpec | dict | str) -> FrontTrack:
 # -- integral quantities ----------------------------------------------------
 
 
-def _green_integral(track: FrontTrack, density) -> float:
-    """Line integral of ``density(x, y, cos_phi, sin_phi)`` over the full path."""
+def _green_integral(track: FrontTrack, *densities) -> list[float]:
+    """Line integrals of each ``density(x, y, cos_phi, sin_phi)`` over the full path.
 
-    def integrand(t):
-        xy = track.position(t)
-        phi = track.tangent_angle(t)
-        return density(xy[..., 0], xy[..., 1], np.cos(phi), np.sin(phi))
+    The path is evaluated once, on the quadrature nodes, for all densities.
+    """
+    t, weights = panel_nodes(0.0, track.total_length, track.path_breakpoints(),
+                             min_panels=512 * track.traversals)
+    xy = track.position(t.ravel())
+    phi = track.tangent_angle(t.ravel())
+    args = (xy[..., 0], xy[..., 1], np.cos(phi), np.sin(phi))
+    return [float(np.sum(weights * density(*args).reshape(t.shape))) for density in densities]
 
-    return panel_quad(integrand, 0.0, track.total_length, track.path_breakpoints(),
-                      min_panels=512 * track.traversals)
+
+def _area_density(x, y, c, s):
+    return 0.5 * (x * s - y * c)
 
 
 def enclosed_area(track: FrontTrack) -> float:
     """Green's-theorem signed area ``(1/2) \\oint (x dy - y dx)`` of the full path."""
     if not track.closed:
         raise ValidationError("enclosed area needs a closed track")
-    return _green_integral(track, lambda x, y, c, s: 0.5 * (x * s - y * c))
+    return _green_integral(track, _area_density)[0]
+
+
+def _region_moments(track: FrontTrack) -> tuple[float, np.ndarray, float]:
+    """Area, centroid and mean squared distance from the centroid of the enclosed region.
+
+    Area, both first moments and the polar moment come from one evaluation
+    of the boundary.
+    """
+    if not track.closed:
+        raise ValidationError("centroid needs a closed track")
+    area, mx, my, polar = _green_integral(
+        track, _area_density,
+        lambda x, y, c, s: 0.5 * x * x * s,
+        lambda x, y, c, s: -0.5 * y * y * c,
+        lambda x, y, c, s: (x**3 * s - y**3 * c) / 3.0)
+    if abs(area) < 1e-12:
+        raise ValidationError("centroid is undefined for a zero-area track")
+    centroid = np.array([mx / area, my / area])
+    return area, centroid, polar / area - float(centroid @ centroid)
 
 
 def area_centroid(track: FrontTrack) -> np.ndarray:
     """Centroid of the enclosed region, by boundary moments."""
-    if not track.closed:
-        raise ValidationError("centroid needs a closed track")
-    area = enclosed_area(track)
-    if abs(area) < 1e-12:
-        raise ValidationError("centroid is undefined for a zero-area track")
-    cx = _green_integral(track, lambda x, y, c, s: 0.5 * x * x * s) / area
-    cy = _green_integral(track, lambda x, y, c, s: -0.5 * y * y * c) / area
-    return np.array([cx, cy])
+    return _region_moments(track)[1]
 
 
 def mean_square_radius(track: FrontTrack) -> float:
     """Mean squared distance from the centroid over the enclosed region."""
-    area = enclosed_area(track)
-    c = area_centroid(track)
-    polar = _green_integral(track, lambda x, y, cc, s: (x**3 * s - y**3 * cc) / 3.0)
-    return polar / area - float(c @ c)
+    return _region_moments(track)[2]
 
 
 # -- support functions ------------------------------------------------------

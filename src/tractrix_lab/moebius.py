@@ -100,9 +100,15 @@ class MoebiusMap:
         return MoebiusMap.from_matrix([[d, -b], [-c, a]])
 
     def distance(self, other: "MoebiusMap") -> float:
-        """Projective Frobenius distance, insensitive to the overall sign."""
-        return float(min(np.linalg.norm(self.matrix - other.matrix),
-                         np.linalg.norm(self.matrix + other.matrix)))
+        """Projective Frobenius distance, insensitive to the overall sign.
+
+        Both matrices are first scaled by the power of two of their largest
+        entry, exactly, so the squares inside the norm cannot overflow.
+        """
+        _, e = math.frexp(float(max(np.max(np.abs(self.matrix)), np.max(np.abs(other.matrix)))))
+        a, b = np.ldexp(self.matrix, -e), np.ldexp(other.matrix, -e)
+        with np.errstate(over="ignore"):  # a distance past double range reads inf
+            return float(np.ldexp(min(np.linalg.norm(a - b), np.linalg.norm(a + b)), e))
 
     def distance_to_identity(self) -> float:
         return self.distance(MoebiusMap.identity())

@@ -17,8 +17,8 @@ import numpy as np
 
 from ._io import fmt17
 from ._num import panel_quad
-from .dynamics import BikeParams
-from .errors import ValidationError
+from .dynamics import BikeParams, _factors, _log_dets, _scan
+from .errors import ResidualError, ValidationError
 from .geom import TWO_PI, FrontTrack, Geometry
 from .moebius import MapClass, MonodromyReport, monodromy
 
@@ -94,21 +94,6 @@ def mink(u, v):
     return u[..., 0] * v[..., 0] - u[..., 1] * v[..., 1] - u[..., 2] * v[..., 2]
 
 
-def _renormalize(p, t, n):
-    # Minkowski Gram-Schmidt: p timelike (norm +1), t and n spacelike (norm -1)
-    p = p / math.sqrt(mink(p, p))
-    t = t - mink(t, p) * p
-    t = t / math.sqrt(-mink(t, t))
-    n = n - mink(n, p) * p + mink(n, t) * t
-    n = n / math.sqrt(-mink(n, n))
-    return p, t, n
-
-
-DEFAULT_FRAME = (np.array([1.0, 0.0, 0.0]),
-                 np.array([0.0, 1.0, 0.0]),
-                 np.array([0.0, 0.0, 1.0]))
-
-
 @dataclass(frozen=True)
 class HCurve:
     """Arc-length curve on the upper hyperboloid sheet with its Frenet frame."""
@@ -133,8 +118,12 @@ class HCurve:
 
     def closure_gap(self) -> tuple[float, float]:
         """(hyperbolic endpoint distance, frame mismatch) between the two ends."""
-        c = max(1.0, float(mink(self.points[0], self.points[-1])))
-        dist = math.acosh(c)
+        # near closure acosh(<P0, P1>) turns one ulp into sqrt(2 eps); the chord
+        # <dP, dP> = -4 sinh^2(d/2) does not, but it cancels for far points
+        c = float(mink(self.points[0], self.points[-1]))
+        gap = self.points[-1] - self.points[0]
+        chord = math.sqrt(max(0.0, -float(mink(gap, gap))))
+        dist = math.acosh(c) if c > 2.0 else 2.0 * math.asinh(0.5 * chord)
         frame = max(float(np.abs(self.tangents[-1] - self.tangents[0]).max()),
                     float(np.abs(self.normals[-1] - self.normals[0]).max()))
         return dist, frame
@@ -150,14 +139,41 @@ class HCurve:
         return "\n".join(lines) + "\n"
 
 
-def develop_hyperbolic(k, length: float | None = None, *, n_steps: int | None = None,
-                       initial_frame=None) -> HCurve:
-    """Integrate the hyperboloid Frenet system for a given curvature profile.
+_PAIRABLE = math.sqrt(np.finfo(float).max)  # coordinates whose pairings stay finite
+
+
+def _frame(q: np.ndarray) -> np.ndarray:
+    """Frenet frames, shape ``(N, 3, 3)`` with rows ``P, T, N``, of unimodular lifts ``q`` (4, N).
+
+    ``Q = [[a, b], [c, d]]`` in SL(2) acts on the hyperboloid as the SO(2,1)
+    matrix whose rows are the frame developed from the standard basis.
+    """
+    a, b, c, d = q
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+        aa, bb, cc, dd = a * a, b * b, c * c, d * d
+        frame = np.stack(((aa + bb + cc + dd) / 2, (bb + dd - aa - cc) / 2, -(a * b + c * d),
+                          (cc + dd - aa - bb) / 2, (aa + dd - bb - cc) / 2, a * b - c * d,
+                          -(a * c + b * d), a * c - b * d, a * d + b * c), axis=-1)
+    if not np.all(np.abs(frame) < _PAIRABLE):
+        raise ResidualError("development leaves double range: hyperboloid coordinates "
+                            "grow like e^t and their Minkowski pairings like e^(2t)")
+    return frame.reshape(-1, 3, 3)
+
+
+def develop_hyperbolic(k, length: float | None = None, *, n_steps: int | None = None) -> HCurve:
+    """Develop a curvature profile into the hyperboloid model of the hyperbolic plane.
 
     ``k`` is a vectorized curvature function of arc length, or any front
-    track (its curvature function and total length are used). The system
-    ``P' = T, T' = P + k N, N' = -k T`` preserves the Minkowski frame; RK4
-    drift is wiped by re-orthonormalizing after every step.
+    track (its curvature function and total length are used). The Frenet
+    frame obeys ``P' = T, T' = P + k N, N' = -k T`` from the standard basis.
+    That system is the adjoint image of the unit bicycle's lift
+    ``z' = A z``, ``A = 1/2 [[-1, k], [-k, 1]]``, so the steering engine
+    propagates it: RK4 step factors, a prefix scan, each prefix product scaled
+    to determinant one by the carried determinant, and the frame read off in
+    closed form. It stays Minkowski-orthonormal to rounding without any
+    re-orthonormalization. A development whose coordinates are too large
+    for their Minkowski pairings in double precision (lengths past about
+    350) raises :class:`ResidualError`.
     """
     if hasattr(k, "curvature"):
         if length is None:
@@ -175,36 +191,12 @@ def develop_hyperbolic(k, length: float | None = None, *, n_steps: int | None = 
     grid = np.linspace(0.0, float(length), 2 * n + 1)
     k_half = np.broadcast_to(np.asarray(k_fn(grid), dtype=float), grid.shape)
 
-    if initial_frame is None:
-        p, tv, nv = DEFAULT_FRAME
-    else:
-        p, tv, nv = (np.asarray(v, dtype=float) for v in initial_frame)
-        if abs(mink(p, p) - 1.0) > 1e-6 or abs(mink(tv, tv) + 1.0) > 1e-6:
-            raise ValidationError("initial frame is not Minkowski-orthonormal")
-    p, tv, nv = _renormalize(p.copy(), tv.copy(), nv.copy())
-
-    h = float(length) / n
-    pts = np.empty((n + 1, 3))
-    tans = np.empty((n + 1, 3))
-    nors = np.empty((n + 1, 3))
-    pts[0], tans[0], nors[0] = p, tv, nv
-
-    def deriv(kk, state):
-        p_, t_, n_ = state
-        return np.stack([t_, p_ + kk * n_, -kk * t_])
-
-    state = np.stack([p, tv, nv])
-    for j in range(n):
-        k0, km, k1 = k_half[2 * j], k_half[2 * j + 1], k_half[2 * j + 2]
-        s1 = deriv(k0, state)
-        s2 = deriv(km, state + 0.5 * h * s1)
-        s3 = deriv(km, state + 0.5 * h * s2)
-        s4 = deriv(k1, state + h * s3)
-        state = state + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
-        state = np.stack(_renormalize(state[0], state[1], state[2]))
-        pts[j + 1], tans[j + 1], nors[j + 1] = state
-
-    return HCurve(np.linspace(0.0, float(length), n + 1), pts, tans, nors, k_half[::2].copy())
+    e = _factors(k_half[None], float(length) / n, np.array([[-0.5]]))
+    log_det = np.concatenate(([0.0], np.cumsum(_log_dets(e)[0])))
+    q = (np.eye(2).reshape(4, 1) + _scan(e)[:, 0]) * np.exp(-0.5 * log_det)
+    frame = _frame(q)
+    return HCurve(np.linspace(0.0, float(length), n + 1), frame[:, 0], frame[:, 1], frame[:, 2],
+                  k_half[::2].copy())
 
 
 def star_direction(psi: float) -> np.ndarray:

@@ -18,17 +18,9 @@ import numpy as np
 from scipy.integrate import simpson
 
 from ._io import fmt17
+from .dynamics import _angles, _lifted, _rk4, _scan
 from .errors import ValidationError
-from .geom import (
-    TWO_PI,
-    CurveSpec,
-    FrontTrack,
-    Geometry,
-    area_centroid,
-    enclosed_area,
-    make_curve,
-    mean_square_radius,
-)
+from .geom import CurveSpec, FrontTrack, Geometry, _region_moments, make_curve
 
 NORMAL = "normal"
 CENTROID = "centroid"
@@ -51,29 +43,33 @@ def rod_flow(legs: Sequence[FrontTrack], ell: float, theta0: float,
     treatment because only the front tangent angle enters the equation, not
     its derivative. ``steps_per_unit`` fixes the RK4 resolution (steps per
     unit of arc length); 0 picks 4096 steps per closed pass of the longest leg.
+
+    The rod equation ``theta' = sin(Phi - theta) / ell`` is the steering
+    engine's flow in another generator: on the lift
+    ``z = (sin(theta/2), cos(theta/2))`` it is the linear system ``z' = B z``
+    with ``B = 1/(2 ell) [[-cos Phi, sin Phi], [sin Phi, cos Phi]]``, here
+    shifted by ``-I/(2 ell)``: that rescales ``z`` but not its direction, and
+    the lift contracts, so it cannot overflow however short the rod. All
+    legs' RK4 factors go through one prefix scan.
     """
     if not ell > 0.0:
         raise ValidationError("rod length must be positive")
     if steps_per_unit <= 0.0:
         steps_per_unit = 4096.0 / max(leg.total_length for leg in legs)
-    out = []
-    theta = float(theta0)
-    for leg in legs:
-        n = max(n_min, int(math.ceil(leg.total_length * steps_per_unit)))
-        h = leg.total_length / n
+
+    def gen(phi):
+        cos, sin = np.cos(phi), np.sin(phi)
+        return (0.5 / ell) * np.stack((-cos - 1.0, sin, sin, cos - 1.0))[:, None]
+
+    ns = [max(n_min, int(math.ceil(leg.total_length * steps_per_unit))) for leg in legs]
+    factors = []
+    for leg, n in zip(legs, ns):
         phi = leg.tangent_angle(np.linspace(0.0, leg.total_length, 2 * n + 1))
-        hist = np.empty(n + 1)
-        hist[0] = theta
-        for j in range(n):
-            p0, pm, p1 = phi[2 * j], phi[2 * j + 1], phi[2 * j + 2]
-            s1 = math.sin(p0 - theta) / ell
-            s2 = math.sin(pm - (theta + 0.5 * h * s1)) / ell
-            s3 = math.sin(pm - (theta + 0.5 * h * s2)) / ell
-            s4 = math.sin(p1 - (theta + h * s3)) / ell
-            theta += (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
-            hist[j + 1] = theta
-        out.append(RodLeg(leg, np.linspace(0.0, leg.total_length, n + 1), hist))
-    return out
+        factors.append(_rk4(gen(phi[0:-1:2]), gen(phi[1::2]), gen(phi[2::2]), leg.total_length / n))
+    start = np.array([float(theta0)])
+    theta = _angles(_lifted(_scan(np.concatenate(factors, axis=-1)), start), start)[0, 0]
+    return [RodLeg(leg, np.linspace(0.0, leg.total_length, n + 1), theta[end - n: end + 1])
+            for leg, n, end in zip(legs, ns, np.cumsum(ns))]
 
 
 def _chisel_zigzag_area(legs: Sequence[RodLeg], ell: float) -> float:
@@ -169,9 +165,9 @@ def measure(track: FrontTrack, ell: float, base: float = 0.0,
     loop = track.rebased(base)
     base_point = loop.position(0.0)
     steps_per_unit = steps_per_traversal / track.period
+    area, c, msr = _region_moments(track)
 
     if placement == CENTROID:
-        c = area_centroid(track)
         out_dir = base_point - c
         dist = float(np.hypot(*out_dir))
         if dist < 1e-9 * track.bbox_diameter():
@@ -199,8 +195,6 @@ def measure(track: FrontTrack, ell: float, base: float = 0.0,
     deflection = theta_end - theta0
     estimate = deflection * ell**2
 
-    area = enclosed_area(track)
-    msr = mean_square_radius(track)
     corrected = area * (1.0 + msr / (2.0 * ell**2))
 
     pivot = rod[-1].track.position(rod[-1].track.total_length)

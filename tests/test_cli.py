@@ -162,6 +162,12 @@ def test_develop_star_residual(capsys):
     assert summary["stargazing_residual"] < 1e-5
 
 
+def test_develop_beyond_double_range_exits_3(capsys):
+    rc, cap = run(capsys, ["develop", "--constant-k", "0", "--length", "800"])
+    assert rc == 3
+    assert cap.err.startswith("error:") and cap.out == ""
+
+
 def test_develop_needs_a_source(capsys):
     rc, cap = run(capsys, ["develop", "--length", "5"])
     assert rc == 2
@@ -225,7 +231,11 @@ def test_non_numeric_field_exits_2(capsys, tmp_path, command, field):
     (["monodromy", "--ell", "0.5"], {"kind": "geodesic-circle", "rho": "x", "geometry": "spherical"}),
     (["monodromy", "--ell", "0.5"], {"kind": "geodesic-circle", "geometry": "spherical"}),
     (["loopcheck", "--ell", "1"], {"x": [0.0]}),
-], ids=["rho-not-numeric", "rho-missing", "loop-block-not-object"])
+    (["monodromy", "--ell", "1"], {"kind": "circle", "r": 1e308}),
+    (["monodromy", "--ell", "1"], {"kind": "polyline", "vertices": [[0, 0], [1, 0], [1]]}),
+    (["monodromy", "--ell", "1"], {"kind": "samples", "points": [[0, 0], [math.inf, 0], [1, 1], [0, 0]]}),
+], ids=["rho-not-numeric", "rho-missing", "loop-block-not-object", "length-overflows",
+        "vertex-not-a-pair", "point-not-finite"])
 def test_malformed_spec_exits_2(capsys, tmp_path, argv, spec):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))

@@ -1,6 +1,7 @@
 """Circle-map algebra and the fitted steering monodromy."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,14 @@ def test_identity_map():
 
 
 # -- classification and fixed points -----------------------------------------
+
+
+def test_distance_of_huge_maps_does_not_overflow():
+    m = MoebiusMap._canonical(np.array([[1e200, 3e199], [0.0, 1e-200]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = m.distance_to_identity()
+    assert d == pytest.approx(math.hypot(1e200, 3e199), rel=1e-12)
 
 
 def test_rotation_is_elliptic():

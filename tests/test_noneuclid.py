@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import tractrix_lab as tl
 from tractrix_lab.geom import Geometry
@@ -85,6 +86,31 @@ def test_develop_subunit_curvature_never_closes():
         curve = tl.develop_hyperbolic(lambda t, kk=k: np.full_like(t, kk), 15.0)
         dist, _ = curve.closure_gap()
         assert dist > 1.0
+
+
+def test_develop_hypercycle_matches_exponential():
+    # constant k: the frame (P, T, N) from the standard basis is expm(L K)
+    k, length = 0.5, 15.0
+    curve = tl.develop_hyperbolic(lambda t: np.full_like(t, k), length)
+    frame = np.stack([curve.points[-1], curve.tangents[-1], curve.normals[-1]])
+    exact = expm(length * np.array([[0.0, 1.0, 0.0], [1.0, 0.0, k], [0.0, -k, 0.0]]))
+    assert np.max(np.abs(frame - exact)) < 1e-10 * np.max(np.abs(exact))
+
+
+def test_developed_circle_closes_to_rounding():
+    k = 1.25
+    curve = tl.develop_hyperbolic(lambda t: np.full_like(t, k), TWO_PI / math.sqrt(k * k - 1.0))
+    dist, frame = curve.closure_gap()
+    assert dist < 1e-12
+    assert frame < 1e-12
+
+
+@pytest.mark.parametrize("d", [1e-9, 1e-6])
+def test_closure_gap_resolves_small_distances(d):
+    # acosh(<P0, P1>) = acosh(1 + d^2/2) loses d to rounding near closure
+    points = np.array([[1.0, 0.0, 0.0], [math.cosh(d), 0.6 * math.sinh(d), 0.8 * math.sinh(d)]])
+    curve = tl.HCurve(np.array([0.0, d]), points, np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(2))
+    assert curve.closure_gap()[0] == pytest.approx(d, rel=1e-12)
 
 
 def test_develop_from_front_track(ellipse21):

@@ -93,6 +93,25 @@ def test_rod_flow_multi_leg(ellipse21):
     assert legs[0].theta[-1] < legs[0].theta[0]
 
 
+def test_rod_flow_straight_leg_closed_form():
+    # along a straight leg alpha = Phi - theta obeys alpha' = -sin(alpha) / ell,
+    # so tan(alpha/2) = tan(alpha0/2) e^(-t/ell)
+    seg = tl.make_curve({"kind": "line", "start": [0.0, 0.0], "end": [3.0, 4.0]})
+    phi, ell, theta0 = math.atan2(4.0, 3.0), 2.0, 0.3
+    (leg,) = tl.rod_flow([seg], ell=ell, theta0=theta0)
+    exact = phi - 2.0 * np.arctan(math.tan(0.5 * (phi - theta0)) * np.exp(-leg.t / ell))
+    assert np.max(np.abs(leg.theta - exact)) < 1e-12
+
+
+def test_short_rod_does_not_overflow(unit_circle):
+    # the boundary is about 3100 rod lengths long, over which an expanding
+    # lift would grow like e^1570; the rod ends tangent, a quarter turn past
+    # one revolution
+    r = tl.measure(unit_circle, ell=0.002)
+    assert r.deflection == pytest.approx(2.5 * math.pi, abs=0.01)
+    assert abs(r.closure_defect) < 1e-4
+
+
 def test_measure_validations(unit_circle):
     seg = tl.make_curve({"kind": "line", "start": [0.0, 0.0], "end": [1.0, 0.0]})
     with pytest.raises(tl.ValidationError):
