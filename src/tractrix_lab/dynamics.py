@@ -36,9 +36,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import simpson
 
-from ._num import fourier_eval, trapezoid, wrap_angle
+from ._num import fourier_eval, simpson, trapezoid, wrap_angle
 from .errors import ResidualError, ValidationError
 from .geom import TWO_PI, FrontTrack, Geometry, _area_density, _green_integral
 
@@ -287,7 +286,7 @@ def _fixed_angle_rear_length(track: FrontTrack, e: np.ndarray, angle: float,
     z = _lifted(f, np.array([angle]))[:, 0, 0]
     z /= np.hypot(z[0], z[1])
     cos_alpha = z[1] ** 2 - z[0] ** 2
-    return float(simpson(cos_alpha, dx=track.total_length / e.shape[-1]))
+    return simpson(cos_alpha, track.total_length / e.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -351,7 +350,7 @@ def steering_endpoints(track: FrontTrack, params: BikeParams, alpha0: Sequence[f
 
 def signed_rear_length(solution: SteeringSolution) -> float:
     """Signed arc length of the rear path, ``\\int cos(alpha) dt`` by Simpson."""
-    return float(simpson(np.cos(solution.alpha), dx=solution.step))
+    return simpson(np.cos(solution.alpha), solution.step)
 
 
 def monodromy_matrix(track: FrontTrack, params: BikeParams,
@@ -423,7 +422,7 @@ def area_between_tracks(solution: SteeringSolution) -> float:
     x, y = rt.points[:, 0], rt.points[:, 1]
     dx = np.cos(solution.alpha) * np.cos(rt.theta)
     dy = np.cos(solution.alpha) * np.sin(rt.theta)
-    area_rear = float(simpson(0.5 * (x * dy - y * dx), dx=solution.step))
+    area_rear = simpson(0.5 * (x * dy - y * dx), solution.step)
     f0, fT = track.position(0.0), track.position(track.total_length)
     r0, rT = rt.points[0], rt.points[-1]
     edge_out = 0.5 * (fT[0] * rT[1] - fT[1] * rT[0])

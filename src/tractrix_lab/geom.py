@@ -17,9 +17,8 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from ._num import ArcLengthParam, fit_fourier, fourier_eval, panel_nodes, wrap_angle
+from ._num import PAIRABLE, ArcLengthParam, fit_fourier, fourier_eval, panel_nodes, wrap_angle
 from .errors import InvalidCurveError, ValidationError
 
 TWO_PI = 2.0 * math.pi
@@ -190,6 +189,13 @@ class FrontTrack:
     ):
         if not (period > 0.0 and math.isfinite(period * traversals)):
             raise InvalidCurveError(f"track must have positive finite length, got {period!r}")
+        # lengths and coordinates past sqrt(max double) overflow once squared
+        if not period * traversals <= PAIRABLE:
+            raise InvalidCurveError(
+                f"track length {period * traversals:.3e} exceeds {PAIRABLE:.3e}")
+        start = position_fn(np.array([0.0]))[0]
+        if not math.hypot(*start) <= PAIRABLE:
+            raise InvalidCurveError(f"track coordinates exceed {PAIRABLE:.3e}")
         self.period = float(period)
         self.traversals = int(traversals)
         self.total_length = self.period * self.traversals
@@ -204,7 +210,7 @@ class FrontTrack:
         self._k_range: tuple[float, float] | None = None
         self._k_half: tuple[int, np.ndarray] | None = None  # (steps, half-grid curvature)
         if self.closed:
-            gap = float(np.linalg.norm(position_fn(np.array([period]))[0] - position_fn(np.array([0.0]))[0]))
+            gap = math.hypot(*(position_fn(np.array([period]))[0] - start))
             if gap > 1e-8 * max(1.0, period):
                 raise InvalidCurveError(f"closed track does not return to its start (gap {gap:.3e})")
             span = float(tangent_fn(np.array([period]))[0] - tangent_fn(np.array([0.0]))[0])
@@ -443,8 +449,12 @@ def _build_fourier_support(spec: CurveSpec) -> FrontTrack:
     cos_c = np.pad(cos_c, (0, n - len(cos_c)))
     sin_c = np.pad(sin_c, (0, n - len(sin_c)))
 
+    # p + p'' is one trigonometric polynomial, with harmonics scaled by 1 - m^2
+    damp = 1.0 - np.arange(1, n + 1, dtype=float) ** 2
+    rc_cos, rc_sin = damp * cos_c, damp * sin_c
+
     def rad_curv(phi):
-        return fourier_eval(a0, cos_c, sin_c, phi) + fourier_eval(a0, cos_c, sin_c, phi, deriv=2)
+        return fourier_eval(a0, rc_cos, rc_sin, phi)
 
     probe = rad_curv(np.linspace(0.0, TWO_PI, 8192, endpoint=False))
     if np.min(probe) <= 1e-9 * max(abs(a0), 1.0):
@@ -564,19 +574,22 @@ def _build_polyline(spec: CurveSpec) -> FrontTrack:
 
 
 def _build_samples(spec: CurveSpec) -> FrontTrack:
+    from scipy.interpolate import CubicSpline  # the only scipy use; keeps it out of the import
+
     pts = np.asarray(spec.points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] != 2:
         raise InvalidCurveError("samples needs at least 2 plane points")
     closed = bool(spec.closed)
     if closed:
-        if np.linalg.norm(pts[0] - pts[-1]) > 1e-9:
+        if math.hypot(*(pts[0] - pts[-1])) > 1e-9:
             pts = np.vstack([pts, pts[0]])
         else:
             pts = pts.copy()
             pts[-1] = pts[0]  # periodic spline wants exact closure
         if pts.shape[0] < 4:
             raise InvalidCurveError("a closed sample curve needs at least 3 distinct points")
-    chord = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))])
+    steps = np.diff(pts, axis=0)
+    chord = np.concatenate([[0.0], np.cumsum(np.hypot(steps[:, 0], steps[:, 1]))])
     if np.any(np.diff(chord) < 1e-12):
         raise InvalidCurveError("sample points contain duplicates")
     spline = CubicSpline(chord, pts, axis=0, bc_type="periodic" if closed else "natural")
@@ -614,10 +627,11 @@ def _build_line(spec: CurveSpec) -> FrontTrack:
         raise InvalidCurveError("line needs 'start' and 'end' points")
     p0 = np.asarray(spec.start, dtype=float)
     p1 = np.asarray(spec.end, dtype=float)
-    length = float(np.linalg.norm(p1 - p0))
+    with np.errstate(over="ignore", invalid="ignore"):  # FrontTrack refuses an overflowed length
+        length = float(np.linalg.norm(p1 - p0))
+        direction = (p1 - p0) / length
     if length < 1e-12:
         raise InvalidCurveError("line endpoints coincide")
-    direction = (p1 - p0) / length
     theta = math.atan2(direction[1], direction[0])
 
     def pos(t):

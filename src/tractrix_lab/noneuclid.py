@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import fmt17
-from ._num import panel_quad
+from ._num import PAIRABLE, panel_quad
 from .dynamics import BikeParams, _factors, _log_dets, _scan
 from .errors import ResidualError, ValidationError
 from .geom import TWO_PI, FrontTrack, Geometry
@@ -105,14 +105,21 @@ class HCurve:
     curvature: np.ndarray  # geodesic curvature samples at t
 
     def frame_defect(self) -> float:
-        """Worst deviation of the Minkowski Gram matrix from diag(1,-1,-1)."""
+        """Worst relative deviation of the Minkowski Gram matrix from diag(1,-1,-1).
+
+        Each entry's deviation is divided by the euclidean norms of the two
+        vectors paired, the scale of its rounding error, so the defect does
+        not grow with the coordinates (like e^(2t)) along the development.
+        """
+        p, t, n = self.points, self.tangents, self.normals
+        sp, st, sn = (np.hypot(np.hypot(v[..., 0], v[..., 1]), v[..., 2]) for v in (p, t, n))
         devs = [
-            np.abs(mink(self.points, self.points) - 1.0),
-            np.abs(mink(self.tangents, self.tangents) + 1.0),
-            np.abs(mink(self.normals, self.normals) + 1.0),
-            np.abs(mink(self.points, self.tangents)),
-            np.abs(mink(self.points, self.normals)),
-            np.abs(mink(self.tangents, self.normals)),
+            np.abs(mink(p, p) - 1.0) / sp / sp,
+            np.abs(mink(t, t) + 1.0) / st / st,
+            np.abs(mink(n, n) + 1.0) / sn / sn,
+            np.abs(mink(p, t)) / sp / st,
+            np.abs(mink(p, n)) / sp / sn,
+            np.abs(mink(t, n)) / st / sn,
         ]
         return float(max(d.max() for d in devs))
 
@@ -139,9 +146,6 @@ class HCurve:
         return "\n".join(lines) + "\n"
 
 
-_PAIRABLE = math.sqrt(np.finfo(float).max)  # coordinates whose pairings stay finite
-
-
 def _frame(q: np.ndarray) -> np.ndarray:
     """Frenet frames, shape ``(N, 3, 3)`` with rows ``P, T, N``, of unimodular lifts ``q`` (4, N).
 
@@ -154,7 +158,7 @@ def _frame(q: np.ndarray) -> np.ndarray:
         frame = np.stack(((aa + bb + cc + dd) / 2, (bb + dd - aa - cc) / 2, -(a * b + c * d),
                           (cc + dd - aa - bb) / 2, (aa + dd - bb - cc) / 2, a * b - c * d,
                           -(a * c + b * d), a * c - b * d, a * d + b * c), axis=-1)
-    if not np.all(np.abs(frame) < _PAIRABLE):
+    if not np.all(np.abs(frame) < PAIRABLE):
         raise ResidualError("development leaves double range: hyperboloid coordinates "
                             "grow like e^t and their Minkowski pairings like e^(2t)")
     return frame.reshape(-1, 3, 3)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import simpson
 
 from ._io import fmt17
+from ._num import simpson
 from .dynamics import _angles, _lifted, _rk4, _scan
 from .errors import ValidationError
 from .geom import CurveSpec, FrontTrack, Geometry, _region_moments, make_curve
@@ -84,7 +84,7 @@ def _chisel_zigzag_area(legs: Sequence[RodLeg], ell: float) -> float:
         dx = speed * u[:, 0]
         dy = speed * u[:, 1]
         h = leg.t[1] - leg.t[0]
-        total += float(simpson(0.5 * (rear[:, 0] * dy - rear[:, 1] * dx), dx=h))
+        total += simpson(0.5 * (rear[:, 0] * dy - rear[:, 1] * dx), h)
     return total
 
 

@@ -2,13 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from tractrix_lab.cli import main
 
 SQRT3 = math.sqrt(3.0)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -242,6 +247,25 @@ def test_malformed_spec_exits_2(capsys, tmp_path, argv, spec):
     rc, cap = run(capsys, [argv[0], "--input", str(path), *argv[1:]])
     assert rc == 2
     assert cap.err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", [["monodromy", "--ell", "1"], ["trace", "--ell", "1"],
+                                     ["menzin"]], ids=["monodromy", "trace", "menzin"])
+@pytest.mark.parametrize("spec", [
+    {"kind": "circle", "r": 1e155},
+    {"kind": "line", "start": [0, 0], "end": [1e308, -1e308]},
+    {"kind": "circle", "r": 1e300, "traversals": 3},
+], ids=["circle-1e155", "line-1e308", "circle-1e300-thrice"])
+def test_huge_spec_is_refused_without_warnings(tmp_path, command, spec):
+    # run in a fresh interpreter: numpy's overflow warnings go to its stderr
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(spec))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tractrix_lab.cli", command[0], "--input", str(path), *command[1:]],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True)
+    assert proc.returncode in (2, 3)
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_develop_zero_steps_exits_2(capsys):

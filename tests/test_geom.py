@@ -158,6 +158,12 @@ def test_make_curve_rejections():
         tl.make_curve({"kind": "fourier-support", "a0": 1.0, "cos": [0.0, 0.5]})
 
 
+def test_coordinates_past_sqrt_max_double_are_refused():
+    # their squares leave double range
+    with pytest.raises(tl.InvalidCurveError, match="coordinates exceed"):
+        tl.make_curve({"kind": "circle", "r": 1.0, "center": [1e300, 0.0]})
+
+
 def test_make_curve_accepts_json_text():
     c = tl.make_curve('{"kind": "circle", "r": 1.0}')
     assert c.total_length == pytest.approx(TWO_PI, rel=1e-12)
@@ -239,6 +245,24 @@ def test_support_function_rejects_nonconvex():
 def test_mean_square_radius_disk(unit_circle):
     # uniform unit disk about its center: <r^2> = 1/2
     assert tl.mean_square_radius(unit_circle) == pytest.approx(0.5, rel=1e-9)
+
+
+def test_region_moments_invert_arc_length_once(monkeypatch):
+    from tractrix_lab._num import ArcLengthParam
+    from tractrix_lab.geom import _region_moments
+
+    track = tl.make_curve({"kind": "ellipse", "a": 2.0, "b": 1.0})
+    calls = []
+    invert = ArcLengthParam._invert
+
+    def spy(self, t):
+        calls.append(len(t))
+        return invert(self, t)
+
+    monkeypatch.setattr(ArcLengthParam, "_invert", spy)
+    area, _, _ = _region_moments(track)
+    assert len(calls) == 1  # position and tangent angle share the Gauss nodes
+    assert area == pytest.approx(2.0 * math.pi, rel=1e-12)
 
 
 # -- properties over random convex specs -------------------------------------

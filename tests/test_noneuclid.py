@@ -121,6 +121,14 @@ def test_develop_from_front_track(ellipse21):
     assert curve.frame_defect() < 1e-8
 
 
+def test_frame_defect_is_relative_to_the_coordinates():
+    # coordinates pass 1e5 on this hypercycle, where an absolute Gram
+    # deviation reads about 3e-5 although the frame is right to rounding
+    curve = tl.develop_hyperbolic(lambda t: np.full_like(t, 0.5), 15.0)
+    assert np.abs(curve.points).max() > 1e5
+    assert curve.frame_defect() < 1e-13
+
+
 def test_poincare_disk_projection():
     curve = tl.develop_hyperbolic(lambda t: np.full_like(t, 2.0 / SQRT3), TWO_PI * SQRT3)
     disk = curve.poincare()
