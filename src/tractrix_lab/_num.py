@@ -7,6 +7,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# Legendre coefficients from values at the Gauss nodes: (2k+1)/2 * w_i * P_k(x_i)
+_TO_LEGENDRE = ((np.arange(16) + 0.5)[:, None] * _GL_WEIGHTS[None, :]
+                * np.polynomial.legendre.legvander(_GL_NODES, 15).T)
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -58,16 +61,26 @@ def panel_quad(
 class ArcLengthParam:
     """Invert arc length for a positive speed function on a fixed interval.
 
-    Stores cumulative lengths ``cum`` and the speed on a uniform grid of
-    ``n_seg + 1`` nodes in the base parameter ``u``. ``u_of_t`` seeds each
-    point from the cubic Hermite interpolant of the inverse map ``u(t)``
-    (values ``nodes`` at ``cum``, slopes ``1 / speed``); a segment with a
-    node speed that is not positive gets the linear seed. Newton steps
-    against partial Gauss-panel integrals follow until the largest
-    correction is at most ``sqrt(eps)`` times the node spacing, so that its
-    square, the error left after it, is below roundoff (four steps at most).
-    The Hermite seed is off by about 1e-11 on smooth tracks, so one step,
-    17 speed evaluations per point, usually suffices.
+    Stores cumulative lengths ``cum`` on a uniform grid of ``n_seg + 1``
+    nodes in the base parameter ``u``, from 16-point Gauss sums of the speed
+    on each segment. The same speed samples fix each segment's Legendre
+    series ``sigma(u) = sum_k a_k P_k(xi)`` in the local variable ``xi`` in
+    [-1, 1] to rounding (one fixed 16x16 matrix,
+    ``(2k+1)/2 w_i P_k(x_i)``); integrated term by term it gives a 17-term
+    series of the partial length ``S(xi)`` from the segment start.
+
+    ``u_of_t`` seeds each point from the cubic Hermite interpolant of the
+    inverse map ``u(t)`` (values ``nodes`` at ``cum``, slopes ``1 / speed``);
+    a segment with a node speed that is not positive gets the linear seed.
+    Newton steps follow until the largest correction is at most
+    ``sqrt(eps)`` times the node spacing, so that its square, the error left
+    after it, is below roundoff (four steps at most). Each step reads the
+    residual ``cum + S(xi) - t`` and the slope ``sigma`` from the two series
+    by Clenshaw sums, so a smooth track calls ``speed`` only while it is
+    built. A segment whose two highest speed coefficients are not both below
+    1e-13 of the mean speed is not resolved by its series (a spline knot
+    inside it, say); it is flagged in ``rough``, and points in it take
+    Newton steps against partial Gauss-panel integrals of ``speed`` instead.
 
     The last ``(t, u)`` pair is kept read-only, so accessors that read the
     same grid in turn (``position`` then ``tangent_angle`` on the same Gauss
@@ -82,7 +95,8 @@ class ArcLengthParam:
         lo = self.nodes[:-1]
         half = 0.5 * (self.nodes[1:] - lo)
         x = lo[:, None] + half[:, None] * (_GL_NODES[None, :] + 1.0)
-        seg = np.sum(half[:, None] * _GL_WEIGHTS[None, :] * speed(x.ravel()).reshape(x.shape), axis=1)
+        samples = speed(x.ravel()).reshape(x.shape)
+        seg = np.sum(half[:, None] * _GL_WEIGHTS[None, :] * samples, axis=1)
         self.cum = np.concatenate([[0.0], np.cumsum(seg)])
         self.total = float(self.cum[-1])
         node_speed = np.asarray(speed(self.nodes), dtype=float)
@@ -95,6 +109,23 @@ class ArcLengthParam:
         self._lead[positive] = seg[positive] / v0[positive] - du[positive]
         self._trail[positive] = seg[positive] / v1[positive] - du[positive]
         self._tol = float(np.sqrt(np.finfo(float).eps)) * (self.u_max - self.u_min) / n_seg
+        # Legendre series of the speed, one row per segment, and of its
+        # antiderivative from the segment start, scaled to u:
+        # int_{-1}^{xi} P_k = (P_{k+1} - P_{k-1}) / (2k + 1), and P_0 + P_1 for k = 0.
+        # The speed is expanded about the segment mean a_0, so rounding in the
+        # fixed matrix scales with its variation over the segment, not its size.
+        mean = seg / (2.0 * half)
+        speed_series = (samples - mean[:, None]) @ _TO_LEGENDRE.T
+        speed_series[:, 0] += mean
+        a = speed_series / (2.0 * np.arange(_GL_NODES.size) + 1.0)
+        length_series = np.zeros((n_seg, _GL_NODES.size + 1))
+        length_series[:, 0] = a[:, 0]
+        length_series[:, 1:] = a
+        length_series[:, :-2] -= a[:, 1:]
+        self._speed_series = speed_series
+        self._length_series = length_series * half[:, None]
+        mean_speed = self.total / (self.u_max - self.u_min)
+        self.rough = np.max(np.abs(speed_series[:, -2:]), axis=1) > 1e-13 * mean_speed
         self._last: tuple[np.ndarray, np.ndarray] | None = None  # (t, u) of the last grid
 
     def _partial(self, u_lo: np.ndarray, u_hi: np.ndarray) -> np.ndarray:
@@ -105,12 +136,23 @@ class ArcLengthParam:
     def _invert(self, t: np.ndarray) -> np.ndarray:
         idx = np.clip(np.searchsorted(self.cum, t, side="right") - 1, 0, len(self.nodes) - 2)
         lo = self.nodes[idx]
+        hi = self.nodes[idx + 1]
         c0 = self.cum[idx]
         s = (t - c0) / np.maximum(self.cum[idx + 1] - c0, 1e-300)
         r = 1.0 - s
-        u = lo + s * (self.nodes[idx + 1] - lo) + s * r * (r * self._lead[idx] - s * self._trail[idx])
+        u = lo + s * (hi - lo) + s * r * (r * self._lead[idx] - s * self._trail[idx])
+        half = 0.5 * (hi - lo)
+        speed_series = self._speed_series[idx].T
+        length_series = self._length_series[idx].T
+        rough = np.flatnonzero(self.rough[idx])
         for _ in range(4):
-            step = (c0 + self._partial(lo, u) - t) / self.speed(u)
+            xi = (u - lo) / half - 1.0  # from lo, not a rounded midpoint: u - lo is exact
+            residual = c0 + _clenshaw(length_series, xi) - t
+            slope = _clenshaw(speed_series, xi)
+            if rough.size:
+                residual[rough] = c0[rough] + self._partial(lo[rough], u[rough]) - t[rough]
+                slope[rough] = self.speed(u[rough])
+            step = residual / slope
             u = np.clip(u - step, self.u_min, self.u_max)
             if np.max(np.abs(step), initial=0.0) <= self._tol:
                 break
@@ -129,6 +171,16 @@ class ArcLengthParam:
             u.flags.writeable = False
             self._last = (t, u)
         return float(u[0]) if scalar else u
+
+
+def _clenshaw(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``sum_k coef[k] P_k(x)`` column by column: ``coef`` is (terms, points), ``x`` is (points,)."""
+    b1 = np.zeros_like(x)
+    b2 = np.zeros_like(x)
+    for k in range(coef.shape[0] - 1, 0, -1):
+        # b_k = c_k + (2k+1)/(k+1) x b_{k+1} - (k+1)/(k+2) b_{k+2}
+        b1, b2 = coef[k] + (2 * k + 1) / (k + 1) * x * b1 - (k + 1) / (k + 2) * b2, b1
+    return coef[0] + x * b1 - 0.5 * b2
 
 
 def simpson(y: np.ndarray, dx: float) -> float:

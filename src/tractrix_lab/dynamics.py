@@ -124,10 +124,11 @@ def _rk4(a0: np.ndarray, am: np.ndarray, a1: np.ndarray, h: float) -> np.ndarray
     ``K3 = Am (I + h/2 K2)``, ``K4 = A1 (I + h K3)`` and
     ``E = h/6 (K1 + 2 K2 + 2 K3 + K4)``.
     """
-    k2 = am + (0.5 * h) * _mul(am, a0)
-    k3 = am + (0.5 * h) * _mul(am, k2)
-    k4 = a1 + h * _mul(a1, k3)
-    return (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused by _finite
+        k2 = am + (0.5 * h) * _mul(am, a0)
+        k3 = am + (0.5 * h) * _mul(am, k2)
+        k4 = a1 + h * _mul(a1, k3)
+        return (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _factors(k: np.ndarray, h: float, diag: np.ndarray) -> np.ndarray:

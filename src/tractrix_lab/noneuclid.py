@@ -18,7 +18,7 @@ import numpy as np
 from ._io import fmt17
 from ._num import PAIRABLE, panel_quad
 from .dynamics import BikeParams, _factors, _log_dets, _scan
-from .errors import ResidualError, ValidationError
+from .errors import InvalidCurveError, ResidualError, ValidationError
 from .geom import TWO_PI, FrontTrack, Geometry
 from .moebius import MapClass, MonodromyReport, monodromy
 
@@ -43,6 +43,9 @@ def geodesic_circle(rho: float, geometry: Geometry, traversals: int = 1) -> Fron
     elif geometry is Geometry.HYPERBOLIC:
         if not rho > 0.0:
             raise ValidationError(f"hyperbolic radius must be positive, got {rho}")
+        if rho > math.asinh(PAIRABLE / TWO_PI):
+            raise InvalidCurveError(
+                f"hyperbolic radius {rho:g} gives a circumference beyond {PAIRABLE:.3e}")
         k = 1.0 / math.tanh(rho)
         chart_r = math.sinh(rho)
     else:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -265,6 +266,35 @@ def test_huge_spec_is_refused_without_warnings(tmp_path, command, spec):
         env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True)
     assert proc.returncode in (2, 3)
     lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["monodromy", "trace"])
+@pytest.mark.parametrize("r", [2e153, 1e-300], ids=["circle-2e153", "circle-1e-300"])
+def test_overflowing_lift_is_refused_without_warnings(capsys, tmp_path, command, r):
+    # the track passes the size check, but its lift leaves double range at this wheelbase
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps({"kind": "circle", "r": r}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, cap = run(capsys, [command, "--input", str(path), "--ell", "1"])
+    assert rc == 3
+    assert [str(w.message) for w in caught] == []
+    lines = cap.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("command", [["monodromy", "--ell", "1"], ["trace", "--ell", "1"],
+                                     ["menzin"]], ids=["monodromy", "trace", "menzin"])
+@pytest.mark.parametrize("rho", [800.0, 1e6])
+def test_huge_hyperbolic_radius_exits_2(capsys, tmp_path, command, rho):
+    # sinh(rho) leaves double range near rho = 710; the circumference 2 pi sinh(rho)
+    # passes the track-length limit already near rho = 354
+    path = tmp_path / "geo.json"
+    path.write_text(json.dumps({"kind": "geodesic-circle", "rho": rho, "geometry": "hyperbolic"}))
+    rc, cap = run(capsys, [command[0], "--input", str(path), *command[1:]])
+    assert rc == 2
+    lines = cap.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 

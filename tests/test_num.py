@@ -77,6 +77,53 @@ def test_arc_length_keeps_the_last_grid():
     assert half == pytest.approx(math.pi, abs=1e-12)
 
 
+def _spied(speed):
+    calls = []
+
+    def spy(u):
+        calls.append(np.array(u, dtype=float).ravel())
+        return speed(u)
+
+    return spy, calls
+
+
+def _five_harmonic_radius(phi):
+    # radius of curvature p + p'' of a fourier-support track with harmonics 1..5
+    damp = 1.0 - np.arange(1, 6, dtype=float) ** 2
+    cos_c = np.array([0.0, 0.02, -0.01, 0.004, 0.002])
+    sin_c = np.array([0.0, -0.015, 0.008, 0.003, -0.001])
+    return fourier_eval(1.0, damp * cos_c, damp * sin_c, phi)
+
+
+@pytest.mark.parametrize("speed", [lambda u: np.hypot(2.0 * np.sin(u), np.cos(u)), _five_harmonic_radius],
+                         ids=["ellipse-2x1", "fourier-5"])
+def test_smooth_track_inverts_without_speed_calls(speed):
+    spy, calls = _spied(speed)
+    alp = ArcLengthParam(spy, 0.0, TWO_PI)
+    calls.clear()
+    t = np.linspace(0.0, alp.total, 8193)
+    u = alp.u_of_t(t)
+    assert calls == []
+    assert not alp.rough.any()
+    idx = np.clip(np.searchsorted(alp.cum, t, side="right") - 1, 0, len(alp.nodes) - 2)
+    assert np.max(np.abs(alp.cum[idx] + alp._partial(alp.nodes[idx], u) - t)) <= 4.0 * np.spacing(alp.total)
+
+
+def test_only_rough_segments_call_speed():
+    speed, u_max, n_pts = _closed_samples_speed()
+    spy, calls = _spied(speed)
+    alp = ArcLengthParam(spy, 0.0, u_max, n_seg=max(2048, n_pts))
+    calls.clear()
+    alp.u_of_t(np.linspace(0.0, alp.total, 8193))
+    # spline knots inside a segment leave its Legendre series unresolved
+    rough = np.flatnonzero(alp.rough)
+    assert 0 < rough.size <= n_pts // 8  # at most one per sample point
+    u = np.concatenate(calls)
+    assert u.size > 0
+    inside = (alp.nodes[rough, None] <= u) & (u <= alp.nodes[rough + 1, None])
+    assert np.all(inside.any(axis=0))
+
+
 # -- Simpson quadrature ------------------------------------------------------
 
 
