@@ -36,6 +36,7 @@ from .planimeter import error_scan, measure
 from .svg import Dots, Polyline, RefCircle, render
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+MAX_GRID = 2**20  # most integration steps a command may ask for over a whole track
 
 
 def _apply_thread_cap() -> None:
@@ -86,8 +87,17 @@ def _load_curve(path: str, geometry: str | None = None) -> FrontTrack:
     return track
 
 
+def _grid(steps: int, traversals: int = 1) -> int:
+    """``steps`` per traversal, refused when the whole grid would exceed ``MAX_GRID``."""
+    if steps * traversals > MAX_GRID:
+        raise ValidationError(f"{steps} steps x {traversals} traversal(s) exceed the "
+                              f"{MAX_GRID}-step grid limit")
+    return steps
+
+
 def _params(track: FrontTrack, ell: float, steps: int) -> BikeParams:
-    return BikeParams(ell=ell, geometry=track.geometry, steps_per_traversal=steps)
+    return BikeParams(ell=ell, geometry=track.geometry,
+                      steps_per_traversal=_grid(steps, track.traversals))
 
 
 # -- subcommands -------------------------------------------------------------
@@ -154,20 +164,21 @@ def _cmd_planimeter(args) -> int:
         lengths = [float(v) for v in args.ells.split(",")]
         bases = [float(v) for v in args.bases.split(",")] if args.bases else [0.0]
         table = error_scan(track, lengths, bases, placement=placement,
-                           steps_per_traversal=args.steps)
+                           steps_per_traversal=_grid(args.steps, track.traversals))
         _emit(table.to_csv(), args.out)
         return 0
     if args.ell is None:
         raise ValidationError("planimeter needs --ell (single reading) or --ells (scan)")
     reading = measure(track, args.ell, base=args.base, placement=placement,
-                      steps_per_traversal=args.steps)
+                      steps_per_traversal=_grid(args.steps, track.traversals))
     _emit(json.dumps(dataclasses.asdict(reading), indent=2), args.out)
     return 0
 
 
 def _cmd_menzin(args) -> int:
     track = _load_curve(args.input)
-    rep = menzin_verify(track, tol=args.tol, steps_per_traversal=args.steps)
+    rep = menzin_verify(track, tol=args.tol,
+                        steps_per_traversal=_grid(args.steps, track.traversals))
     _emit(rep.to_json(indent=2), args.out)
     if args.csv:
         _emit(rep.classification_csv(), args.csv)
@@ -194,13 +205,13 @@ def _cmd_menzin(args) -> int:
 def _cmd_develop(args) -> int:
     if args.input:
         track = _load_curve(args.input)
-        curve = develop_hyperbolic(track, n_steps=args.steps)
+        curve = develop_hyperbolic(track, n_steps=_grid(args.steps))
     elif args.constant_k is not None:
         if args.length is None:
             raise ValidationError("--constant-k needs --length")
         kk = args.constant_k
         curve = develop_hyperbolic(lambda t: np.full_like(np.asarray(t, float), kk),
-                                   args.length, n_steps=args.steps)
+                                   args.length, n_steps=_grid(args.steps))
     else:
         raise ValidationError("develop needs --input or --constant-k")
     dist, frame = curve.closure_gap()
@@ -247,10 +258,10 @@ def _cmd_loopcheck(args) -> int:
         except (TypeError, ValueError):
             raise ValidationError("loop spec 'winding' must be an integer") from None
         loop = ConfigLoop.from_fourier(coeffs("x"), coeffs("y"), coeffs("theta"),
-                                       winding=winding, n=args.steps)
+                                       winding=winding, n=_grid(args.steps))
     else:
         rng = np.random.default_rng(args.seed)
-        loop = random_config_loop(rng, n=args.steps)
+        loop = random_config_loop(rng, n=_grid(args.steps))
     check = loop_identity(loop, args.ell)
     payload = {
         "ell": check.ell,
@@ -314,7 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("menzin", help="critical wheelbase + area bound report")
     p.add_argument("--input", required=True)
-    p.add_argument("--tol", type=float, default=None, help="bisection tolerance")
+    p.add_argument("--tol", type=float, default=None,
+                   help="tolerance on the critical wheelbase ell0 (default 1e-10 * sqrt(area/pi))")
     p.add_argument("--steps", type=int, default=4096)
     p.add_argument("--out", help="report JSON path (default stdout)")
     p.add_argument("--csv", help="classification-curve CSV path")

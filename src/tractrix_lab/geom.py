@@ -367,22 +367,6 @@ class FrontTrack:
             breakpoints=bps, spec=None, label=self.label,
         )
 
-    def restricted(self, t0: float, t1: float) -> "FrontTrack":
-        """Open sub-track on ``[t0, t1]`` of the (periodically extended) path."""
-        if not t1 > t0:
-            raise ValidationError("restriction needs t1 > t0")
-
-        def pos(t):
-            return self.position(t0 + t)
-
-        def tan(t):
-            return self.tangent_angle(t0 + t)
-
-        def cur(t):
-            return self.curvature(t0 + t)
-
-        return FrontTrack(t1 - t0, pos, tan, cur, closed=False, geometry=self.geometry, label=self.label)
-
 
 # -- constructions ----------------------------------------------------------
 

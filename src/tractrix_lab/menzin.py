@@ -5,13 +5,10 @@ every wheelbase below the smallest osculating radius and elliptic for large
 wheelbases, so somewhere in between a first parabolic transition ``ell0``
 occurs, and the claim under test is ``A <= pi * ell0**2``. The scan walks a
 multiplicative ladder of wheelbases, brackets every crossing of trace = 2,
-and sharpens the first one by bisection.
-
-The whole ladder is integrated in one batched RK4 sweep. Bisection runs
-speculatively in batches of depth ``BISECT_DEPTH``: one sweep integrates
-every midpoint the next ``BISECT_DEPTH`` steps could visit, and the walk
-down that tree visits the same midpoints, computed the same way, as plain
-bisection would, so ``ell0`` keeps its exact bits.
+and sharpens the first one by a safeguarded Illinois (regula falsi) search
+on ``trace - 2``. The whole ladder is integrated in one batched RK4 sweep,
+the bracket ends keep the traces the ladder read for them, and each search
+step is one single-row sweep.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from .moebius import IDENTITY_TOL, MapClass, _sweep_fits
 from .moebius import monodromy  # noqa: F401
 
 CLASSIFICATION_CSV_HEADER = "ell,trace,class"
-BISECT_DEPTH = 4  # bisection steps resolved by one batched sweep
+DEFAULT_TOL = 1e-10  # default ell0 tolerance, relative to sqrt(A/pi)
 
 
 def _require_convex(track: FrontTrack, n_grid: int = 4096) -> np.ndarray:
@@ -79,34 +76,42 @@ class StageCheck:
     detail: str
 
 
-def _midpoint_tree(lo: float, hi: float) -> list[float]:
-    """Midpoints the next ``BISECT_DEPTH`` bisection steps from ``(lo, hi)`` can visit.
+def _locate_transition(track: FrontTrack, lo: tuple[float, float], hi: tuple[float, float],
+                       tol: float, steps: int) -> float:
+    """Wheelbase, to within ``tol``, where the trace crosses 2 between ``lo`` and ``hi``.
 
-    Heap order: node ``i`` halves its interval at ``mids[i]``; node ``2i+1``
-    holds the lower half and node ``2i+2`` the upper half.
+    ``lo`` and ``hi`` are ``(ell, trace)`` with trace >= 2 at ``lo`` and
+    trace < 2 at ``hi``; a trial point with trace 2 becomes the new ``hi``.
+    Illinois steps on ``trace - 2``: the regula falsi point, with the value
+    at a bracket end halved whenever that end is kept twice running. The
+    point is kept ``tol / 2`` inside the bracket, so a root next to a
+    bracket end cannot stall the search, and it is the midpoint when the
+    bracket has not halved over the last three steps (a row over the error
+    cap is refined, so the trace can jump).
     """
-    mids: list[float] = []
-    intervals = [(lo, hi)]
-    for _ in range(BISECT_DEPTH):
-        level = [0.5 * (a + b) for a, b in intervals]
-        mids += level
-        intervals = [half for (a, b), m in zip(intervals, level) for half in ((a, m), (m, b))]
-    return mids
-
-
-def _bisect_transition(track: FrontTrack, lo: float, hi: float, tol: float, steps: int) -> float:
-    # invariant: trace(lo) > 2 >= trace(hi); the crossing is transversal for
-    # every family observed, so plain bisection on trace - 2 suffices
-    while hi - lo > tol:
-        mids = _midpoint_tree(lo, hi)
-        fit = _sweep_fits(track, mids, steps)
-        node = 0
-        while node < len(mids) and hi - lo > tol:
-            if fit(node)[0].trace > 2.0:
-                lo, node = mids[node], 2 * node + 2
-            else:
-                hi, node = mids[node], 2 * node + 1
-    return 0.5 * (lo + hi)
+    (a, fa), (b, fb) = (lo[0], lo[1] - 2.0), (hi[0], hi[1] - 2.0)
+    tol = max(tol, 8.0 * math.ulp(b))  # the bracket cannot close below a few ulps
+    widths = [b - a]
+    kept = 0  # +1 when the last step kept ``a``, -1 when it kept ``b``
+    while b - a > tol:
+        if len(widths) > 3 and widths[-1] > 0.5 * widths[-4]:
+            x = 0.5 * (a + b)
+        else:
+            x = a + fa / (fa - fb) * (b - a)
+        x = min(max(x, a + 0.5 * tol), b - 0.5 * tol)
+        f = _sweep_fits(track, [x], steps)(0)[0].trace - 2.0
+        if f > 0.0:
+            a, fa = x, f
+            if kept == -1:
+                fb *= 0.5
+            kept = -1
+        else:
+            b, fb = x, f
+            if kept == 1:
+                fa *= 0.5
+            kept = 1
+        widths.append(b - a)
+    return 0.5 * (a + b)
 
 
 def _ladder(r: float, cap: float, ratio: float) -> list[float]:
@@ -120,42 +125,55 @@ def _ladder(r: float, cap: float, ratio: float) -> list[float]:
     return out
 
 
+Bracket = tuple[tuple[float, float] | None, tuple[float, float]]  # (lo, hi) as (ell, trace)
+
+
 def _scan(ladder: list[float], fit, stop_at_first: bool
-          ) -> tuple[list[ScanSample], list[tuple[float | None, float]]]:
+          ) -> tuple[list[ScanSample], list[Bracket]]:
     """Walk the wheelbase ladder; bracket every sign change of trace - 2.
 
     ``fit(i)`` is the fitted monodromy of ``ladder[i]`` (see ``_sweep_fits``).
-    A bracket ``(lo, hi)`` has trace > 2 at ``lo`` and trace < 2 at ``hi``;
-    ``lo`` is None when already the first ladder point is non-hyperbolic
-    (the transition then sits at the osculating radius itself).
+    A bracket ``(lo, hi)`` holds the ``(ell, trace)`` of its ends, with
+    trace >= 2 at ``lo`` and trace < 2 at ``hi``; ``lo`` is None when already
+    the first ladder point is non-hyperbolic (the transition then sits at the
+    osculating radius itself).
     """
     samples: list[ScanSample] = []
-    brackets: list[tuple[float | None, float]] = []
+    brackets: list[Bracket] = []
     prev: tuple[float, float] | None = None
     for i, ell in enumerate(ladder):
         fitted, eps_par = fit(i)
         samples.append(ScanSample(ell, fitted.trace, fitted.classify(eps_par).value))
         below = fitted.trace < 2.0
         if below and (prev is None or prev[1] >= 2.0):
-            brackets.append((None if prev is None else prev[0], ell))
+            brackets.append((prev, (ell, fitted.trace)))
             if stop_at_first:
                 return samples, brackets
         prev = (ell, fitted.trace)
     return samples, brackets
 
 
-def _resolve_first(track: FrontTrack, bracket: tuple[float | None, float], r: float,
-                   ratio: float, tol: float, steps: int) -> float:
+def _tolerance(tol: float | None, scale: float) -> float:
+    """The ell0 tolerance: ``DEFAULT_TOL * scale`` by default, else a positive finite ``tol``."""
+    if tol is None:
+        return DEFAULT_TOL * scale
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValidationError(f"ell0 tolerance must be positive and finite, got {tol!r}")
+    return tol
+
+
+def _resolve_first(track: FrontTrack, bracket: Bracket, r: float, ratio: float,
+                   tol: float, steps: int) -> float:
     lo, hi = bracket
     if lo is None:
         # the ladder started non-hyperbolic; wheelbases below the osculating
         # radius are guaranteed hyperbolic, so bracket just beneath it
-        lo = r / ratio
-        if not _sweep_fits(track, [lo], steps)(0)[0].trace > 2.0:
+        lo = (r / ratio, _sweep_fits(track, [r / ratio], steps)(0)[0].trace)
+        if not lo[1] > 2.0:
             raise ScanError(
-                f"trace <= 2 at ell = {lo:.6g}, below the min osculating radius {r:.6g}"
+                f"trace <= 2 at ell = {lo[0]:.6g}, below the min osculating radius {r:.6g}"
             )
-    return _bisect_transition(track, lo, hi, tol, steps)
+    return _locate_transition(track, lo, hi, tol, steps)
 
 
 def critical_length(track: FrontTrack, tol: float | None = None, *, ratio: float = 1.05,
@@ -163,15 +181,14 @@ def critical_length(track: FrontTrack, tol: float | None = None, *, ratio: float
     """Smallest wheelbase at which the monodromy stops being hyperbolic.
 
     Scans upward from the min osculating radius by multiplicative steps,
-    then bisects the first trace = 2 crossing down to ``tol`` (default
-    ``1e-6 * sqrt(A/pi)``). Raises :class:`ScanError` if no transition shows
+    then closes in on the first trace = 2 crossing to within ``tol``
+    (default ``1e-10 * sqrt(A/pi)``). Raises :class:`ScanError` if no transition shows
     up below ``cap_factor * sqrt(A/pi)``.
     """
     r = min_osculating_radius(track)  # enforces convexity first
     area = enclosed_area(track)
     scale = math.sqrt(area / math.pi)
-    if tol is None:
-        tol = 1e-6 * scale
+    tol = _tolerance(tol, scale)
     ladder = _ladder(r, cap_factor * scale, ratio)
     _, brackets = _scan(ladder, _sweep_fits(track, ladder, steps_per_traversal),
                         stop_at_first=True)
@@ -286,8 +303,7 @@ def menzin_verify(track: FrontTrack, tol: float | None = None, *, ratio: float =
     r = min_osculating_radius(track)  # enforces convexity first
     area = enclosed_area(track)
     scale = math.sqrt(area / math.pi)
-    if tol is None:
-        tol = 1e-6 * scale
+    tol = _tolerance(tol, scale)
     cap = cap_factor * scale
     steps = steps_per_traversal
     checks: list[StageCheck] = []
@@ -318,7 +334,7 @@ def menzin_verify(track: FrontTrack, tol: float | None = None, *, ratio: float =
         # later crossings (either direction) are logged coarsely: the scan
         # never assumes the first transition is the only one
         for s0, s1 in zip(samples, samples[1:]):
-            if (s0.trace - 2.0) * (s1.trace - 2.0) < 0.0 and s1.ell > brackets[0][1]:
+            if (s0.trace - 2.0) * (s1.trace - 2.0) < 0.0 and s1.ell > brackets[0][1][0]:
                 transitions.append(0.5 * (s0.ell + s1.ell))
     checks.append(StageCheck(
         "parabolic_transition_found", ell0 if ell0 is not None else cap,

@@ -7,10 +7,9 @@ of the lift's step matrices from the engine in :mod:`.dynamics`, scaled to
 determinant one by the determinant carried through that product. Its error
 bar is the step-doubling estimate that comes with it: the grid is refined
 until that estimate is under a cap, and the parabolic trace band is widened
-with it. Three probe angles fit a map of their own
-(:func:`from_three_pairs`), which is checked against the propagated map on a
-held-out angle; that residual is a conditioning check, not a discretization
-error bar. The map is classified by its normalized trace.
+with it; the same estimate is reported as the map's ``residual``. The map is
+classified by its normalized trace. :func:`from_three_pairs` fits a map to
+three angle pairs, for maps known only by their action.
 """
 
 from __future__ import annotations
@@ -24,15 +23,14 @@ from typing import Sequence
 
 import numpy as np
 
-from ._num import det2x2, wrap_angle
+from ._num import det2x2
 from .errors import ResidualError, ValidationError
 from .geom import TWO_PI, FrontTrack
 from .dynamics import BikeParams, _fixed_angle_rear_length, _monodromy_sweep, _step_factors
 
-DEFAULT_PROBES = (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
-DEFAULT_VALIDATOR = 0.5 * math.pi
 ERROR_CAP = 1e-6  # default cap on the step-doubling (relative) error of a monodromy
-IDENTITY_TOL = 1e-6  # default distance below which a fitted map counts as the identity
+MAX_REFINEMENTS = 6  # step doublings a monodromy may take to get under its error cap
+IDENTITY_TOL = 1e-6  # distance below which a fitted map counts as the identity
 
 
 class MapClass(str, Enum):
@@ -231,7 +229,7 @@ class MonodromyReport:
     is_identity: bool
     fixed_points: tuple[FixedPoint, ...]
     rear_lengths: tuple[float, ...]  # signed rear length along each fixed-angle trajectory
-    residual: float
+    residual: float  # step-doubling error of the kept grid, relative to its largest entry
     eps_parabolic: float
     n_steps: int
     ell: float
@@ -283,23 +281,6 @@ class MonodromyReport:
         return cls.from_dict(json.loads(text))
 
 
-def _cross_check(fitted: MoebiusMap, probes: np.ndarray, validator: float) -> float:
-    """Held-out residual of the three-probe fit through the probes' images under ``fitted``.
-
-    The fit must predict the image of ``validator``; the residual is how far
-    it misses. A strongly contracting map drops every probe onto the
-    attracting angle, leaving no three-probe fit to check: the residual is
-    then 0.
-    """
-    ends = fitted.act_angle(probes)
-    sep = min(abs(math.sin(0.5 * (ends[i] - ends[j])))
-              for i in range(3) for j in range(i + 1, 3))
-    if sep < 1e-3:
-        return 0.0
-    cross = from_three_pairs(list(zip(probes, ends)))
-    return abs(float(wrap_angle(cross.act_angle(validator) - fitted.act_angle(validator))))
-
-
 def _parabolic_band(fitted: MoebiusMap, error: float) -> float:
     """Half-width of the parabolic trace band around 2: ten entry errors, at least 1e-7.
 
@@ -314,10 +295,10 @@ def _sweep_fits(track: FrontTrack, ells: Sequence[float], steps_per_traversal: i
 
     Returns ``fit(i) -> (map, eps_parabolic)`` for wheelbase ``ells[i]``,
     computed on first use: the scan reads only the trace and the class, so
-    no fixed points, rear lengths or cross-checks are made. A row is
-    accepted exactly as :func:`monodromy` accepts its first grid; a row
-    whose step-doubling error exceeds the cap is handed to
-    :func:`monodromy`, which tries to refine the grid.
+    no fixed points or rear lengths are made. A row is accepted exactly as
+    :func:`monodromy` accepts its first grid; a row whose step-doubling
+    error exceeds the cap is handed to :func:`monodromy`, which tries to
+    refine the grid.
     """
     params = [BikeParams(ell=ell, steps_per_traversal=steps_per_traversal) for ell in ells]
     mats, errors = _monodromy_sweep(track, params, steps_per_traversal * track.traversals)
@@ -333,36 +314,23 @@ def _sweep_fits(track: FrontTrack, ells: Sequence[float], steps_per_traversal: i
     return fit
 
 
-def monodromy(
-    track: FrontTrack,
-    params: BikeParams,
-    probes: Sequence[float] = DEFAULT_PROBES,
-    validator: float = DEFAULT_VALIDATOR,
-    error_cap: float = ERROR_CAP,
-    max_refinements: int = 6,
-    identity_tol: float = IDENTITY_TOL,
-) -> MonodromyReport:
-    """Propagate, cross-check, and classify the steering monodromy of ``track``.
+def monodromy(track: FrontTrack, params: BikeParams,
+              error_cap: float = ERROR_CAP) -> MonodromyReport:
+    """Propagate and classify the steering monodromy of ``track``.
 
     The map is the lift's step product over the track. While its
     step-doubling error estimate (relative to the map's largest entry)
     exceeds ``error_cap``, the step count is doubled, at most
-    ``max_refinements`` times. Refinement also stops when a doubling does
+    ``MAX_REFINEMENTS`` times. Refinement also stops when a doubling does
     not reduce the estimate (the grid does not resolve the track, as with a
     corner shorter than a step); the grid with the smallest estimate is
-    kept. The parabolic trace band is ten times that estimate in the
-    entries, and at least 1e-7. Three probe angles then fit a map of their
-    own, and a held-out validator angle measures how far it misses the
-    propagated one (the reported ``residual``). Rear lengths at the fixed
-    angles are propagated on the kept grid.
+    kept, and its estimate is the reported ``residual``. The parabolic trace
+    band is ten times that estimate in the entries, and at least 1e-7. Rear
+    lengths at the fixed angles are propagated on the kept grid.
     """
-    probes = np.array([float(p) for p in probes])
-    if len(probes) != 3:
-        raise ValidationError("monodromy fitting needs exactly three probe angles")
-
     n = params.steps_per_traversal * track.traversals
     kept = None  # (steps, map, error) of the grid with the smallest error so far
-    for _ in range(max_refinements + 1):
+    for _ in range(MAX_REFINEMENTS + 1):
         mats, errors = _monodromy_sweep(track, [params], n)
         if kept is not None and not errors[0] < kept[2]:
             break
@@ -374,7 +342,7 @@ def monodromy(
 
     fitted = MoebiusMap._canonical(matrix)
     eps_par = _parabolic_band(fitted, error)
-    is_identity = fitted.distance_to_identity() < identity_tol
+    is_identity = fitted.distance_to_identity() < IDENTITY_TOL
     fps = () if is_identity else fitted.fixed_points(eps_par)
 
     # signed rear length \int cos(alpha) dt is meaningful in every geometry
@@ -389,7 +357,7 @@ def monodromy(
         is_identity=is_identity,
         fixed_points=fps,
         rear_lengths=rear,
-        residual=_cross_check(fitted, probes, float(validator)),
+        residual=error,
         eps_parabolic=eps_par,
         n_steps=n,
         ell=params.ell,

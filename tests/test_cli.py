@@ -1,17 +1,22 @@
 """End-to-end command-line checks, run in-process via ``main``."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tractrix_lab.cli import main
+from tractrix_lab.cli import MAX_GRID, main
 
 SQRT3 = math.sqrt(3.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -302,6 +307,69 @@ def test_develop_zero_steps_exits_2(capsys):
     rc, cap = run(capsys, ["develop", "--constant-k", "1.2", "--length", "6", "--steps", "0"])
     assert rc == 2
     assert cap.err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (["monodromy", "--ell", "0.5"], {"kind": "circle", "r": 1, "traversals": 1000000}),
+    (["menzin"], {"kind": "circle", "r": 1, "traversals": 1000}),
+    (["trace", "--ell", "0.5", "--steps", str(MAX_GRID + 1)], {"kind": "circle", "r": 1}),
+    (["monodromy", "--ell", "0.5", "--steps", str(MAX_GRID // 2 + 1)],
+     {"kind": "circle", "r": 1, "traversals": 2}),
+    (["planimeter", "--ell", "2", "--steps", str(MAX_GRID + 1)], {"kind": "circle", "r": 1}),
+    (["develop", "--steps", str(MAX_GRID + 1)], {"kind": "circle", "r": 1}),
+    (["loopcheck", "--ell", "1", "--steps", str(MAX_GRID + 1)], None),
+], ids=["monodromy-traversals", "menzin-traversals", "trace-steps", "monodromy-steps-x2",
+        "planimeter-steps", "develop-steps", "loopcheck-steps"])
+def test_oversized_grid_exits_2(capsys, tmp_path, argv, spec):
+    # refused before any grid is allocated
+    if spec is not None:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = [argv[0], "--input", str(path), *argv[1:]]
+    rc, cap = run(capsys, argv)
+    assert rc == 2
+    assert cap.err.startswith("error:") and "grid limit" in cap.err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-9", "nan", "inf"])
+def test_menzin_bad_tolerance_exits_2(capsys, unit_circle_spec, tol):
+    rc, cap = run(capsys, ["menzin", "--input", unit_circle_spec, f"--tol={tol}"])
+    assert rc == 2
+    assert cap.err.startswith("error:")
+
+
+_NUMBERS = st.one_of(st.integers(-10**6, 10**6), st.floats(allow_nan=True, allow_infinity=True))
+_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBERS | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=4),
+    max_leaves=10)
+_POINT = st.lists(_NUMBERS, min_size=2, max_size=2)
+_SPEC = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["circle", "ellipse", "fourier-support", "polyline", "samples",
+                              "line", "geodesic-circle"])},
+    optional={"r": _NUMBERS, "a": _NUMBERS, "b": _NUMBERS, "a0": _NUMBERS, "rho": _NUMBERS,
+              "angle": _NUMBERS, "fillet_radius": _NUMBERS, "center": _POINT, "start": _POINT,
+              "end": _POINT, "cos": st.lists(_NUMBERS, max_size=4),
+              "sin": st.lists(_NUMBERS, max_size=4), "vertices": st.lists(_POINT, max_size=5),
+              "points": st.lists(_POINT, max_size=6), "closed": _JSON,
+              "traversals": st.integers(-2, 10**7), "orientation": st.integers(-2, 2),
+              "geometry": st.sampled_from(["euclidean", "spherical", "hyperbolic"]) | _JSON})
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(command=st.sampled_from([["monodromy", "--ell", "0.5"], ["trace", "--ell", "0.5"],
+                                ["menzin"]]),
+       spec=_SPEC | _JSON)
+def test_any_input_json_exits_cleanly(command, spec):
+    # whatever JSON --input holds, the run succeeds or is refused with 2 or 3;
+    # an uncaught exception (a traceback) fails the test
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.json"
+        path.write_text(json.dumps(spec))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            rc = main([command[0], "--input", str(path), *command[1:], "--steps", "64"])
+    assert rc in (0, 2, 3)
 
 
 def test_monodromy_stiff_circle_exits_0(capsys, unit_circle_spec):

@@ -9,7 +9,20 @@ from scipy.special import ellipe
 
 import tractrix_lab as tl
 
-ELL0_ELLIPSE = 1.446222933717304  # 4096-step transition of the 2x1 ellipse
+# 4096-step transition of the 2x1 ellipse: plain bisection on the monodromy
+# trace (see _plain_bisection) down to a bracket width of 1e-14
+ELL0_ELLIPSE = 1.4462224676194553
+
+
+def _plain_bisection(track, lo, hi, steps, width):
+    """First trace = 2 crossing in (lo, hi), one independent monodromy per midpoint."""
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if tl.monodromy(track, tl.BikeParams(ell=mid, steps_per_traversal=steps)).trace > 2.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def test_min_osculating_radius(unit_circle, ellipse21):
@@ -171,19 +184,13 @@ def test_batched_ladder_matches_single_monodromy(spec):
         assert s.map_class == single.map_class.value
 
 
-def test_speculative_bisection_matches_plain(ellipse21):
-    from tractrix_lab.menzin import _bisect_transition
-
-    lo, hi, tol = 1.3, 1.6, 1e-7
+def test_critical_length_matches_plain_bisection(ellipse21):
+    # the Illinois search must land within its tolerance of the root that
+    # plain bisection on fresh monodromies finds for the same grid
+    tol = 1e-10 * math.sqrt(2.0)  # default: 1e-10 * sqrt(A / pi)
     fresh = tl.make_curve({"kind": "ellipse", "a": 2.0, "b": 1.0})
-    a, b = lo, hi
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if tl.monodromy(fresh, tl.BikeParams(ell=mid, steps_per_traversal=BATCH_STEPS)).trace > 2.0:
-            a = mid
-        else:
-            b = mid
-    assert _bisect_transition(ellipse21, lo, hi, tol, BATCH_STEPS) == 0.5 * (a + b)
+    plain = _plain_bisection(fresh, 1.3, 1.6, BATCH_STEPS, 1e-14)
+    assert abs(tl.critical_length(ellipse21, steps_per_traversal=BATCH_STEPS) - plain) <= tol
 
 
 def test_cached_curvature_grid_is_read_only(ellipse21):
@@ -199,14 +206,10 @@ def test_cached_curvature_grid_is_read_only(ellipse21):
 
 
 def test_lift_fallback_row_matches_monodromy(unit_circle):
-    # at ell = R / 2 the monodromy contracts by exp(-2 pi sqrt(3)): every probe
-    # lands on the attracting angle and the fit must take the linear lift
-    from tractrix_lab.moebius import DEFAULT_PROBES, _sweep_fits
+    # at ell = R / 2 the monodromy contracts by exp(-2 pi sqrt(3))
+    from tractrix_lab.moebius import _sweep_fits
 
     ells = [0.5, 1.5]
-    params = tl.BikeParams(ell=ells[0], steps_per_traversal=BATCH_STEPS)
-    ends = tl.steering_endpoints(unit_circle, params, DEFAULT_PROBES)
-    assert min(abs(math.sin(0.5 * (ends[i] - ends[j]))) for i, j in [(0, 1), (0, 2), (1, 2)]) < 1e-3
     fit = _sweep_fits(unit_circle, ells, BATCH_STEPS)
     for i, ell in enumerate(ells):
         rep = tl.monodromy(unit_circle, tl.BikeParams(ell=ell, steps_per_traversal=BATCH_STEPS))

@@ -288,6 +288,41 @@ def test_monodromy_strongly_contracting_uses_lift(ellipse21):
     assert rep.fixed_points[0].multiplier < 1e-12
 
 
+def _scalar_rk4(track, ell, alphas, n):
+    """RK4 on the scalar steering equation alpha' = k - sin(alpha) / ell, n steps."""
+    h = track.total_length / n
+    k = track.curvature(np.linspace(0.0, track.total_length, 2 * n + 1))
+    a = np.array(alphas, dtype=float)
+
+    def rate(kk, a):
+        return kk - np.sin(a) / ell
+
+    for j in range(n):
+        s1 = rate(k[2 * j], a)
+        s2 = rate(k[2 * j + 1], a + 0.5 * h * s1)
+        s3 = rate(k[2 * j + 1], a + 0.5 * h * s2)
+        s4 = rate(k[2 * j + 2], a + h * s3)
+        a = a + h / 6.0 * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+    return a
+
+
+@pytest.mark.parametrize("ell", [0.8, 1.6])
+def test_scalar_flow_is_moebius(ellipse21, ell):
+    # an independent witness of the Moebius claim: the nonlinear scalar flow,
+    # integrated without the lift, preserves the cross-ratio of tan(alpha/2),
+    # and the lift's monodromy sends each start where the scalar flow does
+    starts = [0.3, 1.4, 2.5, 4.0]
+    ends = _scalar_rk4(ellipse21, ell, starts, 4096)
+
+    def cross_ratio(alphas):
+        x = np.tan(0.5 * np.asarray(alphas))
+        return (x[0] - x[2]) * (x[1] - x[3]) / ((x[1] - x[2]) * (x[0] - x[3]))
+
+    assert cross_ratio(ends) == pytest.approx(cross_ratio(starts), rel=1e-9)
+    images = tl.monodromy(ellipse21, tl.BikeParams(ell=ell)).map.act_angle(starts)
+    assert np.max(np.abs(np.mod(images - ends + math.pi, TWO_PI) - math.pi)) < 1e-10
+
+
 def test_monodromy_reversal_is_transpose(ellipse21):
     # beta(s) = pi + alpha(L - s) solves the reversed steering equation, so
     # M_rev = R M^{-1} R^{-1} with R the half-turn; by the adjugate identity
