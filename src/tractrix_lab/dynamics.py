@@ -15,16 +15,24 @@ package, fed by three generators: this steering flow, the hatchet
 planimeter's rod angle (:func:`.planimeter.rod_flow`, the same equation in
 the tangent-angle gauge), and the hyperbolic development
 (:func:`.noneuclid.develop_hyperbolic`, whose Frenet frame is the adjoint
-image of the unit bicycle's lift, ``c = 1``). Classical RK4 applied to the
-linear system makes step ``j`` a 2x2 matrix ``S_j = I + E_j``, a polynomial
-in the generator at the step's ends and midpoint (``_rk4``), built for all
-steps and all rows at once. A balanced tree multiplies the steps into the
-monodromy, and a log-depth (Hillis-Steele) scan into the prefix products of
-a dense history. Factors travel as ``E = S - I`` and combine as
-``(I + A)(I + B) = I + (A + B + AB)``, so thousands of nearly identical steps
-do not round ``I + E`` once each; the determinant travels beside them as
-``sum log1p(tr E_j + det E_j)``. A monodromy comes with its step-doubling
-error estimate, from the same product taken in steps of twice the length.
+image of the unit bicycle's lift, ``c = 1``). On a smooth track, classical
+RK4 applied to the linear system makes step ``j`` a 2x2 matrix
+``S_j = I + E_j``, a polynomial in the generator at the step's ends and
+midpoint (``_rk4``), built for all steps and all rows at once. On a track
+made of pieces of constant curvature (circles, lines, polylines, geodesic
+circles) ``A`` is constant on each piece with ``A^2 = lambda^2 I``, so its
+factor is the closed form ``cosh(lambda L) I + sinh(lambda L)/lambda A``
+(cos and sin when ``k^2 > c^2``, ``_exact``), and a corner turning by
+``gamma`` is the rotation by ``gamma/2``: the monodromy is one factor per
+piece and per corner, and a dense history is exact at every node. A
+balanced tree multiplies the factors into the monodromy, and a log-depth
+(Hillis-Steele) scan into the prefix products of a dense history. Factors
+travel as ``E = S - I`` and combine as ``(I + A)(I + B) = I + (A + B + AB)``,
+so thousands of nearly identical steps do not round ``I + E`` once each;
+the determinant travels beside them as
+``sum log1p(tr E_j + det E_j)`` (the closed-form factors have determinant
+one). A smooth track's monodromy comes with its step-doubling error
+estimate, from the same product taken in steps of twice the length.
 Angles are read back from the direction of each lifted vector; summed
 ``atan2(cross, dot)`` increments between consecutive vectors choose the
 continuous branch from the start angle.
@@ -144,10 +152,80 @@ def _factors(k: np.ndarray, h: float, diag: np.ndarray) -> np.ndarray:
     return _rk4(gen(k[:, 0:-1:2]), gen(k[:, 1::2]), gen(k[:, 2::2]), h)
 
 
+def _exact(c: np.ndarray, k: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """E-forms of ``exp(L A)`` for constant generators ``A = 1/2 [[-c, k], [-k, c]]``.
+
+    The arguments broadcast against each other, and so does the result's
+    shape after its leading axis of 4. ``A^2 = lambda^2 I`` with
+    ``lambda^2 = (c^2 - k^2) / 4``, so with ``x = |lambda| L``
+    ``exp(L A) = C I + L S A``, where ``C = cosh x`` and ``S = sinh(x) / x``
+    (``cos x`` and ``sin(x) / x`` when ``k^2 > c^2``). ``C - 1`` is taken as
+    ``2 sinh^2(x/2)`` (``-2 sin^2(x/2)``), never as a difference with 1, and
+    ``sinh`` and ``sin`` keep their relative accuracy down to the smallest
+    ``x``, so both stay accurate as ``lambda`` goes to 0 with no series;
+    at ``x = 0`` itself ``S`` is its limit 1.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused by _finite
+        disc = (c - k) * (c + k)
+        x = 0.5 * np.sqrt(np.abs(disc)) * length
+        hyperbolic = disc > 0.0
+        cm1 = np.where(hyperbolic, 2.0 * np.sinh(0.5 * x) ** 2, -2.0 * np.sin(0.5 * x) ** 2)
+        s = np.where(x > 0.0, np.where(hyperbolic, np.sinh(x), np.sin(x)) / x, 1.0)
+        half = 0.5 * length * s
+        return np.stack(np.broadcast_arrays(cm1 - half * c, half * k, -half * k, cm1 + half * c))
+
+
+def _pieces(track: FrontTrack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lengths, curvatures and corner turns of the pieces of every pass, in order."""
+    return tuple(np.tile(track.pieces, (track.traversals, 1)).T)
+
+
+def _piece_factors(track: FrontTrack, c: np.ndarray) -> np.ndarray:
+    """Exact factors of every piece, each followed by its corner, shape ``(4, B, 2m)``.
+
+    A corner turning by ``gamma`` is the half-angle rotation ``R(gamma/2)``:
+    a piece of unit length and curvature ``gamma`` with ``c = 0``. A piece
+    without a corner is followed by ``E = 0``, the identity.
+    """
+    length, k, turn = _pieces(track)
+    corner = np.tile([False, True], len(length))
+    return _exact(np.where(corner, 0.0, c), np.stack((k, turn), axis=1).ravel(),
+                  np.stack((length, np.ones_like(length)), axis=1).ravel())
+
+
 def _step_factors(track: FrontTrack, params: Sequence[BikeParams], n_steps: int) -> np.ndarray:
-    """Step factors ``E_j`` of ``n_steps`` steps over the whole track, shape ``(4, B, n)``."""
+    """Factors ``E_j`` whose product over the whole track is its monodromy, shape ``(4, B, N)``.
+
+    On a smooth track, the ``n_steps`` RK4 steps; on a piecewise track, the
+    exact factors of its pieces and corners, whatever ``n_steps``.
+    """
     diag = _coefficients(track, params)
+    if track.pieces is not None:
+        return _piece_factors(track, -2.0 * diag)
     return _factors(_half_grid_curvature(track, n_steps), track.total_length / n_steps, diag)
+
+
+def _prefix(track: FrontTrack, params: Sequence[BikeParams], e: np.ndarray,
+            n_steps: int) -> np.ndarray:
+    """E-forms of the lift's propagator from the start to each of ``n_steps + 1`` even nodes.
+
+    ``e`` are the track's factors from :func:`_step_factors`. On a smooth
+    track these are the prefix products of its RK4 steps. On a piecewise
+    track they are exact: the factor of the part of a node's piece before
+    the node, times the product of all earlier pieces and corners; a corner
+    on a node counts there. Shape ``(4, B, n+1)``.
+    """
+    if track.pieces is None:
+        return _scan(e)
+    length, k, _ = _pieces(track)
+    starts = np.concatenate(([0.0], np.cumsum(length)))
+    t = np.linspace(0.0, track.total_length, n_steps + 1)
+    done = np.searchsorted(starts[1:], t, side="right")  # pieces finished at each node
+    done[-1] = len(length)  # the last node ends the track, after its last corner
+    part = _exact(-2.0 * _coefficients(track, params), np.append(k, 0.0)[done],
+                  np.maximum(t - starts[done], 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+        return _finite(_combine(part, _scan(e)[..., 0::2][..., done]))
 
 
 def _reduce(x: np.ndarray, op) -> np.ndarray:
@@ -178,22 +256,17 @@ def _tree(e: np.ndarray) -> np.ndarray:
         return _finite(_reduce(e, _combine))
 
 
-def _scan(e: np.ndarray, reverse: bool = False) -> np.ndarray:
-    """E-forms of the prefix products ``Q_j = S_{j-1} ... S_0``, ``j = 0..n``.
+def _scan(e: np.ndarray) -> np.ndarray:
+    """E-forms of the prefix products ``Q_j = S_{j-1} ... S_0``, ``j = 0..n``, shape ``(4, B, n+1)``.
 
-    With ``reverse``, of the suffix products ``R_j = S_{n-1} ... S_j``
-    instead. Shape ``(4, B, n+1)``; ``Q_0`` and ``R_n`` are the identity.
-    Hillis-Steele doubling: ``ceil(log2(n+1))`` rounds, each one vectorized.
+    ``Q_0`` is the identity. Hillis-Steele doubling: ``ceil(log2(n+1))``
+    rounds, each one vectorized.
     """
-    zero = np.zeros(e.shape[:-1] + (1,))
-    x = np.concatenate((e, zero) if reverse else (zero, e), axis=-1)
+    x = np.concatenate((np.zeros(e.shape[:-1] + (1,)), e), axis=-1)
     d = 1
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
         while d < x.shape[-1]:
-            if reverse:
-                x[..., :-d] = _combine(x[..., d:], x[..., :-d])
-            else:
-                x[..., d:] = _combine(x[..., d:], x[..., :-d])
+            x[..., d:] = _combine(x[..., d:], x[..., :-d])
             d *= 2
     return _finite(x)
 
@@ -230,7 +303,10 @@ def _monodromy_sweep(track: FrontTrack, params: Sequence[BikeParams],
                      n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Monodromy of every wheelbase row on one grid, shape ``(B, 2, 2)``, and its error estimate.
 
-    Each product is scaled to determinant one by the carried determinant,
+    On a piecewise track the map is the product of one exact factor per
+    piece and per corner, whatever ``n_steps``, and its error is the
+    rounding of that many factors, ``eps`` each. On a smooth track each
+    product is scaled to determinant one by the carried determinant,
     never by one recomputed from its entries: for a strongly hyperbolic
     product ``ad - bc`` cancels to rounding noise. The error is the
     step-doubling estimate: the same product taken in steps of ``2h``, whose
@@ -241,6 +317,10 @@ def _monodromy_sweep(track: FrontTrack, params: Sequence[BikeParams],
     a power of two, at most ``BLOCK`` row-steps each, so memory does not
     grow with rows times steps, and every row comes out as it would alone.
     """
+    if track.pieces is not None:
+        e = _step_factors(track, params, n_steps)
+        m = np.eye(2).reshape(4, 1) + _tree(e)
+        return m.T.reshape(-1, 2, 2), np.full(len(params), e.shape[-1] * np.finfo(float).eps)
     diag = _coefficients(track, params)
     k = _half_grid_curvature(track, n_steps)
     h = track.total_length / n_steps
@@ -266,28 +346,6 @@ def _monodromy_sweep(track: FrontTrack, params: Sequence[BikeParams],
     m, mc = normalized(fine, log_fine), normalized(coarse, log_coarse)
     error = np.max(np.abs(m - mc), axis=0) / (15.0 * np.max(np.abs(m), axis=0))
     return m.T.reshape(-1, 2, 2), error
-
-
-def _fixed_angle_rear_length(track: FrontTrack, e: np.ndarray, angle: float,
-                             repelling: bool) -> float:
-    """Signed rear length ``\\int cos(alpha) dt`` of the closed trajectory from a fixed angle.
-
-    ``e`` are the step factors ``(4, 1, n)`` of the grid the monodromy was accepted on.
-    An attracting or parabolic angle is carried forward by the prefix
-    products. Forward, a repelling angle is unstable and rounding grows by
-    its multiplier; since its lift ``z*`` is fixed by the whole product, its
-    trajectory is ``adj(R_j) z*`` with the suffix products
-    ``R_j = S_{n-1} ... S_j``, along which it attracts.
-    """
-    if repelling:
-        g = _scan(e, reverse=True)
-        f = np.stack((g[3], -g[1], -g[2], g[0]))  # adj(I + G) = I + adj(G)
-    else:
-        f = _scan(e)
-    z = _lifted(f, np.array([angle]))[:, 0, 0]
-    z /= np.hypot(z[0], z[1])
-    cos_alpha = z[1] ** 2 - z[0] ** 2
-    return simpson(cos_alpha, track.total_length / e.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -319,11 +377,12 @@ class SteeringSolution:
 def integrate_steering(track: FrontTrack, params: BikeParams, alpha0: float) -> SteeringSolution:
     """Integrate the steering equation from ``alpha0`` over the whole track.
 
-    The history is the lift's prefix scan, read back as continuous angles.
+    The history is the lift's propagator at every grid node (see ``_prefix``), read
+    back as continuous angles.
     """
     n = params.steps_per_traversal * track.traversals
     start = np.array([float(alpha0)])
-    z = _lifted(_scan(_step_factors(track, [params], n)), start)
+    z = _lifted(_prefix(track, [params], _step_factors(track, [params], n), n), start)
     t = np.linspace(0.0, track.total_length, n + 1)
     return SteeringSolution(track, params, float(alpha0), t, _angles(z, start)[0, 0])
 
@@ -340,12 +399,13 @@ def steering_endpoints(track: FrontTrack, params: BikeParams, alpha0: Sequence[f
     starts = np.asarray(alpha0, dtype=float)
     flat = starts.reshape(-1)
     e = _step_factors(track, [params], n)
-    z = _lifted(_scan(e), flat)
+    z = _lifted(_prefix(track, [params], e, n), flat)
     end = _angles(z, flat)[0, :, -1].reshape(starts.shape)
     if not variational:
         return end
     last = z[:, 0, :, -1]
-    beta = np.exp(_reduce(_log_dets(e), np.add)[0]) / (last[0] ** 2 + last[1] ** 2)
+    det = 1.0 if track.pieces is not None else np.exp(_reduce(_log_dets(e), np.add)[0])
+    beta = det / (last[0] ** 2 + last[1] ** 2)
     return end, beta.reshape(starts.shape)
 
 
@@ -356,14 +416,16 @@ def signed_rear_length(solution: SteeringSolution) -> float:
 
 def monodromy_matrix(track: FrontTrack, params: BikeParams,
                      n_steps: int | None = None) -> np.ndarray:
-    """Product of the lift's RK4 step matrices over the whole track.
+    """Product of the lift's step matrices over the whole track.
 
     The steering equation is the projectivization of the linear system
     ``z' = A(t) z`` on ``z = (sin(alpha/2), cos(alpha/2))`` with
     ``A = [[-c/2, k/2], [-k/2, c/2]]``; the returned 2x2 matrix is the raw
     product ``S_{n-1} ... S_0`` from the engine's balanced tree, the
-    fundamental solution over the whole track up to step error (so its
-    determinant is 1 only to that error). Entries grow only like the square
+    fundamental solution over the whole track. On a smooth track the steps
+    are RK4 steps, so it holds up to step error (and its determinant is 1
+    only to that error); on a piecewise track they are exact, corners
+    included, and it holds to rounding. Entries grow only like the square
     root of the multiplier ratio, so the product stays usable for strongly
     contracting monodromies, where every probe trajectory lands on the
     attracting angle to machine precision.

@@ -171,6 +171,12 @@ class FrontTrack:
         ``2*pi*turning`` per pass.
     traversals : int
         Number of passes; ``total_length = period * traversals``.
+    pieces : array of shape (m, 3), optional
+        For a track made of arcs of constant curvature (circles, lines,
+        polylines, geodesic circles): one row ``(length, curvature, turn)``
+        per arc of a single pass, in order, where ``turn`` is the exterior
+        angle of the corner at the arc's end. The dynamics propagate such a
+        track in closed form. ``None`` for smooth tracks.
     """
 
     def __init__(
@@ -184,6 +190,7 @@ class FrontTrack:
         traversals: int = 1,
         geometry: Geometry = Geometry.EUCLIDEAN,
         breakpoints: Sequence[float] = (),
+        pieces: np.ndarray | None = None,
         spec: CurveSpec | None = None,
         label: str = "",
     ):
@@ -202,6 +209,9 @@ class FrontTrack:
         self.closed = bool(closed)
         self.geometry = geometry
         self.breakpoints = np.sort(np.asarray(breakpoints, dtype=float))
+        self.pieces = None if pieces is None else np.array(pieces, dtype=float).reshape(-1, 3)
+        if self.pieces is not None:
+            self.pieces.flags.writeable = False
         self.spec = spec
         self.label = label
         self._pos_c = position_fn
@@ -293,7 +303,13 @@ class FrontTrack:
     # -- combinators --------------------------------------------------------
 
     def reversed(self) -> "FrontTrack":
-        """Same point set traced the other way; curvature changes sign."""
+        """Same point set traced the other way; curvature and corner turns change sign.
+
+        Pieces run in the opposite order, and each corner moves to the end
+        of the piece that now precedes it. A piecewise track reads its
+        tangent angle from the reversed pieces, so at a corner it is the
+        angle after the turn, as on the forward track.
+        """
         period = self.period
 
         def pos(t):
@@ -305,11 +321,16 @@ class FrontTrack:
         def cur(t):
             return -self._k_c(period - t)
 
+        pieces = None
+        if self.pieces is not None:
+            length, k, turn = self.pieces.T
+            pieces = np.stack((length, -k, -np.roll(turn, 1)), axis=1)[::-1]
+            tan = _heading(pieces, float(self._tan_c(np.array([period]))[0]) + math.pi, period)
         return FrontTrack(
             period, pos, tan, cur,
             closed=self.closed, traversals=self.traversals, geometry=self.geometry,
             breakpoints=np.sort(period - self.breakpoints) if len(self.breakpoints) else (),
-            spec=self.spec, label=self.label,
+            pieces=pieces, spec=self.spec, label=self.label,
         )
 
     def reinterpreted(self, geometry: Geometry) -> "FrontTrack":
@@ -323,7 +344,7 @@ class FrontTrack:
         return FrontTrack(
             self.period, self._pos_c, self._tan_c, self._k_c,
             closed=self.closed, traversals=self.traversals, geometry=geometry,
-            breakpoints=self.breakpoints, spec=self.spec, label=self.label,
+            breakpoints=self.breakpoints, pieces=self.pieces, spec=self.spec, label=self.label,
         )
 
     def transformed(self, rotation: float = 0.0, translation: Sequence[float] = (0.0, 0.0)) -> "FrontTrack":
@@ -343,11 +364,16 @@ class FrontTrack:
         return FrontTrack(
             self.period, pos, tan, self._k_c,
             closed=self.closed, traversals=self.traversals, geometry=self.geometry,
-            breakpoints=self.breakpoints, spec=None, label=self.label,
+            breakpoints=self.breakpoints, pieces=self.pieces, spec=None, label=self.label,
         )
 
     def rebased(self, t0: float) -> "FrontTrack":
-        """Closed track re-parameterized to start at parameter ``t0``."""
+        """Closed track re-parameterized to start at parameter ``t0``.
+
+        The piece holding ``t0`` is split in two: its part after ``t0``
+        comes first, with the piece's corner, and its part before ``t0``
+        comes last, with none. A corner at ``t0`` itself ends the new pass.
+        """
         if not self.closed:
             raise ValidationError("only closed tracks can be re-based")
 
@@ -361,11 +387,38 @@ class FrontTrack:
             return self.curvature(t0 + t)
 
         bps = np.sort(np.mod(self.breakpoints - t0, self.period)) if len(self.breakpoints) else ()
+        pieces = None
+        if self.pieces is not None:
+            start = t0 % self.period % self.period  # the second % maps a rounded-up period to 0
+            starts = np.concatenate(([0.0], np.cumsum(self.pieces[:-1, 0])))
+            i = int(np.searchsorted(starts, start, side="right")) - 1
+            length, k, turn = self.pieces[i]
+            into = start - starts[i]
+            pieces = np.concatenate(([[length - into, k, turn]], self.pieces[i + 1:],
+                                     self.pieces[:i], [[into, k, 0.0]] if into > 0.0 else np.empty((0, 3))))
         return FrontTrack(
             self.period, pos, tan, cur,
             closed=True, traversals=self.traversals, geometry=self.geometry,
-            breakpoints=bps, spec=None, label=self.label,
+            breakpoints=bps, pieces=pieces, spec=None, label=self.label,
         )
+
+
+def _heading(pieces: np.ndarray, theta0: float, period: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Tangent angle along ``pieces`` of one pass of length ``period``, from ``theta0``.
+
+    A corner's turn counts from its piece's end on, so the angle at a corner
+    is the one after it, and the angle at ``period`` includes the last
+    corner (the closure check reads it there).
+    """
+    length, k, turn = pieces.T
+    starts = np.concatenate(([0.0], np.cumsum(length[:-1])))
+    at_start = theta0 + np.concatenate(([0.0], np.cumsum(k * length + turn)[:-1]))
+
+    def tan(t):
+        idx = np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(starts) - 1)
+        return at_start[idx] + k[idx] * (t - starts[idx]) + np.where(t >= period, turn[-1], 0.0)
+
+    return tan
 
 
 # -- constructions ----------------------------------------------------------
@@ -386,7 +439,8 @@ def _build_circle(spec: CurveSpec) -> FrontTrack:
         pos,
         lambda t: t / r + 0.5 * math.pi,
         lambda t: np.full_like(t, 1.0 / r),
-        closed=True, traversals=spec.traversals, label=f"circle r={r:g}",
+        closed=True, traversals=spec.traversals, pieces=[(TWO_PI * r, 1.0 / r, 0.0)],
+        label=f"circle r={r:g}",
     )
 
 
@@ -485,47 +539,38 @@ def _build_polyline(spec: CurveSpec) -> FrontTrack:
     if np.all(np.abs(gamma) < 1e-12):
         raise InvalidCurveError("polyline vertices are collinear")
 
-    diameter = float(np.max(np.hypot(*(verts[:, None, :] - verts[None, :, :]).transpose(2, 0, 1))))
-    rf = float(spec.fillet_radius) if spec.fillet_radius is not None else 1e-3 * diameter
-    if not rf > 0.0:
-        raise InvalidCurveError("fillet radius must be positive")
+    rf = 0.0  # without a fillet radius the corners are exact
+    if spec.fillet_radius is not None:
+        rf = float(spec.fillet_radius)
+        if not rf > 0.0:
+            raise InvalidCurveError("fillet radius must be positive")
     setback = rf * np.tan(0.5 * np.abs(gamma))
     for i in range(m):
         if setback[i] + setback[(i + 1) % m] >= lengths[i] - 1e-12:
             raise InvalidCurveError("fillet radius too large for an edge of the polyline")
 
-    # assemble pieces: straight along edge i, then the fillet arc at vertex i+1
-    p_start, p_len, p_is_arc = [], [], []
-    p_anchor, p_aux, p_theta, p_rate = [], [], [], []
-    theta = math.atan2(dirs[0, 1], dirs[0, 0])
-    t_acc = 0.0
+    # pieces: straight along edge i, then the fillet arc at vertex i+1 or its corner
+    rows, is_arc, anchor, aux = [], [], [], []
     for i in range(m):
         j = (i + 1) % m
-        a_pt = verts[i] + setback[i] * dirs[i]
-        b_pt = verts[j] - setback[j] * dirs[i]
-        seg = lengths[i] - setback[i] - setback[j]
-        p_start.append(t_acc); p_len.append(seg); p_is_arc.append(False)
-        p_anchor.append(a_pt); p_aux.append(dirs[i]); p_theta.append(theta); p_rate.append(0.0)
-        t_acc += seg
         g = gamma[j]
-        sgn = 1.0 if g >= 0.0 else -1.0
-        normal = sgn * np.array([-dirs[i, 1], dirs[i, 0]])
-        center = b_pt + rf * normal
-        start_ang = math.atan2(b_pt[1] - center[1], b_pt[0] - center[0])
-        arc_len = rf * abs(g)
-        p_start.append(t_acc); p_len.append(arc_len); p_is_arc.append(True)
-        p_anchor.append(center); p_aux.append(np.array([start_ang, sgn / rf])); p_theta.append(theta); p_rate.append(sgn / rf)
-        t_acc += arc_len
-        theta += g
+        rows.append((lengths[i] - setback[i] - setback[j], 0.0, 0.0 if rf else g))
+        is_arc.append(False); anchor.append(verts[i] + setback[i] * dirs[i]); aux.append(dirs[i])
+        if rf:
+            b_pt = verts[j] - setback[j] * dirs[i]
+            sgn = 1.0 if g >= 0.0 else -1.0
+            center = b_pt + rf * sgn * np.array([-dirs[i, 1], dirs[i, 0]])
+            start_ang = math.atan2(b_pt[1] - center[1], b_pt[0] - center[0])
+            rows.append((rf * abs(g), sgn / rf, 0.0))
+            is_arc.append(True); anchor.append(center); aux.append(np.array([start_ang, sgn / rf]))
 
-    starts = np.asarray(p_start)
-    seg_len = np.asarray(p_len)
-    is_arc = np.asarray(p_is_arc)
-    anchor = np.asarray(p_anchor)
-    aux = np.asarray(p_aux)
-    theta0 = np.asarray(p_theta)
-    rate = np.asarray(p_rate)
-    total = t_acc
+    pieces = np.array(rows)
+    starts = np.concatenate(([0.0], np.cumsum(pieces[:-1, 0])))
+    total = starts[-1] + pieces[-1, 0]
+    is_arc = np.asarray(is_arc)
+    anchor = np.asarray(anchor)
+    aux = np.asarray(aux)
+    rate = pieces[:, 1]
 
     def locate(t):
         idx = np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(starts) - 1)
@@ -542,18 +587,13 @@ def _build_polyline(spec: CurveSpec) -> FrontTrack:
         out[arc] = anchor[ia] + rf * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
         return out
 
-    def tan(t):
-        idx, s = locate(t)
-        return theta0[idx] + rate[idx] * s
-
     def cur(t):
-        idx, _ = locate(t)
-        return rate[idx]
+        return rate[locate(t)[0]]
 
     return FrontTrack(
-        total, pos, tan, cur,
+        total, pos, _heading(pieces, math.atan2(dirs[0, 1], dirs[0, 0]), total), cur,
         closed=True, traversals=spec.traversals,
-        breakpoints=starts[1:], label=f"polyline[{m}]",
+        breakpoints=starts[1:], pieces=pieces, label=f"polyline[{m}]",
     )
 
 
@@ -625,7 +665,7 @@ def _build_line(spec: CurveSpec) -> FrontTrack:
         length, pos,
         lambda t: np.full_like(t, theta),
         lambda t: np.zeros_like(t),
-        closed=False, label="line",
+        closed=False, pieces=[(length, 0.0, 0.0)], label="line",
     )
 
 

@@ -3,13 +3,17 @@
 The steering equation is a Riccati equation in ``x = tan(alpha/2)``, the
 projectivization of a linear SL(2) system, so the time-T map of the flow acts
 on steering angles as a fractional-linear map. The monodromy is the product
-of the lift's step matrices from the engine in :mod:`.dynamics`, scaled to
-determinant one by the determinant carried through that product. Its error
-bar is the step-doubling estimate that comes with it: the grid is refined
-until that estimate is under a cap, and the parabolic trace band is widened
-with it; the same estimate is reported as the map's ``residual``. The map is
-classified by its normalized trace. :func:`from_three_pairs` fits a map to
-three angle pairs, for maps known only by their action.
+of the lift's factors from the engine in :mod:`.dynamics`: RK4 steps on a
+smooth track, scaled to determinant one by the determinant carried through
+that product, and exact factors of its pieces and corners on a piecewise
+one. Its error bar is the estimate that comes with it, step doubling on a
+smooth track and rounding on a piecewise one: the grid is refined until
+that estimate is under a cap, and the parabolic trace band is widened with
+it; the same estimate is reported as the map's ``residual``. The map is
+classified by its normalized trace. The rear length along a fixed angle's
+closed trajectory is read from the map itself, ``-ln(multiplier)/c``.
+:func:`from_three_pairs` fits a map to three angle pairs, for maps known
+only by their action.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 from ._num import det2x2
 from .errors import ResidualError, ValidationError
 from .geom import TWO_PI, FrontTrack
-from .dynamics import BikeParams, _fixed_angle_rear_length, _monodromy_sweep, _step_factors
+from .dynamics import BikeParams, _monodromy_sweep
 
 ERROR_CAP = 1e-6  # default cap on the step-doubling (relative) error of a monodromy
 MAX_REFINEMENTS = 6  # step doublings a monodromy may take to get under its error cap
@@ -290,6 +294,20 @@ def _parabolic_band(fitted: MoebiusMap, error: float) -> float:
     return max(1e-7, 10.0 * error * float(np.max(np.abs(fitted.matrix))))
 
 
+def _rear_length(trace: float, fixed: FixedPoint, c: float) -> float:
+    """Signed rear length ``\\int cos(alpha) dt`` of the closed trajectory from a fixed angle.
+
+    On the lift, ``d|z|^2/dt = c |z|^2 cos(alpha)``, and the fixed angle's
+    lift ``z*`` returns as ``M z* = mu z*`` with circle-map multiplier
+    ``1/mu^2``. So the rear length is ``-ln(multiplier) / c``, that is
+    ``+-(2/c) acosh(trace/2)``: plus at the attracting angle, minus at the
+    repelling one, and 0 at a parabolic one, in every geometry.
+    """
+    if fixed.multiplier == 1.0:
+        return 0.0
+    return (2.0 if fixed.attracting else -2.0) * math.acosh(0.5 * trace) / c
+
+
 def _sweep_fits(track: FrontTrack, ells: Sequence[float], steps_per_traversal: int):
     """Monodromy maps of one track at many wheelbases from a single batched sweep.
 
@@ -323,10 +341,13 @@ def monodromy(track: FrontTrack, params: BikeParams,
     exceeds ``error_cap``, the step count is doubled, at most
     ``MAX_REFINEMENTS`` times. Refinement also stops when a doubling does
     not reduce the estimate (the grid does not resolve the track, as with a
-    corner shorter than a step); the grid with the smallest estimate is
-    kept, and its estimate is the reported ``residual``. The parabolic trace
+    curvature spike shorter than a step); the grid with the smallest
+    estimate is kept, and its estimate is the reported ``residual``. On a
+    piecewise track the map is exact, its estimate is rounding that no
+    doubling reduces, and the requested grid is kept. The parabolic trace
     band is ten times that estimate in the entries, and at least 1e-7. Rear
-    lengths at the fixed angles are propagated on the kept grid.
+    lengths at the fixed angles come from the trace (see
+    :func:`_rear_length`).
     """
     n = params.steps_per_traversal * track.traversals
     kept = None  # (steps, map, error) of the grid with the smallest error so far
@@ -345,10 +366,7 @@ def monodromy(track: FrontTrack, params: BikeParams,
     is_identity = fitted.distance_to_identity() < IDENTITY_TOL
     fps = () if is_identity else fitted.fixed_points(eps_par)
 
-    # signed rear length \int cos(alpha) dt is meaningful in every geometry
-    e = _step_factors(track, [params], n) if fps else None
-    rear = tuple(_fixed_angle_rear_length(track, e, fp.angle, repelling=fp.multiplier > 1.0)
-                 for fp in fps)
+    rear = tuple(_rear_length(fitted.trace, fp, params.coefficient) for fp in fps)
 
     return MonodromyReport(
         map=fitted,

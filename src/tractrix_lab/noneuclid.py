@@ -66,7 +66,8 @@ def geodesic_circle(rho: float, geometry: Geometry, traversals: int = 1) -> Fron
         return np.full_like(np.asarray(t, dtype=float), k)
 
     return FrontTrack(period, pos, tan, cur, closed=True, traversals=traversals,
-                      geometry=geometry, label=f"geodesic-circle rho={rho:g} ({geometry.value})")
+                      geometry=geometry, pieces=[(period, k, 0.0)],
+                      label=f"geodesic-circle rho={rho:g} ({geometry.value})")
 
 
 def geodesic_area(track: FrontTrack) -> float:
@@ -74,7 +75,7 @@ def geodesic_area(track: FrontTrack) -> float:
     ``\\oint k - 2*pi`` in the hyperbolic plane.
 
     Convention: the region on the left of the positively-oriented curve;
-    simple curves only (single turning).
+    simple curves only (single turning). Corners count with their turns.
     """
     if track.geometry is Geometry.EUCLIDEAN:
         raise ValidationError("Gauss-Bonnet area is for curved geometries; "
@@ -82,6 +83,8 @@ def geodesic_area(track: FrontTrack) -> float:
     if not track.closed or track.turning_single != 1:
         raise ValidationError("Gauss-Bonnet area needs a simple positively-oriented curve")
     total_k = panel_quad(track.curvature, 0.0, track.period, track.breakpoints)
+    if track.pieces is not None:
+        total_k += float(np.sum(track.pieces[:, 2]))
     if track.geometry is Geometry.SPHERICAL:
         return TWO_PI - total_k
     return total_k - TWO_PI

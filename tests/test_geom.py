@@ -78,10 +78,9 @@ def test_traversals_extend_the_path():
 def test_polyline_square():
     sq = tl.make_curve({"kind": "polyline",
                         "vertices": [[1, 1], [-1, 1], [-1, -1], [1, -1]]})
-    # corners get a default micro-fillet of 1e-3 * diameter
-    rf = 1e-3 * 2.0 * math.sqrt(2.0)
-    assert sq.total_length == pytest.approx(8.0 - 4.0 * rf * (2.0 - math.pi / 2.0), rel=1e-10)
-    assert tl.enclosed_area(sq) == pytest.approx(4.0 - (4.0 - math.pi) * rf * rf, rel=1e-8)
+    # without a fillet radius the corners are exact
+    assert sq.total_length == pytest.approx(8.0, rel=1e-15)
+    assert tl.enclosed_area(sq) == pytest.approx(4.0, rel=1e-14)
     assert sq.turning_number == 1
     assert not sq.convex  # flat edges: k = 0
 

@@ -235,11 +235,13 @@ def test_coarse_grid_is_refined_to_the_error_cap(ellipse21):
 
 
 def test_unresolved_track_keeps_the_grid_with_the_least_error():
-    # a 1e-3 fillet is shorter than two steps of the default grid: doubling
-    # the steps raises the error estimate instead of cutting it, so the
-    # first grid is kept and the parabolic band widens with its error
-    square = tl.make_curve({"kind": "polyline", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]})
-    rep = tl.monodromy(square, tl.BikeParams(ell=0.7))
+    # a radius of curvature down to 1e-4 makes a curvature spike of height
+    # 1e4 about 1e-6 wide in arc length, far below a step of the default grid
+    # (1.5e-3): doubling the steps raises the error estimate instead of
+    # cutting it, so the first grid is kept and the parabolic band widens
+    # with its error
+    spike = tl.make_curve({"kind": "fourier-support", "a0": 1.0, "cos": [0.0, 0.3333]})
+    rep = tl.monodromy(spike, tl.BikeParams(ell=1.0))
     assert rep.n_steps == 4096
     assert rep.eps_parabolic > 0.1
 
