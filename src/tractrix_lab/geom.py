@@ -402,6 +402,30 @@ class FrontTrack:
             breakpoints=bps, pieces=pieces, spec=None, label=self.label,
         )
 
+    def split_at_corners(self) -> list["FrontTrack"]:
+        """One pass cut at its corners into open tracks, in order; ``[self]`` if it has none.
+
+        Each stretch's tangent runs up to the corner that ends it, not past
+        it, so an integrator that samples the stretches one by one never
+        steps across a turn.
+        """
+        if self.pieces is None or not np.any(self.pieces[:, 2]):
+            return [self]
+        length, k, turn = self.pieces.T
+        starts = np.concatenate(([0.0], np.cumsum(length)))
+        heading = float(self._tan_c(np.array([0.0]))[0]) + np.concatenate(
+            ([0.0], np.cumsum(k * length + turn)))
+        cuts = [0, *(np.flatnonzero(turn[:-1]) + 1), len(length)]
+        out = []
+        for i, j in zip(cuts[:-1], cuts[1:]):
+            a, span = starts[i], starts[j] - starts[i]
+            pieces = np.stack((length[i:j], k[i:j], np.zeros(j - i)), axis=1)
+            out.append(FrontTrack(
+                span, lambda t, a=a: self._pos_c(a + t), _heading(pieces, heading[i], span),
+                lambda t, a=a: self._k_c(a + t), closed=False, geometry=self.geometry,
+                pieces=pieces, label=self.label))
+        return out
+
 
 def _heading(pieces: np.ndarray, theta0: float, period: float) -> Callable[[np.ndarray], np.ndarray]:
     """Tangent angle along ``pieces`` of one pass of length ``period``, from ``theta0``.

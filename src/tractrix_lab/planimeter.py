@@ -158,6 +158,9 @@ def measure(track: FrontTrack, ell: float, base: float = 0.0,
         centroid, walking straight to the base point, around the boundary,
         and straight back, the rod starting aligned with the outbound leg.
         A float fixes the initial rod direction ``theta`` absolutely.
+
+    A boundary with exact corners is traced as one leg per stretch between
+    corners (:meth:`.FrontTrack.split_at_corners`), so no step spans a turn.
     """
     _validate_track(track)
     if not ell > 0.0:
@@ -166,6 +169,7 @@ def measure(track: FrontTrack, ell: float, base: float = 0.0,
     base_point = loop.position(0.0)
     steps_per_unit = steps_per_traversal / track.period
     area, c, msr = _region_moments(track)
+    legs = loop.split_at_corners()
 
     if placement == CENTROID:
         out_dir = base_point - c
@@ -173,12 +177,11 @@ def measure(track: FrontTrack, ell: float, base: float = 0.0,
         if dist < 1e-9 * track.bbox_diameter():
             raise ValidationError("base point coincides with the centroid")
         theta0 = math.atan2(out_dir[1], out_dir[0])
-        legs = [_segment(c, base_point), loop, _segment(base_point, c)]
+        legs = [_segment(c, base_point), *legs, _segment(base_point, c)]
         placement_label = CENTROID
     elif placement == NORMAL:
         sign = 1.0 if track.turning_number > 0 else -1.0
         theta0 = float(loop.tangent_angle(0.0)) - sign * 0.5 * math.pi
-        legs = [loop]
         placement_label = NORMAL
     else:
         try:
@@ -187,7 +190,6 @@ def measure(track: FrontTrack, ell: float, base: float = 0.0,
             raise ValidationError(
                 f"placement must be 'normal', 'centroid', or a rod angle, got {placement!r}"
             ) from None
-        legs = [loop]
         placement_label = fmt17(theta0)
 
     rod = rod_flow(legs, ell, theta0, steps_per_unit=steps_per_unit)

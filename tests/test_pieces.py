@@ -137,3 +137,24 @@ def test_corners_count_in_the_gauss_bonnet_area():
     square = tl.make_curve({"kind": "polyline", "vertices": SQUARE})
     # straight edges and four right turns: zero total curvature deficit
     assert tl.geodesic_area(square.reinterpreted(Geometry.HYPERBOLIC)) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_split_at_corners_gives_the_stretches_between_turns():
+    square = tl.make_curve({"kind": "polyline", "vertices": SQUARE}).rebased(0.25)
+    legs = square.split_at_corners()
+    assert [leg.total_length for leg in legs] == pytest.approx([0.75, 1.0, 1.0, 1.0, 0.25])
+    for leg in legs:
+        # a stretch keeps its direction up to the corner that ends it
+        assert leg.tangent_angle(leg.total_length) == pytest.approx(leg.tangent_angle(0.0), abs=1e-15)
+    assert np.allclose(legs[-1].position(np.array([0.25])), square.position(0.0))
+    circle = tl.make_curve({"kind": "circle", "r": 1.0})
+    assert circle.split_at_corners() == [circle]
+
+
+@pytest.mark.parametrize("placement", ["normal", "centroid"])
+def test_planimeter_closes_on_a_polyline_with_exact_corners(placement):
+    rectangle = tl.make_curve({"kind": "polyline", "vertices": [[0, 0], [2, 0], [2, 1], [0, 1]]})
+    reading = tl.measure(rectangle, 3.0, base=0.3, placement=placement)
+    assert reading.exact_area == pytest.approx(2.0, rel=1e-15)
+    # stepping RK4 across the corners left a closure defect of 6e-4
+    assert abs(reading.closure_defect) < 1e-11
