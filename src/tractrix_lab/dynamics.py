@@ -118,10 +118,10 @@ def _finite(x: np.ndarray) -> np.ndarray:
 
 
 def _coefficients(track: FrontTrack, params: Sequence[BikeParams]) -> np.ndarray:
-    """Diagonal ``-c/2`` of ``A`` for each wheelbase row, shape ``(B, 1)``."""
+    """Steering coefficient ``c`` of each wheelbase row, shape ``(B, 1)``."""
     for p in params:
         _check_geometry(track, p)
-    return -0.5 * np.array([[p.coefficient] for p in params])
+    return np.array([[p.coefficient] for p in params])
 
 
 def _rk4(a0: np.ndarray, am: np.ndarray, a1: np.ndarray, h: float) -> np.ndarray:
@@ -199,18 +199,18 @@ def _step_factors(track: FrontTrack, params: Sequence[BikeParams], n_steps: int)
     On a smooth track, the ``n_steps`` RK4 steps; on a piecewise track, the
     exact factors of its pieces and corners, whatever ``n_steps``.
     """
-    diag = _coefficients(track, params)
+    c = _coefficients(track, params)
     if track.pieces is not None:
-        return _piece_factors(track, -2.0 * diag)
-    return _factors(_half_grid_curvature(track, n_steps), track.total_length / n_steps, diag)
+        return _piece_factors(track, c)
+    return _factors(_half_grid_curvature(track, n_steps), track.total_length / n_steps, -0.5 * c)
 
 
-def _prefix(track: FrontTrack, params: Sequence[BikeParams], e: np.ndarray,
-            n_steps: int) -> np.ndarray:
+def _prefix(track: FrontTrack, c: np.ndarray, e: np.ndarray, n_steps: int) -> np.ndarray:
     """E-forms of the lift's propagator from the start to each of ``n_steps + 1`` even nodes.
 
-    ``e`` are the track's factors from :func:`_step_factors`. On a smooth
-    track these are the prefix products of its RK4 steps. On a piecewise
+    ``c`` holds each row's coefficient, shape ``(B, 1)``, and ``e`` the
+    track's factors from :func:`_step_factors`. On a smooth track these
+    are the prefix products of its RK4 steps. On a piecewise
     track they are exact: the factor of the part of a node's piece before
     the node, times the product of all earlier pieces and corners; a corner
     on a node counts there. Shape ``(4, B, n+1)``.
@@ -222,8 +222,7 @@ def _prefix(track: FrontTrack, params: Sequence[BikeParams], e: np.ndarray,
     t = np.linspace(0.0, track.total_length, n_steps + 1)
     done = np.searchsorted(starts[1:], t, side="right")  # pieces finished at each node
     done[-1] = len(length)  # the last node ends the track, after its last corner
-    part = _exact(-2.0 * _coefficients(track, params), np.append(k, 0.0)[done],
-                  np.maximum(t - starts[done], 0.0))
+    part = _exact(c, np.append(k, 0.0)[done], np.maximum(t - starts[done], 0.0))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
         return _finite(_combine(part, _scan(e)[..., 0::2][..., done]))
 
@@ -321,7 +320,7 @@ def _monodromy_sweep(track: FrontTrack, params: Sequence[BikeParams],
         e = _step_factors(track, params, n_steps)
         m = np.eye(2).reshape(4, 1) + _tree(e)
         return m.T.reshape(-1, 2, 2), np.full(len(params), e.shape[-1] * np.finfo(float).eps)
-    diag = _coefficients(track, params)
+    diag = -0.5 * _coefficients(track, params)
     k = _half_grid_curvature(track, n_steps)
     h = track.total_length / n_steps
     block = 2
@@ -382,7 +381,8 @@ def integrate_steering(track: FrontTrack, params: BikeParams, alpha0: float) -> 
     """
     n = params.steps_per_traversal * track.traversals
     start = np.array([float(alpha0)])
-    z = _lifted(_prefix(track, [params], _step_factors(track, [params], n), n), start)
+    e = _step_factors(track, [params], n)
+    z = _lifted(_prefix(track, _coefficients(track, [params]), e, n), start)
     t = np.linspace(0.0, track.total_length, n + 1)
     return SteeringSolution(track, params, float(alpha0), t, _angles(z, start)[0, 0])
 
@@ -399,7 +399,7 @@ def steering_endpoints(track: FrontTrack, params: BikeParams, alpha0: Sequence[f
     starts = np.asarray(alpha0, dtype=float)
     flat = starts.reshape(-1)
     e = _step_factors(track, [params], n)
-    z = _lifted(_prefix(track, [params], e, n), flat)
+    z = _lifted(_prefix(track, _coefficients(track, [params]), e, n), flat)
     end = _angles(z, flat)[0, :, -1].reshape(starts.shape)
     if not variational:
         return end

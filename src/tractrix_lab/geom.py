@@ -176,7 +176,9 @@ class FrontTrack:
         polylines, geodesic circles): one row ``(length, curvature, turn)``
         per arc of a single pass, in order, where ``turn`` is the exterior
         angle of the corner at the arc's end. The dynamics propagate such a
-        track in closed form. ``None`` for smooth tracks.
+        track in closed form, and its ``breakpoints`` (where the curvature
+        jumps or the track turns) are read from the pieces. ``None`` for
+        smooth tracks.
     """
 
     def __init__(
@@ -189,7 +191,6 @@ class FrontTrack:
         closed: bool,
         traversals: int = 1,
         geometry: Geometry = Geometry.EUCLIDEAN,
-        breakpoints: Sequence[float] = (),
         pieces: np.ndarray | None = None,
         spec: CurveSpec | None = None,
         label: str = "",
@@ -208,10 +209,13 @@ class FrontTrack:
         self.total_length = self.period * self.traversals
         self.closed = bool(closed)
         self.geometry = geometry
-        self.breakpoints = np.sort(np.asarray(breakpoints, dtype=float))
-        self.pieces = None if pieces is None else np.array(pieces, dtype=float).reshape(-1, 3)
-        if self.pieces is not None:
+        self.pieces = None
+        self.breakpoints = np.empty(0)
+        if pieces is not None:
+            self.pieces = np.array(pieces, dtype=float).reshape(-1, 3)
             self.pieces.flags.writeable = False
+            length, k, turn = self.pieces.T
+            self.breakpoints = np.cumsum(length[:-1])[(turn[:-1] != 0.0) | (k[:-1] != k[1:])]
         self.spec = spec
         self.label = label
         self._pos_c = position_fn
@@ -306,9 +310,11 @@ class FrontTrack:
         """Same point set traced the other way; curvature and corner turns change sign.
 
         Pieces run in the opposite order, and each corner moves to the end
-        of the piece that now precedes it. A piecewise track reads its
-        tangent angle from the reversed pieces, so at a corner it is the
-        angle after the turn, as on the forward track.
+        of the piece that now precedes it. The reflected tangent angle would
+        take each corner's turn one point early (at ``t = 0`` it would
+        already include the turn at the start vertex), so a track with
+        corners reads its tangent from the reversed pieces: at a corner it
+        is the angle after the turn, as on the forward track.
         """
         period = self.period
 
@@ -325,11 +331,11 @@ class FrontTrack:
         if self.pieces is not None:
             length, k, turn = self.pieces.T
             pieces = np.stack((length, -k, -np.roll(turn, 1)), axis=1)[::-1]
-            tan = _heading(pieces, float(self._tan_c(np.array([period]))[0]) + math.pi, period)
+            if np.any(turn):
+                tan = _heading(pieces, float(tan(np.array([0.0]))[0]) - turn[-1], period)
         return FrontTrack(
             period, pos, tan, cur,
             closed=self.closed, traversals=self.traversals, geometry=self.geometry,
-            breakpoints=np.sort(period - self.breakpoints) if len(self.breakpoints) else (),
             pieces=pieces, spec=self.spec, label=self.label,
         )
 
@@ -344,7 +350,7 @@ class FrontTrack:
         return FrontTrack(
             self.period, self._pos_c, self._tan_c, self._k_c,
             closed=self.closed, traversals=self.traversals, geometry=geometry,
-            breakpoints=self.breakpoints, pieces=self.pieces, spec=self.spec, label=self.label,
+            pieces=self.pieces, spec=self.spec, label=self.label,
         )
 
     def transformed(self, rotation: float = 0.0, translation: Sequence[float] = (0.0, 0.0)) -> "FrontTrack":
@@ -364,7 +370,7 @@ class FrontTrack:
         return FrontTrack(
             self.period, pos, tan, self._k_c,
             closed=self.closed, traversals=self.traversals, geometry=self.geometry,
-            breakpoints=self.breakpoints, pieces=self.pieces, spec=None, label=self.label,
+            pieces=self.pieces, spec=None, label=self.label,
         )
 
     def rebased(self, t0: float) -> "FrontTrack":
@@ -386,7 +392,6 @@ class FrontTrack:
         def cur(t):
             return self.curvature(t0 + t)
 
-        bps = np.sort(np.mod(self.breakpoints - t0, self.period)) if len(self.breakpoints) else ()
         pieces = None
         if self.pieces is not None:
             start = t0 % self.period % self.period  # the second % maps a rounded-up period to 0
@@ -399,7 +404,7 @@ class FrontTrack:
         return FrontTrack(
             self.period, pos, tan, cur,
             closed=True, traversals=self.traversals, geometry=self.geometry,
-            breakpoints=bps, pieces=pieces, spec=None, label=self.label,
+            pieces=pieces, spec=None, label=self.label,
         )
 
     def split_at_corners(self) -> list["FrontTrack"]:
@@ -616,8 +621,7 @@ def _build_polyline(spec: CurveSpec) -> FrontTrack:
 
     return FrontTrack(
         total, pos, _heading(pieces, math.atan2(dirs[0, 1], dirs[0, 0]), total), cur,
-        closed=True, traversals=spec.traversals,
-        breakpoints=starts[1:], pieces=pieces, label=f"polyline[{m}]",
+        closed=True, traversals=spec.traversals, pieces=pieces, label=f"polyline[{m}]",
     )
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._io import fmt17
 from ._num import PAIRABLE, panel_quad
-from .dynamics import BikeParams, _factors, _log_dets, _scan
+from .dynamics import BikeParams, _factors, _log_dets, _piece_factors, _prefix, _scan
 from .errors import InvalidCurveError, ResidualError, ValidationError
 from .geom import TWO_PI, FrontTrack, Geometry
 from .moebius import MapClass, MonodromyReport, monodromy
@@ -180,10 +180,12 @@ def develop_hyperbolic(k, length: float | None = None, *, n_steps: int | None = 
     ``z' = A z``, ``A = 1/2 [[-1, k], [-k, 1]]``, so the steering engine
     propagates it: RK4 step factors, a prefix scan, each prefix product scaled
     to determinant one by the carried determinant, and the frame read off in
-    closed form. It stays Minkowski-orthonormal to rounding without any
-    re-orthonormalization. A development whose coordinates are too large
-    for their Minkowski pairings in double precision (lengths past about
-    350) raises :class:`ResidualError`.
+    closed form. A track made of pieces of constant curvature is developed
+    over its whole length from the exact factors of its pieces and corners,
+    so a polyline turns at its vertices. The frame stays Minkowski-orthonormal
+    to rounding without any re-orthonormalization. A development whose
+    coordinates are too large for their Minkowski pairings in double
+    precision (lengths past about 350) raises :class:`ResidualError`.
     """
     if hasattr(k, "curvature"):
         if length is None:
@@ -198,15 +200,22 @@ def develop_hyperbolic(k, length: float | None = None, *, n_steps: int | None = 
     n = n_steps if n_steps is not None else max(4096, int(math.ceil(256.0 * length)))
     if n < 1:
         raise ValidationError(f"development needs at least one step, got {n}")
-    grid = np.linspace(0.0, float(length), 2 * n + 1)
-    k_half = np.broadcast_to(np.asarray(k_fn(grid), dtype=float), grid.shape)
-
-    e = _factors(k_half[None], float(length) / n, np.array([[-0.5]]))
-    log_det = np.concatenate(([0.0], np.cumsum(_log_dets(e)[0])))
-    q = (np.eye(2).reshape(4, 1) + _scan(e)[:, 0]) * np.exp(-0.5 * log_det)
+    t = np.linspace(0.0, float(length), n + 1)
+    if getattr(k, "pieces", None) is not None:
+        if length != k.total_length:
+            raise ValidationError("a track of constant-curvature pieces develops over its whole length")
+        c = np.ones((1, 1))
+        q = np.eye(2).reshape(4, 1) + _prefix(k, c, _piece_factors(k, c), n)[:, 0]
+        k_nodes = np.asarray(k_fn(t), dtype=float)
+    else:
+        grid = np.linspace(0.0, float(length), 2 * n + 1)
+        k_half = np.broadcast_to(np.asarray(k_fn(grid), dtype=float), grid.shape)
+        e = _factors(k_half[None], float(length) / n, np.array([[-0.5]]))
+        log_det = np.concatenate(([0.0], np.cumsum(_log_dets(e)[0])))
+        q = (np.eye(2).reshape(4, 1) + _scan(e)[:, 0]) * np.exp(-0.5 * log_det)
+        k_nodes = k_half[::2].copy()
     frame = _frame(q)
-    return HCurve(np.linspace(0.0, float(length), n + 1), frame[:, 0], frame[:, 1], frame[:, 2],
-                  k_half[::2].copy())
+    return HCurve(t, frame[:, 0], frame[:, 1], frame[:, 2], k_nodes)
 
 
 def star_direction(psi: float) -> np.ndarray:

@@ -58,6 +58,37 @@ def test_polyline_pieces_follow_the_combinators():
         assert span == pytest.approx(track.turning_single * 2.0 * math.pi, abs=1e-12)
 
 
+def test_clockwise_square_heads_along_its_first_edge():
+    # traced the other way, the square leaves (0, 0) up its left edge
+    clockwise = tl.make_curve({"kind": "polyline", "vertices": SQUARE, "orientation": -1})
+    assert np.allclose(clockwise.position(np.array([0.1, 1.1])), [[0.0, 0.1], [0.1, 1.0]])
+    tangent = clockwise.tangent_angle(np.array([0.0, 0.1, 1.0, 1.1, 3.9]))
+    expected = np.array([0.5, 0.5, 0.0, 0.0, 1.0]) * math.pi
+    assert np.allclose(np.mod(tangent - expected + math.pi, 2.0 * math.pi), math.pi, atol=1e-15)
+    assert tl.enclosed_area(clockwise) == pytest.approx(-1.0, abs=1e-15)
+    assert [leg.tangent_angle(0.5) % (2.0 * math.pi) for leg in clockwise.split_at_corners()] \
+        == pytest.approx([0.5 * math.pi, 0.0, 1.5 * math.pi, math.pi], abs=1e-15)
+
+
+@pytest.mark.parametrize("placement", ["normal", "centroid"])
+def test_planimeter_reading_of_a_mirrored_rectangle_flips_sign(placement):
+    rectangle = tl.make_curve({"kind": "polyline", "vertices": [[0, 0], [2, 0], [2, 1], [0, 1]]})
+    # the mirror image in the x axis, traced clockwise from the same vertex
+    mirrored = tl.make_curve({"kind": "polyline", "vertices": [[0, 0], [0, -1], [2, -1], [2, 0]],
+                              "orientation": -1})
+    a = tl.measure(rectangle, 3.0, base=0.3, placement=placement)
+    b = tl.measure(mirrored, 3.0, base=0.3, placement=placement)
+    assert b.exact_area == pytest.approx(-a.exact_area, rel=1e-15)
+    assert b.deflection == pytest.approx(-a.deflection, rel=1e-13)
+    assert b.estimate == pytest.approx(-a.estimate, rel=1e-13)
+
+
+def test_reversed_geodesic_circle_closes():
+    cap = tl.geodesic_circle(1.0, Geometry.SPHERICAL).reversed()
+    assert cap.turning_single == -1
+    assert np.array_equal(cap.pieces, [[cap.period, -1.0 / math.tan(1.0), 0.0]])
+
+
 def test_tiny_fillet_is_elliptic_and_near_the_corner_value():
     rounded = tl.make_curve({"kind": "polyline", "vertices": SQUARE, "fillet_radius": 1e-9})
     rep = tl.monodromy(rounded, tl.BikeParams(ell=0.7))
@@ -137,6 +168,27 @@ def test_corners_count_in_the_gauss_bonnet_area():
     square = tl.make_curve({"kind": "polyline", "vertices": SQUARE})
     # straight edges and four right turns: zero total curvature deficit
     assert tl.geodesic_area(square.reinterpreted(Geometry.HYPERBOLIC)) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_developed_square_turns_at_its_corners():
+    # geodesic legs of length 1 and right turns, composed on the hyperboloid
+    square = tl.make_curve({"kind": "polyline", "vertices": SQUARE})
+    curve = tl.develop_hyperbolic(square, n_steps=64)
+    frame = np.eye(3)  # rows P, T, N
+    for corner in range(1, 5):
+        p, t, n = frame
+        frame = np.array([math.cosh(1.0) * p + math.sinh(1.0) * t,
+                          math.sinh(1.0) * p + math.cosh(1.0) * t, n])
+        p, t, n = frame
+        frame = np.array([p, n, -t])  # turn left by pi/2
+        node = 16 * corner
+        developed = np.array([curve.points[node], curve.tangents[node], curve.normals[node]])
+        assert np.abs(developed - frame).max() < 1e-14
+    # a straight geodesic of the same length would end 4 apart
+    assert curve.closure_gap()[0] == pytest.approx(0.8744625762, abs=1e-9)
+    assert curve.frame_defect() < 1e-14
+    with pytest.raises(tl.ValidationError):
+        tl.develop_hyperbolic(square, 2.0)
 
 
 def test_split_at_corners_gives_the_stretches_between_turns():
