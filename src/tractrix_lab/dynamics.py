@@ -18,7 +18,12 @@ the tangent-angle gauge), and the hyperbolic development
 image of the unit bicycle's lift, ``c = 1``). On a smooth track, classical
 RK4 applied to the linear system makes step ``j`` a 2x2 matrix
 ``S_j = I + E_j``, a polynomial in the generator at the step's ends and
-midpoint (``_rk4``), built for all steps and all rows at once. On a track
+midpoint, built for all steps and all rows at once. The steering generator
+is ``-c/2 diag(1, -1)`` plus ``k/2`` times a rotation generator, and products
+of two such generators stay in the span of four fixed matrices, so its
+polynomial is written out in closed form as four scalars per step
+(``_factors``, which the development shares with ``c = 1``); the rod
+generator goes through the generic products of ``_rk4``. On a track
 made of pieces of constant curvature (circles, lines, polylines, geodesic
 circles) ``A`` is constant on each piece with ``A^2 = lambda^2 I``, so its
 factor is the closed form ``cosh(lambda L) I + sinh(lambda L)/lambda A``
@@ -106,8 +111,18 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _combine(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
-    """``(I + later)(I + earlier) - I``, never forming ``I + E``."""
-    return later + earlier + _mul(later, earlier)
+    """``(I + later)(I + earlier) - I``, never forming ``I + E``.
+
+    Each entry of the product ``later @ earlier`` is added in place to
+    ``later + earlier``, the same additions in the same order as
+    ``later + earlier + _mul(later, earlier)`` with no stacked temporary.
+    """
+    out = later + earlier
+    out[0] += later[0] * earlier[0] + later[1] * earlier[2]
+    out[1] += later[0] * earlier[1] + later[1] * earlier[3]
+    out[2] += later[2] * earlier[0] + later[3] * earlier[2]
+    out[3] += later[2] * earlier[1] + later[3] * earlier[3]
+    return out
 
 
 def _finite(x: np.ndarray) -> np.ndarray:
@@ -143,13 +158,49 @@ def _factors(k: np.ndarray, h: float, diag: np.ndarray) -> np.ndarray:
     """Steering step factors ``E_j`` for every row of ``diag`` and step ``j``, shape ``(4, B, n)``.
 
     ``k`` is the curvature at spacing ``h/2``, shape ``(1, 2n+1)``, and the
-    generator is ``A = [[d, k/2], [-k/2, -d]]`` with ``d = -c/2`` from ``diag``.
-    """
-    def gen(k_nodes):
-        off, d = np.broadcast_arrays(0.5 * k_nodes, diag)
-        return np.stack((d, off, -off, -d))
+    generator is ``A = d sz + b J`` with ``d = -c/2`` from ``diag`` and
+    ``b = k/2``, where ``sz = diag(1, -1)``, ``J = [[0, 1], [-1, 0]]`` and
+    ``sx = [[0, 1], [1, 0]]``. Two such generators multiply to
+    ``A_x A_y = (d^2 - b_x b_y) I + d (b_y - b_x) sx`` and
+    ``A_m^2 = g I`` with ``g = d^2 - b_m^2``, so the RK4 step of :func:`_rk4`
+    is ``E = eI I + ez sz + eJ J + ex sx`` with the four scalars
 
-    return _rk4(gen(k[:, 0:-1:2]), gen(k[:, 1::2]), gen(k[:, 2::2]), h)
+        ez = h d (1 + h^2 g / 6)
+        eJ = h/6 [(b0 + 4 bm + b1) + (h^2 / 2) g (b0 + b1)]
+        eI = h^2/6 [3 d^2 - bm (b0 + bm + b1) + (h^2 / 4) g (d^2 - b0 b1)]
+        ex = h^2/6 d (b0 - b1) (1 + h^2 g / 4)
+
+    of the generator at each step's start, midpoint and end. The terms that
+    depend on the nodes alone are formed once for all rows.
+    """
+    b = 0.5 * k
+    b0, bm, b1 = b[:, 0:-1:2], b[:, 1::2], b[:, 2::2]
+    h2 = h * h
+    out = np.empty((4,) + np.broadcast_shapes(diag.shape, bm.shape))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused by _finite
+        s = b0 + b1
+        w = b0 - b1
+        # node terms, with the constants of their polynomials folded in
+        ej0, ej2 = (h / 6.0) * (s + 4.0 * bm), (h * h2 / 12.0) * s
+        ei0, ei2 = (h2 / 6.0) * (bm * (s + bm)), (h2 * h2 / 24.0) * (b0 * b1)
+        ex2 = (0.25 * h2) * w
+        dd = diag * diag
+        g = dd - bm * bm
+        ez = g * (h * h2 / 6.0 * diag)
+        ez += h * diag
+        ej = g * ej2
+        ej += ej0
+        ei = (h2 * h2 / 24.0 * dd) - ei2
+        ei *= g
+        ei += (0.5 * h2 * dd) - ei0
+        ex = g * ex2
+        ex += w
+        ex *= h2 / 6.0 * diag
+        np.add(ei, ez, out=out[0])
+        np.add(ej, ex, out=out[1])
+        np.subtract(ex, ej, out=out[2])
+        np.subtract(ei, ez, out=out[3])
+    return out
 
 
 def _exact(c: np.ndarray, k: np.ndarray, length: np.ndarray) -> np.ndarray:
@@ -236,7 +287,8 @@ def _reduce(x: np.ndarray, op) -> np.ndarray:
     """
     while x.shape[-1] > 1:
         even = x.shape[-1] & ~1
-        x = np.concatenate((op(x[..., 1:even:2], x[..., 0:even:2]), x[..., even:]), axis=-1)
+        pairs = op(x[..., 1:even:2], x[..., 0:even:2])
+        x = pairs if even == x.shape[-1] else np.concatenate((pairs, x[..., even:]), axis=-1)
     return x[..., 0]
 
 
@@ -542,16 +594,16 @@ class ConfigLoop:
 
     @classmethod
     def from_rear_solution(cls, solution: SteeringSolution) -> "ConfigLoop":
-        """Configuration loop traced by an actual bicycle motion (rear chart)."""
+        """Configuration loop traced by an actual bicycle motion (rear chart).
+
+        The rod turns at ``theta' = k - alpha' = c sin(alpha)``.
+        """
         rt = rear_track(solution)
         big_t = solution.track.total_length
         s = solution.t / big_t
         dx = big_t * np.cos(solution.alpha) * np.cos(rt.theta)
         dy = big_t * np.cos(solution.alpha) * np.sin(rt.theta)
-        k = solution.track.curvature(solution.t)
-        c = solution.params.coefficient
-        dtheta = big_t * c * np.sin(solution.alpha)
-        # theta' = phi' - alpha' = k - (k - c sin alpha)
+        dtheta = big_t * solution.params.coefficient * np.sin(solution.alpha)
         return cls(s, rt.points[:, 0], rt.points[:, 1], rt.theta, dx, dy, dtheta)
 
 

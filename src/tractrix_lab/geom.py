@@ -548,10 +548,17 @@ def _build_fourier_support(spec: CurveSpec) -> FrontTrack:
                       label="fourier-support")
 
 
+def _check_coordinates(points: np.ndarray, what: str) -> None:
+    """Refuse points whose edges and their running lengths could overflow."""
+    if not np.all(np.abs(points) <= PAIRABLE):
+        raise InvalidCurveError(f"{what} coordinates exceed {PAIRABLE:.3e}")
+
+
 def _build_polyline(spec: CurveSpec) -> FrontTrack:
     verts = np.asarray(spec.vertices, dtype=float)
     if verts.ndim != 2 or verts.shape[0] < 3 or verts.shape[1] != 2:
         raise InvalidCurveError("polyline needs at least 3 plane vertices")
+    _check_coordinates(verts, "polyline")
     m = verts.shape[0]
     edges = np.roll(verts, -1, axis=0) - verts
     lengths = np.hypot(edges[:, 0], edges[:, 1])
@@ -631,6 +638,7 @@ def _build_samples(spec: CurveSpec) -> FrontTrack:
     pts = np.asarray(spec.points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] != 2:
         raise InvalidCurveError("samples needs at least 2 plane points")
+    _check_coordinates(pts, "sample")
     closed = bool(spec.closed)
     if closed:
         if math.hypot(*(pts[0] - pts[-1])) > 1e-9:

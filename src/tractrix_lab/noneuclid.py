@@ -25,6 +25,9 @@ from .moebius import MapClass, MonodromyReport, monodromy
 # the hyperbolic unit bicycle: coth(ell) -> 1 as ell -> infinity, and the
 # steering equation degenerates to alpha' = k - sin(alpha)
 UNIT_WHEELBASE = math.inf
+# relative |ad - bc - 1| of a developed lift past which its frame has lost
+# its digits; the frame defect is about twice this
+UNIMODULAR_TOL = 1e-8
 
 
 def geodesic_circle(rho: float, geometry: Geometry, traversals: int = 1) -> FrontTrack:
@@ -170,6 +173,25 @@ def _frame(q: np.ndarray) -> np.ndarray:
     return frame.reshape(-1, 3, 3)
 
 
+def _check_unimodular(q: np.ndarray) -> None:
+    """Refuse lifts ``q`` (4, N) whose determinant has drifted from one.
+
+    The prefix products travel as ``E = Q - I``, accurate to rounding
+    relative to their largest entry. Along a geodesic the contracting entry
+    of ``Q`` shrinks like ``e^(-t/2)`` while ``1 + E`` rounds it to an
+    absolute ``eps``, so ``ad - bc`` leaves 1 and the frame built from it
+    stops being Minkowski-orthonormal.
+    """
+    a, b, c, d = q
+    ad, bc = a * d, b * c
+    defect = np.abs(ad - bc - 1.0) / np.maximum(np.maximum(np.abs(ad), np.abs(bc)), 1.0)
+    worst = float(np.max(defect))
+    if not worst <= UNIMODULAR_TOL:
+        raise ResidualError(
+            f"development lost its frame: a lift is unimodular only to {worst:.1e} "
+            "(a contracting entry fell below the rounding of 1 + E)")
+
+
 def develop_hyperbolic(k, length: float | None = None, *, n_steps: int | None = None) -> HCurve:
     """Develop a curvature profile into the hyperboloid model of the hyperbolic plane.
 
@@ -180,12 +202,17 @@ def develop_hyperbolic(k, length: float | None = None, *, n_steps: int | None = 
     ``z' = A z``, ``A = 1/2 [[-1, k], [-k, 1]]``, so the steering engine
     propagates it: RK4 step factors, a prefix scan, each prefix product scaled
     to determinant one by the carried determinant, and the frame read off in
-    closed form. A track made of pieces of constant curvature is developed
-    over its whole length from the exact factors of its pieces and corners,
-    so a polyline turns at its vertices. The frame stays Minkowski-orthonormal
-    to rounding without any re-orthonormalization. A development whose
-    coordinates are too large for their Minkowski pairings in double
-    precision (lengths past about 350) raises :class:`ResidualError`.
+    closed form. The RK4 steps come from the closed-form kernel of
+    :func:`.dynamics._factors` with ``c = 1``. A track made of pieces of
+    constant curvature is developed over its whole length from the exact
+    factors of its pieces and corners, so a polyline turns at its vertices.
+    The frame stays Minkowski-orthonormal to rounding without any
+    re-orthonormalization while the lifts stay unimodular. Two things raise
+    :class:`ResidualError`: a lift whose determinant drifts from one by more
+    than ``UNIMODULAR_TOL`` relative (a geodesic stretch longer than about
+    35, where the contracting entry ``e^(-t/2)`` falls below the rounding of
+    ``1 + E``), and coordinates too large for their Minkowski pairings in
+    double precision (lengths past about 350 where the lifts stay accurate).
     """
     if hasattr(k, "curvature"):
         if length is None:
@@ -215,6 +242,7 @@ def develop_hyperbolic(k, length: float | None = None, *, n_steps: int | None = 
         q = (np.eye(2).reshape(4, 1) + _scan(e)[:, 0]) * np.exp(-0.5 * log_det)
         k_nodes = k_half[::2].copy()
     frame = _frame(q)
+    _check_unimodular(q)
     return HCurve(t, frame[:, 0], frame[:, 1], frame[:, 2], k_nodes)
 
 

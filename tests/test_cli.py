@@ -179,6 +179,29 @@ def test_develop_beyond_double_range_exits_3(capsys):
     assert cap.err.startswith("error:") and cap.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["--constant-k", "0", "--length", "300"],
+    ["--constant-k", "0", "--length", "60", "--star", "0.7"],
+    ["--constant-k", "0.5", "--length", "420"],
+    ["--constant-k", "0.5", "--length", "300", "--star", "0.7"],
+    ["--constant-k", "0", "--length", "30", "--star", "0.7"],
+], ids=["geodesic-300", "geodesic-60-star", "hypercycle-420", "hypercycle-300-star",
+        "geodesic-30-star"])
+def test_long_development_output_is_strict_json(capsys, argv):
+    # a long development is either refused with exit 3 or reported with finite numbers
+    rc, cap = run(capsys, ["develop", *argv])
+    if rc == 3:
+        assert cap.err.startswith("error:") and cap.out == ""
+        return
+    assert rc == 0
+
+    def refuse(token):
+        raise AssertionError(f"non-finite {token} in the develop summary")
+
+    summary = json.loads(cap.out, parse_constant=refuse)
+    assert all(math.isfinite(v) for v in summary.values())
+
+
 def test_develop_needs_a_source(capsys):
     rc, cap = run(capsys, ["develop", "--length", "5"])
     assert rc == 2
@@ -261,7 +284,9 @@ def test_malformed_spec_exits_2(capsys, tmp_path, argv, spec):
     {"kind": "circle", "r": 1e155},
     {"kind": "line", "start": [0, 0], "end": [1e308, -1e308]},
     {"kind": "circle", "r": 1e300, "traversals": 3},
-], ids=["circle-1e155", "line-1e308", "circle-1e300-thrice"])
+    {"kind": "polyline", "vertices": [[0, 0], [1e308, 0], [0, 1e308]]},
+    {"kind": "samples", "closed": True, "points": [[0, 0], [1e308, 0], [0, 1e308]]},
+], ids=["circle-1e155", "line-1e308", "circle-1e300-thrice", "polyline-1e308", "samples-1e308"])
 def test_huge_spec_is_refused_without_warnings(tmp_path, command, spec):
     # run in a fresh interpreter: numpy's overflow warnings go to its stderr
     path = tmp_path / "huge.json"
@@ -283,6 +308,20 @@ def test_overflowing_lift_is_refused_without_warnings(capsys, tmp_path, command,
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc, cap = run(capsys, [command, "--input", str(path), "--ell", "1"])
+    assert rc == 3
+    assert [str(w.message) for w in caught] == []
+    lines = cap.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["monodromy", "trace"])
+def test_tiny_wheelbase_on_a_smooth_track_is_refused_without_warnings(capsys, tmp_path, command):
+    # c = 1e300: the RK4 steps themselves overflow, and only _finite speaks
+    path = tmp_path / "ellipse.json"
+    path.write_text(json.dumps({"kind": "ellipse", "a": 2.0, "b": 1.0}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, cap = run(capsys, [command, "--input", str(path), "--ell", "1e-300"])
     assert rc == 3
     assert [str(w.message) for w in caught] == []
     lines = cap.err.splitlines()

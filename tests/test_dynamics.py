@@ -135,6 +135,43 @@ def test_tree_and_scan_match_sequential_product():
     assert np.max(np.abs(prefix - tree)) <= 1e-13 * scale
 
 
+def _generator_stack(k_nodes, diag):
+    off, d = np.broadcast_arrays(0.5 * k_nodes, diag)
+    return np.stack((d, off, -off, -d))
+
+
+@pytest.mark.parametrize("case", ["random", "stiff", "elliptic", "development"])
+def test_closed_form_factors_match_rk4(case):
+    # the closed-form RK4 step against the generic RK4 polynomial on the
+    # same generator stacks, relative to each step's largest entry
+    from tractrix_lab.dynamics import _factors, _half_grid_curvature, _rk4
+
+    n = 1000
+    if case == "random":
+        rng = np.random.default_rng(7)
+        k, h = rng.normal(scale=3.0, size=(1, 2 * n + 1)), 0.01
+        diag = -0.5 * rng.uniform(0.1, 5.0, size=(3, 1))
+    else:
+        track = tl.make_curve({"kind": "ellipse", "a": 2.0, "b": 1.0})
+        k, h = _half_grid_curvature(track, n), track.total_length / n
+        c = {"stiff": 1.0 / 0.02, "elliptic": 0.1, "development": 1.0}[case]
+        diag = np.array([[-0.5 * c]])
+    e = _factors(k, h, diag)
+    ref = _rk4(_generator_stack(k[:, 0:-1:2], diag), _generator_stack(k[:, 1::2], diag),
+               _generator_stack(k[:, 2::2], diag), h)
+    assert e.shape == ref.shape == (4, diag.shape[0], n)
+    assert np.all(np.max(np.abs(e - ref), axis=0) <= 1e-15 * np.max(np.abs(ref), axis=0))
+
+
+def test_too_coarse_stiff_grid_is_refused():
+    # h * c = 33 on the smooth unit circle: every refinement overflows
+    circle = tl.make_curve({"kind": "circle", "r": 1.0})
+    smooth = tl.FrontTrack(circle.period, circle.position, circle.tangent_angle,
+                           circle.curvature, closed=True)
+    with pytest.raises(tl.ResidualError):
+        tl.monodromy(smooth, tl.BikeParams(ell=0.003, steps_per_traversal=64))
+
+
 @pytest.mark.parametrize("n", [4096, 3001])
 def test_blocked_sweep_rows_match_single_rows(n):
     # 100 rows are reduced in blocks of 256 steps, one row in a single block;

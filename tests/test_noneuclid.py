@@ -152,6 +152,18 @@ def test_star_direction_is_null():
                             np.array([1.0, 0.3, 0.0]))  # not null
 
 
+def test_long_geodesic_is_refused_once_the_lift_drifts():
+    # the lift's contracting entry e^(-t/2) falls below the rounding of 1 + E:
+    # at length 30 the frame still holds to about 1e-9, at 40 it would not
+    curve = tl.develop_hyperbolic(lambda t: np.zeros_like(t), 30.0)
+    assert curve.frame_defect() < 2e-8
+    with pytest.raises(tl.ResidualError, match="unimodular"):
+        tl.develop_hyperbolic(lambda t: np.zeros_like(t), 40.0)
+    line = tl.make_curve({"kind": "line", "start": [0.0, 0.0], "end": [300.0, 0.0]})
+    with pytest.raises(tl.ResidualError, match="unimodular"):
+        tl.develop_hyperbolic(line)
+
+
 def test_stargazing_receding_geodesic():
     # riding straight away from the star: alpha stays identically zero
     curve = tl.develop_hyperbolic(lambda t: np.zeros_like(t), 5.0)
