@@ -1,8 +1,8 @@
 """Command-line surface: curve specs in, CSV/JSON reports and SVG figures out.
 
 Exit codes: 0 success, 2 validation failure (bad flags, bad curve, violated
-precondition), 3 numerical failure (fit or scan did not converge, or a
-propagated product overflowed double precision).
+precondition), 3 numerical failure (fit or scan did not converge, no grid
+resolves the wheelbase, or a propagated product overflowed double precision).
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -35,15 +34,7 @@ from .noneuclid import develop_hyperbolic, geodesic_circle, stargazing_residual
 from .planimeter import error_scan, measure
 from .svg import Dots, Polyline, RefCircle, render
 
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 MAX_GRID = 2**20  # most integration steps a command may ask for over a whole track
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("TRACTRIX_LAB_THREADS")
-    if cap:
-        for var in _THREAD_VARS:
-            os.environ.setdefault(var, cap)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -356,7 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -33,11 +33,13 @@ piece and per corner, and a dense history is exact at every node. A
 balanced tree multiplies the factors into the monodromy, and a log-depth
 (Hillis-Steele) scan into the prefix products of a dense history. Factors
 travel as ``E = S - I`` and combine as ``(I + A)(I + B) = I + (A + B + AB)``,
-so thousands of nearly identical steps do not round ``I + E`` once each;
-the determinant travels beside them as
-``sum log1p(tr E_j + det E_j)`` (the closed-form factors have determinant
-one). A smooth track's monodromy comes with its step-doubling error
-estimate, from the same product taken in steps of twice the length.
+so thousands of nearly identical steps do not round ``I + E`` once each.
+Every steering factor has determinant one: the exact ones by construction,
+the RK4 steps because each is scaled to it where it is built, so no
+product needs a determinant carried beside it. A smooth grid resolves a
+wheelbase only while ``h |c| <= 2``, and a coarser one gives no result.
+A smooth track's monodromy comes with its step-doubling error estimate,
+from the same product taken in steps of twice the length.
 Angles are read back from the direction of each lifted vector; summed
 ``atan2(cross, dot)`` increments between consecutive vectors choose the
 continuous branch from the start angle.
@@ -102,6 +104,7 @@ def _check_geometry(track, params: BikeParams) -> None:
 # row of a batch is computed exactly as it would be alone.
 
 BLOCK = 1 << 16  # row-steps per block of a batched monodromy sweep
+RESOLVED_STEP = 2.0  # largest h |c| of a smooth grid that resolves a wheelbase
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -171,7 +174,12 @@ def _factors(k: np.ndarray, h: float, diag: np.ndarray) -> np.ndarray:
         ex = h^2/6 d (b0 - b1) (1 + h^2 g / 4)
 
     of the generator at each step's start, midpoint and end. The terms that
-    depend on the nodes alone are formed once for all rows.
+    depend on the nodes alone are formed once for all rows. Each step is then
+    scaled to determinant one: with ``q = det S - 1 = eI (2 + eI) - ez^2 -
+    ex^2 + eJ^2`` and ``s = sqrt(1 + q)``, ``S / s`` has ``eI`` replaced by
+    ``(eI - q / (1 + s)) / s`` and the other three scalars divided by ``s``.
+    The determinant is multiplicative, so every product of steps is the RK4
+    product scaled to determinant one, and none is carried beside them.
     """
     b = 0.5 * k
     b0, bm, b1 = b[:, 0:-1:2], b[:, 1::2], b[:, 2::2]
@@ -196,6 +204,16 @@ def _factors(k: np.ndarray, h: float, diag: np.ndarray) -> np.ndarray:
         ex = g * ex2
         ex += w
         ex *= h2 / 6.0 * diag
+        q = ei * (2.0 + ei) - ez * ez - ex * ex + ej * ej
+        if np.any(q <= -1.0):
+            raise ResidualError(
+                "an RK4 step of the lift reverses orientation: the grid is too coarse for this wheelbase")
+        s = np.sqrt(1.0 + q)
+        ei -= q / (1.0 + s)
+        ei /= s
+        ez /= s
+        ej /= s
+        ex /= s
         np.add(ei, ez, out=out[0])
         np.add(ej, ex, out=out[1])
         np.subtract(ex, ej, out=out[2])
@@ -244,28 +262,34 @@ def _piece_factors(track: FrontTrack, c: np.ndarray) -> np.ndarray:
                   np.stack((length, np.ones_like(length)), axis=1).ravel())
 
 
-def _step_factors(track: FrontTrack, params: Sequence[BikeParams], n_steps: int) -> np.ndarray:
+def _step_factors(track: FrontTrack, c: np.ndarray, n_steps: int) -> np.ndarray:
     """Factors ``E_j`` whose product over the whole track is its monodromy, shape ``(4, B, N)``.
 
-    On a smooth track, the ``n_steps`` RK4 steps; on a piecewise track, the
-    exact factors of its pieces and corners, whatever ``n_steps``.
+    ``c`` holds each row's coefficient, shape ``(B, 1)``. On a smooth track,
+    the ``n_steps`` RK4 steps, refused when they do not resolve a row's
+    wheelbase; on a piecewise track, the exact factors of its pieces and
+    corners, whatever ``n_steps``.
     """
-    c = _coefficients(track, params)
     if track.pieces is not None:
         return _piece_factors(track, c)
-    return _factors(_half_grid_curvature(track, n_steps), track.total_length / n_steps, -0.5 * c)
+    h = track.total_length / n_steps
+    if not np.all(h * np.abs(c) <= RESOLVED_STEP):
+        raise ResidualError(
+            f"{n_steps} steps do not resolve the wheelbase: a step times the steering "
+            f"coefficient must be at most {RESOLVED_STEP:g}")
+    return _factors(_half_grid_curvature(track, n_steps), h, -0.5 * c)
 
 
-def _prefix(track: FrontTrack, c: np.ndarray, e: np.ndarray, n_steps: int) -> np.ndarray:
+def _prefix(track: FrontTrack, c: np.ndarray, n_steps: int) -> np.ndarray:
     """E-forms of the lift's propagator from the start to each of ``n_steps + 1`` even nodes.
 
-    ``c`` holds each row's coefficient, shape ``(B, 1)``, and ``e`` the
-    track's factors from :func:`_step_factors`. On a smooth track these
-    are the prefix products of its RK4 steps. On a piecewise
+    ``c`` holds each row's coefficient, shape ``(B, 1)``. On a smooth track
+    these are the prefix products of its RK4 steps. On a piecewise
     track they are exact: the factor of the part of a node's piece before
     the node, times the product of all earlier pieces and corners; a corner
     on a node counts there. Shape ``(4, B, n+1)``.
     """
+    e = _step_factors(track, c, n_steps)
     if track.pieces is None:
         return _scan(e)
     length, k, _ = _pieces(track)
@@ -278,33 +302,19 @@ def _prefix(track: FrontTrack, c: np.ndarray, e: np.ndarray, n_steps: int) -> np
         return _finite(_combine(part, _scan(e)[..., 0::2][..., done]))
 
 
-def _reduce(x: np.ndarray, op) -> np.ndarray:
-    """Balanced-tree reduction of ``x`` along its last axis by ``op(later, earlier)``.
+def _tree(e: np.ndarray) -> np.ndarray:
+    """E-form of each row's product ``S_{n-1} ... S_0``, shape ``(4, B)``, by a balanced tree.
 
-    Level by level, elements ``(0, 1), (2, 3), ...`` are combined and an odd
+    Level by level, factors ``(0, 1), (2, 3), ...`` are combined and an odd
     last one is carried up. Reducing aligned blocks of a power-of-two length
     first and then the block results builds this same tree, bit for bit.
     """
-    while x.shape[-1] > 1:
-        even = x.shape[-1] & ~1
-        pairs = op(x[..., 1:even:2], x[..., 0:even:2])
-        x = pairs if even == x.shape[-1] else np.concatenate((pairs, x[..., even:]), axis=-1)
-    return x[..., 0]
-
-
-def _log_dets(e: np.ndarray) -> np.ndarray:
-    """``log det S_j = log1p(tr E_j + det E_j)`` of every step, shape of ``e[0]``."""
-    g = e[0] + e[3] + (e[0] * e[3] - e[1] * e[2])
-    if not np.all(g > -1.0):
-        raise ResidualError(
-            "an RK4 step of the lift reverses orientation: the grid is too coarse for this wheelbase")
-    return np.log1p(g)
-
-
-def _tree(e: np.ndarray) -> np.ndarray:
-    """E-form of each row's product ``S_{n-1} ... S_0``, shape ``(4, B)``, by a balanced tree."""
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
-        return _finite(_reduce(e, _combine))
+        while e.shape[-1] > 1:
+            even = e.shape[-1] & ~1
+            pairs = _combine(e[..., 1:even:2], e[..., 0:even:2])
+            e = pairs if even == e.shape[-1] else np.concatenate((pairs, e[..., even:]), axis=-1)
+    return _finite(e[..., 0])
 
 
 def _scan(e: np.ndarray) -> np.ndarray:
@@ -356,29 +366,31 @@ def _monodromy_sweep(track: FrontTrack, params: Sequence[BikeParams],
 
     On a piecewise track the map is the product of one exact factor per
     piece and per corner, whatever ``n_steps``, and its error is the
-    rounding of that many factors, ``eps`` each. On a smooth track each
-    product is scaled to determinant one by the carried determinant,
-    never by one recomputed from its entries: for a strongly hyperbolic
-    product ``ad - bc`` cancels to rounding noise. The error is the
-    step-doubling estimate: the same product taken in steps of ``2h``, whose
-    midpoint curvature is already on the half grid, differs from it by
-    about 15 times its own error (RK4's error falls 16-fold when the step
-    halves). It is returned relative to the map's largest entry, shape
-    ``(B,)``. Steps are built and reduced in aligned blocks whose length is
-    a power of two, at most ``BLOCK`` row-steps each, so memory does not
-    grow with rows times steps, and every row comes out as it would alone.
+    rounding of that many factors, ``eps`` each. On a smooth track the error
+    is the step-doubling estimate: the same product taken in steps of
+    ``2h``, whose midpoint curvature is already on the half grid, differs
+    from it by about 15 times its own error (RK4's error falls 16-fold when
+    the step halves). It is returned relative to the map's largest entry,
+    shape ``(B,)``. A row whose wheelbase the grid does not resolve
+    (``h |c| > RESOLVED_STEP``) is stepped with ``c = 0``, so it cannot
+    overflow or reverse and stop the other rows, and reads an infinite error.
+    Steps are built and reduced in aligned blocks whose length is a power
+    of two, at most ``BLOCK`` row-steps each, so memory does not grow with
+    rows times steps, and every row comes out as it would alone.
     """
+    c = _coefficients(track, params)
     if track.pieces is not None:
-        e = _step_factors(track, params, n_steps)
+        e = _step_factors(track, c, n_steps)
         m = np.eye(2).reshape(4, 1) + _tree(e)
         return m.T.reshape(-1, 2, 2), np.full(len(params), e.shape[-1] * np.finfo(float).eps)
-    diag = -0.5 * _coefficients(track, params)
     k = _half_grid_curvature(track, n_steps)
     h = track.total_length / n_steps
+    resolved = h * np.abs(c[:, 0]) <= RESOLVED_STEP
+    diag = np.where(resolved[:, None], -0.5 * c, 0.0)
     block = 2
     while 2 * block * len(params) <= BLOCK:
         block *= 2
-    fine, coarse, log_fine, log_coarse = [], [], [], []
+    fine, coarse = [], []
     for start in range(0, n_steps, block):
         kb = k[:, 2 * start: 2 * min(start + block, n_steps) + 1]
         e = _factors(kb, h, diag)
@@ -387,16 +399,10 @@ def _monodromy_sweep(track: FrontTrack, params: Sequence[BikeParams],
                              e[..., 2 * pairs:]), axis=-1)  # an odd last step stays unpaired
         fine.append(_tree(e))
         coarse.append(_tree(ec))
-        log_fine.append(_reduce(_log_dets(e), np.add))
-        log_coarse.append(_reduce(_log_dets(ec), np.add))
-
-    def normalized(products, logs):
-        prod = np.eye(2).reshape(4, 1) + _tree(np.stack(products, axis=-1))
-        return prod * np.exp(-0.5 * _reduce(np.stack(logs, axis=-1), np.add))
-
-    m, mc = normalized(fine, log_fine), normalized(coarse, log_coarse)
+    m = np.eye(2).reshape(4, 1) + _tree(np.stack(fine, axis=-1))
+    mc = np.eye(2).reshape(4, 1) + _tree(np.stack(coarse, axis=-1))
     error = np.max(np.abs(m - mc), axis=0) / (15.0 * np.max(np.abs(m), axis=0))
-    return m.T.reshape(-1, 2, 2), error
+    return m.T.reshape(-1, 2, 2), np.where(resolved, error, np.inf)
 
 
 @dataclass(frozen=True)
@@ -433,8 +439,7 @@ def integrate_steering(track: FrontTrack, params: BikeParams, alpha0: float) -> 
     """
     n = params.steps_per_traversal * track.traversals
     start = np.array([float(alpha0)])
-    e = _step_factors(track, [params], n)
-    z = _lifted(_prefix(track, _coefficients(track, [params]), e, n), start)
+    z = _lifted(_prefix(track, _coefficients(track, [params]), n), start)
     t = np.linspace(0.0, track.total_length, n + 1)
     return SteeringSolution(track, params, float(alpha0), t, _angles(z, start)[0, 0])
 
@@ -445,19 +450,17 @@ def steering_endpoints(track: FrontTrack, params: BikeParams, alpha0: Sequence[f
 
     Each final angle is on the continuous branch from its start, the same as
     ``integrate_steering(...).final_alpha``. The tangent factor of the lift
-    product ``P`` at a unit lift ``z0`` is ``det(P) / |P z0|^2``.
+    product ``P``, of determinant one, at a unit lift ``z0`` is ``1 / |P z0|^2``.
     """
     n = n_steps if n_steps is not None else params.steps_per_traversal * track.traversals
     starts = np.asarray(alpha0, dtype=float)
     flat = starts.reshape(-1)
-    e = _step_factors(track, [params], n)
-    z = _lifted(_prefix(track, _coefficients(track, [params]), e, n), flat)
+    z = _lifted(_prefix(track, _coefficients(track, [params]), n), flat)
     end = _angles(z, flat)[0, :, -1].reshape(starts.shape)
     if not variational:
         return end
     last = z[:, 0, :, -1]
-    det = 1.0 if track.pieces is not None else np.exp(_reduce(_log_dets(e), np.add)[0])
-    beta = det / (last[0] ** 2 + last[1] ** 2)
+    beta = 1.0 / (last[0] ** 2 + last[1] ** 2)
     return end, beta.reshape(starts.shape)
 
 
@@ -475,15 +478,16 @@ def monodromy_matrix(track: FrontTrack, params: BikeParams,
     ``A = [[-c/2, k/2], [-k/2, c/2]]``; the returned 2x2 matrix is the raw
     product ``S_{n-1} ... S_0`` from the engine's balanced tree, the
     fundamental solution over the whole track. On a smooth track the steps
-    are RK4 steps, so it holds up to step error (and its determinant is 1
-    only to that error); on a piecewise track they are exact, corners
-    included, and it holds to rounding. Entries grow only like the square
-    root of the multiplier ratio, so the product stays usable for strongly
-    contracting monodromies, where every probe trajectory lands on the
-    attracting angle to machine precision.
+    are RK4 steps scaled to determinant one, so it holds up to step error;
+    on a piecewise track they are exact, corners included, and it holds to
+    rounding. Either way its determinant is one to rounding. Entries grow
+    only like the square root of the multiplier ratio, so the product stays
+    usable for strongly contracting monodromies, where every probe
+    trajectory lands on the attracting angle to machine precision.
     """
     n = n_steps if n_steps is not None else params.steps_per_traversal * track.traversals
-    return np.eye(2) + _tree(_step_factors(track, [params], n))[:, 0].reshape(2, 2)
+    e = _step_factors(track, _coefficients(track, [params]), n)
+    return np.eye(2) + _tree(e)[:, 0].reshape(2, 2)
 
 
 @dataclass(frozen=True)

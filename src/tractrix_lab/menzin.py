@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._io import fmt17
 from ._num import wrap_angle
 from .dynamics import BikeParams, steering_endpoints
@@ -32,26 +30,24 @@ CLASSIFICATION_CSV_HEADER = "ell,trace,class"
 DEFAULT_TOL = 1e-10  # default ell0 tolerance, relative to sqrt(A/pi)
 
 
-def _require_convex(track: FrontTrack, n_grid: int = 4096) -> np.ndarray:
-    """Enforce the convexity precondition: k > 0 on a dense grid."""
+def _require_convex(track: FrontTrack) -> float:
+    """Enforce the convexity precondition, k > 0 on the grid of ``curvature_range``; return max k."""
     if track.geometry is not Geometry.EUCLIDEAN:
         raise ValidationError("critical-length analysis is a euclidean-plane operation")
     if not track.closed:
         raise ValidationError("front track must be closed")
-    t = np.linspace(0.0, track.period, n_grid, endpoint=False)
-    k = np.asarray(track.curvature(t), dtype=float)
-    if not np.all(np.isfinite(k)) or float(k.min()) <= 0.0:
+    k_min, k_max = track.curvature_range()
+    if not (math.isfinite(k_min) and math.isfinite(k_max)) or k_min <= 0.0:
         raise ValidationError(
             f"front track must be strictly convex with positive orientation "
-            f"(min curvature on grid: {float(k.min()):.3g})"
+            f"(min curvature on grid: {k_min:.3g})"
         )
-    return k
+    return k_max
 
 
-def min_osculating_radius(track: FrontTrack, n_grid: int = 4096) -> float:
+def min_osculating_radius(track: FrontTrack) -> float:
     """Radius of the smallest osculating circle, 1/max k over the grid."""
-    k = _require_convex(track, n_grid)
-    return 1.0 / float(k.max())
+    return 1.0 / _require_convex(track)
 
 
 @dataclass(frozen=True)

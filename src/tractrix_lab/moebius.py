@@ -3,17 +3,16 @@
 The steering equation is a Riccati equation in ``x = tan(alpha/2)``, the
 projectivization of a linear SL(2) system, so the time-T map of the flow acts
 on steering angles as a fractional-linear map. The monodromy is the product
-of the lift's factors from the engine in :mod:`.dynamics`: RK4 steps on a
-smooth track, scaled to determinant one by the determinant carried through
-that product, and exact factors of its pieces and corners on a piecewise
-one. Its error bar is the estimate that comes with it, step doubling on a
-smooth track and rounding on a piecewise one: the grid is refined until
-that estimate is under a cap, and the parabolic trace band is widened with
-it; the same estimate is reported as the map's ``residual``. The map is
-classified by its normalized trace. The rear length along a fixed angle's
-closed trajectory is read from the map itself, ``-ln(multiplier)/c``.
-:func:`from_three_pairs` fits a map to three angle pairs, for maps known
-only by their action.
+of the lift's factors from the engine in :mod:`.dynamics`, each of
+determinant one: RK4 steps on a smooth track, and exact factors of its
+pieces and corners on a piecewise one. Its error bar is the estimate that
+comes with it, step doubling on a smooth track and rounding on a piecewise
+one: the grid is refined until that estimate is under a cap, and the
+parabolic trace band is widened with it; the same estimate is reported as
+the map's ``residual``. The map is classified by its normalized trace. The
+rear length along a fixed angle's closed trajectory is read from the map
+itself, ``-ln(multiplier)/c``. :func:`from_three_pairs` fits a map to three
+angle pairs, for maps known only by their action.
 """
 
 from __future__ import annotations
@@ -315,8 +314,8 @@ def _sweep_fits(track: FrontTrack, ells: Sequence[float], steps_per_traversal: i
     computed on first use: the scan reads only the trace and the class, so
     no fixed points or rear lengths are made. A row is accepted exactly as
     :func:`monodromy` accepts its first grid; a row whose step-doubling
-    error exceeds the cap is handed to :func:`monodromy`, which tries to
-    refine the grid.
+    error exceeds the cap, or whose wheelbase the grid does not resolve, is
+    handed to :func:`monodromy`, which tries to refine the grid.
     """
     params = [BikeParams(ell=ell, steps_per_traversal=steps_per_traversal) for ell in ells]
     mats, errors = _monodromy_sweep(track, params, steps_per_traversal * track.traversals)
@@ -339,9 +338,12 @@ def monodromy(track: FrontTrack, params: BikeParams,
     The map is the lift's step product over the track. While its
     step-doubling error estimate (relative to the map's largest entry)
     exceeds ``error_cap``, the step count is doubled, at most
-    ``MAX_REFINEMENTS`` times. Refinement also stops when a doubling does
-    not reduce the estimate (the grid does not resolve the track, as with a
-    curvature spike shorter than a step); the grid with the smallest
+    ``MAX_REFINEMENTS`` times. A smooth grid that does not resolve the
+    wheelbase (see :func:`.dynamics._monodromy_sweep`) is never kept, and
+    :class:`ResidualError` is raised when no grid within those doublings
+    resolves it. Refinement also stops when a doubling of a resolved grid
+    does not reduce the estimate (the grid does not resolve the track, as
+    with a curvature spike shorter than a step); the grid with the smallest
     estimate is kept, and its estimate is the reported ``residual``. On a
     piecewise track the map is exact, its estimate is rounding that no
     doubling reduces, and the requested grid is kept. The parabolic trace
@@ -350,16 +352,19 @@ def monodromy(track: FrontTrack, params: BikeParams,
     :func:`_rear_length`).
     """
     n = params.steps_per_traversal * track.traversals
-    kept = None  # (steps, map, error) of the grid with the smallest error so far
+    kept = (n, None, math.inf)  # (steps, map, error) of the grid with the smallest error so far
     for _ in range(MAX_REFINEMENTS + 1):
         mats, errors = _monodromy_sweep(track, [params], n)
-        if kept is not None and not errors[0] < kept[2]:
+        if kept[2] < math.inf and not errors[0] < kept[2]:
             break
         kept = (n, mats[0], float(errors[0]))
         if kept[2] <= error_cap:
             break
         n *= 2
     n, matrix, error = kept
+    if error == math.inf:
+        raise ResidualError(f"no grid of up to {n} steps resolves the wheelbase: the steering "
+                            "coefficient is too large for the track's length")
 
     fitted = MoebiusMap._canonical(matrix)
     eps_par = _parabolic_band(fitted, error)

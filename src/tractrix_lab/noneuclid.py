@@ -17,7 +17,7 @@ import numpy as np
 
 from ._io import fmt17
 from ._num import PAIRABLE, panel_quad
-from .dynamics import BikeParams, _factors, _log_dets, _piece_factors, _prefix, _scan
+from .dynamics import BikeParams, _factors, _prefix, _scan
 from .errors import InvalidCurveError, ResidualError, ValidationError
 from .geom import TWO_PI, FrontTrack, Geometry
 from .moebius import MapClass, MonodromyReport, monodromy
@@ -200,14 +200,13 @@ def develop_hyperbolic(k, length: float | None = None, *, n_steps: int | None = 
     frame obeys ``P' = T, T' = P + k N, N' = -k T`` from the standard basis.
     That system is the adjoint image of the unit bicycle's lift
     ``z' = A z``, ``A = 1/2 [[-1, k], [-k, 1]]``, so the steering engine
-    propagates it: RK4 step factors, a prefix scan, each prefix product scaled
-    to determinant one by the carried determinant, and the frame read off in
-    closed form. The RK4 steps come from the closed-form kernel of
-    :func:`.dynamics._factors` with ``c = 1``. A track made of pieces of
-    constant curvature is developed over its whole length from the exact
-    factors of its pieces and corners, so a polyline turns at its vertices.
-    The frame stays Minkowski-orthonormal to rounding without any
-    re-orthonormalization while the lifts stay unimodular. Two things raise
+    propagates it: RK4 step factors of determinant one, a prefix scan, and
+    the frame read off in closed form. The RK4 steps come from the
+    closed-form kernel of :func:`.dynamics._factors` with ``c = 1``. A track
+    made of pieces of constant curvature is developed over its whole length
+    from the exact factors of its pieces and corners, so a polyline turns at
+    its vertices. The frame stays Minkowski-orthonormal to rounding without
+    any re-orthonormalization while the lifts stay unimodular. Two things raise
     :class:`ResidualError`: a lift whose determinant drifts from one by more
     than ``UNIMODULAR_TOL`` relative (a geodesic stretch longer than about
     35, where the contracting entry ``e^(-t/2)`` falls below the rounding of
@@ -231,15 +230,13 @@ def develop_hyperbolic(k, length: float | None = None, *, n_steps: int | None = 
     if getattr(k, "pieces", None) is not None:
         if length != k.total_length:
             raise ValidationError("a track of constant-curvature pieces develops over its whole length")
-        c = np.ones((1, 1))
-        q = np.eye(2).reshape(4, 1) + _prefix(k, c, _piece_factors(k, c), n)[:, 0]
+        q = np.eye(2).reshape(4, 1) + _prefix(k, np.ones((1, 1)), n)[:, 0]
         k_nodes = np.asarray(k_fn(t), dtype=float)
     else:
         grid = np.linspace(0.0, float(length), 2 * n + 1)
         k_half = np.broadcast_to(np.asarray(k_fn(grid), dtype=float), grid.shape)
         e = _factors(k_half[None], float(length) / n, np.array([[-0.5]]))
-        log_det = np.concatenate(([0.0], np.cumsum(_log_dets(e)[0])))
-        q = (np.eye(2).reshape(4, 1) + _scan(e)[:, 0]) * np.exp(-0.5 * log_det)
+        q = np.eye(2).reshape(4, 1) + _scan(e)[:, 0]
         k_nodes = k_half[::2].copy()
     frame = _frame(q)
     _check_unimodular(q)

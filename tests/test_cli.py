@@ -316,7 +316,7 @@ def test_overflowing_lift_is_refused_without_warnings(capsys, tmp_path, command,
 
 @pytest.mark.parametrize("command", ["monodromy", "trace"])
 def test_tiny_wheelbase_on_a_smooth_track_is_refused_without_warnings(capsys, tmp_path, command):
-    # c = 1e300: the RK4 steps themselves overflow, and only _finite speaks
+    # c = 1e300: no grid resolves the wheelbase
     path = tmp_path / "ellipse.json"
     path.write_text(json.dumps({"kind": "ellipse", "a": 2.0, "b": 1.0}))
     with warnings.catch_warnings(record=True) as caught:
@@ -426,6 +426,18 @@ def test_overflow_is_refused_with_exit_3(capsys, unit_circle_spec, ell, steps):
     # (h * c ~ 33) the grid is refined until the product overflows
     rc, cap = run(capsys, ["monodromy", "--input", unit_circle_spec, "--ell", ell,
                            "--steps", steps])
+    assert rc == 3
+    assert "error:" in cap.err and cap.out == ""
+
+
+@pytest.mark.parametrize("command", ["monodromy", "trace"])
+def test_unresolved_stiff_grid_exits_3(capsys, tmp_path, command):
+    # h * c is about 61 on 16 steps of the 2x1 ellipse at ell 0.01: the
+    # monodromy is refined to resolved grids, whose multipliers leave double
+    # range as at 4096 steps; a dense history is refused on the grid it got
+    path = tmp_path / "ellipse.json"
+    path.write_text(json.dumps({"kind": "ellipse", "a": 2.0, "b": 1.0}))
+    rc, cap = run(capsys, [command, "--input", str(path), "--ell", "0.01", "--steps", "16"])
     assert rc == 3
     assert "error:" in cap.err and cap.out == ""
 

@@ -123,7 +123,7 @@ def test_tree_and_scan_match_sequential_product():
     from tractrix_lab.dynamics import _scan, _step_factors, _tree
 
     track = tl.make_curve({"kind": "ellipse", "a": 2.0, "b": 1.0})
-    e = _step_factors(track, [tl.BikeParams(ell=0.3)], 1000)
+    e = _step_factors(track, np.array([[1.0 / 0.3]]), 1000)
     seq = np.eye(2)
     for j in range(e.shape[-1]):
         seq = (np.eye(2) + e[:, 0, j].reshape(2, 2)) @ seq
@@ -140,27 +140,57 @@ def _generator_stack(k_nodes, diag):
     return np.stack((d, off, -off, -d))
 
 
+def _steering_case(case, n=1000):
+    """Half-grid curvature ``k``, step ``h`` and rows ``diag = -c/2`` of a factor test."""
+    from tractrix_lab.dynamics import _half_grid_curvature
+
+    if case == "random":
+        rng = np.random.default_rng(7)
+        return rng.normal(scale=3.0, size=(1, 2 * n + 1)), 0.01, -0.5 * rng.uniform(0.1, 5.0, size=(3, 1))
+    track = tl.make_curve({"kind": "ellipse", "a": 2.0, "b": 1.0})
+    c = {"stiff": 1.0 / 0.02, "elliptic": 0.1, "development": 1.0}[case]
+    return _half_grid_curvature(track, n), track.total_length / n, np.array([[-0.5 * c]])
+
+
 @pytest.mark.parametrize("case", ["random", "stiff", "elliptic", "development"])
 def test_closed_form_factors_match_rk4(case):
     # the closed-form RK4 step against the generic RK4 polynomial on the
-    # same generator stacks, relative to each step's largest entry
-    from tractrix_lab.dynamics import _factors, _half_grid_curvature, _rk4
+    # same generator stacks, scaled to determinant one in E-form,
+    # (I + E) / s - I = (E - m I) / s with s = sqrt(det(I + E)) and
+    # m = (s^2 - 1) / (1 + s), relative to each step's largest entry
+    from tractrix_lab.dynamics import _factors, _rk4
 
-    n = 1000
-    if case == "random":
-        rng = np.random.default_rng(7)
-        k, h = rng.normal(scale=3.0, size=(1, 2 * n + 1)), 0.01
-        diag = -0.5 * rng.uniform(0.1, 5.0, size=(3, 1))
-    else:
-        track = tl.make_curve({"kind": "ellipse", "a": 2.0, "b": 1.0})
-        k, h = _half_grid_curvature(track, n), track.total_length / n
-        c = {"stiff": 1.0 / 0.02, "elliptic": 0.1, "development": 1.0}[case]
-        diag = np.array([[-0.5 * c]])
+    k, h, diag = _steering_case(case)
     e = _factors(k, h, diag)
     ref = _rk4(_generator_stack(k[:, 0:-1:2], diag), _generator_stack(k[:, 1::2], diag),
                _generator_stack(k[:, 2::2], diag), h)
-    assert e.shape == ref.shape == (4, diag.shape[0], n)
+    g = ref[0] + ref[3] + (ref[0] * ref[3] - ref[1] * ref[2])
+    s = np.sqrt(1.0 + g)
+    ref = (ref - g / (1.0 + s) * np.array([1.0, 0.0, 0.0, 1.0])[:, None, None]) / s
+    assert e.shape == ref.shape == (4, diag.shape[0], 1000)
     assert np.all(np.max(np.abs(e - ref), axis=0) <= 1e-15 * np.max(np.abs(ref), axis=0))
+
+
+@pytest.mark.parametrize("case", ["random", "stiff", "development"])
+def test_factors_have_determinant_one(case):
+    from tractrix_lab.dynamics import _factors
+
+    e = _factors(*_steering_case(case))
+    assert np.max(np.abs((1.0 + e[0]) * (1.0 + e[3]) - e[1] * e[2] - 1.0)) <= 1e-15
+
+
+def test_lift_products_are_unimodular(ellipse21):
+    # no determinant is carried: the monodromy matrix has determinant one as
+    # it comes (on 64 steps a raw RK4 product's is off by about 1e-6), and
+    # the endpoint derivative on the kept grid is the fitted map's derivative
+    params = tl.BikeParams(ell=1.0, steps_per_traversal=64)
+    m = tl.monodromy_matrix(ellipse21, params)
+    assert abs(np.linalg.det(m) - 1.0) <= 1e-12
+    rep = tl.monodromy(ellipse21, params)
+    att = rep.fixed_points[0]
+    _, beta = tl.steering_endpoints(ellipse21, params, [att.angle], n_steps=rep.n_steps,
+                                    variational=True)
+    assert beta[0] == pytest.approx(rep.map.derivative(att.angle), rel=1e-12)
 
 
 def test_too_coarse_stiff_grid_is_refused():

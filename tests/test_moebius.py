@@ -191,10 +191,22 @@ def test_monodromy_circle_oracle(circle2):
 @pytest.mark.parametrize("ell, rel", [(0.01, 1e-4), (0.05, 1e-6), (0.1, 1e-6), (0.15, 1e-6),
                                       (0.2, 1e-6)])
 def test_monodromy_stiff_circle_trace(unit_circle, ell, rel):
-    # the product's own determinant is rounding noise here; the carried one is not
+    # the product's own ad - bc is rounding noise here; the map is not scaled by it
     rep = tl.monodromy(unit_circle, tl.BikeParams(ell=ell))
     assert rep.trace == pytest.approx(2.0 * math.cosh(math.pi * math.sqrt(1.0 / ell**2 - 1.0)),
                                       rel=rel)
+
+
+@pytest.mark.parametrize("ell", [0.05, 0.01])
+def test_unresolved_grid_is_refined_not_kept(unit_circle, ell):
+    # on 16 steps h * c is about 8 and 39: the smooth circle's grid is doubled
+    # until h * c <= 2 (64 and 512 steps), then while the estimate falls
+    smooth = tl.FrontTrack(unit_circle.period, unit_circle.position, unit_circle.tangent_angle,
+                           unit_circle.curvature, closed=True)
+    rep = tl.monodromy(smooth, tl.BikeParams(ell=ell, steps_per_traversal=16))
+    exact = 2.0 * math.cosh(math.pi * math.sqrt(1.0 / ell**2 - 1.0))
+    assert rep.n_steps == 1024
+    assert rep.trace == pytest.approx(exact, rel=2.0 * rep.residual)
 
 
 @pytest.mark.parametrize("ell", [0.1, 0.15, 0.2, 0.3])
