@@ -27,7 +27,7 @@ from .dynamics import (
     area_between_tracks,
 )
 from .errors import InvalidCurveError, ResidualError, ValidationError
-from .geom import FrontTrack, Geometry, _numeric, make_curve
+from .geom import FrontTrack, Geometry, _floats, _numeric, make_curve
 from .menzin import menzin_verify
 from .moebius import monodromy
 from .noneuclid import develop_hyperbolic, geodesic_circle, stargazing_residual
@@ -35,6 +35,7 @@ from .planimeter import error_scan, measure
 from .svg import Dots, Polyline, RefCircle, render
 
 MAX_GRID = 2**20  # most integration steps a command may ask for over a whole track
+_GEODESIC_FIELDS = {"kind", "rho", "geometry", "traversals", "orientation"}
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -64,14 +65,43 @@ def _load_json_object(path: str, what: str) -> dict:
     return data
 
 
+def _finite(text: str) -> float:
+    """Argparse type of a float flag: a finite number, else a usage error (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _finite_list(text: str) -> list[float]:
+    """Argparse type of a comma list of finite numbers."""
+    return [_finite(v) for v in text.split(",")]
+
+
+def _rod_placement(text: str) -> str | float:
+    """Argparse type of ``--placement``: 'normal', 'centroid', or a finite rod angle."""
+    return text if text in ("normal", "centroid") else _finite(text)
+
+
 def _load_curve(path: str, geometry: str | None = None) -> FrontTrack:
     data = _load_json_object(path, "curve spec")
     if data.get("kind") == "geodesic-circle":
+        unknown = set(data) - _GEODESIC_FIELDS
+        if unknown:
+            raise InvalidCurveError(f"unknown geodesic-circle fields: {sorted(unknown)}")
         if "rho" not in data:
             raise InvalidCurveError("geodesic-circle spec needs a radius 'rho'")
+        traversals, orientation = data.get("traversals", 1), data.get("orientation", 1)
+        if not (isinstance(traversals, int) and traversals >= 1):
+            raise InvalidCurveError(f"traversals must be a positive integer, got {traversals!r}")
+        if orientation not in (1, -1):
+            raise InvalidCurveError(f"orientation must be +1 or -1, got {orientation!r}")
         geo = _geometry(data.get("geometry", geometry or "spherical"))
-        return geodesic_circle(_numeric("rho", data["rho"], float), geo,
-                               traversals=_numeric("traversals", data.get("traversals", 1), int))
+        track = geodesic_circle(_numeric("rho", data["rho"], float), geo, traversals=traversals)
+        return track if orientation == 1 else track.reversed()
     track = make_curve(data)
     if geometry and geometry != Geometry.EUCLIDEAN.value:
         track = track.reinterpreted(_geometry(geometry))
@@ -138,29 +168,16 @@ def _cmd_monodromy(args) -> int:
     return 0
 
 
-def _parse_placement(raw: str):
-    if raw in ("normal", "centroid"):
-        return raw
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValidationError(
-            f"placement must be 'normal', 'centroid', or an angle, got {raw!r}") from None
-
-
 def _cmd_planimeter(args) -> int:
     track = _load_curve(args.input)
-    placement = _parse_placement(args.placement)
     if args.ells:
-        lengths = [float(v) for v in args.ells.split(",")]
-        bases = [float(v) for v in args.bases.split(",")] if args.bases else [0.0]
-        table = error_scan(track, lengths, bases, placement=placement,
+        table = error_scan(track, args.ells, args.bases or [0.0], placement=args.placement,
                            steps_per_traversal=_grid(args.steps, track.traversals))
         _emit(table.to_csv(), args.out)
         return 0
     if args.ell is None:
         raise ValidationError("planimeter needs --ell (single reading) or --ells (scan)")
-    reading = measure(track, args.ell, base=args.base, placement=placement,
+    reading = measure(track, args.ell, base=args.base, placement=args.placement,
                       steps_per_traversal=_grid(args.steps, track.traversals))
     _emit(json.dumps(dataclasses.asdict(reading), indent=2), args.out)
     return 0
@@ -234,20 +251,11 @@ def _cmd_loopcheck(args) -> int:
             part = data.get(key)
             if not isinstance(part, dict):
                 raise ValidationError(f"loop spec needs a {key!r} object of a0/cos/sin coefficients")
-            try:
-                cos_c = np.asarray(part.get("cos", []), dtype=float)
-                sin_c = np.asarray(part.get("sin", []), dtype=float)
-                a0 = float(part.get("a0", 0.0))
-            except (TypeError, ValueError):
-                raise ValidationError(f"loop spec {key!r} coefficients must be numeric") from None
-            if cos_c.ndim != 1 or sin_c.ndim != 1:
-                raise ValidationError(f"loop spec {key!r} cos/sin must be flat lists")
-            return a0, cos_c, sin_c
+            return (_numeric(f"{key}.a0", part.get("a0", 0.0), float),
+                    _numeric(f"{key}.cos", part.get("cos", []), _floats),
+                    _numeric(f"{key}.sin", part.get("sin", []), _floats))
 
-        try:
-            winding = int(data.get("winding", 0))
-        except (TypeError, ValueError):
-            raise ValidationError("loop spec 'winding' must be an integer") from None
+        winding = _numeric("winding", data.get("winding", 0), int)
         loop = ConfigLoop.from_fourier(coeffs("x"), coeffs("y"), coeffs("theta"),
                                        winding=winding, n=_grid(args.steps))
     else:
@@ -283,13 +291,13 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, ell_required=True):
         p.add_argument("--input", required=True, help="curve spec JSON path")
         if ell_required:
-            p.add_argument("--ell", type=float, required=True, help="wheelbase")
+            p.add_argument("--ell", type=_finite, required=True, help="wheelbase")
         p.add_argument("--steps", type=int, default=4096,
                        help="integration steps per traversal (default 4096)")
 
     p = sub.add_parser("trace", help="integrate the rear track, emit CSV/SVG")
     common(p)
-    p.add_argument("--alpha0", type=float, default=0.5 * math.pi,
+    p.add_argument("--alpha0", type=_finite, default=0.5 * math.pi,
                    help="initial steering angle (default pi/2)")
     p.add_argument("--csv", help="rear-track CSV output path")
     p.add_argument("--svg", help="figure output path")
@@ -304,12 +312,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("planimeter", help="simulate hatchet-planimeter readings")
     p.add_argument("--input", required=True)
-    p.add_argument("--ell", type=float, help="rod length for a single reading")
-    p.add_argument("--base", type=float, default=0.0, help="base point arc length")
-    p.add_argument("--placement", default="normal",
+    p.add_argument("--ell", type=_finite, help="rod length for a single reading")
+    p.add_argument("--base", type=_finite, default=0.0, help="base point arc length")
+    p.add_argument("--placement", type=_rod_placement, default="normal",
                    help="'normal', 'centroid', or an absolute rod angle")
-    p.add_argument("--ells", help="comma list of rod lengths: emit an error-scan CSV")
-    p.add_argument("--bases", help="comma list of base points for the scan")
+    p.add_argument("--ells", type=_finite_list,
+                   help="comma list of rod lengths: emit an error-scan CSV")
+    p.add_argument("--bases", type=_finite_list, help="comma list of base points for the scan")
     p.add_argument("--steps", type=int, default=4096)
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=_cmd_planimeter)
@@ -327,9 +336,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("develop", help="develop a curvature profile into the hyperbolic plane")
     p.add_argument("--input", help="curve spec JSON (its curvature is developed)")
-    p.add_argument("--constant-k", type=float, help="constant curvature value")
-    p.add_argument("--length", type=float, help="development length for --constant-k")
-    p.add_argument("--star", type=float, help="ideal-point angle: report stargazing residual")
+    p.add_argument("--constant-k", type=_finite, help="constant curvature value")
+    p.add_argument("--length", type=_finite, help="development length for --constant-k")
+    p.add_argument("--star", type=_finite, help="ideal-point angle: report stargazing residual")
     p.add_argument("--steps", type=int, default=8192)
     p.add_argument("--csv", help="hyperboloid-coordinates CSV path")
     p.add_argument("--svg", help="Poincare-disk figure path")
@@ -337,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("loopcheck", help="rod-area identity on a configuration loop")
     p.add_argument("--input", help="loop JSON (x/y/theta Fourier blocks)")
-    p.add_argument("--ell", type=float, required=True)
+    p.add_argument("--ell", type=_finite, required=True)
     p.add_argument("--seed", type=int, default=0, help="seed for a random loop (no --input)")
     p.add_argument("--steps", type=int, default=4096)
     p.add_argument("--out", help="JSON output path (default stdout)")

@@ -52,9 +52,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ._num import fourier_eval, simpson, trapezoid, wrap_angle
+from ._num import simpson, trapezoid, wrap_angle
 from .errors import ResidualError, ValidationError
-from .geom import TWO_PI, FrontTrack, Geometry, _area_density, _green_integral
+from .geom import TWO_PI, FrontTrack, Geometry, SupportFunction, _area_density, _green_integral
 
 
 @dataclass(frozen=True)
@@ -272,12 +272,16 @@ def _step_factors(track: FrontTrack, c: np.ndarray, n_steps: int) -> np.ndarray:
     """
     if track.pieces is not None:
         return _piece_factors(track, c)
-    h = track.total_length / n_steps
+    return _resolved_factors(_half_grid_curvature(track, n_steps), track.total_length / n_steps, c)
+
+
+def _resolved_factors(k: np.ndarray, h: float, c: np.ndarray) -> np.ndarray:
+    """:func:`_factors` for coefficients ``c`` (B, 1), refused when ``h |c| > RESOLVED_STEP``."""
     if not np.all(h * np.abs(c) <= RESOLVED_STEP):
         raise ResidualError(
-            f"{n_steps} steps do not resolve the wheelbase: a step times the steering "
-            f"coefficient must be at most {RESOLVED_STEP:g}")
-    return _factors(_half_grid_curvature(track, n_steps), h, -0.5 * c)
+            f"{k.shape[-1] // 2} steps do not resolve the flow: a step times the steering "
+            f"coefficient (1 in a development) must be at most {RESOLVED_STEP:g}")
+    return _factors(k, h, -0.5 * c)
 
 
 def _prefix(track: FrontTrack, c: np.ndarray, n_steps: int) -> np.ndarray:
@@ -585,16 +589,16 @@ class ConfigLoop:
         s = np.linspace(0.0, 1.0, n + 1)
         phi = TWO_PI * s
 
-        def series(coeffs, deriv):
-            a0, cos_c, sin_c = coeffs
-            out = fourier_eval(float(a0), np.asarray(cos_c, float), np.asarray(sin_c, float), phi, deriv=deriv)
-            return out * TWO_PI**deriv
+        def series(coeffs):
+            # a value and its s-derivative; the support-function form pads cos and sin to one length
+            p = SupportFunction.from_coefficients(*coeffs)
+            return p.value(phi), p.derivative(phi) * TWO_PI
 
-        x, dx = series(x_coeffs, 0), series(x_coeffs, 1)
-        y, dy = series(y_coeffs, 0), series(y_coeffs, 1)
-        theta = series(theta_coeffs, 0) + TWO_PI * winding * s
-        dtheta = series(theta_coeffs, 1) + TWO_PI * winding
-        return cls(s, x, y, theta, dx, dy, dtheta)
+        with np.errstate(over="ignore", invalid="ignore"):  # loop_identity refuses overflow
+            x, dx = series(x_coeffs)
+            y, dy = series(y_coeffs)
+            theta, dtheta = series(theta_coeffs)
+            return cls(s, x, y, theta + TWO_PI * winding * s, dx, dy, dtheta + TWO_PI * winding)
 
     @classmethod
     def from_rear_solution(cls, solution: SteeringSolution) -> "ConfigLoop":
@@ -644,20 +648,28 @@ def loop_identity(loop: ConfigLoop, ell: float) -> LoopCheck:
     """
     if not ell > 0.0:
         raise ValidationError("rod length must be positive")
-    ct, st = np.cos(loop.theta), np.sin(loop.theta)
-    fx = loop.x + ell * ct
-    fy = loop.y + ell * st
-    dfx = loop.dx - ell * st * loop.dtheta
-    dfy = loop.dy + ell * ct * loop.dtheta
 
     def periodic_trapz(values):
         return float(trapezoid(values, loop.s))
 
-    area_rear = periodic_trapz(0.5 * (loop.x * loop.dy - loop.y * loop.dx))
-    area_front = periodic_trapz(0.5 * (fx * dfy - fy * dfx))
-    lam = periodic_trapz(ct * loop.dy - st * loop.dx)
-    dth = float(loop.theta[-1] - loop.theta[0])
-    return LoopCheck(area_front, area_rear, lam, dth, float(ell))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite integrals are refused below
+        ct, st = np.cos(loop.theta), np.sin(loop.theta)
+        fx = loop.x + ell * ct
+        fy = loop.y + ell * st
+        dfx = loop.dx - ell * st * loop.dtheta
+        dfy = loop.dy + ell * ct * loop.dtheta
+        area_rear = periodic_trapz(0.5 * (loop.x * loop.dy - loop.y * loop.dx))
+        area_front = periodic_trapz(0.5 * (fx * dfy - fy * dfx))
+        lam = periodic_trapz(ct * loop.dy - st * loop.dx)
+        dth = float(loop.theta[-1] - loop.theta[0])
+    check = LoopCheck(area_front, area_rear, lam, dth, float(ell))
+    try:
+        finite = bool(np.isfinite(check.lhs - check.rhs))  # both sides, so every integral
+    except OverflowError:  # ell**2
+        finite = False
+    if not finite:
+        raise ResidualError("the loop's integrals overflow double precision")
+    return check
 
 
 def random_config_loop(rng: np.random.Generator, n_harmonics: int = 4,

@@ -61,13 +61,16 @@ def _point(value) -> tuple[float, float]:
 
 
 def _numeric(key: str, value, convert, shape: str = ""):
-    """``convert(value)``, reporting a non-numeric or non-finite curve-spec field as invalid input."""
+    """``convert(value)``, reporting a non-numeric or non-finite spec field as invalid input."""
     try:
         out = convert(value)
+        finite = np.all(np.isfinite(np.asarray(out, dtype=float)))
+    except OverflowError:  # an integer beyond double range
+        finite = False
     except (TypeError, ValueError):
-        raise InvalidCurveError(f"curve-spec field {key!r} must be numeric{shape}, got {value!r}") from None
-    if not np.all(np.isfinite(out)):
-        raise InvalidCurveError(f"curve-spec field {key!r} must be finite, got {value!r}")
+        raise InvalidCurveError(f"spec field {key!r} must be numeric{shape}, got {value!r}") from None
+    if not finite:
+        raise InvalidCurveError(f"spec field {key!r} must be finite, got {value!r}")
     return out
 
 
@@ -195,6 +198,9 @@ class FrontTrack:
         spec: CurveSpec | None = None,
         label: str = "",
     ):
+        if not 1 <= traversals <= PAIRABLE:  # compared exactly, however large the integer
+            raise InvalidCurveError(
+                f"traversals must lie in [1, {PAIRABLE:.3e}], got {traversals!r}")
         if not (period > 0.0 and math.isfinite(period * traversals)):
             raise InvalidCurveError(f"track must have positive finite length, got {period!r}")
         # lengths and coordinates past sqrt(max double) overflow once squared
@@ -453,20 +459,29 @@ def _heading(pieces: np.ndarray, theta0: float, period: float) -> Callable[[np.n
 # -- constructions ----------------------------------------------------------
 
 
+def _placement(spec: CurveSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """The spec's rigid motion of points ``(n, 2)``: rotate by ``angle``, then shift by ``center``."""
+    c, s = math.cos(spec.angle), math.sin(spec.angle)
+    rmat = np.array([[c, -s], [s, c]])
+    center = np.asarray(spec.center, dtype=float)
+    return lambda xy: xy @ rmat.T + center
+
+
 def _build_circle(spec: CurveSpec) -> FrontTrack:
     if spec.r is None or not spec.r > 0.0:
         raise InvalidCurveError(f"circle needs a positive radius, got {spec.r}")
     r = float(spec.r)
+    rot = float(spec.angle)
     center = np.asarray(spec.center, dtype=float)
 
     def pos(t):
-        ang = t / r
+        ang = t / r + rot  # a circle rotates by its phase
         return center + r * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
 
     return FrontTrack(
         TWO_PI * r,
         pos,
-        lambda t: t / r + 0.5 * math.pi,
+        lambda t: t / r + 0.5 * math.pi + rot,
         lambda t: np.full_like(t, 1.0 / r),
         closed=True, traversals=spec.traversals, pieces=[(TWO_PI * r, 1.0 / r, 0.0)],
         label=f"circle r={r:g}",
@@ -478,9 +493,7 @@ def _build_ellipse(spec: CurveSpec) -> FrontTrack:
         raise InvalidCurveError("ellipse needs positive semi-axes a and b")
     a, b = float(spec.a), float(spec.b)
     rot = float(spec.angle)
-    center = np.asarray(spec.center, dtype=float)
-    crot, srot = math.cos(rot), math.sin(rot)
-    rmat = np.array([[crot, -srot], [srot, crot]])
+    place = _placement(spec)
 
     def speed(psi):
         return np.hypot(a * np.sin(psi), b * np.cos(psi))
@@ -489,8 +502,7 @@ def _build_ellipse(spec: CurveSpec) -> FrontTrack:
 
     def pos(t):
         psi = alp.u_of_t(t)
-        xy = np.stack([a * np.cos(psi), b * np.sin(psi)], axis=-1)
-        return xy @ rmat.T + center
+        return place(np.stack([a * np.cos(psi), b * np.sin(psi)], axis=-1))
 
     def tan(t):
         psi = alp.u_of_t(t)
@@ -509,37 +521,23 @@ def _build_ellipse(spec: CurveSpec) -> FrontTrack:
 def _build_fourier_support(spec: CurveSpec) -> FrontTrack:
     if spec.a0 is None:
         raise InvalidCurveError("fourier-support needs the mean radius a0")
-    a0 = float(spec.a0)
-    cos_c = np.asarray(spec.cos, dtype=float)
-    sin_c = np.asarray(spec.sin, dtype=float)
-    n = max(len(cos_c), len(sin_c))
-    cos_c = np.pad(cos_c, (0, n - len(cos_c)))
-    sin_c = np.pad(sin_c, (0, n - len(sin_c)))
-
-    # p + p'' is one trigonometric polynomial, with harmonics scaled by 1 - m^2
-    damp = 1.0 - np.arange(1, n + 1, dtype=float) ** 2
-    rc_cos, rc_sin = damp * cos_c, damp * sin_c
-
-    def rad_curv(phi):
-        return fourier_eval(a0, rc_cos, rc_sin, phi)
+    support = SupportFunction.from_coefficients(spec.a0, spec.cos, spec.sin)
+    rad_curv = support.radius_of_curvature
+    rot = float(spec.angle)
+    place = _placement(spec)
 
     probe = rad_curv(np.linspace(0.0, TWO_PI, 8192, endpoint=False))
-    if np.min(probe) <= 1e-9 * max(abs(a0), 1.0):
+    if np.min(probe) <= 1e-9 * max(abs(support.a0), 1.0):
         raise InvalidCurveError(
             f"support function is not strictly convex (min radius of curvature {np.min(probe):.3e})"
         )
     alp = ArcLengthParam(rad_curv, 0.0, TWO_PI)
 
     def pos(t):
-        phi = alp.u_of_t(t)
-        p = fourier_eval(a0, cos_c, sin_c, phi)
-        dp = fourier_eval(a0, cos_c, sin_c, phi, deriv=1)
-        u = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-        uperp = np.stack([-np.sin(phi), np.cos(phi)], axis=-1)
-        return p[..., None] * u + dp[..., None] * uperp
+        return place(support.envelope(alp.u_of_t(t)))
 
     def tan(t):
-        return alp.u_of_t(t) + 0.5 * math.pi
+        return alp.u_of_t(t) + 0.5 * math.pi + rot
 
     def cur(t):
         return 1.0 / rad_curv(alp.u_of_t(t))
@@ -670,7 +668,11 @@ def _build_samples(spec: CurveSpec) -> FrontTrack:
         return spline(alp.u_of_t(t))
 
     def tan(t):
-        return np.interp(alp.u_of_t(t), u_dense, phi_dense)
+        # the table only picks the branch; the angle itself comes from the spline
+        u = alp.u_of_t(t)
+        near = np.interp(u, u_dense, phi_dense)
+        v = d1(u)
+        return near + wrap_angle(np.arctan2(v[..., 1], v[..., 0]) - near)
 
     def cur(t):
         u = alp.u_of_t(t)
@@ -806,7 +808,9 @@ class SupportFunction:
         cos_c = np.asarray(cos_coeffs, dtype=float)
         sin_c = np.asarray(sin_coeffs, dtype=float)
         n = max(len(cos_c), len(sin_c))
-        return cls(float(a0), np.pad(cos_c, (0, n - len(cos_c))), np.pad(sin_c, (0, n - len(sin_c))),
+        # zeros appended by concatenate: np.pad costs ten times as much on short series
+        return cls(float(a0), np.concatenate((cos_c, np.zeros(n - len(cos_c)))),
+                   np.concatenate((sin_c, np.zeros(n - len(sin_c)))),
                    np.asarray(anchor, dtype=float))
 
     def value(self, phi) -> np.ndarray:
@@ -818,8 +822,12 @@ class SupportFunction:
         return fourier_eval(self.a0, self.cos_coeffs, self.sin_coeffs, phi, deriv=order)
 
     def radius_of_curvature(self, phi) -> np.ndarray:
-        """p + p'', the radius of curvature of the envelope at normal angle phi."""
-        return self.value(phi) + self.derivative(phi, order=2)
+        """p + p'', the radius of curvature of the envelope at normal angle phi.
+
+        It is one trigonometric series, the harmonics of ``p`` scaled by ``1 - m^2``.
+        """
+        damp = 1.0 - np.arange(1, len(self.cos_coeffs) + 1, dtype=float) ** 2
+        return fourier_eval(self.a0, damp * self.cos_coeffs, damp * self.sin_coeffs, phi)
 
     def envelope(self, phi) -> np.ndarray:
         phi = np.asarray(phi, dtype=float)

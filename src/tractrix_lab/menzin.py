@@ -21,13 +21,12 @@ from ._num import wrap_angle
 from .dynamics import BikeParams, steering_endpoints
 from .errors import ResidualError, ScanError, ValidationError
 from .geom import FrontTrack, Geometry, enclosed_area
-from .moebius import IDENTITY_TOL, MapClass, _sweep_fits
-# The scan no longer calls ``monodromy`` itself; the name stays bound here
-# because the benchmark's span tracer (perfbench/spans.py) wraps it here.
-from .moebius import monodromy  # noqa: F401
+from .moebius import IDENTITY_TOL, MapClass, _fits, monodromy
 
 CLASSIFICATION_CSV_HEADER = "ell,trace,class"
 DEFAULT_TOL = 1e-10  # default ell0 tolerance, relative to sqrt(A/pi)
+LADDER_RATIO = 1.05  # ratio of consecutive wheelbases on the scan ladder
+CAP_FACTOR = 10.0  # the scan stops at CAP_FACTOR * sqrt(A/pi)
 
 
 def _require_convex(track: FrontTrack) -> float:
@@ -95,7 +94,7 @@ def _locate_transition(track: FrontTrack, lo: tuple[float, float], hi: tuple[flo
         else:
             x = a + fa / (fa - fb) * (b - a)
         x = min(max(x, a + 0.5 * tol), b - 0.5 * tol)
-        f = _sweep_fits(track, [x], steps)(0)[0].trace - 2.0
+        f = _fits(track, [x], steps)[0][0].trace - 2.0
         if f > 0.0:
             a, fa = x, f
             if kept == -1:
@@ -110,25 +109,24 @@ def _locate_transition(track: FrontTrack, lo: tuple[float, float], hi: tuple[flo
     return 0.5 * (a + b)
 
 
-def _ladder(r: float, cap: float, ratio: float) -> list[float]:
+def _ladder(r: float, cap: float) -> list[float]:
     if not cap > r:
         raise ScanError(
             f"scan cap {cap:.6g} does not exceed the min osculating radius {r:.6g}"
         )
     out = [r]
     while out[-1] < cap:
-        out.append(min(out[-1] * ratio, cap))
+        out.append(min(out[-1] * LADDER_RATIO, cap))
     return out
 
 
 Bracket = tuple[tuple[float, float] | None, tuple[float, float]]  # (lo, hi) as (ell, trace)
 
 
-def _scan(ladder: list[float], fit, stop_at_first: bool
-          ) -> tuple[list[ScanSample], list[Bracket]]:
+def _scan(ladder: list[float], fits) -> tuple[list[ScanSample], list[Bracket]]:
     """Walk the wheelbase ladder; bracket every sign change of trace - 2.
 
-    ``fit(i)`` is the fitted monodromy of ``ladder[i]`` (see ``_sweep_fits``).
+    ``fits[i]`` is the fitted monodromy of ``ladder[i]`` (see ``moebius._fits``).
     A bracket ``(lo, hi)`` holds the ``(ell, trace)`` of its ends, with
     trace >= 2 at ``lo`` and trace < 2 at ``hi``; ``lo`` is None when already
     the first ladder point is non-hyperbolic (the transition then sits at the
@@ -137,14 +135,11 @@ def _scan(ladder: list[float], fit, stop_at_first: bool
     samples: list[ScanSample] = []
     brackets: list[Bracket] = []
     prev: tuple[float, float] | None = None
-    for i, ell in enumerate(ladder):
-        fitted, eps_par = fit(i)
+    for ell, (fitted, eps_par) in zip(ladder, fits):
         samples.append(ScanSample(ell, fitted.trace, fitted.classify(eps_par).value))
         below = fitted.trace < 2.0
         if below and (prev is None or prev[1] >= 2.0):
             brackets.append((prev, (ell, fitted.trace)))
-            if stop_at_first:
-                return samples, brackets
         prev = (ell, fitted.trace)
     return samples, brackets
 
@@ -158,13 +153,13 @@ def _tolerance(tol: float | None, scale: float) -> float:
     return tol
 
 
-def _resolve_first(track: FrontTrack, bracket: Bracket, r: float, ratio: float,
-                   tol: float, steps: int) -> float:
+def _resolve_first(track: FrontTrack, bracket: Bracket, r: float, tol: float,
+                   steps: int) -> float:
     lo, hi = bracket
     if lo is None:
         # the ladder started non-hyperbolic; wheelbases below the osculating
         # radius are guaranteed hyperbolic, so bracket just beneath it
-        lo = (r / ratio, _sweep_fits(track, [r / ratio], steps)(0)[0].trace)
+        lo = (r / LADDER_RATIO, _fits(track, [r / LADDER_RATIO], steps)[0][0].trace)
         if not lo[1] > 2.0:
             raise ScanError(
                 f"trace <= 2 at ell = {lo[0]:.6g}, below the min osculating radius {r:.6g}"
@@ -172,28 +167,27 @@ def _resolve_first(track: FrontTrack, bracket: Bracket, r: float, ratio: float,
     return _locate_transition(track, lo, hi, tol, steps)
 
 
-def critical_length(track: FrontTrack, tol: float | None = None, *, ratio: float = 1.05,
-                    cap_factor: float = 10.0, steps_per_traversal: int = 4096) -> float:
+def critical_length(track: FrontTrack, tol: float | None = None, *,
+                    steps_per_traversal: int = 4096) -> float:
     """Smallest wheelbase at which the monodromy stops being hyperbolic.
 
-    Scans upward from the min osculating radius by multiplicative steps,
+    Scans upward from the min osculating radius by steps of ``LADDER_RATIO``,
     then closes in on the first trace = 2 crossing to within ``tol``
     (default ``1e-10 * sqrt(A/pi)``). Raises :class:`ScanError` if no transition shows
-    up below ``cap_factor * sqrt(A/pi)``.
+    up below ``CAP_FACTOR * sqrt(A/pi)``.
     """
     r = min_osculating_radius(track)  # enforces convexity first
     area = enclosed_area(track)
     scale = math.sqrt(area / math.pi)
     tol = _tolerance(tol, scale)
-    ladder = _ladder(r, cap_factor * scale, ratio)
-    _, brackets = _scan(ladder, _sweep_fits(track, ladder, steps_per_traversal),
-                        stop_at_first=True)
+    ladder = _ladder(r, CAP_FACTOR * scale)
+    _, brackets = _scan(ladder, _fits(track, ladder, steps_per_traversal))
     if not brackets:
         raise ScanError(
-            f"no parabolic transition found up to ell = {cap_factor * scale:.6g}; "
+            f"no parabolic transition found up to ell = {CAP_FACTOR * scale:.6g}; "
             "large-wheelbase monodromy should be elliptic"
         )
-    return _resolve_first(track, brackets[0], r, ratio, tol, steps_per_traversal)
+    return _resolve_first(track, brackets[0], r, tol, steps_per_traversal)
 
 
 def defect_bound(track: FrontTrack, ell: float, *,
@@ -212,14 +206,13 @@ def defect_bound(track: FrontTrack, ell: float, *,
 
 def _defect_bound(track: FrontTrack, ell: float, steps: int, area: float) -> tuple[float, float]:
     """:func:`defect_bound` on a track already checked convex, with its area."""
-    fitted, eps_par = _sweep_fits(track, [ell], steps)(0)
-    map_class = fitted.classify(eps_par)
-    if fitted.distance_to_identity() < IDENTITY_TOL or map_class is MapClass.ELLIPTIC:
-        raise ValidationError(
-            f"monodromy at ell = {ell:.6g} is {map_class.value}: no closed rear track"
-        )
-    fixed = fitted.fixed_points(eps_par)[0]  # attracting first
     params = BikeParams(ell=ell, steps_per_traversal=steps)
+    rep = monodromy(track, params)
+    if rep.is_identity or rep.map_class is MapClass.ELLIPTIC:
+        raise ValidationError(
+            f"monodromy at ell = {ell:.6g} is {rep.map_class.value}: no closed rear track"
+        )
+    fixed = rep.fixed_points[0]  # attracting first
     final = steering_endpoints(track, params, [fixed.angle])[0]
     gap = abs(wrap_angle(final - fixed.angle))
     if gap > 1e-5:
@@ -286,8 +279,8 @@ class MenzinReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def menzin_verify(track: FrontTrack, tol: float | None = None, *, ratio: float = 1.05,
-                  cap_factor: float = 10.0, steps_per_traversal: int = 4096) -> MenzinReport:
+def menzin_verify(track: FrontTrack, tol: float | None = None, *,
+                  steps_per_traversal: int = 4096) -> MenzinReport:
     """Run the three-stage verification and assemble the report.
 
     Stages: hyperbolicity at half the min osculating radius, ellipticity at
@@ -300,32 +293,32 @@ def menzin_verify(track: FrontTrack, tol: float | None = None, *, ratio: float =
     area = enclosed_area(track)
     scale = math.sqrt(area / math.pi)
     tol = _tolerance(tol, scale)
-    cap = cap_factor * scale
+    cap = CAP_FACTOR * scale
     steps = steps_per_traversal
     checks: list[StageCheck] = []
 
     # one sweep for the ladder, whose last point is the cap, and for 0.5 * r
-    ladder = _ladder(r, cap, ratio)
-    fit = _sweep_fits(track, ladder + [0.5 * r], steps)
+    ladder = _ladder(r, cap)
+    fits = _fits(track, ladder + [0.5 * r], steps)
 
-    small, eps_small = fit(len(ladder))
+    small, eps_small = fits[-1]
     checks.append(StageCheck(
         "hyperbolic_below_osculating_radius", 0.5 * r,
         small.classify(eps_small) is MapClass.HYPERBOLIC,
         f"trace = {small.trace:.9g}"))
 
-    at_cap, eps_cap = fit(len(ladder) - 1)
+    at_cap, eps_cap = fits[-2]
     checks.append(StageCheck(
         "elliptic_at_cap", cap,
         at_cap.classify(eps_cap) is MapClass.ELLIPTIC
         and not at_cap.distance_to_identity() < IDENTITY_TOL,
         f"trace = {at_cap.trace:.9g}"))
 
-    samples, brackets = _scan(ladder, fit, stop_at_first=False)
+    samples, brackets = _scan(ladder, fits)
     ell0: float | None = None
     transitions: list[float] = []
     if brackets:
-        ell0 = _resolve_first(track, brackets[0], r, ratio, tol, steps)
+        ell0 = _resolve_first(track, brackets[0], r, tol, steps)
         transitions.append(ell0)
         # later crossings (either direction) are logged coarsely: the scan
         # never assumes the first transition is the only one

@@ -17,7 +17,6 @@ angle pairs, for maps known only by their action.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -284,15 +283,6 @@ class MonodromyReport:
         return cls.from_dict(json.loads(text))
 
 
-def _parabolic_band(fitted: MoebiusMap, error: float) -> float:
-    """Half-width of the parabolic trace band around 2: ten entry errors, at least 1e-7.
-
-    ``error`` is the step-doubling error relative to the largest entry of
-    ``fitted``; the trace's error is at most twice the entries' error.
-    """
-    return max(1e-7, 10.0 * error * float(np.max(np.abs(fitted.matrix))))
-
-
 def _rear_length(trace: float, fixed: FixedPoint, c: float) -> float:
     """Signed rear length ``\\int cos(alpha) dt`` of the closed trajectory from a fixed angle.
 
@@ -307,67 +297,78 @@ def _rear_length(trace: float, fixed: FixedPoint, c: float) -> float:
     return (2.0 if fixed.attracting else -2.0) * math.acosh(0.5 * trace) / c
 
 
-def _sweep_fits(track: FrontTrack, ells: Sequence[float], steps_per_traversal: int):
-    """Monodromy maps of one track at many wheelbases from a single batched sweep.
+def _fit(matrix: np.ndarray, error: float) -> tuple[MoebiusMap, float]:
+    """The map of a lift product of determinant one, and the half-width of its parabolic band.
 
-    Returns ``fit(i) -> (map, eps_parabolic)`` for wheelbase ``ells[i]``,
-    computed on first use: the scan reads only the trace and the class, so
-    no fixed points or rear lengths are made. A row is accepted exactly as
-    :func:`monodromy` accepts its first grid; a row whose step-doubling
-    error exceeds the cap, or whose wheelbase the grid does not resolve, is
-    handed to :func:`monodromy`, which tries to refine the grid.
+    ``error`` is the step-doubling error relative to the largest entry of
+    the map; the trace's error is at most twice the entries' error, and the
+    band around 2 is ten entry errors, at least 1e-7.
     """
-    params = [BikeParams(ell=ell, steps_per_traversal=steps_per_traversal) for ell in ells]
-    mats, errors = _monodromy_sweep(track, params, steps_per_traversal * track.traversals)
-
-    @functools.cache
-    def fit(i: int) -> tuple[MoebiusMap, float]:
-        if not errors[i] <= ERROR_CAP:
-            rep = monodromy(track, params[i])
-            return rep.map, rep.eps_parabolic
-        fitted = MoebiusMap._canonical(mats[i])
-        return fitted, _parabolic_band(fitted, float(errors[i]))
-
-    return fit
+    fitted = MoebiusMap._canonical(matrix)
+    return fitted, max(1e-7, 10.0 * error * float(np.max(np.abs(fitted.matrix))))
 
 
-def monodromy(track: FrontTrack, params: BikeParams,
-              error_cap: float = ERROR_CAP) -> MonodromyReport:
-    """Propagate and classify the steering monodromy of ``track``.
+def _refine(track: FrontTrack, params: BikeParams, n: int, matrix: np.ndarray,
+            error: float) -> tuple[int, np.ndarray, float]:
+    """The grid to keep, from ``n`` steps already swept to ``matrix`` with ``error``.
 
-    The map is the lift's step product over the track. While its
-    step-doubling error estimate (relative to the map's largest entry)
-    exceeds ``error_cap``, the step count is doubled, at most
+    While the step-doubling error estimate (relative to the map's largest
+    entry) exceeds ``ERROR_CAP``, the step count is doubled, at most
     ``MAX_REFINEMENTS`` times. A smooth grid that does not resolve the
     wheelbase (see :func:`.dynamics._monodromy_sweep`) is never kept, and
     :class:`ResidualError` is raised when no grid within those doublings
     resolves it. Refinement also stops when a doubling of a resolved grid
     does not reduce the estimate (the grid does not resolve the track, as
     with a curvature spike shorter than a step); the grid with the smallest
-    estimate is kept, and its estimate is the reported ``residual``. On a
-    piecewise track the map is exact, its estimate is rounding that no
-    doubling reduces, and the requested grid is kept. The parabolic trace
-    band is ten times that estimate in the entries, and at least 1e-7. Rear
-    lengths at the fixed angles come from the trace (see
-    :func:`_rear_length`).
+    estimate is kept. On a piecewise track the map is exact, its estimate
+    is rounding that no doubling reduces, and the requested grid is kept.
+    Returns ``(steps, matrix, error)`` of the kept grid.
     """
-    n = params.steps_per_traversal * track.traversals
-    kept = (n, None, math.inf)  # (steps, map, error) of the grid with the smallest error so far
-    for _ in range(MAX_REFINEMENTS + 1):
+    kept = (n, matrix, error)
+    for _ in range(MAX_REFINEMENTS):
+        if kept[2] <= ERROR_CAP:
+            break
+        n *= 2
         mats, errors = _monodromy_sweep(track, [params], n)
         if kept[2] < math.inf and not errors[0] < kept[2]:
             break
         kept = (n, mats[0], float(errors[0]))
-        if kept[2] <= error_cap:
-            break
-        n *= 2
-    n, matrix, error = kept
-    if error == math.inf:
-        raise ResidualError(f"no grid of up to {n} steps resolves the wheelbase: the steering "
-                            "coefficient is too large for the track's length")
+    if kept[2] == math.inf:
+        raise ResidualError(f"no grid of up to {kept[0]} steps resolves the wheelbase: the "
+                            "steering coefficient is too large for the track's length")
+    return kept
 
-    fitted = MoebiusMap._canonical(matrix)
-    eps_par = _parabolic_band(fitted, error)
+
+def _fits(track: FrontTrack, ells: Sequence[float],
+          steps_per_traversal: int) -> list[tuple[MoebiusMap, float]]:
+    """``(map, eps_parabolic)`` of one track at many wheelbases, from one batched sweep.
+
+    Each row is refined as :func:`monodromy` refines its grid, starting
+    from the swept grid. Only the map and its parabolic band are made: no
+    fixed points or rear lengths.
+    """
+    n = steps_per_traversal * track.traversals
+    params = [BikeParams(ell=ell, steps_per_traversal=steps_per_traversal) for ell in ells]
+    mats, errors = _monodromy_sweep(track, params, n)
+    return [_fit(*_refine(track, p, n, m, float(e))[1:])
+            for p, m, e in zip(params, mats, errors)]
+
+
+def monodromy(track: FrontTrack, params: BikeParams) -> MonodromyReport:
+    """Propagate and classify the steering monodromy of ``track``.
+
+    The map is the lift's step product over the track. Its grid is doubled
+    while the step-doubling error estimate exceeds ``ERROR_CAP``, and one
+    that does not resolve the wheelbase is never kept (see :func:`_refine`);
+    the kept grid's estimate is the reported ``residual``. The parabolic
+    trace band is ten times that estimate in the entries, and at least
+    1e-7. Rear lengths at the fixed angles come from the trace (see
+    :func:`_rear_length`).
+    """
+    n = params.steps_per_traversal * track.traversals
+    mats, errors = _monodromy_sweep(track, [params], n)
+    n, matrix, error = _refine(track, params, n, mats[0], float(errors[0]))
+    fitted, eps_par = _fit(matrix, error)
     is_identity = fitted.distance_to_identity() < IDENTITY_TOL
     fps = () if is_identity else fitted.fixed_points(eps_par)
 

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from ._io import fmt17
-from ._num import simpson
+from ._num import PAIRABLE, simpson
 from .dynamics import _angles, _lifted, _rk4, _scan
 from .errors import ValidationError
 from .geom import CurveSpec, FrontTrack, Geometry, _region_moments, make_curve
@@ -163,8 +163,9 @@ def measure(track: FrontTrack, ell: float, base: float = 0.0,
     corners (:meth:`.FrontTrack.split_at_corners`), so no step spans a turn.
     """
     _validate_track(track)
-    if not ell > 0.0:
-        raise ValidationError("rod length must be positive")
+    if not 0.0 < ell <= PAIRABLE:  # the reading is the deflection times ell^2
+        raise ValidationError(
+            f"rod length must be positive and at most {PAIRABLE:.3e}, got {ell!r}")
     loop = track.rebased(base)
     base_point = loop.position(0.0)
     steps_per_unit = steps_per_traversal / track.period

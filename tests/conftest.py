@@ -1,5 +1,7 @@
 """Shared fixtures; the expensive verification reports are session-scoped."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -43,3 +45,11 @@ def random_convex_spec(rng: np.random.Generator, n_harmonics: int = 4) -> dict:
         cos_c.append(rng.uniform(-budget, budget))
         sin_c.append(rng.uniform(-budget, budget))
     return {"kind": "fourier-support", "a0": 1.0, "cos": cos_c, "sin": sin_c}
+
+
+def strict_json(text: str):
+    """``json.loads`` that fails on the NaN and Infinity tokens strict JSON has no room for."""
+    def refuse(token):
+        raise AssertionError(f"non-finite {token} in JSON output")
+
+    return json.loads(text, parse_constant=refuse)

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 from tractrix_lab.cli import MAX_GRID, main
 
+from conftest import strict_json
+
 SQRT3 = math.sqrt(3.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -50,7 +52,7 @@ def test_trace_summary_and_files(capsys, tmp_path, unit_circle_spec):
     rc, cap = run(capsys, ["trace", "--input", unit_circle_spec, "--ell", "1",
                            "--steps", "1024", "--csv", str(csv), "--svg", str(svg)])
     assert rc == 0
-    summary = json.loads(cap.out)
+    summary = strict_json(cap.out)
     assert summary["area_between_tracks"] == pytest.approx(math.pi, rel=1e-6)
     assert summary["rear_closed"] is True
     header, first = csv.read_text().splitlines()[:2]
@@ -75,7 +77,7 @@ def test_monodromy_stdout_trace(capsys, circle_spec):
     rc, cap = run(capsys, ["monodromy", "--input", circle_spec, "--ell", "1",
                            "--steps", "4096"])
     assert rc == 0
-    rep = json.loads(cap.out)
+    rep = strict_json(cap.out)
     assert rep["class"] == "hyperbolic"
     assert rep["trace"] == pytest.approx(2.0 * math.cosh(math.pi * SQRT3), rel=1e-6)
     assert rep["fixed_angles"][0] == pytest.approx(math.pi / 6.0, abs=1e-6)
@@ -87,7 +89,7 @@ def test_monodromy_out_file(capsys, tmp_path, circle_spec):
                            "--steps", "512", "--out", str(out)])
     assert rc == 0
     assert cap.out == ""
-    assert json.loads(out.read_text())["ell"] == 1.0
+    assert strict_json(out.read_text())["ell"] == 1.0
 
 
 def test_monodromy_geometry_flag(capsys, tmp_path):
@@ -97,7 +99,7 @@ def test_monodromy_geometry_flag(capsys, tmp_path):
     rc, cap = run(capsys, ["monodromy", "--input", str(spec), "--ell", "0.5",
                            "--geometry", "spherical", "--steps", "1024"])
     assert rc == 0
-    assert json.loads(cap.out)["geometry"] == "spherical"
+    assert strict_json(cap.out)["geometry"] == "spherical"
 
 
 def test_monodromy_requires_ell(capsys, circle_spec):
@@ -113,7 +115,7 @@ def test_planimeter_single_reading(capsys, unit_circle_spec):
     rc, cap = run(capsys, ["planimeter", "--input", unit_circle_spec,
                            "--ell", "8", "--placement", "centroid", "--steps", "1024"])
     assert rc == 0
-    reading = json.loads(cap.out)
+    reading = strict_json(cap.out)
     assert reading["exact_area"] == pytest.approx(math.pi, rel=1e-9)
     assert reading["estimate"] == pytest.approx(math.pi, rel=1e-2)
     assert reading["closure_defect"] == pytest.approx(0.0, abs=1e-8)
@@ -142,10 +144,22 @@ def test_menzin_unit_circle(capsys, tmp_path, unit_circle_spec):
     rc, cap = run(capsys, ["menzin", "--input", unit_circle_spec,
                            "--steps", "1024", "--tol", "1e-4", "--csv", str(csv)])
     assert rc == 0
-    rep = json.loads(cap.out)
+    rep = strict_json(cap.out)
     assert rep["ok"] is True
     assert rep["ell0"] == pytest.approx(1.0, abs=1e-3)
     assert csv.read_text().splitlines()[0] == "ell,trace,class"
+
+
+def test_menzin_strongly_hyperbolic_rows_exit_0(capsys, tmp_path):
+    # the 12x1 ellipse's smallest ladder row has trace ~1e253; the scan reads
+    # only its trace and class, so its multipliers never need to exist
+    path = tmp_path / "ellipse.json"
+    path.write_text(json.dumps({"kind": "ellipse", "a": 12.0, "b": 1.0}))
+    rc, cap = run(capsys, ["menzin", "--input", str(path), "--steps", "512"])
+    assert rc == 0
+    rep = strict_json(cap.out)
+    assert rep["ok"] is True
+    assert rep["ell0"] == pytest.approx(4.535190417356915, rel=1e-12)
 
 
 # -- develop -----------------------------------------------------------------
@@ -159,7 +173,7 @@ def test_develop_constant_curvature_closes(capsys, tmp_path):
                            "--length", str(2.0 * math.pi * SQRT3),
                            "--csv", str(csv), "--svg", str(svg)])
     assert rc == 0
-    summary = json.loads(cap.out)
+    summary = strict_json(cap.out)
     assert summary["closure_distance"] < 1e-9
     assert csv.read_text().splitlines()[0] == "t,x0,x1,x2"
     ET.fromstring(svg.read_text())
@@ -169,7 +183,7 @@ def test_develop_star_residual(capsys):
     rc, cap = run(capsys, ["develop", "--constant-k", "1.2", "--length", "6",
                            "--star", "0.7"])
     assert rc == 0
-    summary = json.loads(cap.out)
+    summary = strict_json(cap.out)
     assert summary["stargazing_residual"] < 1e-5
 
 
@@ -195,11 +209,17 @@ def test_long_development_output_is_strict_json(capsys, argv):
         return
     assert rc == 0
 
-    def refuse(token):
-        raise AssertionError(f"non-finite {token} in the develop summary")
-
-    summary = json.loads(cap.out, parse_constant=refuse)
+    summary = strict_json(cap.out)
     assert all(math.isfinite(v) for v in summary.values())
+
+
+def test_develop_unresolved_grid_exits_3(capsys, tmp_path):
+    # 4 steps along the 2x1 ellipse are 2.4 long, past the engine's resolved step of 2
+    path = tmp_path / "ellipse.json"
+    path.write_text(json.dumps({"kind": "ellipse", "a": 2.0, "b": 1.0}))
+    rc, cap = run(capsys, ["develop", "--input", str(path), "--steps", "4"])
+    assert rc == 3
+    assert cap.err.startswith("error:") and cap.out == ""
 
 
 def test_develop_needs_a_source(capsys):
@@ -213,7 +233,7 @@ def test_develop_needs_a_source(capsys):
 def test_loopcheck_random_seed(capsys):
     rc, cap = run(capsys, ["loopcheck", "--seed", "3", "--ell", "1.5"])
     assert rc == 0
-    out = json.loads(cap.out)
+    out = strict_json(cap.out)
     assert abs(out["residual"]) < 1e-6 * max(1.0, abs(out["area_front"]))
     winding = out["dtheta_integral"] / (2.0 * math.pi)
     assert winding == pytest.approx(round(winding), abs=1e-9) and round(winding) != 0
@@ -230,7 +250,7 @@ def test_loopcheck_from_file(capsys, tmp_path):
     path.write_text(json.dumps(loop))
     rc, cap = run(capsys, ["loopcheck", "--input", str(path), "--ell", "2"])
     assert rc == 0
-    assert abs(json.loads(cap.out)["residual"]) < 1e-6
+    assert abs(strict_json(cap.out)["residual"]) < 1e-6
 
 
 # -- error handling and plumbing ---------------------------------------------
@@ -268,8 +288,13 @@ def test_non_numeric_field_exits_2(capsys, tmp_path, command, field):
     (["monodromy", "--ell", "1"], {"kind": "circle", "r": 1e308}),
     (["monodromy", "--ell", "1"], {"kind": "polyline", "vertices": [[0, 0], [1, 0], [1]]}),
     (["monodromy", "--ell", "1"], {"kind": "samples", "points": [[0, 0], [math.inf, 0], [1, 1], [0, 0]]}),
+    (["monodromy", "--ell", "1"], {"kind": "circle", "r": 1.0, "traversals": 10**330}),
+    (["monodromy", "--ell", "1"], {"kind": "geodesic-circle", "rho": 1.0, "traversals": 0}),
+    (["monodromy", "--ell", "1"], {"kind": "geodesic-circle", "rho": 1.0, "traversals": -1}),
+    (["monodromy", "--ell", "1"], {"kind": "geodesic-circle", "rho": 1.0, "traversals": 1.5}),
 ], ids=["rho-not-numeric", "rho-missing", "loop-block-not-object", "length-overflows",
-        "vertex-not-a-pair", "point-not-finite"])
+        "vertex-not-a-pair", "point-not-finite", "traversals-past-double-range",
+        "geodesic-traversals-0", "geodesic-traversals-negative", "geodesic-traversals-fraction"])
 def test_malformed_spec_exits_2(capsys, tmp_path, argv, spec):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
@@ -411,10 +436,118 @@ def test_any_input_json_exits_cleanly(command, spec):
     assert rc in (0, 2, 3)
 
 
+@pytest.mark.parametrize("argv", [
+    ["planimeter", "--ells", "5,x"],
+    ["planimeter", "--ell", "inf"],
+    ["planimeter", "--ells", "5,nan"],
+    ["planimeter", "--ell", "3", "--bases", "0,inf"],
+    ["planimeter", "--ell", "3", "--placement", "nan"],
+    ["planimeter", "--ell", "3", "--base", "inf"],
+    ["monodromy", "--ell", "inf"],
+    ["trace", "--ell", "1", "--alpha0", "nan"],
+    ["loopcheck", "--ell", "inf"],
+    ["develop", "--constant-k", "inf", "--length", "5"],
+    ["develop", "--constant-k", "1", "--length", "nan"],
+    ["develop", "--constant-k", "1", "--length", "5", "--star", "inf"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_non_finite_flag_exits_2(capsys, unit_circle_spec, argv):
+    if argv[0] in ("planimeter", "monodromy", "trace"):
+        argv = [argv[0], "--input", unit_circle_spec, *argv[1:]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and "error: argument" in cap.err
+
+
+@pytest.mark.parametrize("coefficient, code", [(1e308, 3), (math.inf, 2)],
+                         ids=["overflows", "infinite"])
+def test_loop_spec_numbers_are_checked(capsys, tmp_path, coefficient, code):
+    loop = {"x": {"cos": [coefficient, 1.0]}, "y": {"sin": [0.0, 1.0]}, "theta": {}, "winding": 1}
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(loop))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, cap = run(capsys, ["loopcheck", "--input", str(path), "--ell", "1"])
+    assert rc == code
+    assert [str(w.message) for w in caught] == []
+    assert cap.err.startswith("error:") and cap.out == ""
+
+
+def test_loop_spec_blocks_of_unequal_length(capsys, tmp_path):
+    # a block's cos and sin lists need not be equally long
+    loop = {"x": {"cos": [0.0, 1.0]}, "y": {"sin": [0.0, 1.0]}, "theta": {"cos": [0.0, 0.3]},
+            "winding": 1}
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(loop))
+    rc, cap = run(capsys, ["loopcheck", "--input", str(path), "--ell", "2"])
+    assert rc == 0
+    assert abs(strict_json(cap.out)["residual"]) < 1e-6
+
+
+def test_geodesic_circle_spec_fields(capsys, tmp_path):
+    from tractrix_lab.cli import _load_curve
+
+    spec = {"kind": "geodesic-circle", "rho": 1.0, "geometry": "hyperbolic"}
+    path = tmp_path / "geo.json"
+    path.write_text(json.dumps({**spec, "orientation": -1}))
+    reversed_track = _load_curve(str(path))
+    assert reversed_track.curvature(0.5) == pytest.approx(-1.0 / math.tanh(1.0), rel=1e-15)
+    for extra in ({"bogus": 3}, {"orientation": 2}, {"orientation": "x"}):
+        path.write_text(json.dumps({**spec, **extra}))
+        rc, cap = run(capsys, ["monodromy", "--input", str(path), "--ell", "0.5"])
+        assert rc == 2
+        assert cap.err.startswith("error:") and cap.out == ""
+
+
+_FLAG = st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                  st.integers(-10**6, 10**6).map(str), st.text(max_size=6))
+_BLOCK = st.fixed_dictionaries({}, optional={"a0": _NUMBERS, "cos": st.lists(_NUMBERS, max_size=3),
+                                             "sin": st.lists(_NUMBERS, max_size=3)})
+_LOOP = st.fixed_dictionaries({"x": _BLOCK, "y": _BLOCK, "theta": _BLOCK},
+                              optional={"winding": _NUMBERS | _JSON})
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(flags=st.sampled_from([("monodromy", "--ell"), ("trace", "--alpha0"),
+                              ("planimeter", "--ell"), ("planimeter", "--base"),
+                              ("planimeter", "--placement"), ("planimeter", "--ells"),
+                              ("planimeter", "--bases"), ("develop", "--constant-k"),
+                              ("develop", "--length"), ("develop", "--star"),
+                              ("loopcheck", "--ell")]),
+       values=st.lists(_FLAG, min_size=1, max_size=2), loop=_LOOP | _JSON)
+def test_any_numeric_flag_or_loop_spec_exits_cleanly(flags, values, loop):
+    # every numeric flag, and loopcheck's --input, either runs with strict JSON
+    # out or is refused with 2 or 3; a traceback fails the test
+    command, flag = flags
+    value = ",".join(values) if flag in ("--ells", "--bases") else values[0]
+    argv = {
+        "monodromy": ["--ell=0.5"], "trace": ["--ell=0.5"], "planimeter": ["--ell=2"],
+        "develop": ["--constant-k=1", "--length=2"], "loopcheck": ["--ell=1"],
+    }[command] + [f"{flag}={value}", "--steps", "64"]
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp) / "spec.json"
+        if command == "loopcheck":
+            spec.write_text(json.dumps(loop))
+        else:
+            spec.write_text(json.dumps({"kind": "circle", "r": 1.0}))
+        if command != "develop":
+            argv += ["--input", str(spec)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                rc = main([command, *argv])
+            except SystemExit as exc:
+                rc = exc.code
+    assert rc in (0, 2, 3)
+    if rc == 0 and flag != "--ells":  # a scan writes CSV
+        strict_json(out.getvalue())
+
+
 def test_monodromy_stiff_circle_exits_0(capsys, unit_circle_spec):
     rc, cap = run(capsys, ["monodromy", "--input", unit_circle_spec, "--ell", "0.1"])
     assert rc == 0
-    assert json.loads(cap.out)["trace"] == pytest.approx(
+    assert strict_json(cap.out)["trace"] == pytest.approx(
         2.0 * math.cosh(math.pi * math.sqrt(99.0)), rel=1e-6)
 
 

@@ -1,6 +1,7 @@
 """Steering flow, rear tracks, and the configuration-loop area identity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -281,6 +282,25 @@ def test_loop_identity_pure_rotation():
     assert check.lambda_integral == pytest.approx(0.0, abs=1e-10)
     assert check.area_front == pytest.approx(math.pi * ell**2, rel=1e-9)
     assert check.mismatch == pytest.approx(0.0, abs=1e-10)
+
+
+def test_loop_identity_refuses_overflow_without_warnings():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        loop = tl.ConfigLoop.from_fourier((0.0, [1e308, 1.0], []), (0.0, [], [0.0, 1.0]),
+                                          (0.0, [], []), winding=1)
+        with pytest.raises(tl.ResidualError, match="overflow"):
+            tl.loop_identity(loop, 1.0)
+        with pytest.raises(tl.ResidualError, match="overflow"):
+            tl.loop_identity(tl.random_config_loop(np.random.default_rng(3)), 1e200)
+    assert [str(w.message) for w in caught] == []
+
+
+def test_loop_coefficient_lists_may_differ_in_length():
+    # x = cos(2 tau), y = sin(2 tau): cos and sin lists of different lengths
+    loop = tl.ConfigLoop.from_fourier((0.0, [0.0, 1.0], []), (0.0, [], [0.0, 1.0]),
+                                      (0.0, [0.3], []), winding=1)
+    assert tl.loop_identity(loop, 2.0).mismatch < 1e-8
 
 
 @settings(max_examples=15, deadline=None)

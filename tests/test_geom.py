@@ -42,6 +42,23 @@ def test_circle_off_center():
     assert np.allclose(tl.area_centroid(c), [3.0, -2.0], atol=1e-9)
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "circle", "r": 1.5},
+    {"kind": "fourier-support", "a0": 1.0, "cos": [0.0, 0.05, -0.02], "sin": [0.0, 0.03]},
+], ids=["circle", "fourier-support"])
+def test_center_and_angle_place_the_curve(spec):
+    # the curve is rotated by `angle` about its own origin, then moved to `center`
+    base = tl.make_curve(spec)
+    placed = tl.make_curve({**spec, "center": [5.0, 5.0], "angle": 0.7})
+    t = np.linspace(0.0, base.period, 41)
+    c, s = math.cos(0.7), math.sin(0.7)
+    expected = base.position(t) @ np.array([[c, -s], [s, c]]).T + [5.0, 5.0]
+    assert np.allclose(placed.position(t), expected, rtol=0.0, atol=1e-14)
+    assert np.allclose(placed.tangent_angle(t), base.tangent_angle(t) + 0.7, rtol=0.0, atol=1e-14)
+    assert np.array_equal(placed.curvature(t), base.curvature(t))
+    assert tl.enclosed_area(placed) == pytest.approx(tl.enclosed_area(base), rel=1e-12)
+
+
 def test_ellipse_oracles(ellipse21):
     # perimeter of the 2x1 ellipse: 4 a E(e^2), e^2 = 1 - b^2/a^2
     perimeter = 4.0 * 2.0 * ellipe(0.75)
@@ -114,6 +131,37 @@ def test_samples_rebuild_ellipse(ellipse21):
     rebuilt = tl.make_curve({"kind": "samples", "points": pts[:-1].tolist()})
     assert rebuilt.total_length == pytest.approx(ellipse21.total_length, rel=1e-5)
     assert tl.enclosed_area(rebuilt) == pytest.approx(2.0 * math.pi, rel=1e-5)
+
+
+def test_samples_tangent_and_area_follow_the_spline():
+    from scipy.interpolate import CubicSpline
+
+    phi = np.linspace(0.0, TWO_PI, 40, endpoint=False)
+    r = 1.0 + 0.2 * np.cos(3.0 * phi) + 0.1 * np.sin(2.0 * phi)
+    pts = np.stack([2.0 * r * np.cos(phi), r * np.sin(phi)], axis=1)
+    track = tl.make_curve({"kind": "samples", "points": pts.tolist()})
+    # the builder's spline: chord-length knots, periodic
+    closed = np.vstack([pts, pts[:1]])
+    chord = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(closed, axis=0).T))])
+    spline = CubicSpline(chord, closed, axis=0, bc_type="periodic")
+    d1, d2 = spline.derivative(1), spline.derivative(2)
+    # Green's area of the spline itself: Gauss-Legendre, exact on each knot span
+    x, w = np.polynomial.legendre.leggauss(4)
+    a, b = chord[:-1, None], chord[1:, None]
+    u = 0.5 * (b - a) * x + 0.5 * (a + b)
+    p, v = spline(u), d1(u)
+    green = 0.5 * np.sum(0.5 * (b - a) * w * (p[..., 0] * v[..., 1] - p[..., 1] * v[..., 0]))
+    assert tl.enclosed_area(track) == pytest.approx(green, rel=1e-9)
+    # spline parameter of each track point, by Newton on the distance
+    t = np.linspace(0.0, track.period, 997)
+    q = track.position(t)
+    u = t / track.period * chord[-1]
+    for _ in range(8):
+        gap = spline(u) - q
+        u -= np.sum(gap * d1(u), -1) / (np.sum(d1(u) ** 2, -1) + np.sum(gap * d2(u), -1))
+    v = d1(u)
+    miss = np.angle(np.exp(1j * (track.tangent_angle(t) - np.arctan2(v[:, 1], v[:, 0]))))
+    assert np.max(np.abs(miss)) < 1e-13
 
 
 def test_samples_open_polyline():

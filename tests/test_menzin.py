@@ -60,10 +60,31 @@ def test_critical_length_rejects_nonconvex():
         tl.critical_length(seg)
 
 
-def test_critical_length_cap_raises(unit_circle):
+def test_critical_length_cap_raises(unit_circle, monkeypatch):
     # a cap below the transition leaves the scan without a bracket
+    monkeypatch.setattr(tl.menzin, "CAP_FACTOR", 0.8)
     with pytest.raises(tl.ScanError):
-        tl.critical_length(unit_circle, cap_factor=0.8)
+        tl.critical_length(unit_circle)
+
+
+def test_critical_length_with_overflowing_multipliers():
+    # the 15x1 ellipse's smallest ladder rows have traces near 1e197: the
+    # scan reads their class from the trace and never forms their multipliers
+    track = tl.make_curve({"kind": "ellipse", "a": 15.0, "b": 1.0})
+    assert tl.critical_length(track, steps_per_traversal=512) == pytest.approx(
+        5.789536532654861, rel=1e-12)
+
+
+def test_batched_fits_build_no_fixed_points(ellipse21, monkeypatch):
+    # 16 steps put the row over the error cap, so it is refined in place
+    from tractrix_lab.moebius import _fits
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fixed points built for a batched fit")
+
+    monkeypatch.setattr(tl.MoebiusMap, "fixed_points", refuse)
+    fitted, eps_par = _fits(ellipse21, [0.3, 1.0], 16)[1]
+    assert fitted.trace > 0.0 and eps_par >= 1e-7
 
 
 def test_defect_bound_circle_exact(unit_circle):
@@ -207,13 +228,13 @@ def test_cached_curvature_grid_is_read_only(ellipse21):
 
 def test_lift_fallback_row_matches_monodromy(unit_circle):
     # at ell = R / 2 the monodromy contracts by exp(-2 pi sqrt(3))
-    from tractrix_lab.moebius import _sweep_fits
+    from tractrix_lab.moebius import _fits
 
     ells = [0.5, 1.5]
-    fit = _sweep_fits(unit_circle, ells, BATCH_STEPS)
+    fits = _fits(unit_circle, ells, BATCH_STEPS)
     for i, ell in enumerate(ells):
         rep = tl.monodromy(unit_circle, tl.BikeParams(ell=ell, steps_per_traversal=BATCH_STEPS))
-        fitted, eps_par = fit(i)
+        fitted, eps_par = fits[i]
         assert np.array_equal(fitted.matrix, rep.map.matrix)
         assert eps_par == rep.eps_parabolic
 
@@ -221,10 +242,10 @@ def test_lift_fallback_row_matches_monodromy(unit_circle):
 def test_refined_row_matches_monodromy(ellipse21):
     # 16 steps leave the step-doubling error above its cap: monodromy() refines
     # the grid (to 128 steps), and the swept row must come out the same
-    from tractrix_lab.moebius import _sweep_fits
+    from tractrix_lab.moebius import _fits
 
     rep = tl.monodromy(ellipse21, tl.BikeParams(ell=1.0, steps_per_traversal=16))
     assert rep.n_steps > 16
-    fitted, eps_par = _sweep_fits(ellipse21, [1.0], 16)(0)
+    fitted, eps_par = _fits(ellipse21, [1.0], 16)[0]
     assert np.array_equal(fitted.matrix, rep.map.matrix)
     assert eps_par == rep.eps_parabolic

@@ -152,6 +152,15 @@ def test_star_direction_is_null():
                             np.array([1.0, 0.3, 0.0]))  # not null
 
 
+def test_unresolved_development_grid_is_refused():
+    # h = 5: four steps return a point 80 times too far, with a unimodular frame
+    with pytest.raises(tl.ResidualError, match="do not resolve"):
+        tl.develop_hyperbolic(lambda t: 1.5 + 0.7 * np.sin(t), 20.0, n_steps=4)
+    # h = 1/256 on the default grid
+    curve = tl.develop_hyperbolic(lambda t: 1.5 + 0.7 * np.sin(t), 20.0)
+    assert curve.points[-1] == pytest.approx([141.035, 127.295, 60.711], rel=1e-4)
+
+
 def test_long_geodesic_is_refused_once_the_lift_drifts():
     # the lift's contracting entry e^(-t/2) falls below the rounding of 1 + E:
     # at length 30 the frame still holds to about 1e-9, at 40 it would not

@@ -126,6 +126,11 @@ def test_measure_validations(unit_circle):
         tl.measure(unit_circle, ell=5.0, placement="sideways")
 
 
+def test_rod_length_whose_square_overflows_is_refused(unit_circle):
+    with pytest.raises(tl.ValidationError, match="rod length"):
+        tl.measure(unit_circle, 1.5e154, steps_per_traversal=64)
+
+
 def test_error_scan_table(ellipse21):
     table = tl.error_scan(ellipse21, lengths=[6.0, 12.0], bases=[0.0, 1.0],
                           placement="normal", steps_per_traversal=2048)
