@@ -18,18 +18,28 @@ the tangent-angle gauge), and the hyperbolic development
 image of the unit bicycle's lift, ``c = 1``). On a smooth track, classical
 RK4 applied to the linear system makes step ``j`` a 2x2 matrix
 ``S_j = I + E_j``, a polynomial in the generator at the step's ends and
-midpoint, built for all steps and all rows at once. The steering generator
-is ``-c/2 diag(1, -1)`` plus ``k/2`` times a rotation generator, and products
-of two such generators stay in the span of four fixed matrices, so its
-polynomial is written out in closed form as four scalars per step
-(``_factors``, which the development shares with ``c = 1``); the rod
-generator goes through the generic products of ``_rk4``. On a track
-made of pieces of constant curvature (circles, lines, polylines, geodesic
-circles) ``A`` is constant on each piece with ``A^2 = lambda^2 I``, so its
-factor is the closed form ``cosh(lambda L) I + sinh(lambda L)/lambda A``
-(cos and sin when ``k^2 > c^2``, ``_exact``), and a corner turning by
-``gamma`` is the rotation by ``gamma/2``: the monodromy is one factor per
-piece and per corner, and a dense history is exact at every node. A
+midpoint, built for all steps and all rows at once. The steps may be taken
+in any parameter ``u`` with ``ds = sigma du``, where the generator is
+``sigma A = 1/2 [[-c sigma, k sigma], [-k sigma, c sigma]]``: arc length is
+the chart with ``sigma = 1``, and a support-function track carries its
+tangent-angle chart (:class:`.geom.Chart`), with ``sigma`` the radius of
+curvature and ``k sigma = 1``, read off one inverse FFT with no arc length
+inverted. The monodromy is the same circle map in every chart, so endpoint
+products are stepped in the chart when the track has one, while dense
+histories, indexed by arc length, stay in arc length. The steering
+generator is ``-c sigma/2 diag(1, -1)`` plus ``k sigma/2`` times a rotation
+generator, and products of two such generators stay in the span of four
+fixed matrices, so its RK4 step is written out in closed form as four
+scalars per step, each a short polynomial in ``c`` whose coefficients are
+formed once per grid (``_factors``, one kernel for both charts and for the
+development with ``c = 1``); the rod generator goes through the generic
+products of ``_rk4``. On a track made of pieces of constant curvature
+(circles, lines, polylines, geodesic circles) ``A`` is constant on each
+piece with ``A^2 = lambda^2 I``, so its factor is the closed form
+``cosh(lambda L) I + sinh(lambda L)/lambda A`` (cos and sin when
+``k^2 > c^2``, ``_exact``), and a corner turning by ``gamma`` is the
+rotation by ``gamma/2``: the monodromy is one factor per piece and per
+corner, and a dense history is exact at every node. A
 balanced tree multiplies the factors into the monodromy, and a log-depth
 (Hillis-Steele) scan into the prefix products of a dense history. Factors
 travel as ``E = S - I`` and combine as ``(I + A)(I + B) = I + (A + B + AB)``,
@@ -37,9 +47,11 @@ so thousands of nearly identical steps do not round ``I + E`` once each.
 Every steering factor has determinant one: the exact ones by construction,
 the RK4 steps because each is scaled to it where it is built, so no
 product needs a determinant carried beside it. A smooth grid resolves a
-wheelbase only while ``h |c| <= 2``, and a coarser one gives no result.
-A smooth track's monodromy comes with its step-doubling error estimate,
-from the same product taken in steps of twice the length.
+wheelbase only while ``h |c| max sigma <= 2``, and a coarser one gives no
+result; a dense history or a development, with no error estimate, also
+needs ``h max |k sigma| <= 2``. A smooth track's monodromy comes with its
+step-doubling error estimate, from the same product taken in steps of
+twice the length.
 Angles are read back from the direction of each lifted vector; summed
 ``atan2(cross, dot)`` increments between consecutive vectors choose the
 continuous branch from the start angle.
@@ -75,19 +87,49 @@ class BikeParams:
         return self.geometry.steering_coefficient(self.ell)
 
 
-def _half_grid_curvature(track, n_steps: int) -> np.ndarray:
-    """Read-only curvature at half-step resolution, shape ``(1, 2n+1)``.
+def _charted(track: FrontTrack, n_steps: int) -> bool:
+    """Whether ``n_steps`` over all passes tile the track's chart with whole passes of half steps."""
+    return track.chart is not None and (2 * n_steps) % track.traversals == 0
 
-    It does not depend on the wheelbase, so the grid of the last ``n_steps``
-    asked for is kept on the track and reused by every later sweep.
+
+def _half_grid(track: FrontTrack, n_steps: int, chart: bool):
+    """Step ``h`` and ``(sigma, k sigma)`` at the ``2n + 1`` half-step nodes.
+
+    In the track's chart when ``chart`` is true (its grid of one pass tiled
+    over the passes), else in arc length, where ``sigma`` is the float 1.0
+    and ``k sigma`` is the curvature. An array has shape ``(1, 2n+1)``.
     """
-    if track._k_half is not None and track._k_half[0] == n_steps:
-        return track._k_half[1]
-    t = np.linspace(0.0, track.total_length, 2 * n_steps + 1)
-    k = np.asarray(track.curvature(t), dtype=float)[None, :]
-    k.flags.writeable = False
-    track._k_half = (n_steps, k)
-    return k
+    if not chart:
+        t = np.linspace(0.0, track.total_length, 2 * n_steps + 1)
+        return track.total_length / n_steps, 1.0, np.asarray(track.curvature(t), dtype=float)[None, :]
+    passes = track.traversals
+    grid = [x if np.ndim(x) == 0 else np.concatenate((np.tile(x[:-1], passes), x[-1:]))[None, :]
+            for x in track.chart.half_grid(2 * n_steps // passes)]
+    return track.chart.span * passes / n_steps, *grid
+
+
+def _grid(track: FrontTrack, n_steps: int, chart: bool):
+    """``(h, max sigma, max |k sigma|, fine, coarse)`` of a smooth track's grid (see :func:`_half_grid`).
+
+    ``fine`` holds the node terms (:func:`_terms`) of its ``n`` steps and
+    ``coarse`` those of its ``n // 2`` steps of twice the length, whose
+    nodes are the even half-grid nodes. They do not depend on the
+    wheelbase, so each grid asked for is kept on the track, read-only, and
+    every later sweep costs only its rows.
+    """
+    key = (n_steps, chart)
+    cached = track._grid.get(key)
+    if cached is not None:
+        return cached
+    h, sigma, ksigma = _half_grid(track, n_steps, chart)
+    even = slice(0, 4 * (n_steps // 2) + 1, 2)
+    fine = _terms(sigma, ksigma, h)
+    coarse = _terms(_cut(sigma, even), _cut(ksigma, even), 2.0 * h)
+    for x in fine + coarse:
+        if np.ndim(x):
+            x.flags.writeable = False
+    out = track._grid[key] = (h, float(np.max(sigma)), float(np.max(np.abs(ksigma))), fine, coarse)
+    return out
 
 
 def _check_geometry(track, params: BikeParams) -> None:
@@ -104,7 +146,7 @@ def _check_geometry(track, params: BikeParams) -> None:
 # row of a batch is computed exactly as it would be alone.
 
 BLOCK = 1 << 16  # row-steps per block of a batched monodromy sweep
-RESOLVED_STEP = 2.0  # largest h |c| of a smooth grid that resolves a wheelbase
+RESOLVED_STEP = 2.0  # largest h |c| max sigma of a smooth grid that resolves a wheelbase
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -157,53 +199,91 @@ def _rk4(a0: np.ndarray, am: np.ndarray, a1: np.ndarray, h: float) -> np.ndarray
         return (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _factors(k: np.ndarray, h: float, diag: np.ndarray) -> np.ndarray:
-    """Steering step factors ``E_j`` for every row of ``diag`` and step ``j``, shape ``(4, B, n)``.
+def _cut(x, part: slice):
+    """Entries ``part`` along the grid of ``x``, shape ``(1, m)``; a constant stays as it is."""
+    return x if np.ndim(x) == 0 else x[:, part]
 
-    ``k`` is the curvature at spacing ``h/2``, shape ``(1, 2n+1)``, and the
-    generator is ``A = d sz + b J`` with ``d = -c/2`` from ``diag`` and
-    ``b = k/2``, where ``sz = diag(1, -1)``, ``J = [[0, 1], [-1, 0]]`` and
+
+def _terms(sigma, ksigma, h: float) -> tuple:
+    """Node terms ``(P1, P3, Q0, Q2, R0, R2, R4, X1, X3)`` of the RK4 steps of a grid, each ``(1, n)`` or a float.
+
+    ``sigma`` and ``ksigma`` are ``sigma`` and ``k sigma`` of a chart with
+    ``ds = sigma du`` at spacing ``h/2`` in ``u``, each of shape ``(1, 2n+1)``
+    or a float where constant (arc length: ``sigma = 1``). The generator is
+    ``sigma A = d sz + b J`` with ``d = -c sigma/2`` and ``b = k sigma/2``,
+    where ``sz = diag(1, -1)``, ``J = [[0, 1], [-1, 0]]`` and
     ``sx = [[0, 1], [1, 0]]``. Two such generators multiply to
-    ``A_x A_y = (d^2 - b_x b_y) I + d (b_y - b_x) sx`` and
-    ``A_m^2 = g I`` with ``g = d^2 - b_m^2``, so the RK4 step of :func:`_rk4`
-    is ``E = eI I + ez sz + eJ J + ex sx`` with the four scalars
+    ``A_x A_y = (d_x d_y - b_x b_y) I + (d_x b_y - b_x d_y) sx``, so the RK4
+    step of :func:`_rk4` is ``E = eI I + ez sz + eJ J + ex sx``, and with
+    ``g = d_m^2 - b_m^2`` and nodes 0, m, 1 at each step's start, midpoint
+    and end its four scalars are
 
-        ez = h d (1 + h^2 g / 6)
+        ez = h/6 [(d0 + 4 dm + d1) + (h^2 / 2) g (d0 + d1)]
         eJ = h/6 [(b0 + 4 bm + b1) + (h^2 / 2) g (b0 + b1)]
-        eI = h^2/6 [3 d^2 - bm (b0 + bm + b1) + (h^2 / 4) g (d^2 - b0 b1)]
-        ex = h^2/6 d (b0 - b1) (1 + h^2 g / 4)
+        eI = h^2/6 [dm (d0 + d1) - bm (b0 + b1) + g] + (h^4 / 24) g (d0 d1 - b0 b1)
+        ex = h^2/6 [dm (b0 - b1) + bm (d1 - d0)] + (h^4 / 24) g (d1 b0 - b1 d0)
 
-    of the generator at each step's start, midpoint and end. The terms that
-    depend on the nodes alone are formed once for all rows. Each step is then
-    scaled to determinant one: with ``q = det S - 1 = eI (2 + eI) - ez^2 -
-    ex^2 + eJ^2`` and ``s = sqrt(1 + q)``, ``S / s`` has ``eI`` replaced by
+    that is ``ez = c (P1 + c^2 P3)``, ``eJ = Q0 + c^2 Q2``,
+    ``eI = R0 + c^2 (R2 + c^2 R4)`` and ``ex = c (X1 + c^2 X3)``, whose
+    coefficients depend on the nodes alone. A constant stays a float
+    through them, so arc length pays for no ``sigma`` and a chart with
+    ``k sigma = 1`` for no ``k sigma``.
+    """
+    def nodes(x):
+        return (x, x, x) if np.ndim(x) == 0 else (x[:, 0:-1:2], x[:, 1::2], x[:, 2::2])
+
+    s0, sm, s1 = nodes(sigma)
+    k0, km, k1 = nodes(ksigma)
+    h2 = h * h
+    a1, a2, a3, a4 = h / 12.0, h2 / 24.0, h * h2 / 96.0, h2 * h2 / 384.0
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused by _finite
+        ss, kk = sm * sm, km * km
+        s_sum, k_sum = s0 + s1, k0 + k1
+        ds, dk = s1 - s0, k1 - k0
+        cross = s0 * dk - k0 * ds  # s0 k1 - k0 s1, exact where either is constant
+        s_prod, k_prod = s0 * s1, k0 * k1
+        kk4 = a4 * kk
+        return (a3 * s_sum * kk - a1 * (s_sum + 4.0 * sm),
+                -a3 * ss * s_sum,
+                a1 * (k_sum + 4.0 * km) - a3 * kk * k_sum,
+                a3 * ss * k_sum,
+                kk4 * k_prod - a2 * km * (k_sum + km),
+                a2 * sm * (s_sum + sm) - (a4 * ss * k_prod + kk4 * s_prod),
+                a4 * ss * s_prod,
+                a2 * (sm * dk - km * ds) - kk4 * cross,
+                a4 * ss * cross)
+
+
+def _factors(terms: tuple, c: np.ndarray) -> np.ndarray:
+    """Steering step factors ``E_j`` for every row of ``c`` and step ``j``, shape ``(4, B, n)``.
+
+    ``terms`` are a grid's node terms (:func:`_terms`) and ``c`` holds each
+    row's coefficient, shape ``(B, 1)``; each row costs a few
+    multiply-adds. Each step is then scaled to determinant one: with
+    ``q = det S - 1 = eI (2 + eI) - ez^2 - ex^2 + eJ^2`` and
+    ``s = sqrt(1 + q)``, ``S / s`` has ``eI`` replaced by
     ``(eI - q / (1 + s)) / s`` and the other three scalars divided by ``s``.
     The determinant is multiplicative, so every product of steps is the RK4
     product scaled to determinant one, and none is carried beside them.
     """
-    b = 0.5 * k
-    b0, bm, b1 = b[:, 0:-1:2], b[:, 1::2], b[:, 2::2]
-    h2 = h * h
-    out = np.empty((4,) + np.broadcast_shapes(diag.shape, bm.shape))
+    p1, p3, q0, q2, r0, r2, r4, x1, x3 = terms
+    shape = np.broadcast_shapes(c.shape, *(np.shape(t) for t in terms))
+    c2 = c * c
+    out = np.empty((4,) + shape)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused by _finite
-        s = b0 + b1
-        w = b0 - b1
-        # node terms, with the constants of their polynomials folded in
-        ej0, ej2 = (h / 6.0) * (s + 4.0 * bm), (h * h2 / 12.0) * s
-        ei0, ei2 = (h2 / 6.0) * (bm * (s + bm)), (h2 * h2 / 24.0) * (b0 * b1)
-        ex2 = (0.25 * h2) * w
-        dd = diag * diag
-        g = dd - bm * bm
-        ez = g * (h * h2 / 6.0 * diag)
-        ez += h * diag
-        ej = g * ej2
-        ej += ej0
-        ei = (h2 * h2 / 24.0 * dd) - ei2
-        ei *= g
-        ei += (0.5 * h2 * dd) - ei0
-        ex = g * ex2
-        ex += w
-        ex *= h2 / 6.0 * diag
+        # each polynomial starts from its top term in a buffer of the full shape
+        ez = np.multiply(p3, c2, out=np.empty(shape))
+        ez += p1
+        ez *= c
+        ej = np.multiply(q2, c2, out=np.empty(shape))
+        ej += q0
+        ei = np.multiply(r4, c2, out=np.empty(shape))
+        ei += r2
+        ei *= c2
+        ei += r0
+        ex = np.multiply(x3, c2, out=np.empty(shape))
+        ex += x1
+        ex *= c
         q = ei * (2.0 + ei) - ez * ez - ex * ex + ej * ej
         if np.any(q <= -1.0):
             raise ResidualError(
@@ -262,26 +342,34 @@ def _piece_factors(track: FrontTrack, c: np.ndarray) -> np.ndarray:
                   np.stack((length, np.ones_like(length)), axis=1).ravel())
 
 
-def _step_factors(track: FrontTrack, c: np.ndarray, n_steps: int) -> np.ndarray:
+def _step_factors(track: FrontTrack, c: np.ndarray, n_steps: int, chart: bool = False) -> np.ndarray:
     """Factors ``E_j`` whose product over the whole track is its monodromy, shape ``(4, B, N)``.
 
     ``c`` holds each row's coefficient, shape ``(B, 1)``. On a smooth track,
-    the ``n_steps`` RK4 steps, refused when they do not resolve a row's
-    wheelbase; on a piecewise track, the exact factors of its pieces and
-    corners, whatever ``n_steps``.
+    the ``n_steps`` RK4 steps, in the track's chart if ``chart`` and it has
+    one (else in arc length), refused when they do not resolve the flow; on
+    a piecewise track, the exact factors of its pieces and corners,
+    whatever ``n_steps``.
     """
     if track.pieces is not None:
         return _piece_factors(track, c)
-    return _resolved_factors(_half_grid_curvature(track, n_steps), track.total_length / n_steps, c)
+    h, top, turn, fine, _ = _grid(track, n_steps, chart and _charted(track, n_steps))
+    return _resolved_factors(h, top, turn, fine, c)
 
 
-def _resolved_factors(k: np.ndarray, h: float, c: np.ndarray) -> np.ndarray:
-    """:func:`_factors` for coefficients ``c`` (B, 1), refused when ``h |c| > RESOLVED_STEP``."""
-    if not np.all(h * np.abs(c) <= RESOLVED_STEP):
+def _resolved_factors(h: float, top: float, turn: float, terms: tuple, c: np.ndarray) -> np.ndarray:
+    """:func:`_factors` for coefficients ``c`` (B, 1), refused unless the grid resolves the flow.
+
+    With no step doubling to catch a coarse grid, the step ``h`` must
+    resolve both the steering, ``h |c| max sigma`` (``top``), and the
+    turning, ``h max |k sigma|`` (``turn``): each must be at most
+    ``RESOLVED_STEP``.
+    """
+    if not h * max(float(np.max(np.abs(c))) * top, turn) <= RESOLVED_STEP:
         raise ResidualError(
-            f"{k.shape[-1] // 2} steps do not resolve the flow: a step times the steering "
-            f"coefficient (1 in a development) must be at most {RESOLVED_STEP:g}")
-    return _factors(k, h, -0.5 * c)
+            f"the steps do not resolve the flow: a step times the steering coefficient (1 in a "
+            f"development) or times the curvature must be at most {RESOLVED_STEP:g}")
+    return _factors(terms, c)
 
 
 def _prefix(track: FrontTrack, c: np.ndarray, n_steps: int) -> np.ndarray:
@@ -313,12 +401,12 @@ def _tree(e: np.ndarray) -> np.ndarray:
     last one is carried up. Reducing aligned blocks of a power-of-two length
     first and then the block results builds this same tree, bit for bit.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # callers refuse overflow
         while e.shape[-1] > 1:
             even = e.shape[-1] & ~1
             pairs = _combine(e[..., 1:even:2], e[..., 0:even:2])
             e = pairs if even == e.shape[-1] else np.concatenate((pairs, e[..., even:]), axis=-1)
-    return _finite(e[..., 0])
+    return e[..., 0]
 
 
 def _scan(e: np.ndarray) -> np.ndarray:
@@ -370,43 +458,53 @@ def _monodromy_sweep(track: FrontTrack, params: Sequence[BikeParams],
 
     On a piecewise track the map is the product of one exact factor per
     piece and per corner, whatever ``n_steps``, and its error is the
-    rounding of that many factors, ``eps`` each. On a smooth track the error
-    is the step-doubling estimate: the same product taken in steps of
-    ``2h``, whose midpoint curvature is already on the half grid, differs
-    from it by about 15 times its own error (RK4's error falls 16-fold when
-    the step halves). It is returned relative to the map's largest entry,
-    shape ``(B,)``. A row whose wheelbase the grid does not resolve
-    (``h |c| > RESOLVED_STEP``) is stepped with ``c = 0``, so it cannot
-    overflow or reverse and stop the other rows, and reads an infinite error.
+    rounding of that many factors, ``eps`` each. On a smooth track the steps
+    are taken in its chart when it has one (they are uniform in the chart's
+    parameter ``u``), else in arc length, and the error is the step-doubling
+    estimate: the same product taken in steps of ``2h``, whose midpoint
+    nodes are already on the half grid, differs from it by about 15 times
+    its own error (RK4's error falls 16-fold when the step halves). It is
+    returned relative to the map's largest entry, shape ``(B,)``. A row
+    whose wheelbase the grid does not resolve (``h |c| max sigma >
+    RESOLVED_STEP``) is stepped with ``c = 0``, so it cannot overflow or
+    reverse and stop the other rows, and reads an infinite error. A row
+    whose product overflows double precision comes out with non-finite
+    entries and a nan error, and does not stop the others either; its
+    callers refuse it.
     Steps are built and reduced in aligned blocks whose length is a power
     of two, at most ``BLOCK`` row-steps each, so memory does not grow with
     rows times steps, and every row comes out as it would alone.
     """
     c = _coefficients(track, params)
     if track.pieces is not None:
-        e = _step_factors(track, c, n_steps)
+        e = _piece_factors(track, c)
         m = np.eye(2).reshape(4, 1) + _tree(e)
-        return m.T.reshape(-1, 2, 2), np.full(len(params), e.shape[-1] * np.finfo(float).eps)
-    k = _half_grid_curvature(track, n_steps)
-    h = track.total_length / n_steps
-    resolved = h * np.abs(c[:, 0]) <= RESOLVED_STEP
-    diag = np.where(resolved[:, None], -0.5 * c, 0.0)
+        return _flagged(m, np.full(len(params), e.shape[-1] * np.finfo(float).eps))
+    h, top, _, fine, coarse = _grid(track, n_steps, _charted(track, n_steps))
+    resolved = h * np.abs(c[:, 0]) * top <= RESOLVED_STEP
+    c = np.where(resolved[:, None], c, 0.0)
     block = 2
     while 2 * block * len(params) <= BLOCK:
         block *= 2
-    fine, coarse = [], []
+    products, coarse_products = [], []
     for start in range(0, n_steps, block):
-        kb = k[:, 2 * start: 2 * min(start + block, n_steps) + 1]
-        e = _factors(kb, h, diag)
-        pairs = e.shape[-1] // 2
-        ec = np.concatenate((_factors(kb[:, :4 * pairs + 1:2], 2.0 * h, diag),
+        stop = min(start + block, n_steps)
+        pairs = (stop - start) // 2
+        e = _factors([_cut(t, slice(start, stop)) for t in fine], c)
+        ec = np.concatenate((_factors([_cut(t, slice(start // 2, start // 2 + pairs)) for t in coarse], c),
                              e[..., 2 * pairs:]), axis=-1)  # an odd last step stays unpaired
-        fine.append(_tree(e))
-        coarse.append(_tree(ec))
-    m = np.eye(2).reshape(4, 1) + _tree(np.stack(fine, axis=-1))
-    mc = np.eye(2).reshape(4, 1) + _tree(np.stack(coarse, axis=-1))
-    error = np.max(np.abs(m - mc), axis=0) / (15.0 * np.max(np.abs(m), axis=0))
-    return m.T.reshape(-1, 2, 2), np.where(resolved, error, np.inf)
+        products.append(_tree(e))
+        coarse_products.append(_tree(ec))
+    m = np.eye(2).reshape(4, 1) + _tree(np.stack(products, axis=-1))
+    mc = np.eye(2).reshape(4, 1) + _tree(np.stack(coarse_products, axis=-1))
+    with np.errstate(invalid="ignore"):  # an overflowed row reads nan
+        error = np.max(np.abs(m - mc), axis=0) / (15.0 * np.max(np.abs(m), axis=0))
+    return _flagged(m, np.where(resolved, error, np.inf))
+
+
+def _flagged(m: np.ndarray, error: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maps ``(B, 2, 2)`` of the E-form products ``m`` (4, B), with ``error`` nan where ``m`` overflowed."""
+    return m.T.reshape(-1, 2, 2), np.where(np.all(np.isfinite(m), axis=0), error, np.nan)
 
 
 @dataclass(frozen=True)
@@ -482,7 +580,8 @@ def monodromy_matrix(track: FrontTrack, params: BikeParams,
     ``A = [[-c/2, k/2], [-k/2, c/2]]``; the returned 2x2 matrix is the raw
     product ``S_{n-1} ... S_0`` from the engine's balanced tree, the
     fundamental solution over the whole track. On a smooth track the steps
-    are RK4 steps scaled to determinant one, so it holds up to step error;
+    are RK4 steps scaled to determinant one, uniform in the track's chart
+    when it has one (see :func:`_monodromy_sweep`), so it holds up to step error;
     on a piecewise track they are exact, corners included, and it holds to
     rounding. Either way its determinant is one to rounding. Entries grow
     only like the square root of the multiplier ratio, so the product stays
@@ -490,8 +589,8 @@ def monodromy_matrix(track: FrontTrack, params: BikeParams,
     trajectory lands on the attracting angle to machine precision.
     """
     n = n_steps if n_steps is not None else params.steps_per_traversal * track.traversals
-    e = _step_factors(track, _coefficients(track, [params]), n)
-    return np.eye(2) + _tree(e)[:, 0].reshape(2, 2)
+    e = _step_factors(track, _coefficients(track, [params]), n, chart=True)
+    return np.eye(2) + _finite(_tree(e))[:, 0].reshape(2, 2)
 
 
 @dataclass(frozen=True)

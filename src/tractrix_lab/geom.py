@@ -2,6 +2,9 @@
 
 Every track is parameterized by arc length, so the tangent angle and the
 curvature returned here can be fed straight into the steering dynamics.
+A track may also carry a :class:`Chart`, a second parameter of one pass in
+which the dynamics can step its monodromy without inverting arc length (the
+tangent angle of a support-function track).
 Closed tracks extend periodically in the parameter: positions repeat, while
 the tangent angle keeps winding by one turning number per pass. That makes
 re-based and multi-pass evaluations continuous without any unwrap bookkeeping
@@ -10,6 +13,7 @@ at call sites.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -47,6 +51,7 @@ class Geometry(Enum):
             raise ValidationError(f"spherical wheelbase must lie in (0, pi), got {ell}")
 
 
+_PROBE = 8192  # normal angles on which a support function's convexity is checked
 _KINDS = ("circle", "ellipse", "fourier-support", "polyline", "samples", "line")
 _SCALAR_FIELDS = ("r", "a", "b", "angle", "a0", "fillet_radius")
 
@@ -159,6 +164,43 @@ class CurveSpec:
         return json.dumps(self.to_dict())
 
 
+def _flip(x):
+    """``x`` read backwards along the grid; a constant stays as it is."""
+    return x if np.ndim(x) == 0 else x[::-1]
+
+
+@dataclass(frozen=True)
+class Chart:
+    """A parameter ``u`` of one pass, with ``ds = sigma(u) du``, for stepping the lift.
+
+    In ``u`` the lift's generator is ``sigma A = 1/2 [[-c sigma, k sigma],
+    [-k sigma, c sigma]]``, so the monodromy needs only ``sigma`` and
+    ``k sigma = dtheta/du``. ``half_grid(m)`` returns both at the ``m + 1``
+    points ``u = span * j / m``, each as an array or, where it is constant,
+    a float. ``points`` holds the positions ``(2, 2)`` and ``headings`` the
+    tangent angles at ``u = 0`` and ``u = span``: all a track reads of its
+    curve to check its closure.
+    """
+
+    span: float
+    half_grid: Callable[[int], tuple]
+    points: np.ndarray
+    headings: np.ndarray
+
+    def reversed(self) -> "Chart":
+        """The chart of the reversed track: ``sigma(span - u)`` and ``-k sigma(span - u)``."""
+        def half(m):
+            sigma, ksigma = self.half_grid(m)
+            return _flip(sigma), -_flip(ksigma)
+
+        return Chart(self.span, half, self.points[::-1], self.headings[::-1] + math.pi)
+
+    def moved(self, rotation: float, rot: np.ndarray, shift: np.ndarray) -> "Chart":
+        """The chart of the track moved by the rigid motion ``x -> rot x + shift``."""
+        return Chart(self.span, self.half_grid, self.points @ rot.T + shift,
+                     self.headings + rotation)
+
+
 class FrontTrack:
     """Unit-speed plane curve with position, tangent-angle, and curvature accessors.
 
@@ -182,6 +224,11 @@ class FrontTrack:
         track in closed form, and its ``breakpoints`` (where the curvature
         jumps or the track turns) are read from the pieces. ``None`` for
         smooth tracks.
+    chart : Chart, optional
+        A second parameter of one pass (see :class:`Chart`), in which the
+        dynamics step the monodromy. A track with a chart reads its start
+        and closure from the chart's ends, so building it evaluates none of
+        the arc-length accessors.
     """
 
     def __init__(
@@ -195,6 +242,7 @@ class FrontTrack:
         traversals: int = 1,
         geometry: Geometry = Geometry.EUCLIDEAN,
         pieces: np.ndarray | None = None,
+        chart: Chart | None = None,
         spec: CurveSpec | None = None,
         label: str = "",
     ):
@@ -207,7 +255,7 @@ class FrontTrack:
         if not period * traversals <= PAIRABLE:
             raise InvalidCurveError(
                 f"track length {period * traversals:.3e} exceeds {PAIRABLE:.3e}")
-        start = position_fn(np.array([0.0]))[0]
+        start = chart.points[0] if chart is not None else position_fn(np.array([0.0]))[0]
         if not math.hypot(*start) <= PAIRABLE:
             raise InvalidCurveError(f"track coordinates exceed {PAIRABLE:.3e}")
         self.period = float(period)
@@ -222,18 +270,24 @@ class FrontTrack:
             self.pieces.flags.writeable = False
             length, k, turn = self.pieces.T
             self.breakpoints = np.cumsum(length[:-1])[(turn[:-1] != 0.0) | (k[:-1] != k[1:])]
+        self.chart = chart
         self.spec = spec
         self.label = label
         self._pos_c = position_fn
         self._tan_c = tangent_fn
         self._k_c = curvature_fn
         self._k_range: tuple[float, float] | None = None
-        self._k_half: tuple[int, np.ndarray] | None = None  # (steps, half-grid curvature)
+        self._grid: dict = {}  # step grids of the dynamics, (steps, in chart) -> see dynamics._grid
         if self.closed:
-            gap = math.hypot(*(position_fn(np.array([period]))[0] - start))
+            if chart is not None:
+                stop = chart.points[1]
+                span = float(chart.headings[1] - chart.headings[0])
+            else:
+                stop = position_fn(np.array([period]))[0]
+                span = float(tangent_fn(np.array([period]))[0] - tangent_fn(np.array([0.0]))[0])
+            gap = math.hypot(*(stop - start))
             if gap > 1e-8 * max(1.0, period):
                 raise InvalidCurveError(f"closed track does not return to its start (gap {gap:.3e})")
-            span = float(tangent_fn(np.array([period]))[0] - tangent_fn(np.array([0.0]))[0])
             self.turning_single = int(round(span / TWO_PI))
             if abs(span - TWO_PI * self.turning_single) > 1e-6:
                 raise InvalidCurveError("closed track tangent does not return modulo 2*pi")
@@ -320,7 +374,8 @@ class FrontTrack:
         take each corner's turn one point early (at ``t = 0`` it would
         already include the turn at the start vertex), so a track with
         corners reads its tangent from the reversed pieces: at a corner it
-        is the angle after the turn, as on the forward track.
+        is the angle after the turn, as on the forward track. A chart is
+        reversed with the track.
         """
         period = self.period
 
@@ -342,7 +397,8 @@ class FrontTrack:
         return FrontTrack(
             period, pos, tan, cur,
             closed=self.closed, traversals=self.traversals, geometry=self.geometry,
-            pieces=pieces, spec=self.spec, label=self.label,
+            pieces=pieces, chart=self.chart and self.chart.reversed(), spec=self.spec,
+            label=self.label,
         )
 
     def reinterpreted(self, geometry: Geometry) -> "FrontTrack":
@@ -356,7 +412,7 @@ class FrontTrack:
         return FrontTrack(
             self.period, self._pos_c, self._tan_c, self._k_c,
             closed=self.closed, traversals=self.traversals, geometry=geometry,
-            pieces=self.pieces, spec=self.spec, label=self.label,
+            pieces=self.pieces, chart=self.chart, spec=self.spec, label=self.label,
         )
 
     def transformed(self, rotation: float = 0.0, translation: Sequence[float] = (0.0, 0.0)) -> "FrontTrack":
@@ -376,7 +432,8 @@ class FrontTrack:
         return FrontTrack(
             self.period, pos, tan, self._k_c,
             closed=self.closed, traversals=self.traversals, geometry=self.geometry,
-            pieces=self.pieces, spec=None, label=self.label,
+            pieces=self.pieces, chart=self.chart and self.chart.moved(rotation, rot, shift),
+            spec=None, label=self.label,
         )
 
     def rebased(self, t0: float) -> "FrontTrack":
@@ -385,6 +442,7 @@ class FrontTrack:
         The piece holding ``t0`` is split in two: its part after ``t0``
         comes first, with the piece's corner, and its part before ``t0``
         comes last, with none. A corner at ``t0`` itself ends the new pass.
+        A chart is dropped: the re-based track is stepped in arc length.
         """
         if not self.closed:
             raise ValidationError("only closed tracks can be re-based")
@@ -519,6 +577,13 @@ def _build_ellipse(spec: CurveSpec) -> FrontTrack:
 
 
 def _build_fourier_support(spec: CurveSpec) -> FrontTrack:
+    """Envelope of a support function, charted by its normal angle ``theta``.
+
+    In ``theta`` the envelope has ``sigma = rho = p + p''`` and ``k sigma = 1``,
+    and ``rho`` on a uniform grid is one inverse FFT, so the chart needs no
+    arc-length table. The perimeter is ``2 pi a0``. The table behind the
+    arc-length accessors is built on their first call.
+    """
     if spec.a0 is None:
         raise InvalidCurveError("fourier-support needs the mean radius a0")
     support = SupportFunction.from_coefficients(spec.a0, spec.cos, spec.sin)
@@ -526,24 +591,30 @@ def _build_fourier_support(spec: CurveSpec) -> FrontTrack:
     rot = float(spec.angle)
     place = _placement(spec)
 
-    probe = rad_curv(np.linspace(0.0, TWO_PI, 8192, endpoint=False))
+    probe = support.radius_on_grid(_PROBE)
     if np.min(probe) <= 1e-9 * max(abs(support.a0), 1.0):
         raise InvalidCurveError(
             f"support function is not strictly convex (min radius of curvature {np.min(probe):.3e})"
         )
-    alp = ArcLengthParam(rad_curv, 0.0, TWO_PI)
+    arc = functools.cache(lambda: ArcLengthParam(rad_curv, 0.0, TWO_PI))
 
     def pos(t):
-        return place(support.envelope(alp.u_of_t(t)))
+        return place(support.envelope(arc().u_of_t(t)))
 
     def tan(t):
-        return alp.u_of_t(t) + 0.5 * math.pi + rot
+        return arc().u_of_t(t) + 0.5 * math.pi + rot
 
     def cur(t):
-        return 1.0 / rad_curv(alp.u_of_t(t))
+        return 1.0 / rad_curv(arc().u_of_t(t))
 
-    return FrontTrack(alp.total, pos, tan, cur, closed=True, traversals=spec.traversals,
-                      label="fourier-support")
+    def half(m):
+        rho = probe[::_PROBE // m] if _PROBE % m == 0 else support.radius_on_grid(m)
+        return np.append(rho, rho[0]), 1.0
+
+    ends = np.array([0.0, TWO_PI])
+    chart = Chart(TWO_PI, half, place(support.envelope(ends)), ends + 0.5 * math.pi + rot)
+    return FrontTrack(TWO_PI * support.a0, pos, tan, cur, closed=True, traversals=spec.traversals,
+                      chart=chart, label="fourier-support")
 
 
 def _check_coordinates(points: np.ndarray, what: str) -> None:
@@ -828,6 +899,23 @@ class SupportFunction:
         """
         damp = 1.0 - np.arange(1, len(self.cos_coeffs) + 1, dtype=float) ** 2
         return fourier_eval(self.a0, damp * self.cos_coeffs, damp * self.sin_coeffs, phi)
+
+    def radius_on_grid(self, m: int) -> np.ndarray:
+        """:meth:`radius_of_curvature` at the ``m`` angles ``2 pi j / m``, by one inverse real FFT.
+
+        The transform is taken on the first power-of-two multiple of ``m``
+        above twice the harmonic count, so no harmonic aliases, and read
+        back at every ``m``-th point.
+        """
+        n = len(self.cos_coeffs)
+        size = m
+        while size <= 2 * n:
+            size *= 2
+        damp = 1.0 - np.arange(1, n + 1, dtype=float) ** 2
+        spectrum = np.zeros(size // 2 + 1, dtype=complex)
+        spectrum[0] = size * self.a0
+        spectrum[1:n + 1] = (0.5 * size) * damp * (self.cos_coeffs - 1j * self.sin_coeffs)
+        return np.fft.irfft(spectrum, size)[::size // m]
 
     def envelope(self, phi) -> np.ndarray:
         phi = np.asarray(phi, dtype=float)

@@ -94,7 +94,7 @@ def _locate_transition(track: FrontTrack, lo: tuple[float, float], hi: tuple[flo
         else:
             x = a + fa / (fa - fb) * (b - a)
         x = min(max(x, a + 0.5 * tol), b - 0.5 * tol)
-        f = _fits(track, [x], steps)[0][0].trace - 2.0
+        f = _trace(track, x, steps) - 2.0
         if f > 0.0:
             a, fa = x, f
             if kept == -1:
@@ -107,6 +107,19 @@ def _locate_transition(track: FrontTrack, lo: tuple[float, float], hi: tuple[flo
             kept = 1
         widths.append(b - a)
     return 0.5 * (a + b)
+
+
+def _overflow(ell: float) -> ResidualError:
+    return ResidualError(f"lift product overflowed at ell = {ell:.6g}: the monodromy is too "
+                         "strongly hyperbolic for double precision")
+
+
+def _trace(track: FrontTrack, ell: float, steps: int) -> float:
+    """Trace of the fitted monodromy at one wheelbase; an overflowed product is refused."""
+    fit = _fits(track, [ell], steps)[0]
+    if fit is None:
+        raise _overflow(ell)
+    return fit[0].trace
 
 
 def _ladder(r: float, cap: float) -> list[float]:
@@ -126,16 +139,20 @@ Bracket = tuple[tuple[float, float] | None, tuple[float, float]]  # (lo, hi) as 
 def _scan(ladder: list[float], fits) -> tuple[list[ScanSample], list[Bracket]]:
     """Walk the wheelbase ladder; bracket every sign change of trace - 2.
 
-    ``fits[i]`` is the fitted monodromy of ``ladder[i]`` (see ``moebius._fits``).
-    A bracket ``(lo, hi)`` holds the ``(ell, trace)`` of its ends, with
-    trace >= 2 at ``lo`` and trace < 2 at ``hi``; ``lo`` is None when already
-    the first ladder point is non-hyperbolic (the transition then sits at the
-    osculating radius itself).
+    ``fits[i]`` is the fitted monodromy of ``ladder[i]`` (see ``moebius._fits``);
+    a row whose product overflowed is refused. A bracket ``(lo, hi)`` holds
+    the ``(ell, trace)`` of its ends, with trace >= 2 at ``lo`` and
+    trace < 2 at ``hi``; ``lo`` is None when already the first ladder point
+    is non-hyperbolic (the transition then sits at the osculating radius
+    itself).
     """
     samples: list[ScanSample] = []
     brackets: list[Bracket] = []
     prev: tuple[float, float] | None = None
-    for ell, (fitted, eps_par) in zip(ladder, fits):
+    for ell, fit in zip(ladder, fits):
+        if fit is None:
+            raise _overflow(ell)
+        fitted, eps_par = fit
         samples.append(ScanSample(ell, fitted.trace, fitted.classify(eps_par).value))
         below = fitted.trace < 2.0
         if below and (prev is None or prev[1] >= 2.0):
@@ -159,7 +176,7 @@ def _resolve_first(track: FrontTrack, bracket: Bracket, r: float, tol: float,
     if lo is None:
         # the ladder started non-hyperbolic; wheelbases below the osculating
         # radius are guaranteed hyperbolic, so bracket just beneath it
-        lo = (r / LADDER_RATIO, _fits(track, [r / LADDER_RATIO], steps)[0][0].trace)
+        lo = (r / LADDER_RATIO, _trace(track, r / LADDER_RATIO, steps))
         if not lo[1] > 2.0:
             raise ScanError(
                 f"trace <= 2 at ell = {lo[0]:.6g}, below the min osculating radius {r:.6g}"
@@ -300,12 +317,17 @@ def menzin_verify(track: FrontTrack, tol: float | None = None, *,
     # one sweep for the ladder, whose last point is the cap, and for 0.5 * r
     ladder = _ladder(r, cap)
     fits = _fits(track, ladder + [0.5 * r], steps)
+    samples, brackets = _scan(ladder, fits)
 
-    small, eps_small = fits[-1]
-    checks.append(StageCheck(
-        "hyperbolic_below_osculating_radius", 0.5 * r,
-        small.classify(eps_small) is MapClass.HYPERBOLIC,
-        f"trace = {small.trace:.9g}"))
+    if fits[-1] is None:  # a trace past double range is hyperbolic
+        checks.append(StageCheck("hyperbolic_below_osculating_radius", 0.5 * r, True,
+                                 "trace exceeds double range"))
+    else:
+        small, eps_small = fits[-1]
+        checks.append(StageCheck(
+            "hyperbolic_below_osculating_radius", 0.5 * r,
+            small.classify(eps_small) is MapClass.HYPERBOLIC,
+            f"trace = {small.trace:.9g}"))
 
     at_cap, eps_cap = fits[-2]
     checks.append(StageCheck(
@@ -314,7 +336,6 @@ def menzin_verify(track: FrontTrack, tol: float | None = None, *,
         and not at_cap.distance_to_identity() < IDENTITY_TOL,
         f"trace = {at_cap.trace:.9g}"))
 
-    samples, brackets = _scan(ladder, fits)
     ell0: float | None = None
     transitions: list[float] = []
     if brackets:

@@ -322,11 +322,13 @@ def _refine(track: FrontTrack, params: BikeParams, n: int, matrix: np.ndarray,
     with a curvature spike shorter than a step); the grid with the smallest
     estimate is kept. On a piecewise track the map is exact, its estimate
     is rounding that no doubling reduces, and the requested grid is kept.
+    A product that overflows double precision (its error reads nan) ends
+    the refinement: it is kept unless a resolved grid came before it.
     Returns ``(steps, matrix, error)`` of the kept grid.
     """
     kept = (n, matrix, error)
     for _ in range(MAX_REFINEMENTS):
-        if kept[2] <= ERROR_CAP:
+        if kept[2] <= ERROR_CAP or math.isnan(kept[2]):
             break
         n *= 2
         mats, errors = _monodromy_sweep(track, [params], n)
@@ -340,18 +342,20 @@ def _refine(track: FrontTrack, params: BikeParams, n: int, matrix: np.ndarray,
 
 
 def _fits(track: FrontTrack, ells: Sequence[float],
-          steps_per_traversal: int) -> list[tuple[MoebiusMap, float]]:
+          steps_per_traversal: int) -> list[tuple[MoebiusMap, float] | None]:
     """``(map, eps_parabolic)`` of one track at many wheelbases, from one batched sweep.
 
     Each row is refined as :func:`monodromy` refines its grid, starting
     from the swept grid. Only the map and its parabolic band are made: no
-    fixed points or rear lengths.
+    fixed points or rear lengths. A row whose product overflows double
+    precision (its trace is past double range) is ``None``, and the other
+    rows are made as they would be alone.
     """
     n = steps_per_traversal * track.traversals
     params = [BikeParams(ell=ell, steps_per_traversal=steps_per_traversal) for ell in ells]
     mats, errors = _monodromy_sweep(track, params, n)
-    return [_fit(*_refine(track, p, n, m, float(e))[1:])
-            for p, m, e in zip(params, mats, errors)]
+    kept = [_refine(track, p, n, m, float(e))[1:] for p, m, e in zip(params, mats, errors)]
+    return [None if math.isnan(e) else _fit(m, e) for m, e in kept]
 
 
 def monodromy(track: FrontTrack, params: BikeParams) -> MonodromyReport:
@@ -368,6 +372,9 @@ def monodromy(track: FrontTrack, params: BikeParams) -> MonodromyReport:
     n = params.steps_per_traversal * track.traversals
     mats, errors = _monodromy_sweep(track, [params], n)
     n, matrix, error = _refine(track, params, n, mats[0], float(errors[0]))
+    if math.isnan(error):
+        raise ResidualError(
+            "lift product overflowed: the monodromy is too strongly hyperbolic for double precision")
     fitted, eps_par = _fit(matrix, error)
     is_identity = fitted.distance_to_identity() < IDENTITY_TOL
     fps = () if is_identity else fitted.fixed_points(eps_par)

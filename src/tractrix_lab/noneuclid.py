@@ -17,7 +17,7 @@ import numpy as np
 
 from ._io import fmt17
 from ._num import PAIRABLE, panel_quad
-from .dynamics import BikeParams, _prefix, _resolved_factors, _scan
+from .dynamics import BikeParams, _prefix, _resolved_factors, _scan, _terms
 from .errors import InvalidCurveError, ResidualError, ValidationError
 from .geom import TWO_PI, FrontTrack, Geometry
 from .moebius import MapClass, MonodromyReport, monodromy
@@ -207,8 +207,9 @@ def develop_hyperbolic(k, length: float | None = None, *, n_steps: int | None = 
     from the exact factors of its pieces and corners, so a polyline turns at
     its vertices. The frame stays Minkowski-orthonormal to rounding without
     any re-orthonormalization while the lifts stay unimodular. Three things raise
-    :class:`ResidualError`: a smooth grid whose step is longer than
-    ``RESOLVED_STEP`` (as for the steering engine with ``c = 1``), a lift
+    :class:`ResidualError`: a smooth grid whose step, or whose step times
+    the largest ``|k|``, is longer than ``RESOLVED_STEP`` (as for the
+    steering engine with ``c = 1``; no step doubling would catch it), a lift
     whose determinant drifts from one by more than ``UNIMODULAR_TOL``
     relative (a geodesic stretch longer than about 35, where the contracting
     entry ``e^(-t/2)`` falls below the rounding of ``1 + E``), and
@@ -237,7 +238,9 @@ def develop_hyperbolic(k, length: float | None = None, *, n_steps: int | None = 
     else:
         grid = np.linspace(0.0, float(length), 2 * n + 1)
         k_half = np.broadcast_to(np.asarray(k_fn(grid), dtype=float), grid.shape)
-        e = _resolved_factors(k_half[None], float(length) / n, np.ones((1, 1)))
+        h = float(length) / n
+        e = _resolved_factors(h, 1.0, float(np.max(np.abs(k_half))), _terms(1.0, k_half[None], h),
+                              np.ones((1, 1)))
         q = np.eye(2).reshape(4, 1) + _scan(e)[:, 0]
         k_nodes = k_half[::2].copy()
     frame = _frame(q)

@@ -162,6 +162,24 @@ def test_menzin_strongly_hyperbolic_rows_exit_0(capsys, tmp_path):
     assert rep["ell0"] == pytest.approx(4.535190417356915, rel=1e-12)
 
 
+def test_menzin_reports_past_an_overflowing_row(capsys, tmp_path):
+    # the 15x1 ellipse's row at half the osculating radius overflows: the scan
+    # reports it instead of refusing, and a lone monodromy there exits 3
+    path = tmp_path / "ellipse.json"
+    path.write_text(json.dumps({"kind": "ellipse", "a": 15.0, "b": 1.0}))
+    rc, cap = run(capsys, ["menzin", "--input", str(path), "--steps", "512"])
+    rep = strict_json(cap.out)
+    assert rc == (0 if rep["ok"] else 3)
+    assert rep["ell0"] == 5.789536532654861
+    assert rep["checks"][0] == {"name": "hyperbolic_below_osculating_radius",
+                                "ell": 0.5 / 15.0, "passed": True,
+                                "detail": "trace exceeds double range"}
+    rc, cap = run(capsys, ["monodromy", "--input", str(path), "--steps", "512",
+                           "--ell", repr(0.5 / 15.0)])
+    assert rc == 3
+    assert cap.err.startswith("error:") and cap.out == ""
+
+
 # -- develop -----------------------------------------------------------------
 
 
@@ -185,6 +203,13 @@ def test_develop_star_residual(capsys):
     assert rc == 0
     summary = strict_json(cap.out)
     assert summary["stargazing_residual"] < 1e-5
+
+
+def test_develop_coarse_curved_grid_exits_3(capsys):
+    # h = 2 resolves c = 1 but not k = 1.5: the development would end far off
+    rc, cap = run(capsys, ["develop", "--constant-k", "1.5", "--length", "20", "--steps", "10"])
+    assert rc == 3
+    assert cap.err.startswith("error:") and "do not resolve" in cap.err and cap.out == ""
 
 
 def test_develop_beyond_double_range_exits_3(capsys):

@@ -136,47 +136,60 @@ def test_tree_and_scan_match_sequential_product():
     assert np.max(np.abs(prefix - tree)) <= 1e-13 * scale
 
 
-def _generator_stack(k_nodes, diag):
-    off, d = np.broadcast_arrays(0.5 * k_nodes, diag)
+def _generator_stack(sigma_nodes, ksigma_nodes, c):
+    off, d = np.broadcast_arrays(0.5 * ksigma_nodes, -0.5 * c * sigma_nodes)
     return np.stack((d, off, -off, -d))
 
 
 def _steering_case(case, n=1000):
-    """Half-grid curvature ``k``, step ``h`` and rows ``diag = -c/2`` of a factor test."""
-    from tractrix_lab.dynamics import _half_grid_curvature
+    """Half-grid ``sigma`` and ``k sigma``, step ``h`` and row coefficients ``c`` of a factor test."""
+    from tractrix_lab.dynamics import _half_grid
 
     if case == "random":
         rng = np.random.default_rng(7)
-        return rng.normal(scale=3.0, size=(1, 2 * n + 1)), 0.01, -0.5 * rng.uniform(0.1, 5.0, size=(3, 1))
+        return 1.0, rng.normal(scale=3.0, size=(1, 2 * n + 1)), 0.01, rng.uniform(0.1, 5.0, size=(3, 1))
+    if case == "chart":  # the tangent-angle chart of a support function: k sigma = 1
+        track = tl.make_curve({"kind": "fourier-support", "a0": 1.0, "cos": [0.0, 0.1, 0.03]})
+        h, sigma, ksigma = _half_grid(track, n, True)
+        return sigma, ksigma, h, np.array([[0.7], [1.0 / 0.3]])
     track = tl.make_curve({"kind": "ellipse", "a": 2.0, "b": 1.0})
     c = {"stiff": 1.0 / 0.02, "elliptic": 0.1, "development": 1.0}[case]
-    return _half_grid_curvature(track, n), track.total_length / n, np.array([[-0.5 * c]])
+    h, sigma, ksigma = _half_grid(track, n, False)
+    return sigma, ksigma, h, np.array([[c]])
 
 
-@pytest.mark.parametrize("case", ["random", "stiff", "elliptic", "development"])
+def _case_factors(case):
+    from tractrix_lab.dynamics import _factors, _terms
+
+    sigma, ksigma, h, c = _steering_case(case)
+    return _factors(_terms(sigma, ksigma, h), c)
+
+
+def _nodes(x):
+    return (x, x, x) if np.ndim(x) == 0 else (x[:, 0:-1:2], x[:, 1::2], x[:, 2::2])
+
+
+@pytest.mark.parametrize("case", ["random", "stiff", "elliptic", "development", "chart"])
 def test_closed_form_factors_match_rk4(case):
     # the closed-form RK4 step against the generic RK4 polynomial on the
     # same generator stacks, scaled to determinant one in E-form,
     # (I + E) / s - I = (E - m I) / s with s = sqrt(det(I + E)) and
     # m = (s^2 - 1) / (1 + s), relative to each step's largest entry
-    from tractrix_lab.dynamics import _factors, _rk4
+    from tractrix_lab.dynamics import _rk4
 
-    k, h, diag = _steering_case(case)
-    e = _factors(k, h, diag)
-    ref = _rk4(_generator_stack(k[:, 0:-1:2], diag), _generator_stack(k[:, 1::2], diag),
-               _generator_stack(k[:, 2::2], diag), h)
+    sigma, ksigma, h, c = _steering_case(case)
+    e = _case_factors(case)
+    ref = _rk4(*(_generator_stack(s, k, c) for s, k in zip(_nodes(sigma), _nodes(ksigma))), h)
     g = ref[0] + ref[3] + (ref[0] * ref[3] - ref[1] * ref[2])
     s = np.sqrt(1.0 + g)
     ref = (ref - g / (1.0 + s) * np.array([1.0, 0.0, 0.0, 1.0])[:, None, None]) / s
-    assert e.shape == ref.shape == (4, diag.shape[0], 1000)
+    assert e.shape == ref.shape == (4, c.shape[0], 1000)
     assert np.all(np.max(np.abs(e - ref), axis=0) <= 1e-15 * np.max(np.abs(ref), axis=0))
 
 
-@pytest.mark.parametrize("case", ["random", "stiff", "development"])
+@pytest.mark.parametrize("case", ["random", "stiff", "development", "chart"])
 def test_factors_have_determinant_one(case):
-    from tractrix_lab.dynamics import _factors
-
-    e = _factors(*_steering_case(case))
+    e = _case_factors(case)
     assert np.max(np.abs((1.0 + e[0]) * (1.0 + e[3]) - e[1] * e[2] - 1.0)) <= 1e-15
 
 

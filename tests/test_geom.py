@@ -1,6 +1,8 @@
 """Front-track constructions: lengths, areas, curvature, support functions."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,6 +312,100 @@ def test_region_moments_invert_arc_length_once(monkeypatch):
     area, _, _ = _region_moments(track)
     assert len(calls) == 1  # position and tangent angle share the Gauss nodes
     assert area == pytest.approx(2.0 * math.pi, rel=1e-12)
+
+
+# -- the tangent-angle chart of support-function tracks ---------------------
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+def _rotated_support(spec: dict, angle: float) -> dict:
+    # p(phi) -> p(phi - angle): a rigid rotation, which keeps every trace
+    cos_c, sin_c = [], []
+    for n, (a, b) in enumerate(zip(spec["cos"], spec["sin"]), start=1):
+        c, s = math.cos(n * angle), math.sin(n * angle)
+        cos_c.append(a * c - b * s)
+        sin_c.append(a * s + b * c)
+    return {"kind": "fourier-support", "a0": spec["a0"], "cos": cos_c, "sin": sin_c}
+
+
+def _chartless(track):
+    return tl.FrontTrack(track.period, track.position, track.tangent_angle, track.curvature,
+                         closed=True, traversals=track.traversals)
+
+
+@pytest.mark.parametrize("m", [8, 100, 8192])
+def test_radius_on_grid_matches_the_series(m):
+    # 8 points hold fewer than twice the 6 harmonics: the transform is taken on 16
+    p = tl.SupportFunction.from_coefficients(1.0, [0.0, 0.02, -0.01, 0.003, 0.0, 0.001],
+                                             [0.0, 0.01, 0.004, 0.0, -0.002, 0.0005])
+    phi = np.linspace(0.0, TWO_PI, m, endpoint=False)
+    assert np.max(np.abs(p.radius_on_grid(m) - p.radius_of_curvature(phi))) <= 1e-13
+
+
+def test_fourier_monodromy_builds_no_arc_length_table(monkeypatch):
+    from tractrix_lab._num import ArcLengthParam
+
+    built = []
+    init = ArcLengthParam.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ArcLengthParam, "__init__", spy)
+    track = tl.make_curve({"kind": "fourier-support", "a0": 1.0, "cos": [0.0, 0.05, 0.01],
+                           "sin": [0.0, -0.02, 0.0]})
+    tl.monodromy(track, tl.BikeParams(ell=0.6))
+    assert built == []
+    assert track.period == TWO_PI  # the exact perimeter, 2 pi a0
+    track.position(np.linspace(0.0, track.period, 5))
+    track.curvature(np.linspace(0.0, track.period, 5))
+    assert built == [1]  # built on the first arc-length accessor, once
+
+
+@pytest.mark.parametrize("variant", ["reversed", "transformed", "traversals"])
+def test_chart_tracks_match_their_arc_length_copies(variant):
+    spec = {"kind": "fourier-support", "a0": 1.0, "cos": [0.0, 0.08, -0.02, 0.01],
+            "sin": [0.0, 0.03, 0.015, 0.0]}
+    if variant == "reversed":
+        track = tl.make_curve(dict(spec, orientation=-1))
+    elif variant == "transformed":
+        track = tl.make_curve(spec).transformed(0.7, (1.5, -2.0))
+    else:
+        track = tl.make_curve(dict(spec, traversals=2))
+    assert track.chart is not None
+    copy = _chartless(track)
+    assert copy.chart is None
+    for ell in (0.4, 0.9, 1.2):
+        params = tl.BikeParams(ell=ell)
+        a, b = tl.monodromy(track, params).trace, tl.monodromy(copy, params).trace
+        assert abs(a - b) <= 1e-8 * max(abs(b), 1.0)
+        assert np.allclose(tl.monodromy_matrix(track, params), tl.monodromy_matrix(copy, params),
+                           rtol=0.0, atol=1e-8 * max(abs(b), 1.0))
+
+
+def test_chart_is_carried_or_dropped():
+    track = tl.make_curve({"kind": "fourier-support", "a0": 1.0, "cos": [0.0, 0.05]})
+    assert track.reinterpreted(Geometry.HYPERBOLIC).chart is track.chart
+    assert track.rebased(0.3).chart is None
+    start, stop = track.position(np.array([0.0, track.period]))
+    back = track.reversed()
+    assert np.allclose(back.chart.points, [stop, start], atol=1e-12)
+    assert back.chart.half_grid(8)[1] == -1.0
+
+
+def test_reference_shapes_in_their_chart():
+    # the benchmark's 24 shapes, rotated, against their 16-fold-step traces
+    ref = json.loads(REFERENCE.read_text())
+    rng = np.random.default_rng(302)
+    worst = 0.0
+    for shape in ref["monodromy_fourier"]:
+        track = tl.make_curve(_rotated_support(shape["spec"], rng.uniform(0.0, TWO_PI)))
+        for ell, expected in shape["trace"].items():
+            trace = tl.monodromy(track, tl.BikeParams(ell=float(ell))).trace
+            worst = max(worst, abs(trace - expected) / max(abs(expected), 1.0))
+    assert worst <= 4.81e-10
 
 
 # -- properties over random convex specs -------------------------------------

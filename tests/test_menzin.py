@@ -75,6 +75,27 @@ def test_critical_length_with_overflowing_multipliers():
         5.789536532654861, rel=1e-12)
 
 
+def test_overflowing_row_does_not_stop_the_scan():
+    # at ell = r / 2 (1/30) the 15x1 ellipse's trace is past double range: that
+    # row alone is flagged, the check reads it as hyperbolic, and the ladder
+    # rows are the rows swept without it
+    from tractrix_lab.menzin import _ladder
+    from tractrix_lab.moebius import _fits
+
+    track = tl.make_curve({"kind": "ellipse", "a": 15.0, "b": 1.0})
+    rep = tl.menzin_verify(track, steps_per_traversal=512)
+    assert rep.ell0 == 5.789536532654861
+    check = rep.checks[0]
+    assert check.name == "hyperbolic_below_osculating_radius" and check.passed
+    assert check.detail == "trace exceeds double range"
+    r = rep.min_osculating_radius
+    ladder = _ladder(r, 10.0 * math.sqrt(rep.area / math.pi))
+    alone = [f[0].trace for f in _fits(track, ladder, 512)]
+    assert [s.trace for s in rep.classification_curve] == alone
+    with pytest.raises(tl.ResidualError, match="overflowed"):
+        tl.monodromy(track, tl.BikeParams(ell=0.5 * r, steps_per_traversal=512))
+
+
 def test_batched_fits_build_no_fixed_points(ellipse21, monkeypatch):
     # 16 steps put the row over the error cap, so it is refined in place
     from tractrix_lab.moebius import _fits
@@ -215,13 +236,18 @@ def test_critical_length_matches_plain_bisection(ellipse21):
 
 
 def test_cached_curvature_grid_is_read_only(ellipse21):
-    from tractrix_lab.dynamics import _half_grid_curvature
+    from tractrix_lab.dynamics import _grid, _half_grid
 
-    k = _half_grid_curvature(ellipse21, BATCH_STEPS)
-    assert _half_grid_curvature(ellipse21, BATCH_STEPS) is k
-    assert not k.flags.writeable
-    with pytest.raises(ValueError):
-        k[0, 0] = 0.0
+    grid = _grid(ellipse21, BATCH_STEPS, False)
+    assert _grid(ellipse21, BATCH_STEPS, False) is grid
+    for terms in grid[3:]:
+        for x in terms:
+            if np.ndim(x):
+                assert not x.flags.writeable
+                with pytest.raises(ValueError):
+                    x[0, 0] = 0.0
+    h, sigma, k = _half_grid(ellipse21, BATCH_STEPS, False)
+    assert sigma == 1.0  # arc length
     t = np.linspace(0.0, ellipse21.total_length, 2 * BATCH_STEPS + 1)
     assert np.array_equal(k[0], tl.make_curve({"kind": "ellipse", "a": 2.0, "b": 1.0}).curvature(t))
 

@@ -251,11 +251,25 @@ def test_unresolved_track_keeps_the_grid_with_the_least_error():
     # 1e4 about 1e-6 wide in arc length, far below a step of the default grid
     # (1.5e-3): doubling the steps raises the error estimate instead of
     # cutting it, so the first grid is kept and the parabolic band widens
-    # with its error
+    # with its error. The copy drops the track's tangent-angle chart, so it
+    # is stepped in arc length.
     spike = tl.make_curve({"kind": "fourier-support", "a0": 1.0, "cos": [0.0, 0.3333]})
-    rep = tl.monodromy(spike, tl.BikeParams(ell=1.0))
+    chartless = tl.FrontTrack(spike.period, spike.position, spike.tangent_angle, spike.curvature,
+                              closed=True)
+    rep = tl.monodromy(chartless, tl.BikeParams(ell=1.0))
     assert rep.n_steps == 4096
     assert rep.eps_parabolic > 0.1
+
+
+def test_near_cusp_support_function_is_resolved_in_its_chart():
+    # the same spike is an angle interval like any other in the tangent-angle
+    # chart: the map is elliptic, and 4096 steps agree with 65536
+    spike = tl.make_curve({"kind": "fourier-support", "a0": 1.0, "cos": [0.0, 0.3333]})
+    rep = tl.monodromy(spike, tl.BikeParams(ell=1.0))
+    fine = tl.monodromy(spike, tl.BikeParams(ell=1.0, steps_per_traversal=65536))
+    assert rep.map_class is tl.MapClass.ELLIPTIC
+    assert rep.n_steps == 4096 and rep.residual < 1e-10
+    assert abs(rep.trace - fine.trace) <= 1e-11
 
 
 def test_monodromy_parabolic_circle(unit_circle):

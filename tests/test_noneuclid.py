@@ -161,6 +161,13 @@ def test_unresolved_development_grid_is_refused():
     assert curve.points[-1] == pytest.approx([141.035, 127.295, 60.711], rel=1e-4)
 
 
+def test_coarse_grid_on_a_curved_profile_is_refused():
+    # h = 2 resolves c = 1 but not max k = 2.2: ten steps would end at
+    # (50.1, 44.6, 22.9), a third of the way out
+    with pytest.raises(tl.ResidualError, match="do not resolve"):
+        tl.develop_hyperbolic(lambda t: 1.5 + 0.7 * np.sin(t), 20.0, n_steps=10)
+
+
 def test_long_geodesic_is_refused_once_the_lift_drifts():
     # the lift's contracting entry e^(-t/2) falls below the rounding of 1 + E:
     # at length 30 the frame still holds to about 1e-9, at 40 it would not
