@@ -21,12 +21,15 @@ RK4 applied to the linear system makes step ``j`` a 2x2 matrix
 midpoint, built for all steps and all rows at once. The steps may be taken
 in any parameter ``u`` with ``ds = sigma du``, where the generator is
 ``sigma A = 1/2 [[-c sigma, k sigma], [-k sigma, c sigma]]``: arc length is
-the chart with ``sigma = 1``, and a support-function track carries its
+the chart with ``sigma = 1``. A support-function track carries its
 tangent-angle chart (:class:`.geom.Chart`), with ``sigma`` the radius of
-curvature and ``k sigma = 1``, read off one inverse FFT with no arc length
-inverted. The monodromy is the same circle map in every chart, so endpoint
-products are stepped in the chart when the track has one, while dense
-histories, indexed by arc length, stay in arc length. The steering
+curvature and ``k sigma = 1``, read off one inverse FFT, and an ellipse its
+eccentric-anomaly chart, with ``sigma = hypot(a sin psi, b cos psi)`` and
+``k sigma = a b / sigma^2``; neither inverts arc length. The monodromy is
+the same circle map in every chart, so endpoint products (the monodromy,
+and the final angles of :func:`steering_endpoints`) are stepped in the
+chart when the track has one, while dense histories, indexed by arc
+length, stay in arc length. The steering
 generator is ``-c sigma/2 diag(1, -1)`` plus ``k sigma/2`` times a rotation
 generator, and products of two such generators stay in the span of four
 fixed matrices, so its RK4 step is written out in closed form as four
@@ -372,16 +375,17 @@ def _resolved_factors(h: float, top: float, turn: float, terms: tuple, c: np.nda
     return _factors(terms, c)
 
 
-def _prefix(track: FrontTrack, c: np.ndarray, n_steps: int) -> np.ndarray:
+def _prefix(track: FrontTrack, c: np.ndarray, n_steps: int, chart: bool = False) -> np.ndarray:
     """E-forms of the lift's propagator from the start to each of ``n_steps + 1`` even nodes.
 
     ``c`` holds each row's coefficient, shape ``(B, 1)``. On a smooth track
-    these are the prefix products of its RK4 steps. On a piecewise
+    these are the prefix products of its RK4 steps, uniform in the track's
+    chart if ``chart`` and it has one, else in arc length. On a piecewise
     track they are exact: the factor of the part of a node's piece before
     the node, times the product of all earlier pieces and corners; a corner
     on a node counts there. Shape ``(4, B, n+1)``.
     """
-    e = _step_factors(track, c, n_steps)
+    e = _step_factors(track, c, n_steps, chart)
     if track.pieces is None:
         return _scan(e)
     length, k, _ = _pieces(track)
@@ -551,13 +555,17 @@ def steering_endpoints(track: FrontTrack, params: BikeParams, alpha0: Sequence[f
     """Final angles (and optionally d(alpha_T)/d(alpha_0)) for a batch of starts.
 
     Each final angle is on the continuous branch from its start, the same as
-    ``integrate_steering(...).final_alpha``. The tangent factor of the lift
-    product ``P``, of determinant one, at a unit lift ``z0`` is ``1 / |P z0|^2``.
+    ``integrate_steering(...).final_alpha`` up to step error. Only the end
+    of each history is read, so the steps are taken in the track's chart
+    when it has one, as for :func:`monodromy_matrix`: the final angle does
+    not depend on the parameter the steps are uniform in. The tangent factor
+    of the lift product ``P``, of determinant one, at a unit lift ``z0`` is
+    ``1 / |P z0|^2``.
     """
     n = n_steps if n_steps is not None else params.steps_per_traversal * track.traversals
     starts = np.asarray(alpha0, dtype=float)
     flat = starts.reshape(-1)
-    z = _lifted(_prefix(track, _coefficients(track, [params]), n), flat)
+    z = _lifted(_prefix(track, _coefficients(track, [params]), n, chart=True), flat)
     end = _angles(z, flat)[0, :, -1].reshape(starts.shape)
     if not variational:
         return end

@@ -4,7 +4,8 @@ Every track is parameterized by arc length, so the tangent angle and the
 curvature returned here can be fed straight into the steering dynamics.
 A track may also carry a :class:`Chart`, a second parameter of one pass in
 which the dynamics can step its monodromy without inverting arc length (the
-tangent angle of a support-function track).
+tangent angle of a support-function track, the eccentric anomaly of an
+ellipse), and from which its curvature range and area are read.
 Closed tracks extend periodically in the parameter: positions repeat, while
 the tangent angle keeps winding by one turning number per pass. That makes
 re-based and multi-pass evaluations continuous without any unwrap bookkeeping
@@ -179,26 +180,29 @@ class Chart:
     points ``u = span * j / m``, each as an array or, where it is constant,
     a float. ``points`` holds the positions ``(2, 2)`` and ``headings`` the
     tangent angles at ``u = 0`` and ``u = span``: all a track reads of its
-    curve to check its closure.
+    curve to check its closure. ``area`` is the signed area one pass
+    encloses, in closed form (``pi a b`` for an ellipse, the Parseval sum
+    for a support function).
     """
 
     span: float
     half_grid: Callable[[int], tuple]
     points: np.ndarray
     headings: np.ndarray
+    area: float
 
     def reversed(self) -> "Chart":
-        """The chart of the reversed track: ``sigma(span - u)`` and ``-k sigma(span - u)``."""
+        """The chart of the reversed track: ``sigma(span - u)``, ``-k sigma(span - u)`` and ``-area``."""
         def half(m):
             sigma, ksigma = self.half_grid(m)
             return _flip(sigma), -_flip(ksigma)
 
-        return Chart(self.span, half, self.points[::-1], self.headings[::-1] + math.pi)
+        return Chart(self.span, half, self.points[::-1], self.headings[::-1] + math.pi, -self.area)
 
     def moved(self, rotation: float, rot: np.ndarray, shift: np.ndarray) -> "Chart":
         """The chart of the track moved by the rigid motion ``x -> rot x + shift``."""
         return Chart(self.span, self.half_grid, self.points @ rot.T + shift,
-                     self.headings + rotation)
+                     self.headings + rotation, self.area)
 
 
 class FrontTrack:
@@ -227,8 +231,9 @@ class FrontTrack:
     chart : Chart, optional
         A second parameter of one pass (see :class:`Chart`), in which the
         dynamics step the monodromy. A track with a chart reads its start
-        and closure from the chart's ends, so building it evaluates none of
-        the arc-length accessors.
+        and closure from the chart's ends, and its curvature range and area
+        from the chart, so building it and checking it convex evaluate none
+        of the arc-length accessors.
     """
 
     def __init__(
@@ -331,14 +336,24 @@ class FrontTrack:
         return self.turning_single * self.traversals
 
     def curvature_range(self, n: int = 4096) -> tuple[float, float]:
-        """Min and max signed curvature over a dense canonical grid."""
+        """Min and max signed curvature over a dense grid of one pass.
+
+        On a track with a chart the grid is the chart's ``n + 1`` points
+        uniform in ``u``, where ``k = (k sigma) / sigma`` needs no arc length;
+        otherwise it is ``n`` points uniform in arc length, with both sides
+        of every breakpoint.
+        """
         if self._k_range is None:
-            t = np.linspace(0.0, self.period, n, endpoint=False)
-            if len(self.breakpoints):
-                eps = 1e-9 * self.period
-                t = np.sort(np.concatenate([t, self.breakpoints + eps, self.breakpoints - eps]))
-                t = t[(t >= 0.0) & (t <= self.period)]
-            k = self.curvature(t)
+            if self.chart is not None:
+                sigma, ksigma = self.chart.half_grid(n)
+                k = ksigma / sigma
+            else:
+                t = np.linspace(0.0, self.period, n, endpoint=False)
+                if len(self.breakpoints):
+                    eps = 1e-9 * self.period
+                    t = np.sort(np.concatenate([t, self.breakpoints + eps, self.breakpoints - eps]))
+                    t = t[(t >= 0.0) & (t <= self.period)]
+                k = self.curvature(t)
             self._k_range = (float(np.min(k)), float(np.max(k)))
         return self._k_range
 
@@ -546,34 +561,70 @@ def _build_circle(spec: CurveSpec) -> FrontTrack:
     )
 
 
+def _ellipse_perimeter(a: float, b: float) -> float:
+    """Perimeter of the ellipse with semi-axes ``a`` and ``b``, by the arithmetic-geometric mean.
+
+    With ``x0 = max(a, b)``, ``g0 = min(a, b)``, ``c_n = (x_{n-1} - g_{n-1}) / 2``
+    and ``S = (x0^2 - g0^2) / 2 + sum_n 2^(n-1) c_n^2``, the perimeter is
+    ``2 pi (x0^2 - S) / AGM(a, b)``. The sums are taken on the axes scaled
+    by ``x0``, so no square overflows. Convergence is quadratic once the
+    means are close, so a fixed number of rounds suffices (a stop test on
+    ``x - g`` can cycle in rounding); later rounds add zero.
+    """
+    scale = max(a, b)
+    x, g = 1.0, min(a, b) / scale
+    total, weight = 0.5 * (1.0 - g * g), 1.0
+    for _ in range(40):
+        c = 0.5 * (x - g)
+        x, g = 0.5 * (x + g), math.sqrt(x * g)
+        total += weight * c * c
+        weight *= 2.0
+    return TWO_PI * (1.0 - total) / x * scale
+
+
 def _build_ellipse(spec: CurveSpec) -> FrontTrack:
+    """Ellipse ``(a cos psi, b sin psi)``, charted by its eccentric anomaly ``psi``.
+
+    In ``psi`` the ellipse has ``sigma = hypot(a sin psi, b cos psi)`` and
+    ``k sigma = a b / sigma^2``, and its perimeter and area are closed forms,
+    so the chart needs no arc-length table. The table behind the arc-length
+    accessors is built on their first call.
+    """
     if spec.a is None or spec.b is None or not (spec.a > 0.0 and spec.b > 0.0):
         raise InvalidCurveError("ellipse needs positive semi-axes a and b")
     a, b = float(spec.a), float(spec.b)
+    if not max(a, b) / min(a, b) / min(a, b) <= PAIRABLE:
+        raise InvalidCurveError(f"ellipse curvature max(a, b) / min(a, b)^2 exceeds {PAIRABLE:.3e}")
     rot = float(spec.angle)
     place = _placement(spec)
 
     def speed(psi):
         return np.hypot(a * np.sin(psi), b * np.cos(psi))
 
-    alp = ArcLengthParam(speed, 0.0, TWO_PI)
+    arc = functools.cache(lambda: ArcLengthParam(speed, 0.0, TWO_PI))
 
     def pos(t):
-        psi = alp.u_of_t(t)
+        psi = arc().u_of_t(t)
         return place(np.stack([a * np.cos(psi), b * np.sin(psi)], axis=-1))
 
     def tan(t):
-        psi = alp.u_of_t(t)
+        psi = arc().u_of_t(t)
         base = psi + 0.5 * math.pi
         # deviation from the circular reference stays below pi/2, so a single
         # wrap recovers the unwrapped angle
         return base + wrap_angle(np.arctan2(b * np.cos(psi), -a * np.sin(psi)) - base) + rot
 
     def cur(t):
-        return a * b / speed(alp.u_of_t(t)) ** 3
+        return a * b / speed(arc().u_of_t(t)) ** 3
 
-    return FrontTrack(alp.total, pos, tan, cur, closed=True, traversals=spec.traversals,
-                      label=f"ellipse {a:g}x{b:g}")
+    def half(m):
+        sigma = speed(np.linspace(0.0, TWO_PI, m + 1))
+        return sigma, (a / sigma) * (b / sigma)  # a b / sigma^2, with no square to underflow
+
+    chart = Chart(TWO_PI, half, place(np.array([[a, 0.0], [a, 0.0]])),
+                  np.array([0.0, TWO_PI]) + 0.5 * math.pi + rot, math.pi * a * b)
+    return FrontTrack(_ellipse_perimeter(a, b), pos, tan, cur, closed=True,
+                      traversals=spec.traversals, chart=chart, label=f"ellipse {a:g}x{b:g}")
 
 
 def _build_fourier_support(spec: CurveSpec) -> FrontTrack:
@@ -612,7 +663,8 @@ def _build_fourier_support(spec: CurveSpec) -> FrontTrack:
         return np.append(rho, rho[0]), 1.0
 
     ends = np.array([0.0, TWO_PI])
-    chart = Chart(TWO_PI, half, place(support.envelope(ends)), ends + 0.5 * math.pi + rot)
+    chart = Chart(TWO_PI, half, place(support.envelope(ends)), ends + 0.5 * math.pi + rot,
+                  support_length_area(support)[1])
     return FrontTrack(TWO_PI * support.a0, pos, tan, cur, closed=True, traversals=spec.traversals,
                       chart=chart, label="fourier-support")
 
@@ -822,9 +874,15 @@ def _area_density(x, y, c, s):
 
 
 def enclosed_area(track: FrontTrack) -> float:
-    """Green's-theorem signed area ``(1/2) \\oint (x dy - y dx)`` of the full path."""
+    """Signed area ``(1/2) \\oint (x dy - y dx)`` of the full path.
+
+    A track with a chart reads its closed-form area, times its passes;
+    any other track takes it by Green's-theorem quadrature.
+    """
     if not track.closed:
         raise ValidationError("enclosed area needs a closed track")
+    if track.chart is not None:
+        return track.chart.area * track.traversals
     return _green_integral(track, _area_density)[0]
 
 

@@ -213,6 +213,13 @@ def test_coordinates_past_sqrt_max_double_are_refused():
         tl.make_curve({"kind": "circle", "r": 1.0, "center": [1e300, 0.0]})
 
 
+@pytest.mark.parametrize("a, b", [(1.0, 1e-160), (1e-300, 1e-300)])
+def test_ellipse_curvature_past_sqrt_max_double_is_refused(a, b):
+    # a / b^2 past 1.3e154: its chart's k sigma and its curvature would overflow
+    with pytest.raises(tl.InvalidCurveError, match="ellipse curvature"):
+        tl.make_curve({"kind": "ellipse", "a": a, "b": b})
+
+
 def test_make_curve_accepts_json_text():
     c = tl.make_curve('{"kind": "circle", "r": 1.0}')
     assert c.total_length == pytest.approx(TWO_PI, rel=1e-12)
@@ -314,7 +321,7 @@ def test_region_moments_invert_arc_length_once(monkeypatch):
     assert area == pytest.approx(2.0 * math.pi, rel=1e-12)
 
 
-# -- the tangent-angle chart of support-function tracks ---------------------
+# -- charts: the tangent angle of support functions, the eccentric anomaly of ellipses
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -364,10 +371,16 @@ def test_fourier_monodromy_builds_no_arc_length_table(monkeypatch):
     assert built == [1]  # built on the first arc-length accessor, once
 
 
-@pytest.mark.parametrize("variant", ["reversed", "transformed", "traversals"])
-def test_chart_tracks_match_their_arc_length_copies(variant):
-    spec = {"kind": "fourier-support", "a0": 1.0, "cos": [0.0, 0.08, -0.02, 0.01],
-            "sin": [0.0, 0.03, 0.015, 0.0]}
+FOURIER_SPEC = {"kind": "fourier-support", "a0": 1.0, "cos": [0.0, 0.08, -0.02, 0.01],
+                "sin": [0.0, 0.03, 0.015, 0.0]}
+VARIANTS = ("reversed", "transformed", "traversals")
+
+
+@pytest.mark.parametrize("spec, variant",
+                         [(FOURIER_SPEC, v) for v in VARIANTS]
+                         + [({"kind": "ellipse", "a": 2.0, "b": 1.0}, v) for v in VARIANTS],
+                         ids=[*VARIANTS, *(f"ellipse-{v}" for v in VARIANTS)])
+def test_chart_tracks_match_their_arc_length_copies(spec, variant):
     if variant == "reversed":
         track = tl.make_curve(dict(spec, orientation=-1))
     elif variant == "transformed":
@@ -380,9 +393,9 @@ def test_chart_tracks_match_their_arc_length_copies(variant):
     for ell in (0.4, 0.9, 1.2):
         params = tl.BikeParams(ell=ell)
         a, b = tl.monodromy(track, params).trace, tl.monodromy(copy, params).trace
-        assert abs(a - b) <= 1e-8 * max(abs(b), 1.0)
+        assert abs(a - b) <= 1e-9 * max(abs(b), 1.0)
         assert np.allclose(tl.monodromy_matrix(track, params), tl.monodromy_matrix(copy, params),
-                           rtol=0.0, atol=1e-8 * max(abs(b), 1.0))
+                           rtol=0.0, atol=1e-9 * max(abs(b), 1.0))
 
 
 def test_chart_is_carried_or_dropped():
@@ -406,6 +419,69 @@ def test_reference_shapes_in_their_chart():
             trace = tl.monodromy(track, tl.BikeParams(ell=float(ell))).trace
             worst = max(worst, abs(trace - expected) / max(abs(expected), 1.0))
     assert worst <= 4.81e-10
+
+
+# -- what a charted track reads from its chart ------------------------------
+
+@pytest.mark.parametrize("spec", [{"kind": "ellipse", "a": 2.0, "b": 1.0, "angle": 0.4},
+                                  FOURIER_SPEC], ids=["ellipse", "fourier-support"])
+def test_menzin_builds_no_arc_length_table(spec, monkeypatch):
+    from tractrix_lab._num import ArcLengthParam
+
+    built = []
+    init = ArcLengthParam.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ArcLengthParam, "__init__", spy)
+    track = tl.make_curve(spec)
+    assert track.chart is not None
+    tl.monodromy(track, tl.BikeParams(ell=0.6, steps_per_traversal=512))
+    tl.critical_length(track, steps_per_traversal=512)
+    assert tl.menzin_verify(track, steps_per_traversal=512).ok
+    assert built == []
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 0.9), (1.0, 0.5), (2.0, 1.0), (15.0, 1.0), (1.0, 1.0),
+                                  (0.5, 2.0)])
+def test_ellipse_perimeter_is_the_closed_form(a, b, monkeypatch):
+    from tractrix_lab._num import ArcLengthParam
+
+    with monkeypatch.context() as patch:  # the perimeter is read without the table
+        patch.setattr(ArcLengthParam, "__init__", lambda *args, **kwargs: pytest.fail("table built"))
+        track = tl.make_curve({"kind": "ellipse", "a": a, "b": b})
+    big, small = max(a, b), min(a, b)
+    assert track.period == pytest.approx(4.0 * big * ellipe(1.0 - (small / big) ** 2), rel=1e-15)
+    # the arc-length table's own total is off by up to 2.4e-15 (0.5x2)
+    table = ArcLengthParam(lambda u: np.hypot(a * np.sin(u), b * np.cos(u)), 0.0, TWO_PI)
+    assert track.period == pytest.approx(table.total, rel=3e-15)
+
+
+@pytest.mark.parametrize("a, b", [(2.0, 1.0), (1.0, 3.0), (15.0, 1.0)])
+def test_charted_curvature_range_and_area_are_exact(a, b):
+    track = tl.make_curve({"kind": "ellipse", "a": a, "b": b, "angle": 0.3, "center": [1.0, 2.0]})
+    ends = sorted((b / a**2, a / b**2))
+    assert track.curvature_range() == pytest.approx(ends, rel=1e-15)
+    assert tl.enclosed_area(track) == math.pi * a * b
+    back = track.reversed()
+    assert back.curvature_range() == pytest.approx([-ends[1], -ends[0]], rel=1e-15)
+    assert tl.enclosed_area(back) == -math.pi * a * b
+    assert tl.enclosed_area(tl.make_curve({"kind": "ellipse", "a": a, "b": b, "traversals": 2})) \
+        == 2.0 * math.pi * a * b
+
+
+def test_fourier_area_is_the_parseval_sum():
+    track = tl.make_curve(dict(FOURIER_SPEC, center=[3.0, -1.0], angle=0.5))
+    p = tl.SupportFunction.from_coefficients(FOURIER_SPEC["a0"], FOURIER_SPEC["cos"],
+                                             FOURIER_SPEC["sin"])
+    area = tl.support_length_area(p)[1]
+    assert tl.enclosed_area(track) == area
+    assert tl.enclosed_area(track.reversed()) == -area
+    assert tl.enclosed_area(_chartless(track)) == pytest.approx(area, rel=1e-13)
+    rho = p.radius_on_grid(8192)[::2]  # every other point of the convexity probe
+    assert track.curvature_range() == (1.0 / np.max(rho), 1.0 / np.min(rho))
 
 
 # -- properties over random convex specs -------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,10 +70,12 @@ def test_critical_length_cap_raises(unit_circle, monkeypatch):
 
 def test_critical_length_with_overflowing_multipliers():
     # the 15x1 ellipse's smallest ladder rows have traces near 1e197: the
-    # scan reads their class from the trace and never forms their multipliers
+    # scan reads their class from the trace and never forms their multipliers;
+    # 512 steps in the eccentric-anomaly chart read the converged transition
+    # (16384 steps: 5.31350346763) to 4.4e-8
     track = tl.make_curve({"kind": "ellipse", "a": 15.0, "b": 1.0})
     assert tl.critical_length(track, steps_per_traversal=512) == pytest.approx(
-        5.789536532654861, rel=1e-12)
+        5.3135034676, rel=2e-7)
 
 
 def test_overflowing_row_does_not_stop_the_scan():
@@ -84,7 +87,8 @@ def test_overflowing_row_does_not_stop_the_scan():
 
     track = tl.make_curve({"kind": "ellipse", "a": 15.0, "b": 1.0})
     rep = tl.menzin_verify(track, steps_per_traversal=512)
-    assert rep.ell0 == 5.789536532654861
+    assert rep.ok
+    assert rep.ell0 == pytest.approx(5.3135034676, rel=2e-7)  # converged, 16384 steps
     check = rep.checks[0]
     assert check.name == "hyperbolic_below_osculating_radius" and check.passed
     assert check.detail == "trace exceeds double range"
@@ -275,3 +279,25 @@ def test_refined_row_matches_monodromy(ellipse21):
     fitted, eps_par = _fits(ellipse21, [1.0], 16)[0]
     assert np.array_equal(fitted.matrix, rep.map.matrix)
     assert eps_par == rep.eps_parabolic
+
+
+# ell0 of the benchmark's 8 menzin fourier shapes at 512 steps, scanned in arc length
+FOURIER_ELL0_ARC_LENGTH = (0.9983453638509767, 0.998854993162936, 0.9998407438495542,
+                           0.9987578542693993, 0.9989949569754677, 0.9985685900040545,
+                           0.999027232042289, 0.9980612070739237)
+
+
+def test_menzin_reference_accuracy_at_512_steps():
+    # the benchmark's menzin references (16-fold steps): the ellipses, stepped
+    # in the eccentric anomaly, reach these digits (10.55, 10.42 and 9.10 in
+    # arc length); the fourier shapes keep their arc-length ell0 within tol
+    ref = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "reference.json")
+                     .read_text())
+    for entry, floor in zip(ref["menzin_ellipse"], (10.5, 10.7, 9.6)):
+        rep = tl.menzin_verify(tl.make_curve(entry["spec"]), steps_per_traversal=512)
+        assert rep.ok
+        assert -math.log10(abs(rep.ell0 - entry["ell0"]) / entry["ell0"]) >= floor
+    for shape, before in zip(ref["menzin_fourier"], FOURIER_ELL0_ARC_LENGTH, strict=True):
+        rep = tl.menzin_verify(tl.make_curve(shape["spec"]), steps_per_traversal=512)
+        assert rep.ok
+        assert abs(rep.ell0 - before) <= tl.menzin.DEFAULT_TOL * math.sqrt(rep.area / math.pi)
