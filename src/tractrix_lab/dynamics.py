@@ -52,7 +52,9 @@ the RK4 steps because each is scaled to it where it is built, so no
 product needs a determinant carried beside it. A smooth grid resolves a
 wheelbase only while ``h |c| max sigma <= 2``, and a coarser one gives no
 result; a dense history or a development, with no error estimate, also
-needs ``h max |k sigma| <= 2``. A smooth track's monodromy comes with its
+needs ``h max |k sigma| <= 2``, and so does a monodromy stepped in a chart,
+whose step doubling misses a turn that falls into a few steps (an
+ellipse's tips). A smooth track's monodromy comes with its
 step-doubling error estimate, from the same product taken in steps of
 twice the length.
 Angles are read back from the direction of each lifted vector; summed
@@ -149,7 +151,7 @@ def _check_geometry(track, params: BikeParams) -> None:
 # row of a batch is computed exactly as it would be alone.
 
 BLOCK = 1 << 16  # row-steps per block of a batched monodromy sweep
-RESOLVED_STEP = 2.0  # largest h |c| max sigma of a smooth grid that resolves a wheelbase
+RESOLVED_STEP = 2.0  # largest h |c| max sigma (and h max |k sigma|) of a smooth grid that resolves the flow
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -471,7 +473,11 @@ def _monodromy_sweep(track: FrontTrack, params: Sequence[BikeParams],
     returned relative to the map's largest entry, shape ``(B,)``. A row
     whose wheelbase the grid does not resolve (``h |c| max sigma >
     RESOLVED_STEP``) is stepped with ``c = 0``, so it cannot overflow or
-    reverse and stop the other rows, and reads an infinite error. A row
+    reverse and stop the other rows, and reads an infinite error. In a
+    chart every row also reads an infinite error when ``h max |k sigma| >
+    RESOLVED_STEP``: an ellipse turns through its tips in ``min/max`` of its
+    eccentric anomaly, and a grid that steps over them passes step
+    doubling with a wrong map. A row
     whose product overflows double precision comes out with non-finite
     entries and a nan error, and does not stop the others either; its
     callers refuse it.
@@ -484,8 +490,9 @@ def _monodromy_sweep(track: FrontTrack, params: Sequence[BikeParams],
         e = _piece_factors(track, c)
         m = np.eye(2).reshape(4, 1) + _tree(e)
         return _flagged(m, np.full(len(params), e.shape[-1] * np.finfo(float).eps))
-    h, top, _, fine, coarse = _grid(track, n_steps, _charted(track, n_steps))
-    resolved = h * np.abs(c[:, 0]) * top <= RESOLVED_STEP
+    charted = _charted(track, n_steps)
+    h, top, turn, fine, coarse = _grid(track, n_steps, charted)
+    resolved = h * np.maximum(np.abs(c[:, 0]) * top, turn if charted else 0.0) <= RESOLVED_STEP
     c = np.where(resolved[:, None], c, 0.0)
     block = 2
     while 2 * block * len(params) <= BLOCK:

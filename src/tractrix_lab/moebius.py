@@ -315,7 +315,8 @@ def _refine(track: FrontTrack, params: BikeParams, n: int, matrix: np.ndarray,
     While the step-doubling error estimate (relative to the map's largest
     entry) exceeds ``ERROR_CAP``, the step count is doubled, at most
     ``MAX_REFINEMENTS`` times. A smooth grid that does not resolve the
-    wheelbase (see :func:`.dynamics._monodromy_sweep`) is never kept, and
+    wheelbase, or in a chart the turning (see
+    :func:`.dynamics._monodromy_sweep`), is never kept, and
     :class:`ResidualError` is raised when no grid within those doublings
     resolves it. Refinement also stops when a doubling of a resolved grid
     does not reduce the estimate (the grid does not resolve the track, as
@@ -337,7 +338,8 @@ def _refine(track: FrontTrack, params: BikeParams, n: int, matrix: np.ndarray,
         kept = (n, mats[0], float(errors[0]))
     if kept[2] == math.inf:
         raise ResidualError(f"no grid of up to {kept[0]} steps resolves the wheelbase: the "
-                            "steering coefficient is too large for the track's length")
+                            "steering coefficient is too large for the track's length, or "
+                            "its curvature for its chart")
     return kept
 
 

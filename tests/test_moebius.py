@@ -272,6 +272,29 @@ def test_near_cusp_support_function_is_resolved_in_its_chart():
     assert abs(rep.trace - fine.trace) <= 1e-11
 
 
+@pytest.mark.parametrize("a, b", [(1.0, 1e-4), (1e-4, 1.0)])
+def test_ellipse_tips_are_resolved_in_their_chart(a, b):
+    # an ellipse turns through each tip in about min/max of its eccentric
+    # anomaly, and a grid that steps over the tips passes step doubling with
+    # a wrong map (1x1e-4 at 4096 steps read trace 0.487, residual 0.1): a
+    # charted grid is kept only while h max |k sigma| = h max/min is at most
+    # 2. This one is doubled until it is, and reads the |trace| 2 that thin
+    # ellipses tend to (1x1e-3: 1.9999968)
+    rep = tl.monodromy(tl.make_curve({"kind": "ellipse", "a": a, "b": b}), tl.BikeParams(ell=1.0))
+    assert TWO_PI / rep.n_steps * 1e4 <= 2.0
+    assert abs(abs(rep.trace) - 2.0) < 1e-6
+
+
+def test_ellipse_with_unresolvable_tips_is_refused():
+    # at b/a = 1e-40 no grid within the doublings keeps h a/b at most 2
+    needle = tl.make_curve({"kind": "ellipse", "a": 1.0, "b": 1e-40})
+    for steps in (64, 4096):
+        with pytest.raises(tl.ResidualError, match="no grid"):
+            tl.monodromy(needle, tl.BikeParams(ell=1.0, steps_per_traversal=steps))
+    with pytest.raises(tl.ResidualError):
+        tl.critical_length(needle, steps_per_traversal=512)
+
+
 def test_monodromy_parabolic_circle(unit_circle):
     rep = tl.monodromy(unit_circle, tl.BikeParams(ell=1.0))
     assert rep.map_class is MapClass.PARABOLIC
