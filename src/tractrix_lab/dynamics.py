@@ -69,7 +69,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._num import simpson, trapezoid, wrap_angle
+from ._num import fourier_grid, simpson, trapezoid, wrap_angle
 from .errors import ResidualError, ValidationError
 from .geom import TWO_PI, FrontTrack, Geometry, SupportFunction, _area_density, _green_integral
 
@@ -699,14 +699,21 @@ class ConfigLoop:
 
     @classmethod
     def from_fourier(cls, x_coeffs, y_coeffs, theta_coeffs, winding: int = 0, n: int = 4096) -> "ConfigLoop":
-        """Trigonometric-polynomial loop; each coefficient set is (a0, cos[], sin[])."""
+        """Trigonometric-polynomial loop on ``n`` steps; each coefficient set is (a0, cos[], sin[]).
+
+        Each block's values and ``s``-derivatives at ``s = j / n`` are two
+        inverse FFTs (:func:`._num.fourier_grid`), closed by the periodic
+        endpoint; ``theta`` then gains the winding ``2 pi m s``.
+        """
+        if n < 1:
+            raise ValidationError(f"a loop needs at least one step, got {n}")
         s = np.linspace(0.0, 1.0, n + 1)
-        phi = TWO_PI * s
 
         def series(coeffs):
             # a value and its s-derivative; the support-function form pads cos and sin to one length
             p = SupportFunction.from_coefficients(*coeffs)
-            return p.value(phi), p.derivative(phi) * TWO_PI
+            value, slope = (fourier_grid(p.a0, p.cos_coeffs, p.sin_coeffs, n, d) for d in (0, 1))
+            return np.append(value, value[0]), np.append(slope, slope[0]) * TWO_PI
 
         with np.errstate(over="ignore", invalid="ignore"):  # loop_identity refuses overflow
             x, dx = series(x_coeffs)

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._num import PAIRABLE, ArcLengthParam, fit_fourier, fourier_eval, panel_nodes, wrap_angle
+from ._num import PAIRABLE, ArcLengthParam, fit_fourier, fourier_eval, fourier_grid, panel_nodes, wrap_angle
 from .errors import InvalidCurveError, ValidationError
 
 TWO_PI = 2.0 * math.pi
@@ -53,6 +53,8 @@ class Geometry(Enum):
 
 
 _PROBE = 8192  # normal angles on which a support function's convexity is checked
+_K_GRID = 4096  # points of one pass on which a smooth track's curvature range is read
+_BBOX_GRID = 1024  # points of one pass on which the bounding box is read
 _KINDS = ("circle", "ellipse", "fourier-support", "polyline", "samples", "line")
 _SCALAR_FIELDS = ("r", "a", "b", "angle", "a0", "fillet_radius")
 
@@ -260,8 +262,9 @@ class FrontTrack:
         if not period * traversals <= PAIRABLE:
             raise InvalidCurveError(
                 f"track length {period * traversals:.3e} exceeds {PAIRABLE:.3e}")
-        start = chart.points[0] if chart is not None else position_fn(np.array([0.0]))[0]
-        if not math.hypot(*start) <= PAIRABLE:
+        t = np.array([0.0, period])
+        ends, headings = (position_fn(t), tangent_fn(t)) if chart is None else (chart.points, chart.headings)
+        if not math.hypot(*ends[0]) <= PAIRABLE:
             raise InvalidCurveError(f"track coordinates exceed {PAIRABLE:.3e}")
         self.period = float(period)
         self.traversals = int(traversals)
@@ -281,16 +284,10 @@ class FrontTrack:
         self._pos_c = position_fn
         self._tan_c = tangent_fn
         self._k_c = curvature_fn
-        self._k_range: tuple[float, float] | None = None
         self._grid: dict = {}  # step grids of the dynamics, (steps, in chart) -> see dynamics._grid
         if self.closed:
-            if chart is not None:
-                stop = chart.points[1]
-                span = float(chart.headings[1] - chart.headings[0])
-            else:
-                stop = position_fn(np.array([period]))[0]
-                span = float(tangent_fn(np.array([period]))[0] - tangent_fn(np.array([0.0]))[0])
-            gap = math.hypot(*(stop - start))
+            span = float(headings[1] - headings[0])
+            gap = math.hypot(*(ends[1] - ends[0]))
             if gap > 1e-8 * max(1.0, period):
                 raise InvalidCurveError(f"closed track does not return to its start (gap {gap:.3e})")
             self.turning_single = int(round(span / TWO_PI))
@@ -335,35 +332,29 @@ class FrontTrack:
     def turning_number(self) -> int:
         return self.turning_single * self.traversals
 
-    def curvature_range(self, n: int = 4096) -> tuple[float, float]:
-        """Min and max signed curvature over a dense grid of one pass.
+    def curvature_range(self) -> tuple[float, float]:
+        """Min and max signed curvature over one pass.
 
-        On a track with a chart the grid is the chart's ``n + 1`` points
-        uniform in ``u``, where ``k = (k sigma) / sigma`` needs no arc length;
-        otherwise it is ``n`` points uniform in arc length, with both sides
-        of every breakpoint.
+        Exact from the pieces of positive length on a track made of pieces;
+        else ``k = (k sigma) / sigma`` on the chart's ``_K_GRID + 1`` points,
+        or ``_K_GRID`` points uniform in arc length on a track with no chart.
         """
-        if self._k_range is None:
-            if self.chart is not None:
-                sigma, ksigma = self.chart.half_grid(n)
-                k = ksigma / sigma
-            else:
-                t = np.linspace(0.0, self.period, n, endpoint=False)
-                if len(self.breakpoints):
-                    eps = 1e-9 * self.period
-                    t = np.sort(np.concatenate([t, self.breakpoints + eps, self.breakpoints - eps]))
-                    t = t[(t >= 0.0) & (t <= self.period)]
-                k = self.curvature(t)
-            self._k_range = (float(np.min(k)), float(np.max(k)))
-        return self._k_range
+        if self.pieces is not None:
+            k = self.pieces[self.pieces[:, 0] > 0.0, 1]
+        elif self.chart is not None:
+            sigma, ksigma = self.chart.half_grid(_K_GRID)
+            k = ksigma / sigma
+        else:
+            k = self.curvature(np.linspace(0.0, self.period, _K_GRID, endpoint=False))
+        return float(np.min(k)), float(np.max(k))
 
     @property
     def convex(self) -> bool:
         """Closed with strictly positive curvature throughout (counterclockwise)."""
         return self.closed and self.curvature_range()[0] > 0.0
 
-    def bbox_diameter(self, n: int = 1024) -> float:
-        xy = self.position(np.linspace(0.0, self.period, n))
+    def bbox_diameter(self) -> float:
+        xy = self.position(np.linspace(0.0, self.period, _BBOX_GRID))
         lo, hi = xy.min(axis=0), xy.max(axis=0)
         return float(np.hypot(*(hi - lo)))
 
@@ -532,29 +523,14 @@ def _heading(pieces: np.ndarray, theta0: float, period: float) -> Callable[[np.n
 # -- constructions ----------------------------------------------------------
 
 
-def _placement(spec: CurveSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """The spec's rigid motion of points ``(n, 2)``: rotate by ``angle``, then shift by ``center``."""
-    c, s = math.cos(spec.angle), math.sin(spec.angle)
-    rmat = np.array([[c, -s], [s, c]])
-    center = np.asarray(spec.center, dtype=float)
-    return lambda xy: xy @ rmat.T + center
-
-
 def _build_circle(spec: CurveSpec) -> FrontTrack:
     if spec.r is None or not spec.r > 0.0:
         raise InvalidCurveError(f"circle needs a positive radius, got {spec.r}")
     r = float(spec.r)
-    rot = float(spec.angle)
-    center = np.asarray(spec.center, dtype=float)
-
-    def pos(t):
-        ang = t / r + rot  # a circle rotates by its phase
-        return center + r * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-
     return FrontTrack(
         TWO_PI * r,
-        pos,
-        lambda t: t / r + 0.5 * math.pi + rot,
+        lambda t: r * np.stack([np.cos(t / r), np.sin(t / r)], axis=-1),
+        lambda t: t / r + 0.5 * math.pi,
         lambda t: np.full_like(t, 1.0 / r),
         closed=True, traversals=spec.traversals, pieces=[(TWO_PI * r, 1.0 / r, 0.0)],
         label=f"circle r={r:g}",
@@ -595,8 +571,6 @@ def _build_ellipse(spec: CurveSpec) -> FrontTrack:
     a, b = float(spec.a), float(spec.b)
     if not max(a, b) / min(a, b) / min(a, b) <= PAIRABLE:
         raise InvalidCurveError(f"ellipse curvature max(a, b) / min(a, b)^2 exceeds {PAIRABLE:.3e}")
-    rot = float(spec.angle)
-    place = _placement(spec)
 
     def speed(psi):
         return np.hypot(a * np.sin(psi), b * np.cos(psi))
@@ -605,14 +579,14 @@ def _build_ellipse(spec: CurveSpec) -> FrontTrack:
 
     def pos(t):
         psi = arc().u_of_t(t)
-        return place(np.stack([a * np.cos(psi), b * np.sin(psi)], axis=-1))
+        return np.stack([a * np.cos(psi), b * np.sin(psi)], axis=-1)
 
     def tan(t):
         psi = arc().u_of_t(t)
         base = psi + 0.5 * math.pi
         # deviation from the circular reference stays below pi/2, so a single
         # wrap recovers the unwrapped angle
-        return base + wrap_angle(np.arctan2(b * np.cos(psi), -a * np.sin(psi)) - base) + rot
+        return base + wrap_angle(np.arctan2(b * np.cos(psi), -a * np.sin(psi)) - base)
 
     def cur(t):
         return a * b / speed(arc().u_of_t(t)) ** 3
@@ -621,8 +595,8 @@ def _build_ellipse(spec: CurveSpec) -> FrontTrack:
         sigma = speed(np.linspace(0.0, TWO_PI, m + 1))
         return sigma, (a / sigma) * (b / sigma)  # a b / sigma^2, with no square to underflow
 
-    chart = Chart(TWO_PI, half, place(np.array([[a, 0.0], [a, 0.0]])),
-                  np.array([0.0, TWO_PI]) + 0.5 * math.pi + rot, math.pi * a * b)
+    chart = Chart(TWO_PI, half, np.array([[a, 0.0], [a, 0.0]]),
+                  np.array([0.0, TWO_PI]) + 0.5 * math.pi, math.pi * a * b)
     return FrontTrack(_ellipse_perimeter(a, b), pos, tan, cur, closed=True,
                       traversals=spec.traversals, chart=chart, label=f"ellipse {a:g}x{b:g}")
 
@@ -639,8 +613,6 @@ def _build_fourier_support(spec: CurveSpec) -> FrontTrack:
         raise InvalidCurveError("fourier-support needs the mean radius a0")
     support = SupportFunction.from_coefficients(spec.a0, spec.cos, spec.sin)
     rad_curv = support.radius_of_curvature
-    rot = float(spec.angle)
-    place = _placement(spec)
 
     probe = support.radius_on_grid(_PROBE)
     if np.min(probe) <= 1e-9 * max(abs(support.a0), 1.0):
@@ -650,10 +622,10 @@ def _build_fourier_support(spec: CurveSpec) -> FrontTrack:
     arc = functools.cache(lambda: ArcLengthParam(rad_curv, 0.0, TWO_PI))
 
     def pos(t):
-        return place(support.envelope(arc().u_of_t(t)))
+        return support.envelope(arc().u_of_t(t))
 
     def tan(t):
-        return arc().u_of_t(t) + 0.5 * math.pi + rot
+        return arc().u_of_t(t) + 0.5 * math.pi
 
     def cur(t):
         return 1.0 / rad_curv(arc().u_of_t(t))
@@ -663,7 +635,7 @@ def _build_fourier_support(spec: CurveSpec) -> FrontTrack:
         return np.append(rho, rho[0]), 1.0
 
     ends = np.array([0.0, TWO_PI])
-    chart = Chart(TWO_PI, half, place(support.envelope(ends)), ends + 0.5 * math.pi + rot,
+    chart = Chart(TWO_PI, half, support.envelope(ends), ends + 0.5 * math.pi,
                   support_length_area(support)[1])
     return FrontTrack(TWO_PI * support.a0, pos, tan, cur, closed=True, traversals=spec.traversals,
                       chart=chart, label="fourier-support")
@@ -841,12 +813,18 @@ _BUILDERS = {
 
 
 def make_curve(spec: CurveSpec | dict | str) -> FrontTrack:
-    """Build a :class:`FrontTrack` from a spec, a dict, or a JSON string."""
+    """Build a :class:`FrontTrack` from a spec, a dict, or a JSON string.
+
+    Each kind is built about the origin. A circle, ellipse or fourier-support
+    curve is then placed by :meth:`FrontTrack.transformed`, before it is oriented.
+    """
     if isinstance(spec, str):
         spec = CurveSpec.from_json(spec)
     elif isinstance(spec, dict):
         spec = CurveSpec.from_dict(spec)
     track = _BUILDERS[spec.kind](spec)
+    if spec.kind in ("circle", "ellipse", "fourier-support"):  # the kinds with center and angle
+        track = track.transformed(spec.angle, spec.center)
     if spec.orientation == -1:
         track = track.reversed()
     track.spec = spec
@@ -959,21 +937,9 @@ class SupportFunction:
         return fourier_eval(self.a0, damp * self.cos_coeffs, damp * self.sin_coeffs, phi)
 
     def radius_on_grid(self, m: int) -> np.ndarray:
-        """:meth:`radius_of_curvature` at the ``m`` angles ``2 pi j / m``, by one inverse real FFT.
-
-        The transform is taken on the first power-of-two multiple of ``m``
-        above twice the harmonic count, so no harmonic aliases, and read
-        back at every ``m``-th point.
-        """
-        n = len(self.cos_coeffs)
-        size = m
-        while size <= 2 * n:
-            size *= 2
-        damp = 1.0 - np.arange(1, n + 1, dtype=float) ** 2
-        spectrum = np.zeros(size // 2 + 1, dtype=complex)
-        spectrum[0] = size * self.a0
-        spectrum[1:n + 1] = (0.5 * size) * damp * (self.cos_coeffs - 1j * self.sin_coeffs)
-        return np.fft.irfft(spectrum, size)[::size // m]
+        """:meth:`radius_of_curvature` at the ``m`` angles ``2 pi j / m``, by one inverse real FFT."""
+        damp = 1.0 - np.arange(1, len(self.cos_coeffs) + 1, dtype=float) ** 2
+        return fourier_grid(self.a0, damp * self.cos_coeffs, damp * self.sin_coeffs, m)
 
     def envelope(self, phi) -> np.ndarray:
         phi = np.asarray(phi, dtype=float)

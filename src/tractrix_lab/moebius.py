@@ -318,24 +318,28 @@ def _refine(track: FrontTrack, params: BikeParams, n: int, matrix: np.ndarray,
     wheelbase, or in a chart the turning (see
     :func:`.dynamics._monodromy_sweep`), is never kept, and
     :class:`ResidualError` is raised when no grid within those doublings
-    resolves it. Refinement also stops when a doubling of a resolved grid
-    does not reduce the estimate (the grid does not resolve the track, as
-    with a curvature spike shorter than a step); the grid with the smallest
-    estimate is kept. On a piecewise track the map is exact, its estimate
-    is rounding that no doubling reduces, and the requested grid is kept.
-    A product that overflows double precision (its error reads nan) ends
-    the refinement: it is kept unless a resolved grid came before it.
-    Returns ``(steps, matrix, error)`` of the kept grid.
+    resolves it. Refinement also stops when two doublings in a row of a
+    resolved grid do not reduce the smallest estimate yet (the grid does not
+    resolve the track, as with a curvature spike shorter than a step; one
+    such doubling alone may only be short of RK4's asymptotic range); the
+    grid with the smallest estimate is kept. On a piecewise track the map
+    is exact, its estimate is rounding that no doubling reduces, and the
+    requested grid is kept. A product that overflows double precision (its
+    error reads nan) ends the refinement: it is kept unless a resolved grid
+    came before it. Returns ``(steps, matrix, error)`` of the kept grid.
     """
-    kept = (n, matrix, error)
+    kept, misses = (n, matrix, error), 0
     for _ in range(MAX_REFINEMENTS):
-        if kept[2] <= ERROR_CAP or math.isnan(kept[2]):
+        if kept[2] <= ERROR_CAP or math.isnan(kept[2]) or misses == 2:
             break
         n *= 2
         mats, errors = _monodromy_sweep(track, [params], n)
-        if kept[2] < math.inf and not errors[0] < kept[2]:
+        if kept[2] == math.inf or errors[0] < kept[2]:
+            kept, misses = (n, mats[0], float(errors[0])), 0
+        elif math.isnan(errors[0]):
             break
-        kept = (n, mats[0], float(errors[0]))
+        else:
+            misses += 1
     if kept[2] == math.inf:
         raise ResidualError(f"no grid of up to {kept[0]} steps resolves the wheelbase: the "
                             "steering coefficient is too large for the track's length, or "

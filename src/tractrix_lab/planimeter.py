@@ -18,8 +18,8 @@ import numpy as np
 
 from ._io import fmt17
 from ._num import PAIRABLE, simpson
-from .dynamics import _angles, _lifted, _rk4, _scan
-from .errors import ValidationError
+from .dynamics import RESOLVED_STEP, _angles, _lifted, _rk4, _scan
+from .errors import ResidualError, ValidationError
 from .geom import CurveSpec, FrontTrack, Geometry, _region_moments, make_curve
 
 NORMAL = "normal"
@@ -50,7 +50,10 @@ def rod_flow(legs: Sequence[FrontTrack], ell: float, theta0: float,
     with ``B = 1/(2 ell) [[-cos Phi, sin Phi], [sin Phi, cos Phi]]``, here
     shifted by ``-I/(2 ell)``: that rescales ``z`` but not its direction, and
     the lift contracts, so it cannot overflow however short the rod. All
-    legs' RK4 factors go through one prefix scan.
+    legs' RK4 factors go through one prefix scan. As on every smooth grid
+    of the engine, a step must be at most ``RESOLVED_STEP`` rod lengths
+    (``h c <= RESOLVED_STEP`` with ``c = 1/ell``); a coarser grid is refused
+    with :class:`ResidualError`.
     """
     if not ell > 0.0:
         raise ValidationError("rod length must be positive")
@@ -64,6 +67,10 @@ def rod_flow(legs: Sequence[FrontTrack], ell: float, theta0: float,
     ns = [max(n_min, int(math.ceil(leg.total_length * steps_per_unit))) for leg in legs]
     factors = []
     for leg, n in zip(legs, ns):
+        step = leg.total_length / n / ell  # in rod lengths
+        if not step <= RESOLVED_STEP:
+            raise ResidualError(f"the steps do not resolve the rod: a step of {step:.3g} rod "
+                                f"lengths exceeds {RESOLVED_STEP:g}")
         phi = leg.tangent_angle(np.linspace(0.0, leg.total_length, 2 * n + 1))
         factors.append(_rk4(gen(phi[0:-1:2]), gen(phi[1::2]), gen(phi[2::2]), leg.total_length / n))
     start = np.array([float(theta0)])
@@ -175,7 +182,7 @@ def measure(track: FrontTrack, ell: float, base: float = 0.0,
     if placement == CENTROID:
         out_dir = base_point - c
         dist = float(np.hypot(*out_dir))
-        if dist < 1e-9 * track.bbox_diameter():
+        if dist < 1e-9 * math.sqrt(abs(area)):
             raise ValidationError("base point coincides with the centroid")
         theta0 = math.atan2(out_dir[1], out_dir[0])
         legs = [_segment(c, base_point), *legs, _segment(base_point, c)]

@@ -130,6 +130,14 @@ def test_planimeter_scan_csv(capsys, unit_circle_spec):
     assert len(lines) == 1 + 2 * 3  # 2 ells x (2 bases + centroid row)
 
 
+def test_planimeter_coarse_rod_grid_exits_3(capsys, tmp_path):
+    path = tmp_path / "ellipse.json"
+    path.write_text(json.dumps({"kind": "ellipse", "a": 2.0, "b": 1.0}))
+    rc, cap = run(capsys, ["planimeter", "--input", str(path), "--ell", "0.05", "--steps", "64"])
+    assert rc == 3
+    assert cap.err.startswith("error:") and cap.out == ""
+
+
 def test_planimeter_needs_some_ell(capsys, unit_circle_spec):
     rc, cap = run(capsys, ["planimeter", "--input", unit_circle_spec])
     assert rc == 2
@@ -498,6 +506,13 @@ def test_loop_spec_numbers_are_checked(capsys, tmp_path, coefficient, code):
         rc, cap = run(capsys, ["loopcheck", "--input", str(path), "--ell", "1"])
     assert rc == code
     assert [str(w.message) for w in caught] == []
+    assert cap.err.startswith("error:") and cap.out == ""
+
+
+@pytest.mark.parametrize("steps", ["0", "-5"])
+def test_loopcheck_needs_a_step(capsys, steps):
+    rc, cap = run(capsys, ["loopcheck", "--ell", "1", "--steps", steps])
+    assert rc == 2
     assert cap.err.startswith("error:") and cap.out == ""
 
 

@@ -261,6 +261,21 @@ def test_unresolved_track_keeps_the_grid_with_the_least_error():
     assert rep.eps_parabolic > 0.1
 
 
+def test_refinement_survives_one_doubling_that_raises_the_error():
+    # stepped in arc length, the 15x1 ellipse's cap row (ell = 10 sqrt(15))
+    # reads error estimates 3.5e-3, 5.4e-3, 4.2e-4, 2.3e-6 and 5.9e-8 at 512
+    # to 8192 steps: the first doubling is short of RK4's asymptotic range,
+    # not past the track's resolution. Stopping there kept 512 steps and
+    # read a parabolic trace 1.99044
+    ellipse = tl.make_curve({"kind": "ellipse", "a": 15.0, "b": 1.0})
+    chartless = tl.FrontTrack(ellipse.period, ellipse.position, ellipse.tangent_angle,
+                              ellipse.curvature, closed=True)
+    rep = tl.monodromy(chartless, tl.BikeParams(ell=10.0 * math.sqrt(15.0), steps_per_traversal=512))
+    assert rep.n_steps == 8192 and rep.residual < 1e-6
+    assert rep.map_class is tl.MapClass.ELLIPTIC
+    assert rep.trace == pytest.approx(1.9997438, abs=1e-6)
+
+
 def test_near_cusp_support_function_is_resolved_in_its_chart():
     # the same spike is an angle interval like any other in the tangent-angle
     # chart: the map is elliptic, and 4096 steps agree with 65536

@@ -112,6 +112,23 @@ def test_short_rod_does_not_overflow(unit_circle):
     assert abs(r.closure_defect) < 1e-4
 
 
+def test_coarse_rod_grid_is_refused(ellipse21):
+    # 64 steps of the 2x1 ellipse are 3.03 rod lengths of 0.05 each: RK4
+    # read the deflection 4.79 against the converged 7.76, so the grid is
+    # refused as every smooth grid with a step over 2 / c is
+    with pytest.raises(tl.ResidualError, match="resolve the rod"):
+        tl.measure(ellipse21, ell=0.05, steps_per_traversal=64)
+
+
+def test_centroid_start_at_the_centroid_is_refused():
+    # the chevron's centroid is its notch vertex (0.5, 0), the base point
+    chevron = tl.make_curve({"kind": "polyline",
+                             "vertices": [[2.0, 0.0], [-1.0, 1.5], [0.5, 0.0], [-1.0, -1.5]]})
+    notch = math.hypot(3.0, 1.5) + math.hypot(1.5, 1.5)
+    with pytest.raises(tl.ValidationError, match="coincides with the centroid"):
+        tl.measure(chevron, ell=3.0, base=notch, placement="centroid")
+
+
 def test_measure_validations(unit_circle):
     seg = tl.make_curve({"kind": "line", "start": [0.0, 0.0], "end": [1.0, 0.0]})
     with pytest.raises(tl.ValidationError):
