@@ -221,24 +221,21 @@ def fourier_eval(a0: float, cos_c: np.ndarray, sin_c: np.ndarray, phi, deriv: in
     return np.sin(arg) @ (sign * scale * cos_c) + np.cos(arg) @ (-sign * scale * sin_c)
 
 
-def fourier_grid(a0: float, cos_c: np.ndarray, sin_c: np.ndarray, m: int, deriv: int = 0) -> np.ndarray:
-    """A real trigonometric series (``deriv=0``) or its derivative (1) at the ``m`` angles ``2 pi j / m``.
+def fourier_grid(a0: float, cos_c: np.ndarray, sin_c: np.ndarray, m: int, deriv: bool = False) -> np.ndarray:
+    """A trigonometric polynomial, or its derivative if ``deriv``, at the ``m`` angles ``2 pi j / m``.
 
-    One inverse real FFT, taken on the first power-of-two multiple of ``m``
-    above twice the harmonic count, so no harmonic aliases, and read back at
-    every ``m``-th point. ``cos_c`` and ``sin_c`` have one length.
+    One inverse real FFT (``cos_c`` and ``sin_c`` of one length), taken on the
+    first power-of-two multiple of ``m`` above twice the harmonic count, so no
+    harmonic aliases, and read back at every ``m``-th point.
     """
     n = len(cos_c)
     size = m
     while size <= 2 * n:
         size *= 2
     spectrum = np.zeros(size // 2 + 1, dtype=complex)
-    coeffs = cos_c - 1j * sin_c  # a cos + b sin = Re((a - ib) e^{i phi})
-    if deriv:
-        coeffs = 1j * np.arange(1, n + 1) * coeffs
-    else:
-        spectrum[0] = size * a0
-    spectrum[1:n + 1] = (0.5 * size) * coeffs
+    spectrum[0] = 0.0 if deriv else size * a0
+    # a cos + b sin is the real part of (a - ib) e^{i phi}, whose derivative is i times it
+    spectrum[1:n + 1] = (0.5 * size) * (cos_c - 1j * sin_c) * (1j * np.arange(1, n + 1) if deriv else 1.0)
     return np.fft.irfft(spectrum, size)[::size // m]
 
 

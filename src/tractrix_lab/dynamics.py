@@ -701,9 +701,8 @@ class ConfigLoop:
     def from_fourier(cls, x_coeffs, y_coeffs, theta_coeffs, winding: int = 0, n: int = 4096) -> "ConfigLoop":
         """Trigonometric-polynomial loop on ``n`` steps; each coefficient set is (a0, cos[], sin[]).
 
-        Each block's values and ``s``-derivatives at ``s = j / n`` are two
-        inverse FFTs (:func:`._num.fourier_grid`), closed by the periodic
-        endpoint; ``theta`` then gains the winding ``2 pi m s``.
+        A block's values and ``s``-derivatives are two inverse FFTs
+        (:func:`._num.fourier_grid`), closed by the periodic endpoint.
         """
         if n < 1:
             raise ValidationError(f"a loop needs at least one step, got {n}")
@@ -712,7 +711,7 @@ class ConfigLoop:
         def series(coeffs):
             # a value and its s-derivative; the support-function form pads cos and sin to one length
             p = SupportFunction.from_coefficients(*coeffs)
-            value, slope = (fourier_grid(p.a0, p.cos_coeffs, p.sin_coeffs, n, d) for d in (0, 1))
+            value, slope = (fourier_grid(p.a0, p.cos_coeffs, p.sin_coeffs, n, d) for d in (False, True))
             return np.append(value, value[0]), np.append(slope, slope[0]) * TWO_PI
 
         with np.errstate(over="ignore", invalid="ignore"):  # loop_identity refuses overflow

@@ -334,12 +334,10 @@ def _refine(track: FrontTrack, params: BikeParams, n: int, matrix: np.ndarray,
             break
         n *= 2
         mats, errors = _monodromy_sweep(track, [params], n)
-        if kept[2] == math.inf or errors[0] < kept[2]:
-            kept, misses = (n, mats[0], float(errors[0])), 0
-        elif math.isnan(errors[0]):
-            break
+        if kept[2] < math.inf and not errors[0] < kept[2]:
+            misses = 2 if math.isnan(errors[0]) else misses + 1  # an overflow ends the refinement
         else:
-            misses += 1
+            kept, misses = (n, mats[0], float(errors[0])), 0
     if kept[2] == math.inf:
         raise ResidualError(f"no grid of up to {kept[0]} steps resolves the wheelbase: the "
                             "steering coefficient is too large for the track's length, or "

@@ -69,8 +69,7 @@ def rod_flow(legs: Sequence[FrontTrack], ell: float, theta0: float,
     for leg, n in zip(legs, ns):
         step = leg.total_length / n / ell  # in rod lengths
         if not step <= RESOLVED_STEP:
-            raise ResidualError(f"the steps do not resolve the rod: a step of {step:.3g} rod "
-                                f"lengths exceeds {RESOLVED_STEP:g}")
+            raise ResidualError(f"the steps do not resolve the rod: {step:.3g} rod lengths > {RESOLVED_STEP:g}")
         phi = leg.tangent_angle(np.linspace(0.0, leg.total_length, 2 * n + 1))
         factors.append(_rk4(gen(phi[0:-1:2]), gen(phi[1::2]), gen(phi[2::2]), leg.total_length / n))
     start = np.array([float(theta0)])
