@@ -82,9 +82,7 @@ class ArcLengthParam:
     inside it, say); it is flagged in ``rough``, and points in it take
     Newton steps against partial Gauss-panel integrals of ``speed`` instead.
 
-    The last ``(t, u)`` pair is kept read-only, so accessors that read the
-    same grid in turn (``position`` then ``tangent_angle`` on the same Gauss
-    nodes) invert it once.
+    Nothing is kept between calls: each ``u_of_t`` inverts its points afresh.
     """
 
     def __init__(self, speed: Callable[[np.ndarray], np.ndarray], u_min: float, u_max: float, n_seg: int = 2048):
@@ -126,7 +124,6 @@ class ArcLengthParam:
         self._length_series = length_series * half[:, None]
         mean_speed = self.total / (self.u_max - self.u_min)
         self.rough = np.max(np.abs(speed_series[:, -2:]), axis=1) > 1e-13 * mean_speed
-        self._last: tuple[np.ndarray, np.ndarray] | None = None  # (t, u) of the last grid
 
     def _partial(self, u_lo: np.ndarray, u_hi: np.ndarray) -> np.ndarray:
         half = 0.5 * (u_hi - u_lo)
@@ -160,17 +157,8 @@ class ArcLengthParam:
 
     def u_of_t(self, t) -> np.ndarray:
         t = np.clip(np.asarray(t, dtype=float), 0.0, self.total)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        last = self._last  # one read: another thread may replace it
-        if last is not None and np.array_equal(last[0], t):
-            u = last[1]
-        else:
-            u = self._invert(t)
-            t.flags.writeable = False
-            u.flags.writeable = False
-            self._last = (t, u)
-        return float(u[0]) if scalar else u
+        u = self._invert(np.atleast_1d(t))
+        return float(u[0]) if t.ndim == 0 else u
 
 
 def _clenshaw(coef: np.ndarray, x: np.ndarray) -> np.ndarray:

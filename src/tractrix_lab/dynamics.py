@@ -623,14 +623,17 @@ class RearTrack:
 def rear_track(solution: SteeringSolution) -> RearTrack:
     """Rear positions ``R = F - ell * (cos theta, sin theta)`` with cusp times.
 
+    The front points ``F`` and their headings ``Phi``, which give the rod
+    direction ``theta = Phi - alpha``, come from one evaluation of the track
+    at the solution's nodes; the same points scale the closure tolerance.
     Cusps sit where ``cos alpha`` changes sign (the rear wheel reverses its
     rolling direction); they are located by linear interpolation between grid
     points, which is all the downstream consumers (plots, reports) need.
     """
     if solution.params.geometry is not Geometry.EUCLIDEAN:
         raise ValidationError("rear positions live in the plane only for euclidean geometry")
-    theta = solution.rod_angles()
-    front = solution.track.position(solution.t)
+    front, phi = solution.track.frame(solution.t)
+    theta = phi - solution.alpha
     ell = solution.params.ell
     points = front - ell * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
@@ -641,7 +644,7 @@ def rear_track(solution: SteeringSolution) -> RearTrack:
 
     closed = bool(
         solution.track.closed
-        and np.linalg.norm(points[-1] - points[0]) < 1e-6 * (ell + solution.track.bbox_diameter())
+        and np.linalg.norm(points[-1] - points[0]) < 1e-6 * (ell + np.hypot(*np.ptp(front, axis=0)))
     )
     return RearTrack(solution.t, points, theta, cusps, signed_rear_length(solution), closed)
 

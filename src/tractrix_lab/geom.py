@@ -54,7 +54,6 @@ class Geometry(Enum):
 
 _PROBE = 8192  # normal angles on which a support function's convexity is checked
 _K_GRID = 4096  # points of one pass on which a smooth track's curvature range is read
-_BBOX_GRID = 1024  # points of one pass on which the bounding box is read
 _KINDS = ("circle", "ellipse", "fourier-support", "polyline", "samples", "line")
 _SCALAR_FIELDS = ("r", "a", "b", "angle", "a0", "fillet_radius")
 
@@ -214,9 +213,12 @@ class FrontTrack:
     ----------
     period : float
         Arc length of a single pass.
-    position_fn, tangent_fn, curvature_fn : callable
-        Vectorized maps from canonical arc length in ``[0, period]`` to
-        positions ``(n, 2)``, unwrapped tangent angles, and signed curvatures.
+    frame_fn, curvature_fn : callable
+        Vectorized maps from canonical arc length in ``[0, period]``, shape
+        ``(n,)``: ``frame_fn`` to the pair of positions ``(n, 2)`` and
+        unwrapped tangent angles, from one evaluation of the curve (one
+        arc-length inversion where it needs one); ``curvature_fn`` to signed
+        curvatures.
     closed : bool
         Closed tracks are evaluated periodically; the tangent angle gains
         ``2*pi*turning`` per pass.
@@ -241,8 +243,7 @@ class FrontTrack:
     def __init__(
         self,
         period: float,
-        position_fn: Callable[[np.ndarray], np.ndarray],
-        tangent_fn: Callable[[np.ndarray], np.ndarray],
+        frame_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
         curvature_fn: Callable[[np.ndarray], np.ndarray],
         *,
         closed: bool,
@@ -262,8 +263,7 @@ class FrontTrack:
         if not period * traversals <= PAIRABLE:
             raise InvalidCurveError(
                 f"track length {period * traversals:.3e} exceeds {PAIRABLE:.3e}")
-        t = np.array([0.0, period])
-        ends, headings = (position_fn(t), tangent_fn(t)) if chart is None else (chart.points, chart.headings)
+        ends, headings = frame_fn(np.array([0.0, period])) if chart is None else (chart.points, chart.headings)
         if not math.hypot(*ends[0]) <= PAIRABLE:
             raise InvalidCurveError(f"track coordinates exceed {PAIRABLE:.3e}")
         self.period = float(period)
@@ -281,8 +281,7 @@ class FrontTrack:
         self.chart = chart
         self.spec = spec
         self.label = label
-        self._pos_c = position_fn
-        self._tan_c = tangent_fn
+        self._frame_c = frame_fn
         self._k_c = curvature_fn
         self._grid: dict = {}  # step grids of the dynamics, (steps, in chart) -> see dynamics._grid
         if self.closed:
@@ -307,18 +306,21 @@ class FrontTrack:
             return tc, laps
         return np.clip(t, 0.0, self.total_length), np.zeros_like(t)
 
-    def position(self, t) -> np.ndarray:
+    def frame(self, t) -> tuple[np.ndarray, np.ndarray | float]:
+        """Positions and tangent angles (see :meth:`tangent_angle`) at ``t``, from one evaluation."""
         t = np.asarray(t, dtype=float)
-        tc, _ = self._split(np.atleast_1d(t).ravel())
-        out = np.asarray(self._pos_c(tc), dtype=float)
-        return out.reshape(t.shape + (2,))
+        tc, laps = self._split(np.atleast_1d(t).ravel())
+        xy, phi = self._frame_c(tc)
+        phi = np.asarray(phi, dtype=float) + TWO_PI * self.turning_single * laps
+        return (np.asarray(xy, dtype=float).reshape(t.shape + (2,)),
+                phi.reshape(t.shape) if t.shape else float(phi[0]))
+
+    def position(self, t) -> np.ndarray:
+        return self.frame(t)[0]
 
     def tangent_angle(self, t) -> np.ndarray:
         """Unwrapped direction of motion; continuous across passes and re-basings."""
-        t = np.asarray(t, dtype=float)
-        tc, laps = self._split(np.atleast_1d(t).ravel())
-        out = np.asarray(self._tan_c(tc), dtype=float) + TWO_PI * self.turning_single * laps
-        return out.reshape(t.shape) if t.shape else float(out[0])
+        return self.frame(t)[1]
 
     def curvature(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -353,11 +355,6 @@ class FrontTrack:
         """Closed with strictly positive curvature throughout (counterclockwise)."""
         return self.closed and self.curvature_range()[0] > 0.0
 
-    def bbox_diameter(self) -> float:
-        xy = self.position(np.linspace(0.0, self.period, _BBOX_GRID))
-        lo, hi = xy.min(axis=0), xy.max(axis=0)
-        return float(np.hypot(*(hi - lo)))
-
     def sample(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Uniform parameter grid over the full path with positions, endpoint included."""
         t = np.linspace(0.0, self.total_length, n + 1)
@@ -384,24 +381,23 @@ class FrontTrack:
         reversed with the track.
         """
         period = self.period
-
-        def pos(t):
-            return self._pos_c(period - t)
-
-        def tan(t):
-            return self._tan_c(period - t) + math.pi
-
-        def cur(t):
-            return -self._k_c(period - t)
-
-        pieces = None
+        pieces = tan = None
         if self.pieces is not None:
             length, k, turn = self.pieces.T
             pieces = np.stack((length, -k, -np.roll(turn, 1)), axis=1)[::-1]
             if np.any(turn):
-                tan = _heading(pieces, float(tan(np.array([0.0]))[0]) - turn[-1], period)
+                end = float(self._frame_c(np.array([period]))[1][0])
+                tan = _heading(pieces, end + math.pi - turn[-1], period)
+
+        def frame(t):
+            xy, phi = self._frame_c(period - t)
+            return xy, (phi + math.pi if tan is None else tan(t))
+
+        def cur(t):
+            return -self._k_c(period - t)
+
         return FrontTrack(
-            period, pos, tan, cur,
+            period, frame, cur,
             closed=self.closed, traversals=self.traversals, geometry=self.geometry,
             pieces=pieces, chart=self.chart and self.chart.reversed(), spec=self.spec,
             label=self.label,
@@ -416,7 +412,7 @@ class FrontTrack:
         hyperbolic unit-bicycle equation). Positions keep their chart role.
         """
         return FrontTrack(
-            self.period, self._pos_c, self._tan_c, self._k_c,
+            self.period, self._frame_c, self._k_c,
             closed=self.closed, traversals=self.traversals, geometry=geometry,
             pieces=self.pieces, chart=self.chart, spec=self.spec, label=self.label,
         )
@@ -429,14 +425,12 @@ class FrontTrack:
         rot = np.array([[c, -s], [s, c]])
         shift = np.asarray(translation, dtype=float)
 
-        def pos(t):
-            return self._pos_c(t) @ rot.T + shift
-
-        def tan(t):
-            return self._tan_c(t) + rotation
+        def frame(t):
+            xy, phi = self._frame_c(t)
+            return xy @ rot.T + shift, phi + rotation
 
         return FrontTrack(
-            self.period, pos, tan, self._k_c,
+            self.period, frame, self._k_c,
             closed=self.closed, traversals=self.traversals, geometry=self.geometry,
             pieces=self.pieces, chart=self.chart and self.chart.moved(rotation, rot, shift),
             spec=None, label=self.label,
@@ -453,15 +447,6 @@ class FrontTrack:
         if not self.closed:
             raise ValidationError("only closed tracks can be re-based")
 
-        def pos(t):
-            return self.position(t0 + t)
-
-        def tan(t):
-            return self.tangent_angle(t0 + t)
-
-        def cur(t):
-            return self.curvature(t0 + t)
-
         pieces = None
         if self.pieces is not None:
             start = t0 % self.period % self.period  # the second % maps a rounded-up period to 0
@@ -472,7 +457,7 @@ class FrontTrack:
             pieces = np.concatenate(([[length - into, k, turn]], self.pieces[i + 1:],
                                      self.pieces[:i], [[into, k, 0.0]] if into > 0.0 else np.empty((0, 3))))
         return FrontTrack(
-            self.period, pos, tan, cur,
+            self.period, lambda t: self.frame(t0 + t), lambda t: self.curvature(t0 + t),
             closed=True, traversals=self.traversals, geometry=self.geometry,
             pieces=pieces, spec=None, label=self.label,
         )
@@ -488,15 +473,16 @@ class FrontTrack:
             return [self]
         length, k, turn = self.pieces.T
         starts = np.concatenate(([0.0], np.cumsum(length)))
-        heading = float(self._tan_c(np.array([0.0]))[0]) + np.concatenate(
+        heading = float(self._frame_c(np.array([0.0]))[1][0]) + np.concatenate(
             ([0.0], np.cumsum(k * length + turn)))
         cuts = [0, *(np.flatnonzero(turn[:-1]) + 1), len(length)]
         out = []
         for i, j in zip(cuts[:-1], cuts[1:]):
             a, span = starts[i], starts[j] - starts[i]
             pieces = np.stack((length[i:j], k[i:j], np.zeros(j - i)), axis=1)
+            tan = _heading(pieces, heading[i], span)
             out.append(FrontTrack(
-                span, lambda t, a=a: self._pos_c(a + t), _heading(pieces, heading[i], span),
+                span, lambda t, a=a, tan=tan: (self._frame_c(a + t)[0], tan(t)),
                 lambda t, a=a: self._k_c(a + t), closed=False, geometry=self.geometry,
                 pieces=pieces, label=self.label))
         return out
@@ -529,8 +515,7 @@ def _build_circle(spec: CurveSpec) -> FrontTrack:
     r = float(spec.r)
     return FrontTrack(
         TWO_PI * r,
-        lambda t: r * np.stack([np.cos(t / r), np.sin(t / r)], axis=-1),
-        lambda t: t / r + 0.5 * math.pi,
+        lambda t: (r * np.stack([np.cos(t / r), np.sin(t / r)], axis=-1), t / r + 0.5 * math.pi),
         lambda t: np.full_like(t, 1.0 / r),
         closed=True, traversals=spec.traversals, pieces=[(TWO_PI * r, 1.0 / r, 0.0)],
         label=f"circle r={r:g}",
@@ -577,16 +562,13 @@ def _build_ellipse(spec: CurveSpec) -> FrontTrack:
 
     arc = functools.cache(lambda: ArcLengthParam(speed, 0.0, TWO_PI))
 
-    def pos(t):
-        psi = arc().u_of_t(t)
-        return np.stack([a * np.cos(psi), b * np.sin(psi)], axis=-1)
-
-    def tan(t):
+    def frame(t):
         psi = arc().u_of_t(t)
         base = psi + 0.5 * math.pi
         # deviation from the circular reference stays below pi/2, so a single
         # wrap recovers the unwrapped angle
-        return base + wrap_angle(np.arctan2(b * np.cos(psi), -a * np.sin(psi)) - base)
+        return (np.stack([a * np.cos(psi), b * np.sin(psi)], axis=-1),
+                base + wrap_angle(np.arctan2(b * np.cos(psi), -a * np.sin(psi)) - base))
 
     def cur(t):
         return a * b / speed(arc().u_of_t(t)) ** 3
@@ -597,7 +579,7 @@ def _build_ellipse(spec: CurveSpec) -> FrontTrack:
 
     chart = Chart(TWO_PI, half, np.array([[a, 0.0], [a, 0.0]]),
                   np.array([0.0, TWO_PI]) + 0.5 * math.pi, math.pi * a * b)
-    return FrontTrack(_ellipse_perimeter(a, b), pos, tan, cur, closed=True,
+    return FrontTrack(_ellipse_perimeter(a, b), frame, cur, closed=True,
                       traversals=spec.traversals, chart=chart, label=f"ellipse {a:g}x{b:g}")
 
 
@@ -621,11 +603,9 @@ def _build_fourier_support(spec: CurveSpec) -> FrontTrack:
         )
     arc = functools.cache(lambda: ArcLengthParam(rad_curv, 0.0, TWO_PI))
 
-    def pos(t):
-        return support.envelope(arc().u_of_t(t))
-
-    def tan(t):
-        return arc().u_of_t(t) + 0.5 * math.pi
+    def frame(t):
+        theta = arc().u_of_t(t)
+        return support.envelope(theta), theta + 0.5 * math.pi
 
     def cur(t):
         return 1.0 / rad_curv(arc().u_of_t(t))
@@ -637,7 +617,7 @@ def _build_fourier_support(spec: CurveSpec) -> FrontTrack:
     ends = np.array([0.0, TWO_PI])
     chart = Chart(TWO_PI, half, support.envelope(ends), ends + 0.5 * math.pi,
                   support_length_area(support)[1])
-    return FrontTrack(TWO_PI * support.a0, pos, tan, cur, closed=True, traversals=spec.traversals,
+    return FrontTrack(TWO_PI * support.a0, frame, cur, closed=True, traversals=spec.traversals,
                       chart=chart, label="fourier-support")
 
 
@@ -705,7 +685,9 @@ def _build_polyline(spec: CurveSpec) -> FrontTrack:
         idx = np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(starts) - 1)
         return idx, t - starts[idx]
 
-    def pos(t):
+    tan = _heading(pieces, math.atan2(dirs[0, 1], dirs[0, 0]), total)
+
+    def frame(t):
         idx, s = locate(t)
         arc = is_arc[idx]
         out = np.empty((len(t), 2))
@@ -714,13 +696,13 @@ def _build_polyline(spec: CurveSpec) -> FrontTrack:
         ia = idx[arc]
         ang = aux[ia, 0] + aux[ia, 1] * s[arc]
         out[arc] = anchor[ia] + rf * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-        return out
+        return out, tan(t)
 
     def cur(t):
         return rate[locate(t)[0]]
 
     return FrontTrack(
-        total, pos, _heading(pieces, math.atan2(dirs[0, 1], dirs[0, 0]), total), cur,
+        total, frame, cur,
         closed=True, traversals=spec.traversals, pieces=pieces, label=f"polyline[{m}]",
     )
 
@@ -759,15 +741,12 @@ def _build_samples(spec: CurveSpec) -> FrontTrack:
     v_dense = d1(u_dense)
     phi_dense = np.unwrap(np.arctan2(v_dense[:, 1], v_dense[:, 0]))
 
-    def pos(t):
-        return spline(alp.u_of_t(t))
-
-    def tan(t):
+    def frame(t):
         # the table only picks the branch; the angle itself comes from the spline
         u = alp.u_of_t(t)
         near = np.interp(u, u_dense, phi_dense)
         v = d1(u)
-        return near + wrap_angle(np.arctan2(v[..., 1], v[..., 0]) - near)
+        return spline(u), near + wrap_angle(np.arctan2(v[..., 1], v[..., 0]) - near)
 
     def cur(t):
         u = alp.u_of_t(t)
@@ -775,7 +754,7 @@ def _build_samples(spec: CurveSpec) -> FrontTrack:
         sp = np.hypot(v[..., 0], v[..., 1])
         return (v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]) / sp**3
 
-    return FrontTrack(alp.total, pos, tan, cur, closed=closed, traversals=spec.traversals,
+    return FrontTrack(alp.total, frame, cur, closed=closed, traversals=spec.traversals,
                       label=f"samples[{len(spec.points)}]")
 
 
@@ -791,12 +770,9 @@ def _build_line(spec: CurveSpec) -> FrontTrack:
         raise InvalidCurveError("line endpoints coincide")
     theta = math.atan2(direction[1], direction[0])
 
-    def pos(t):
-        return p0 + t[:, None] * direction
-
     return FrontTrack(
-        length, pos,
-        lambda t: np.full_like(t, theta),
+        length,
+        lambda t: (p0 + t[:, None] * direction, np.full_like(t, theta)),
         lambda t: np.zeros_like(t),
         closed=False, pieces=[(length, 0.0, 0.0)], label="line",
     )
@@ -841,8 +817,7 @@ def _green_integral(track: FrontTrack, *densities) -> list[float]:
     """
     t, weights = panel_nodes(0.0, track.total_length, track.path_breakpoints(),
                              min_panels=512 * track.traversals)
-    xy = track.position(t.ravel())
-    phi = track.tangent_angle(t.ravel())
+    xy, phi = track.frame(t.ravel())
     args = (xy[..., 0], xy[..., 1], np.cos(phi), np.sin(phi))
     return [float(np.sum(weights * density(*args).reshape(t.shape))) for density in densities]
 

@@ -58,17 +58,14 @@ def geodesic_circle(rho: float, geometry: Geometry, traversals: int = 1) -> Fron
         chart_r = rho
     period = TWO_PI * chart_r
 
-    def pos(t):
+    def frame(t):
         ang = t / chart_r
-        return chart_r * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-
-    def tan(t):
-        return t / chart_r + 0.5 * math.pi
+        return chart_r * np.stack([np.cos(ang), np.sin(ang)], axis=-1), t / chart_r + 0.5 * math.pi
 
     def cur(t):
         return np.full_like(np.asarray(t, dtype=float), k)
 
-    return FrontTrack(period, pos, tan, cur, closed=True, traversals=traversals,
+    return FrontTrack(period, frame, cur, closed=True, traversals=traversals,
                       geometry=geometry, pieces=[(period, k, 0.0)],
                       label=f"geodesic-circle rho={rho:g} ({geometry.value})")
 

@@ -28,11 +28,18 @@ CENTROID = "centroid"
 
 @dataclass(frozen=True)
 class RodLeg:
-    """Rod history along one leg of a traced front path."""
+    """Rod history along one leg of a traced front path.
+
+    ``t`` holds the leg's grid nodes, ``theta`` the rod direction there, and
+    ``front`` and ``phi`` the front points and tangent angles at the same
+    nodes, kept from the rod flow's own evaluation of the leg.
+    """
 
     track: FrontTrack
     t: np.ndarray
     theta: np.ndarray
+    front: np.ndarray
+    phi: np.ndarray
 
 
 def rod_flow(legs: Sequence[FrontTrack], ell: float, theta0: float,
@@ -50,7 +57,9 @@ def rod_flow(legs: Sequence[FrontTrack], ell: float, theta0: float,
     with ``B = 1/(2 ell) [[-cos Phi, sin Phi], [sin Phi, cos Phi]]``, here
     shifted by ``-I/(2 ell)``: that rescales ``z`` but not its direction, and
     the lift contracts, so it cannot overflow however short the rod. All
-    legs' RK4 factors go through one prefix scan. As on every smooth grid
+    legs' RK4 factors go through one prefix scan. Each leg is evaluated once,
+    on the ``2n + 1`` half-step nodes of its ``n`` steps; the even ones are
+    the nodes of its :class:`RodLeg`. As on every smooth grid
     of the engine, a step must be at most ``RESOLVED_STEP`` rod lengths
     (``h c <= RESOLVED_STEP`` with ``c = 1/ell``); a coarser grid is refused
     with :class:`ResidualError`.
@@ -65,28 +74,28 @@ def rod_flow(legs: Sequence[FrontTrack], ell: float, theta0: float,
         return (0.5 / ell) * np.stack((-cos - 1.0, sin, sin, cos - 1.0))[:, None]
 
     ns = [max(n_min, int(math.ceil(leg.total_length * steps_per_unit))) for leg in legs]
-    factors = []
+    factors, nodes = [], []
     for leg, n in zip(legs, ns):
         step = leg.total_length / n / ell  # in rod lengths
         if not step <= RESOLVED_STEP:
             raise ResidualError(f"the steps do not resolve the rod: {step:.3g} rod lengths > {RESOLVED_STEP:g}")
-        phi = leg.tangent_angle(np.linspace(0.0, leg.total_length, 2 * n + 1))
+        t = np.linspace(0.0, leg.total_length, 2 * n + 1)
+        front, phi = leg.frame(t)
         factors.append(_rk4(gen(phi[0:-1:2]), gen(phi[1::2]), gen(phi[2::2]), leg.total_length / n))
+        nodes.append((t[::2], front[::2], phi[::2]))
     start = np.array([float(theta0)])
     theta = _angles(_lifted(_scan(np.concatenate(factors, axis=-1)), start), start)[0, 0]
-    return [RodLeg(leg, np.linspace(0.0, leg.total_length, n + 1), theta[end - n: end + 1])
-            for leg, n, end in zip(legs, ns, np.cumsum(ns))]
+    return [RodLeg(leg, t, theta[end - n: end + 1], front, phi)
+            for leg, n, end, (t, front, phi) in zip(legs, ns, np.cumsum(ns), nodes)]
 
 
 def _chisel_zigzag_area(legs: Sequence[RodLeg], ell: float) -> float:
     """Signed Green area swept along the open chisel path, leg by leg."""
     total = 0.0
     for leg in legs:
-        front = leg.track.position(leg.t)
-        phi = leg.track.tangent_angle(leg.t)
         u = np.stack([np.cos(leg.theta), np.sin(leg.theta)], axis=-1)
-        rear = front - ell * u
-        speed = np.cos(phi - leg.theta)  # chisel speed = cos(alpha)
+        rear = leg.front - ell * u
+        speed = np.cos(leg.phi - leg.theta)  # chisel speed = cos(alpha)
         dx = speed * u[:, 0]
         dy = speed * u[:, 1]
         h = leg.t[1] - leg.t[0]
@@ -164,6 +173,12 @@ def measure(track: FrontTrack, ell: float, base: float = 0.0,
         centroid, walking straight to the base point, around the boundary,
         and straight back, the rod starting aligned with the outbound leg.
         A float fixes the initial rod direction ``theta`` absolutely.
+    steps_per_traversal : int
+        Rod-flow steps per boundary pass, at least 2. A grid must also
+        resolve the boundary's turning, ``h max|k| <= RESOLVED_STEP`` with
+        ``h = period / steps_per_traversal`` and ``k`` over one pass of the
+        track as given (exact from its chart or pieces); a coarser grid is
+        refused with :class:`ResidualError`, as in every dense history.
 
     A boundary with exact corners is traced as one leg per stretch between
     corners (:meth:`.FrontTrack.split_at_corners`), so no step spans a turn.
@@ -172,8 +187,14 @@ def measure(track: FrontTrack, ell: float, base: float = 0.0,
     if not 0.0 < ell <= PAIRABLE:  # the reading is the deflection times ell^2
         raise ValidationError(
             f"rod length must be positive and at most {PAIRABLE:.3e}, got {ell!r}")
+    if not steps_per_traversal >= 2:
+        raise ValidationError(f"steps_per_traversal must be at least 2, got {steps_per_traversal!r}")
+    turn = track.period * max(np.abs(track.curvature_range())) / steps_per_traversal
+    if not turn <= RESOLVED_STEP:
+        raise ResidualError(
+            f"the steps do not resolve the boundary's turning: step x max|k| = {turn:.3g} > {RESOLVED_STEP:g}")
     loop = track.rebased(base)
-    base_point = loop.position(0.0)
+    base_point, phi0 = loop.frame(0.0)
     steps_per_unit = steps_per_traversal / track.period
     area, c, msr = _region_moments(track)
     legs = loop.split_at_corners()
@@ -188,7 +209,7 @@ def measure(track: FrontTrack, ell: float, base: float = 0.0,
         placement_label = CENTROID
     elif placement == NORMAL:
         sign = 1.0 if track.turning_number > 0 else -1.0
-        theta0 = float(loop.tangent_angle(0.0)) - sign * 0.5 * math.pi
+        theta0 = phi0 - sign * 0.5 * math.pi
         placement_label = NORMAL
     else:
         try:

@@ -198,8 +198,7 @@ def test_criterion_13_convergence_order(circle2):
     # them is a smooth track, whose RK4 steps this measures; at N = 8192 the
     # error (about 2e-12 on a trace of 231) is at the rounding floor, so the
     # ratios are read on N = 1024, 2048, 4096 (errors near 8e-9, 5e-10, 3e-11)
-    smooth = tl.FrontTrack(circle2.period, circle2.position, circle2.tangent_angle,
-                           circle2.curvature, closed=True)
+    smooth = tl.FrontTrack(circle2.period, circle2.frame, circle2.curvature, closed=True)
     exact = 2.0 * math.cosh(math.pi * SQRT3)
     errs = []
     for n in (1024, 2048, 4096):

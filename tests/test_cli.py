@@ -138,6 +138,27 @@ def test_planimeter_coarse_rod_grid_exits_3(capsys, tmp_path):
     assert cap.err.startswith("error:") and cap.out == ""
 
 
+@pytest.mark.parametrize("steps", ["0", "-5"])
+@pytest.mark.parametrize("ell", [["--ell", "3"], ["--ells", "3,5"]], ids=["ell", "ells"])
+def test_planimeter_fewer_than_two_steps_exit_2(capsys, tmp_path, ell, steps):
+    path = tmp_path / "ellipse.json"
+    path.write_text(json.dumps({"kind": "ellipse", "a": 2.0, "b": 1.0}))
+    rc, cap = run(capsys, ["planimeter", "--input", str(path), *ell, f"--steps={steps}"])
+    assert rc == 2 and cap.out == ""
+    lines = cap.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_planimeter_unresolved_turning_exits_3(capsys, tmp_path):
+    # 4096 steps of the 1x0.02 ellipse turn h max k = 2.44 > 2 at its tips
+    path = tmp_path / "thin.json"
+    path.write_text(json.dumps({"kind": "ellipse", "a": 1.0, "b": 0.02}))
+    rc, cap = run(capsys, ["planimeter", "--input", str(path), "--ell", "1"])
+    assert rc == 3 and cap.out == ""
+    lines = cap.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_planimeter_needs_some_ell(capsys, unit_circle_spec):
     rc, cap = run(capsys, ["planimeter", "--input", unit_circle_spec])
     assert rc == 2

@@ -210,8 +210,7 @@ def test_lift_products_are_unimodular(ellipse21):
 def test_too_coarse_stiff_grid_is_refused():
     # h * c = 33 on the smooth unit circle: every refinement overflows
     circle = tl.make_curve({"kind": "circle", "r": 1.0})
-    smooth = tl.FrontTrack(circle.period, circle.position, circle.tangent_angle,
-                           circle.curvature, closed=True)
+    smooth = tl.FrontTrack(circle.period, circle.frame, circle.curvature, closed=True)
     with pytest.raises(tl.ResidualError):
         tl.monodromy(smooth, tl.BikeParams(ell=0.003, steps_per_traversal=64))
 
@@ -255,6 +254,22 @@ def test_area_between_tracks_tractrix():
     ell = 1.0
     sol = tl.integrate_steering(_line(40.0), tl.BikeParams(ell=ell), 0.5 * math.pi)
     assert tl.area_between_tracks(sol) == pytest.approx(0.25 * math.pi * ell**2, abs=1e-6)
+
+
+def test_rear_track_inverts_arc_length_once(ellipse21, monkeypatch):
+    from tractrix_lab._num import ArcLengthParam
+
+    sol = tl.integrate_steering(ellipse21, tl.BikeParams(ell=0.8, steps_per_traversal=1024), 0.3)
+    calls = []
+    invert = ArcLengthParam._invert
+
+    def spy(self, t):
+        calls.append(len(t))
+        return invert(self, t)
+
+    monkeypatch.setattr(ArcLengthParam, "_invert", spy)
+    tl.rear_track(sol)
+    assert calls == [len(sol.t)]  # front points and headings from one frame
 
 
 def test_cusps_match_rear_speed_sign_changes():

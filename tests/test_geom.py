@@ -321,6 +321,48 @@ def test_region_moments_invert_arc_length_once(monkeypatch):
     assert area == pytest.approx(2.0 * math.pi, rel=1e-12)
 
 
+FRAME_SPECS = [
+    {"kind": "circle", "r": 1.5, "center": [0.2, -0.1]},
+    {"kind": "ellipse", "a": 2.0, "b": 1.0, "angle": 0.4, "center": [0.3, 0.5]},
+    {"kind": "fourier-support", "a0": 1.0, "cos": [0.0, 0.08, -0.02], "sin": [0.0, 0.03, 0.015]},
+    {"kind": "polyline", "vertices": [[0, 0], [2, 0], [2, 1], [0, 1]]},
+    {"kind": "polyline", "vertices": [[0, 0], [2, 0], [2, 1], [0, 1]], "fillet_radius": 0.2},
+    {"kind": "samples", "points": [[2.0 * math.cos(a), math.sin(a)] for a in np.linspace(0.0, 6.0, 20)]},
+    {"kind": "samples", "points": [[0.0, 0.0], [1.0, 0.5], [2.0, 0.0], [3.0, 1.0]], "closed": False},
+    {"kind": "line", "start": [0.0, 1.0], "end": [3.0, 5.0]},
+]
+
+
+def _frame_tracks():
+    tracks = [tl.make_curve(spec) for spec in FRAME_SPECS]
+    tracks += [tl.make_curve(dict(FRAME_SPECS[1], traversals=2)),
+               tl.geodesic_circle(0.8, Geometry.HYPERBOLIC), tl.geodesic_circle(1.0, Geometry.SPHERICAL)]
+    out = []
+    for track in tracks:
+        out += [track, track.reversed(), track.reinterpreted(Geometry.HYPERBOLIC),
+                *track.split_at_corners(), *track.reversed().split_at_corners()]
+        if track.closed:
+            out += [track.rebased(0.37), track.reversed().rebased(1.1)]
+        if track.geometry is Geometry.EUCLIDEAN:
+            out.append(track.transformed(0.7, (1.5, -2.0)))
+    return out
+
+
+def test_frame_is_position_and_tangent_angle():
+    for track in _frame_tracks():
+        corners = track.path_breakpoints()
+        t = np.concatenate((np.linspace(-0.5, 2.5 * track.total_length, 97), corners, corners - 1e-9))
+        xy, phi = track.frame(t)
+        assert xy.shape == (t.size, 2) and phi.shape == t.shape
+        assert np.array_equal(xy, track.position(t)), track.label
+        assert np.array_equal(phi, track.tangent_angle(t)), track.label
+        for scalar in (0.0, 0.3 * track.period, track.period, 1.7 * track.total_length):
+            point, heading = track.frame(scalar)
+            assert point.shape == (2,) and isinstance(heading, float)
+            assert np.array_equal(point, track.position(scalar))
+            assert heading == track.tangent_angle(scalar)
+
+
 # -- charts: the tangent angle of support functions, the eccentric anomaly of ellipses
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -337,7 +379,7 @@ def _rotated_support(spec: dict, angle: float) -> dict:
 
 
 def _chartless(track):
-    return tl.FrontTrack(track.period, track.position, track.tangent_angle, track.curvature,
+    return tl.FrontTrack(track.period, track.frame, track.curvature,
                          closed=True, traversals=track.traversals)
 
 

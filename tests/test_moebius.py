@@ -201,8 +201,7 @@ def test_monodromy_stiff_circle_trace(unit_circle, ell, rel):
 def test_unresolved_grid_is_refined_not_kept(unit_circle, ell):
     # on 16 steps h * c is about 8 and 39: the smooth circle's grid is doubled
     # until h * c <= 2 (64 and 512 steps), then while the estimate falls
-    smooth = tl.FrontTrack(unit_circle.period, unit_circle.position, unit_circle.tangent_angle,
-                           unit_circle.curvature, closed=True)
+    smooth = tl.FrontTrack(unit_circle.period, unit_circle.frame, unit_circle.curvature, closed=True)
     rep = tl.monodromy(smooth, tl.BikeParams(ell=ell, steps_per_traversal=16))
     exact = 2.0 * math.cosh(math.pi * math.sqrt(1.0 / ell**2 - 1.0))
     assert rep.n_steps == 1024
@@ -254,8 +253,7 @@ def test_unresolved_track_keeps_the_grid_with_the_least_error():
     # with its error. The copy drops the track's tangent-angle chart, so it
     # is stepped in arc length.
     spike = tl.make_curve({"kind": "fourier-support", "a0": 1.0, "cos": [0.0, 0.3333]})
-    chartless = tl.FrontTrack(spike.period, spike.position, spike.tangent_angle, spike.curvature,
-                              closed=True)
+    chartless = tl.FrontTrack(spike.period, spike.frame, spike.curvature, closed=True)
     rep = tl.monodromy(chartless, tl.BikeParams(ell=1.0))
     assert rep.n_steps == 4096
     assert rep.eps_parabolic > 0.1
@@ -268,8 +266,7 @@ def test_refinement_survives_one_doubling_that_raises_the_error():
     # not past the track's resolution. Stopping there kept 512 steps and
     # read a parabolic trace 1.99044
     ellipse = tl.make_curve({"kind": "ellipse", "a": 15.0, "b": 1.0})
-    chartless = tl.FrontTrack(ellipse.period, ellipse.position, ellipse.tangent_angle,
-                              ellipse.curvature, closed=True)
+    chartless = tl.FrontTrack(ellipse.period, ellipse.frame, ellipse.curvature, closed=True)
     rep = tl.monodromy(chartless, tl.BikeParams(ell=10.0 * math.sqrt(15.0), steps_per_traversal=512))
     assert rep.n_steps == 8192 and rep.residual < 1e-6
     assert rep.map_class is tl.MapClass.ELLIPTIC

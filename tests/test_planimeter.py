@@ -120,6 +120,62 @@ def test_coarse_rod_grid_is_refused(ellipse21):
         tl.measure(ellipse21, ell=0.05, steps_per_traversal=64)
 
 
+THIN = {"kind": "ellipse", "a": 1.0, "b": 0.02}  # max k = a / b^2 = 2500 at the tips
+
+
+@pytest.mark.parametrize("base", [0.0, 0.37])
+@pytest.mark.parametrize("steps", [64, 4096])
+def test_unresolved_turning_is_refused(steps, base):
+    # the deflection converges to 0.026133287 at 65536 steps; 64 steps read
+    # 0.039174 and 4096 (h max k = 2.44) read 0.026115, so both are refused
+    # whatever the base point, as in every dense history
+    with pytest.raises(tl.ResidualError, match="turning"):
+        tl.measure(tl.make_curve(THIN), ell=1.0, base=base, steps_per_traversal=steps)
+
+
+def test_resolved_turning_is_accepted():
+    r = tl.measure(tl.make_curve(THIN), ell=1.0, steps_per_traversal=8192)  # h max k = 1.22
+    assert r.deflection == pytest.approx(0.026133287, abs=1e-5)
+
+
+@pytest.mark.parametrize("steps", [1, 0, -5])
+def test_fewer_than_two_steps_are_refused(unit_circle, steps):
+    with pytest.raises(tl.ValidationError, match="at least 2"):
+        tl.measure(unit_circle, ell=5.0, steps_per_traversal=steps)
+    with pytest.raises(tl.ValidationError, match="at least 2"):
+        tl.error_scan(unit_circle, lengths=[5.0], bases=[0.0], steps_per_traversal=steps)
+
+
+@pytest.mark.parametrize("placement, inversions", [("centroid", 4), ("normal", 5)])
+def test_reading_inverts_arc_length_once_per_grid(placement, inversions, monkeypatch):
+    # the re-based ends, the start frame, the region moments and the rod
+    # flow, plus the pivot of a start on the boundary
+    from tractrix_lab._num import ArcLengthParam
+
+    calls = []
+    invert = ArcLengthParam._invert
+
+    def spy(self, t):
+        calls.append(len(t))
+        return invert(self, t)
+
+    track = tl.make_curve({"kind": "ellipse", "a": 2.0, "b": 1.0})
+    monkeypatch.setattr(ArcLengthParam, "_invert", spy)
+    tl.measure(track, ell=10.0, base=0.4, placement=placement)
+    assert len(calls) == inversions
+
+
+def test_rod_legs_keep_their_front_frame(ellipse21):
+    loop = ellipse21.rebased(0.4)
+    square = tl.make_curve({"kind": "polyline", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]})
+    legs = [*loop.split_at_corners(), *square.split_at_corners()]
+    for leg in tl.rod_flow(legs, ell=3.0, theta0=0.2, steps_per_unit=300.0):
+        front, phi = leg.track.frame(leg.t)
+        assert leg.front.shape == front.shape and leg.phi.shape == leg.t.shape == leg.theta.shape
+        assert np.allclose(leg.front, front, rtol=0.0, atol=1e-14)
+        assert np.allclose(leg.phi, phi, rtol=0.0, atol=1e-14)
+
+
 def test_centroid_start_at_the_centroid_is_refused():
     # the chevron's centroid is its notch vertex (0.5, 0), the base point
     chevron = tl.make_curve({"kind": "polyline",
