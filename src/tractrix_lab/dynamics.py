@@ -71,7 +71,7 @@ import numpy as np
 
 from ._num import fourier_grid, simpson, trapezoid, wrap_angle
 from .errors import ResidualError, ValidationError
-from .geom import TWO_PI, FrontTrack, Geometry, SupportFunction, _area_density, _green_integral
+from .geom import TWO_PI, FrontTrack, Geometry, SupportFunction, _area_density, _green_integral, enclosed_area
 
 
 @dataclass(frozen=True)
@@ -654,11 +654,13 @@ def area_between_tracks(solution: SteeringSolution) -> float:
 
     For a closed front track with both tracks closed this is ``A_F - A_R``; for
     the straight-line front it is the classical area between the tractrix and
-    its asymptote.
+    its asymptote. A closed front's area is :func:`.geom.enclosed_area`
+    (closed form on a track with a chart); an open front's is its Green
+    integral.
     """
     rt = rear_track(solution)
     track = solution.track
-    area_front = _green_integral(track, _area_density)[0]
+    area_front = enclosed_area(track) if track.closed else _green_integral(track, _area_density)[0]
     x, y = rt.points[:, 0], rt.points[:, 1]
     dx = np.cos(solution.alpha) * np.cos(rt.theta)
     dy = np.cos(solution.alpha) * np.sin(rt.theta)

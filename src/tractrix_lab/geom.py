@@ -179,31 +179,110 @@ class Chart:
     [-k sigma, c sigma]]``, so the monodromy needs only ``sigma`` and
     ``k sigma = dtheta/du``. ``half_grid(m)`` returns both at the ``m + 1``
     points ``u = span * j / m``, each as an array or, where it is constant,
-    a float. ``points`` holds the positions ``(2, 2)`` and ``headings`` the
-    tangent angles at ``u = 0`` and ``u = span``: all a track reads of its
-    curve to check its closure. ``area`` is the signed area one pass
-    encloses, in closed form (``pi a b`` for an ellipse, the Parseval sum
-    for a support function).
+    a float. ``frame(u)``, at any real ``u`` (an array), returns the
+    positions ``(n, 2)``, the tangent angles (continuous in ``u`` over every
+    pass), ``sigma`` and ``k sigma``, from one evaluation of the curve.
+    ``points`` holds the positions ``(2, 2)`` and ``headings`` the tangent
+    angles at ``u = 0`` and ``u = span``: all a track reads of its curve to
+    check its closure. ``u_of_t(t)`` is the ``u`` at arc length ``t`` of
+    ``[0, length]`` from ``u = 0``, a scalar Newton solve on the spectral
+    antiderivative of ``sigma`` (built on its first call), so no arc-length
+    table is needed. ``length`` is the arc length and ``area`` the signed
+    area of one pass, in closed form (``pi a b`` for an ellipse, the
+    Parseval sum for a support function). The positions are trigonometric
+    polynomials of degree ``degree`` in ``u`` (span ``2 pi``), so a boundary
+    moment, of degree at most ``4 degree``, is exact in the periodic
+    trapezoid rule on ``4 degree + 1`` nodes.
     """
 
     span: float
     half_grid: Callable[[int], tuple]
+    frame: Callable[[np.ndarray], tuple]
+    u_of_t: Callable[[float], float]
     points: np.ndarray
     headings: np.ndarray
+    length: float
     area: float
+    degree: int
 
     def reversed(self) -> "Chart":
-        """The chart of the reversed track: ``sigma(span - u)``, ``-k sigma(span - u)`` and ``-area``."""
+        """The chart of the reversed track: ``u -> span - u``, headings plus pi, ``-k sigma`` and ``-area``."""
+        span, length = self.span, self.length
+
         def half(m):
             sigma, ksigma = self.half_grid(m)
             return _flip(sigma), -_flip(ksigma)
 
-        return Chart(self.span, half, self.points[::-1], self.headings[::-1] + math.pi, -self.area)
+        def frame(u):
+            xy, phi, sigma, ksigma = self.frame(span - u)
+            return xy, phi + math.pi, sigma, -ksigma
+
+        return Chart(span, half, frame, lambda t: span - self.u_of_t(length - t), self.points[::-1],
+                     self.headings[::-1] + math.pi, length, -self.area, self.degree)
 
     def moved(self, rotation: float, rot: np.ndarray, shift: np.ndarray) -> "Chart":
         """The chart of the track moved by the rigid motion ``x -> rot x + shift``."""
-        return Chart(self.span, self.half_grid, self.points @ rot.T + shift,
-                     self.headings + rotation, self.area)
+        def frame(u):
+            xy, phi, sigma, ksigma = self.frame(u)
+            return xy @ rot.T + shift, phi + rotation, sigma, ksigma
+
+        return Chart(self.span, self.half_grid, frame, self.u_of_t, self.points @ rot.T + shift,
+                     self.headings + rotation, self.length, self.area, self.degree)
+
+    def rebased(self, t0: float) -> "Chart":
+        """The chart of the track re-based to start at arc length ``t0``: ``u -> u0 + u``.
+
+        ``u0 = u_of_t(t0)`` on the pass that holds ``t0``, plus one ``span``
+        per whole pass before it.
+        """
+        span, length = self.span, self.length
+        laps = math.floor(t0 / length)
+        start = min(max(t0 - laps * length, 0.0), length)
+        u_start = self.u_of_t(start)
+        u0 = u_start + laps * span
+
+        def u_of_t(t):
+            u = self.u_of_t((start + t) % length) - u_start
+            return u + span if u < 0.0 else u
+
+        def frame(u):
+            return self.frame(u0 + u)
+
+        ends, headings, _, _ = frame(np.array([0.0, span]))
+        return Chart(span, lambda m: frame(np.linspace(0.0, span, m + 1))[2:], frame, u_of_t,
+                     ends, headings, length, self.area, self.degree)
+
+
+def _series_inverse(a0: float, cos_c: np.ndarray, sin_c: np.ndarray) -> Callable[[float], float]:
+    """``u(t)`` on ``[0, 2 pi]`` where ``t = s(u)``, for ``sigma = ds/du`` the given positive series.
+
+    ``s(u) = a0 u + sum_n (a_n sin(n u) - b_n (cos(n u) - 1)) / n`` is the
+    exact antiderivative. Newton steps with slope ``sigma`` start from
+    ``t / a0`` and are kept inside the bracket that ``s`` being increasing
+    gives, bisecting where a step would leave it.
+    """
+    n = np.arange(1, len(cos_c) + 1, dtype=float)
+    top = TWO_PI * a0
+
+    def u_of_t(t):
+        lo, hi = 0.0, TWO_PI
+        u = min(max(t, 0.0), top) / a0
+        for _ in range(100):
+            c, s = np.cos(n * u), np.sin(n * u)
+            residual = a0 * u + float(cos_c @ (s / n) - sin_c @ ((c - 1.0) / n)) - t
+            if residual < 0.0:
+                lo = u
+            else:
+                hi = u
+            new = u - residual / (a0 + float(cos_c @ c + sin_c @ s))
+            if not lo <= new <= hi:
+                new = 0.5 * (lo + hi)
+            if abs(new - u) <= 1e-15 * TWO_PI or hi - lo <= 1e-15 * TWO_PI:
+                return new
+            u = new
+        return u
+
+    return u_of_t
 
 
 class FrontTrack:
@@ -442,10 +521,14 @@ class FrontTrack:
         The piece holding ``t0`` is split in two: its part after ``t0``
         comes first, with the piece's corner, and its part before ``t0``
         comes last, with none. A corner at ``t0`` itself ends the new pass.
-        A chart is dropped: the re-based track is stepped in arc length.
+        A chart is kept, shifted to start at ``u0 = u(t0)`` (see
+        :meth:`Chart.rebased`), so the re-based track is still stepped and
+        read in its chart.
         """
         if not self.closed:
             raise ValidationError("only closed tracks can be re-based")
+        if not math.isfinite(t0):
+            raise ValidationError(f"re-basing parameter must be finite, got {t0!r}")
 
         pieces = None
         if self.pieces is not None:
@@ -459,7 +542,8 @@ class FrontTrack:
         return FrontTrack(
             self.period, lambda t: self.frame(t0 + t), lambda t: self.curvature(t0 + t),
             closed=True, traversals=self.traversals, geometry=self.geometry,
-            pieces=pieces, spec=None, label=self.label,
+            pieces=pieces, chart=self.chart and self.chart.rebased(t0),
+            spec=None, label=self.label,
         )
 
     def split_at_corners(self) -> list["FrontTrack"]:
@@ -562,24 +646,41 @@ def _build_ellipse(spec: CurveSpec) -> FrontTrack:
 
     arc = functools.cache(lambda: ArcLengthParam(speed, 0.0, TWO_PI))
 
-    def frame(t):
-        psi = arc().u_of_t(t)
+    def chart_frame(psi):
+        cos, sin = np.cos(psi), np.sin(psi)
+        sigma = np.hypot(a * sin, b * cos)
         base = psi + 0.5 * math.pi
         # deviation from the circular reference stays below pi/2, so a single
         # wrap recovers the unwrapped angle
-        return (np.stack([a * np.cos(psi), b * np.sin(psi)], axis=-1),
-                base + wrap_angle(np.arctan2(b * np.cos(psi), -a * np.sin(psi)) - base))
+        return (np.stack([a * cos, b * sin], axis=-1),
+                base + wrap_angle(np.arctan2(b * cos, -a * sin) - base),
+                sigma, (a / sigma) * (b / sigma))  # a b / sigma^2, with no square to underflow
+
+    def frame(t):
+        return chart_frame(arc().u_of_t(t))[:2]
 
     def cur(t):
         return a * b / speed(arc().u_of_t(t)) ** 3
 
     def half(m):
         sigma = speed(np.linspace(0.0, TWO_PI, m + 1))
-        return sigma, (a / sigma) * (b / sigma)  # a b / sigma^2, with no square to underflow
+        return sigma, (a / sigma) * (b / sigma)
 
-    chart = Chart(TWO_PI, half, np.array([[a, 0.0], [a, 0.0]]),
-                  np.array([0.0, TWO_PI]) + 0.5 * math.pi, math.pi * a * b)
-    return FrontTrack(_ellipse_perimeter(a, b), frame, cur, closed=True,
+    @functools.cache
+    def inverse():
+        # sigma's series on m points, doubled until its top eighth is below rounding
+        m = 64
+        while m <= 2**20:
+            a0, cos_c, sin_c = fit_fourier(speed(np.arange(m) * (TWO_PI / m)), m // 2 - 1)
+            if np.max(np.hypot(cos_c, sin_c)[-(m // 16):]) < 1e-16 * a0:
+                return _series_inverse(a0, cos_c, sin_c)
+            m *= 2
+        return arc().u_of_t
+
+    perimeter = _ellipse_perimeter(a, b)
+    chart = Chart(TWO_PI, half, chart_frame, lambda t: inverse()(t), np.array([[a, 0.0], [a, 0.0]]),
+                  np.array([0.0, TWO_PI]) + 0.5 * math.pi, perimeter, math.pi * a * b, 1)
+    return FrontTrack(perimeter, frame, cur, closed=True,
                       traversals=spec.traversals, chart=chart, label=f"ellipse {a:g}x{b:g}")
 
 
@@ -614,10 +715,15 @@ def _build_fourier_support(spec: CurveSpec) -> FrontTrack:
         rho = probe[::_PROBE // m] if _PROBE % m == 0 else support.radius_on_grid(m)
         return np.append(rho, rho[0]), 1.0
 
+    def chart_frame(theta):
+        return support.envelope(theta), theta + 0.5 * math.pi, rad_curv(theta), 1.0
+
+    inverse = functools.cache(lambda: _series_inverse(*support.radius_series()))
+    length, area = support_length_area(support)
     ends = np.array([0.0, TWO_PI])
-    chart = Chart(TWO_PI, half, support.envelope(ends), ends + 0.5 * math.pi,
-                  support_length_area(support)[1])
-    return FrontTrack(TWO_PI * support.a0, frame, cur, closed=True, traversals=spec.traversals,
+    chart = Chart(TWO_PI, half, chart_frame, lambda t: inverse()(t), support.envelope(ends),
+                  ends + 0.5 * math.pi, length, area, len(support.cos_coeffs) + 1)
+    return FrontTrack(length, frame, cur, closed=True, traversals=spec.traversals,
                       chart=chart, label="fourier-support")
 
 
@@ -843,15 +949,26 @@ def _region_moments(track: FrontTrack) -> tuple[float, np.ndarray, float]:
     """Area, centroid and mean squared distance from the centroid of the enclosed region.
 
     Area, both first moments and the polar moment come from one evaluation
-    of the boundary.
+    of the boundary. On a track with a chart that is the periodic trapezoid
+    rule in ``u`` on ``4 degree + 1`` nodes of one pass (see :class:`Chart`),
+    weighted by ``sigma`` and the number of passes, which is exact for these
+    integrands; any other track takes them by Green quadrature in arc length.
     """
     if not track.closed:
         raise ValidationError("centroid needs a closed track")
-    area, mx, my, polar = _green_integral(
-        track, _area_density,
-        lambda x, y, c, s: 0.5 * x * x * s,
-        lambda x, y, c, s: -0.5 * y * y * c,
-        lambda x, y, c, s: (x**3 * s - y**3 * c) / 3.0)
+    densities = (_area_density,
+                 lambda x, y, c, s: 0.5 * x * x * s,
+                 lambda x, y, c, s: -0.5 * y * y * c,
+                 lambda x, y, c, s: (x**3 * s - y**3 * c) / 3.0)
+    chart = track.chart
+    if chart is None:
+        area, mx, my, polar = _green_integral(track, *densities)
+    else:
+        m = 4 * chart.degree + 1
+        xy, phi, sigma, _ = chart.frame(np.arange(m) * (chart.span / m))
+        weights = (chart.span / m * track.traversals) * sigma
+        args = (xy[:, 0], xy[:, 1], np.cos(phi), np.sin(phi))
+        area, mx, my, polar = (float(np.sum(weights * density(*args))) for density in densities)
     if abs(area) < 1e-12:
         raise ValidationError("centroid is undefined for a zero-area track")
     centroid = np.array([mx / area, my / area])
@@ -903,18 +1020,18 @@ class SupportFunction:
     def derivative(self, phi, order: int = 1) -> np.ndarray:
         return fourier_eval(self.a0, self.cos_coeffs, self.sin_coeffs, phi, deriv=order)
 
-    def radius_of_curvature(self, phi) -> np.ndarray:
-        """p + p'', the radius of curvature of the envelope at normal angle phi.
-
-        It is one trigonometric series, the harmonics of ``p`` scaled by ``1 - m^2``.
-        """
+    def radius_series(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """p + p'' as one trigonometric series: the harmonics of ``p`` scaled by ``1 - m^2``."""
         damp = 1.0 - np.arange(1, len(self.cos_coeffs) + 1, dtype=float) ** 2
-        return fourier_eval(self.a0, damp * self.cos_coeffs, damp * self.sin_coeffs, phi)
+        return self.a0, damp * self.cos_coeffs, damp * self.sin_coeffs
+
+    def radius_of_curvature(self, phi) -> np.ndarray:
+        """p + p'', the radius of curvature of the envelope at normal angle phi."""
+        return fourier_eval(*self.radius_series(), phi)
 
     def radius_on_grid(self, m: int) -> np.ndarray:
         """:meth:`radius_of_curvature` at the ``m`` angles ``2 pi j / m``, by one inverse real FFT."""
-        damp = 1.0 - np.arange(1, len(self.cos_coeffs) + 1, dtype=float) ** 2
-        return fourier_grid(self.a0, damp * self.cos_coeffs, damp * self.sin_coeffs, m)
+        return fourier_grid(*self.radius_series(), m)
 
     def envelope(self, phi) -> np.ndarray:
         phi = np.asarray(phi, dtype=float)

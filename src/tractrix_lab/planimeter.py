@@ -30,9 +30,12 @@ CENTROID = "centroid"
 class RodLeg:
     """Rod history along one leg of a traced front path.
 
-    ``t`` holds the leg's grid nodes, ``theta`` the rod direction there, and
-    ``front`` and ``phi`` the front points and tangent angles at the same
-    nodes, kept from the rod flow's own evaluation of the leg.
+    ``t`` holds the leg's grid nodes in the parameter the leg was stepped
+    in: its chart parameter ``u`` when it has a chart, else its arc length.
+    ``theta`` is the rod direction there, ``front`` and ``phi`` the front
+    points and tangent angles at the same nodes, and ``speed`` the arc
+    length per unit of ``t`` (the chart's ``sigma``, or the float 1.0 on an
+    arc-length leg), all kept from the rod flow's own evaluation of the leg.
     """
 
     track: FrontTrack
@@ -40,6 +43,38 @@ class RodLeg:
     theta: np.ndarray
     front: np.ndarray
     phi: np.ndarray
+    speed: np.ndarray | float
+
+
+def _leg_nodes(leg: FrontTrack, n: int, ell: float):
+    """Step, nodes, positions, headings and ``sigma`` of ``n`` rod steps along ``leg``.
+
+    A leg with a chart is stepped in its chart parameter ``u`` over all its
+    passes; it must resolve the rod, ``h max sigma / ell``, and the turning,
+    ``h max |k sigma|``, each at most ``RESOLVED_STEP``. Any other leg is
+    stepped in arc length (``sigma`` is 1.0) and must resolve the rod,
+    ``h / ell <= RESOLVED_STEP``.
+    """
+    chart = leg.chart
+    if chart is None:
+        h = leg.total_length / n
+        rod, turn = h / ell, 0.0
+        t = np.linspace(0.0, leg.total_length, 2 * n + 1)
+        front, phi = leg.frame(t)
+        sigma = 1.0
+    else:
+        span = chart.span * leg.traversals
+        h = span / n
+        t = np.linspace(0.0, span, 2 * n + 1)
+        front, phi, sigma, ksigma = chart.frame(t)
+        rod, turn = h * np.max(sigma) / ell, h * np.max(np.abs(ksigma))
+    if not rod <= RESOLVED_STEP:
+        raise ResidualError(f"the steps do not resolve the rod: {rod:.3g} rod lengths > {RESOLVED_STEP:g}")
+    if not turn <= RESOLVED_STEP:
+        raise ResidualError(
+            f"the steps do not resolve the boundary's turning: step x max|k sigma| = {turn:.3g}"
+            f" > {RESOLVED_STEP:g}")
+    return h, t, front, phi, sigma
 
 
 def rod_flow(legs: Sequence[FrontTrack], ell: float, theta0: float,
@@ -57,45 +92,47 @@ def rod_flow(legs: Sequence[FrontTrack], ell: float, theta0: float,
     with ``B = 1/(2 ell) [[-cos Phi, sin Phi], [sin Phi, cos Phi]]``, here
     shifted by ``-I/(2 ell)``: that rescales ``z`` but not its direction, and
     the lift contracts, so it cannot overflow however short the rod. All
-    legs' RK4 factors go through one prefix scan. Each leg is evaluated once,
-    on the ``2n + 1`` half-step nodes of its ``n`` steps; the even ones are
-    the nodes of its :class:`RodLeg`. As on every smooth grid
-    of the engine, a step must be at most ``RESOLVED_STEP`` rod lengths
-    (``h c <= RESOLVED_STEP`` with ``c = 1/ell``); a coarser grid is refused
-    with :class:`ResidualError`.
+    legs' RK4 factors go through one prefix scan. Each leg takes ``n`` steps
+    (its length times ``steps_per_unit``, at least ``n_min``) and is
+    evaluated once, on its ``2n + 1`` half-step nodes; the even ones are the
+    nodes of its :class:`RodLeg`. A leg with a chart (an ellipse or a
+    support function) is stepped uniformly in its chart parameter ``u``,
+    with generator ``sigma(u) B(Phi(u))``, so no arc length is inverted;
+    any other leg is stepped in arc length. As on every smooth grid of the
+    engine, a step must resolve the rod (``h c max sigma <= RESOLVED_STEP``
+    with ``c = 1/ell``) and, in a chart, the turning (``h max |k sigma| <=
+    RESOLVED_STEP``); a coarser grid is refused with :class:`ResidualError`.
     """
     if not ell > 0.0:
         raise ValidationError("rod length must be positive")
     if steps_per_unit <= 0.0:
         steps_per_unit = 4096.0 / max(leg.total_length for leg in legs)
 
-    def gen(phi):
+    def gen(phi, sigma):
         cos, sin = np.cos(phi), np.sin(phi)
-        return (0.5 / ell) * np.stack((-cos - 1.0, sin, sin, cos - 1.0))[:, None]
+        return ((0.5 / ell) * sigma) * np.stack((-cos - 1.0, sin, sin, cos - 1.0))[:, None]
 
     ns = [max(n_min, int(math.ceil(leg.total_length * steps_per_unit))) for leg in legs]
     factors, nodes = [], []
     for leg, n in zip(legs, ns):
-        step = leg.total_length / n / ell  # in rod lengths
-        if not step <= RESOLVED_STEP:
-            raise ResidualError(f"the steps do not resolve the rod: {step:.3g} rod lengths > {RESOLVED_STEP:g}")
-        t = np.linspace(0.0, leg.total_length, 2 * n + 1)
-        front, phi = leg.frame(t)
-        factors.append(_rk4(gen(phi[0:-1:2]), gen(phi[1::2]), gen(phi[2::2]), leg.total_length / n))
-        nodes.append((t[::2], front[::2], phi[::2]))
+        h, t, front, phi, sigma = _leg_nodes(leg, n, ell)
+        s = np.broadcast_to(sigma, t.shape)
+        factors.append(_rk4(gen(phi[0:-1:2], s[0:-1:2]), gen(phi[1::2], s[1::2]),
+                            gen(phi[2::2], s[2::2]), h))
+        nodes.append((t[::2], front[::2], phi[::2], sigma if np.ndim(sigma) == 0 else sigma[::2]))
     start = np.array([float(theta0)])
     theta = _angles(_lifted(_scan(np.concatenate(factors, axis=-1)), start), start)[0, 0]
-    return [RodLeg(leg, t, theta[end - n: end + 1], front, phi)
-            for leg, n, end, (t, front, phi) in zip(legs, ns, np.cumsum(ns), nodes)]
+    return [RodLeg(leg, t, theta[end - n: end + 1], front, phi, speed)
+            for leg, n, end, (t, front, phi, speed) in zip(legs, ns, np.cumsum(ns), nodes)]
 
 
 def _chisel_zigzag_area(legs: Sequence[RodLeg], ell: float) -> float:
-    """Signed Green area swept along the open chisel path, leg by leg."""
+    """Signed Green area swept along the open chisel path, leg by leg, by Simpson in each leg's parameter."""
     total = 0.0
     for leg in legs:
         u = np.stack([np.cos(leg.theta), np.sin(leg.theta)], axis=-1)
         rear = leg.front - ell * u
-        speed = np.cos(leg.phi - leg.theta)  # chisel speed = cos(alpha)
+        speed = np.cos(leg.phi - leg.theta) * leg.speed  # chisel speed = cos(alpha) ds/dt
         dx = speed * u[:, 0]
         dy = speed * u[:, 1]
         h = leg.t[1] - leg.t[0]
@@ -175,13 +212,24 @@ def measure(track: FrontTrack, ell: float, base: float = 0.0,
         A float fixes the initial rod direction ``theta`` absolutely.
     steps_per_traversal : int
         Rod-flow steps per boundary pass, at least 2. A grid must also
-        resolve the boundary's turning, ``h max|k| <= RESOLVED_STEP`` with
-        ``h = period / steps_per_traversal`` and ``k`` over one pass of the
-        track as given (exact from its chart or pieces); a coarser grid is
-        refused with :class:`ResidualError`, as in every dense history.
+        resolve the boundary's turning; a coarser grid is refused with
+        :class:`ResidualError`, as in every dense history. A boundary with a
+        chart (an ellipse or a support function) is stepped in its chart
+        parameter ``u``, and :func:`rod_flow` reads the rule there,
+        ``h_u max|k sigma| <= RESOLVED_STEP`` with ``h_u = span /
+        steps_per_traversal``. Any other boundary is stepped in arc length
+        and needs ``h max|k| <= RESOLVED_STEP`` with ``h = period /
+        steps_per_traversal`` and ``k`` over one pass (exact from its
+        pieces).
 
-    A boundary with exact corners is traced as one leg per stretch between
-    corners (:meth:`.FrontTrack.split_at_corners`), so no step spans a turn.
+    The loop is the track re-based at ``base`` (:meth:`.FrontTrack.rebased`),
+    which keeps a chart, so on a charted boundary the base point and start
+    heading are read from the shifted chart's start, the region moments from
+    the chart (:func:`.geom._region_moments`), and no arc length is inverted.
+    The chisel's closing arc turns about the last front point of the rod
+    flow. A boundary with exact corners is traced as one leg per stretch
+    between corners (:meth:`.FrontTrack.split_at_corners`), so no step spans
+    a turn.
     """
     _validate_track(track)
     if not 0.0 < ell <= PAIRABLE:  # the reading is the deflection times ell^2
@@ -189,12 +237,14 @@ def measure(track: FrontTrack, ell: float, base: float = 0.0,
             f"rod length must be positive and at most {PAIRABLE:.3e}, got {ell!r}")
     if not steps_per_traversal >= 2:
         raise ValidationError(f"steps_per_traversal must be at least 2, got {steps_per_traversal!r}")
-    turn = track.period * max(np.abs(track.curvature_range())) / steps_per_traversal
-    if not turn <= RESOLVED_STEP:
-        raise ResidualError(
-            f"the steps do not resolve the boundary's turning: step x max|k| = {turn:.3g} > {RESOLVED_STEP:g}")
+    if track.chart is None:  # a charted loop is checked in its chart by rod_flow
+        turn = track.period * max(np.abs(track.curvature_range())) / steps_per_traversal
+        if not turn <= RESOLVED_STEP:
+            raise ResidualError(
+                f"the steps do not resolve the boundary's turning: step x max|k| = {turn:.3g} > {RESOLVED_STEP:g}")
     loop = track.rebased(base)
-    base_point, phi0 = loop.frame(0.0)
+    chart = loop.chart
+    base_point, phi0 = loop.frame(0.0) if chart is None else (chart.points[0], float(chart.headings[0]))
     steps_per_unit = steps_per_traversal / track.period
     area, c, msr = _region_moments(track)
     legs = loop.split_at_corners()
@@ -227,8 +277,7 @@ def measure(track: FrontTrack, ell: float, base: float = 0.0,
 
     corrected = area * (1.0 + msr / (2.0 * ell**2))
 
-    pivot = rod[-1].track.position(rod[-1].track.total_length)
-    rear_area = _chisel_zigzag_area(rod, ell) + _closing_arc_area(pivot, ell, theta_end, theta0)
+    rear_area = _chisel_zigzag_area(rod, ell) + _closing_arc_area(rod[-1].front[-1], ell, theta_end, theta0)
     return PlanimeterReading(
         deflection=deflection,
         estimate=estimate,

@@ -150,10 +150,11 @@ def test_planimeter_fewer_than_two_steps_exit_2(capsys, tmp_path, ell, steps):
 
 
 def test_planimeter_unresolved_turning_exits_3(capsys, tmp_path):
-    # 4096 steps of the 1x0.02 ellipse turn h max k = 2.44 > 2 at its tips
+    # 64 steps of the 1x0.02 ellipse turn h max |k sigma| = 4.91 > 2 at its tips,
+    # in the eccentric anomaly the reading is stepped in
     path = tmp_path / "thin.json"
     path.write_text(json.dumps({"kind": "ellipse", "a": 1.0, "b": 0.02}))
-    rc, cap = run(capsys, ["planimeter", "--input", str(path), "--ell", "1"])
+    rc, cap = run(capsys, ["planimeter", "--input", str(path), "--ell", "1", "--steps", "64"])
     assert rc == 3 and cap.out == ""
     lines = cap.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")

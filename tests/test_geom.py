@@ -308,6 +308,7 @@ def test_region_moments_invert_arc_length_once(monkeypatch):
     from tractrix_lab.geom import _region_moments
 
     track = tl.make_curve({"kind": "ellipse", "a": 2.0, "b": 1.0})
+    copy = _chartless(track)
     calls = []
     invert = ArcLengthParam._invert
 
@@ -317,8 +318,29 @@ def test_region_moments_invert_arc_length_once(monkeypatch):
 
     monkeypatch.setattr(ArcLengthParam, "_invert", spy)
     area, _, _ = _region_moments(track)
+    assert calls == []  # read in the chart
+    assert area == pytest.approx(2.0 * math.pi, rel=1e-15)
+    area, _, _ = _region_moments(copy)
     assert len(calls) == 1  # position and tangent angle share the Gauss nodes
     assert area == pytest.approx(2.0 * math.pi, rel=1e-12)
+
+
+@pytest.mark.parametrize("extra", [{}, {"orientation": -1, "center": [3.0, -1.0], "angle": 0.5},
+                                   {"traversals": 2, "center": [-0.5, 0.2]}],
+                         ids=["canonical", "reversed-placed", "two-passes"])
+@pytest.mark.parametrize("spec", [{"kind": "ellipse", "a": 2.0, "b": 0.7},
+                                  {"kind": "fourier-support", "a0": 1.0, "cos": [0.0, 0.08, -0.02, 0.01],
+                                   "sin": [0.0, 0.03, 0.015, 0.0]}], ids=["ellipse", "fourier-support"])
+def test_charted_region_moments_match_green_quadrature(spec, extra):
+    from tractrix_lab.geom import _region_moments
+
+    track = tl.make_curve(dict(spec, **extra))
+    area, centroid, msr = _region_moments(track)
+    expected = _region_moments(_chartless(track))  # 16-point Gauss panels in arc length
+    assert abs(area - expected[0]) <= 1e-13 * abs(area)
+    assert np.allclose(centroid, expected[1], rtol=0.0, atol=1e-13)
+    assert abs(msr - expected[2]) <= 1e-13 * msr
+    assert area == pytest.approx(tl.enclosed_area(track), rel=1e-14)
 
 
 FRAME_SPECS = [
@@ -443,11 +465,37 @@ def test_chart_tracks_match_their_arc_length_copies(spec, variant):
 def test_chart_is_carried_or_dropped():
     track = tl.make_curve({"kind": "fourier-support", "a0": 1.0, "cos": [0.0, 0.05]})
     assert track.reinterpreted(Geometry.HYPERBOLIC).chart is track.chart
-    assert track.rebased(0.3).chart is None
+    assert track.rebased(0.3).chart is not None  # shifted, see below
+    assert _chartless(track).chart is None
     start, stop = track.position(np.array([0.0, track.period]))
     back = track.reversed()
     assert np.allclose(back.chart.points, [stop, start], atol=1e-12)
     assert back.chart.half_grid(8)[1] == -1.0
+
+
+@pytest.mark.parametrize("t0", [0.3, 4.1, 14.0], ids=["near", "far", "past-period"])
+@pytest.mark.parametrize("spec", [{"kind": "ellipse", "a": 2.0, "b": 1.0},
+                                  {"kind": "ellipse", "a": 1.0, "b": 0.3, "orientation": -1,
+                                   "center": [1.0, -2.0], "angle": 0.4},
+                                  FOURIER_SPEC, dict(FOURIER_SPEC, orientation=-1, center=[0.5, 0.5])],
+                         ids=["ellipse", "ellipse-reversed-placed", "fourier", "fourier-reversed-placed"])
+def test_rebased_chart_starts_at_the_base_point(spec, t0):
+    track = tl.make_curve(spec)
+    based = track.rebased(t0)
+    chart = based.chart
+    xy, phi, _, _ = chart.frame(np.array([0.0, chart.span]))
+    point, heading = track.frame(t0)
+    assert np.allclose(xy, point, rtol=0.0, atol=1e-12)
+    assert abs(phi[0] - heading) <= 1e-12  # with the passes before t0
+    assert phi[1] - phi[0] == pytest.approx(TWO_PI * track.turning_single, abs=1e-12)
+    # the shifted chart's own inverse, from its new start
+    t = 0.6 * track.period
+    assert np.allclose(chart.frame(np.array([chart.u_of_t(t)]))[0][0], track.position(t0 + t),
+                       rtol=0.0, atol=1e-12)
+    for ell in (0.5, 1.3):
+        params = tl.BikeParams(ell=ell)
+        a, b = tl.monodromy(based, params).trace, tl.monodromy(track, params).trace
+        assert abs(a - b) <= 1e-12 * max(abs(b), 1.0)
 
 
 def test_reference_shapes_in_their_chart():

@@ -120,21 +120,32 @@ def test_coarse_rod_grid_is_refused(ellipse21):
         tl.measure(ellipse21, ell=0.05, steps_per_traversal=64)
 
 
-THIN = {"kind": "ellipse", "a": 1.0, "b": 0.02}  # max k = a / b^2 = 2500 at the tips
+THIN = {"kind": "ellipse", "a": 1.0, "b": 0.02}  # max |k sigma| = a / b = 50 at the tips, in psi
 
 
 @pytest.mark.parametrize("base", [0.0, 0.37])
-@pytest.mark.parametrize("steps", [64, 4096])
+@pytest.mark.parametrize("steps", [64])
 def test_unresolved_turning_is_refused(steps, base):
-    # the deflection converges to 0.026133287 at 65536 steps; 64 steps read
-    # 0.039174 and 4096 (h max k = 2.44) read 0.026115, so both are refused
-    # whatever the base point, as in every dense history
+    # 64 steps of 2 pi / 64 in the eccentric anomaly turn h max |k sigma| = 4.91 at
+    # the tips; they read the deflection 0.039174 against the converged 0.026133287,
+    # so the grid is refused whatever the base point, as in every dense history
     with pytest.raises(tl.ResidualError, match="turning"):
         tl.measure(tl.make_curve(THIN), ell=1.0, base=base, steps_per_traversal=steps)
 
 
+@pytest.mark.parametrize("base, converged", [(0.0, 0.02613328733788695),
+                                             (0.37, 0.08533648320021991)], ids=["0.0", "0.37"])
+def test_turning_resolved_in_the_chart_is_accepted(base, converged):
+    # 4096 steps in the eccentric anomaly read h max |k sigma| = 0.077; in arc
+    # length the same count had h max |k| = 2.44 and was refused; the
+    # converged deflections are 65536-step readings
+    r = tl.measure(tl.make_curve(THIN), ell=1.0, base=base, steps_per_traversal=4096)
+    assert r.deflection == pytest.approx(converged, abs=1e-12)
+    assert abs(r.closure_defect) < 1e-14
+
+
 def test_resolved_turning_is_accepted():
-    r = tl.measure(tl.make_curve(THIN), ell=1.0, steps_per_traversal=8192)  # h max k = 1.22
+    r = tl.measure(tl.make_curve(THIN), ell=1.0, steps_per_traversal=8192)  # h max |k sigma| = 0.038
     assert r.deflection == pytest.approx(0.026133287, abs=1e-5)
 
 
@@ -146,34 +157,62 @@ def test_fewer_than_two_steps_are_refused(unit_circle, steps):
         tl.error_scan(unit_circle, lengths=[5.0], bases=[0.0], steps_per_traversal=steps)
 
 
-@pytest.mark.parametrize("placement, inversions", [("centroid", 4), ("normal", 5)])
-def test_reading_inverts_arc_length_once_per_grid(placement, inversions, monkeypatch):
-    # the re-based ends, the start frame, the region moments and the rod
-    # flow, plus the pivot of a start on the boundary
+CHARTED = {"ellipse": {"kind": "ellipse", "a": 2.0, "b": 1.0},
+           "fourier": {"kind": "fourier-support", "a0": 1.0, "cos": [0.0, 0.08, -0.02, 0.01],
+                       "sin": [0.0, 0.03, 0.015, 0.0]}}
+CHARTED_READINGS = [("normal", {}, 0.4), ("centroid", {}, 0.4), ("normal", {"orientation": -1}, 1.3),
+                    ("centroid", {"center": [3.0, -1.0], "angle": 0.7}, 2.0), ("normal", {}, 14.0),
+                    ("centroid", {"orientation": -1, "center": [1.0, 2.0]}, 9.0)]
+
+
+@pytest.mark.parametrize("kind", CHARTED)
+@pytest.mark.parametrize("placement, extra, base", CHARTED_READINGS,
+                         ids=["normal", "centroid", "reversed", "placed", "base-past-period",
+                              "reversed-placed-past-period"])
+def test_charted_reading_builds_no_arc_length_table(kind, placement, extra, base, monkeypatch):
+    # the re-based chart, the start frame, the region moments, the rod flow and
+    # the pivot are all read in the chart, so no arc length is inverted
     from tractrix_lab._num import ArcLengthParam
 
     calls = []
-    invert = ArcLengthParam._invert
+    init, invert = ArcLengthParam.__init__, ArcLengthParam._invert
 
-    def spy(self, t):
-        calls.append(len(t))
+    def spy_init(self, *args, **kwargs):
+        calls.append("init")
+        init(self, *args, **kwargs)
+
+    def spy_invert(self, t):
+        calls.append("invert")
         return invert(self, t)
 
-    track = tl.make_curve({"kind": "ellipse", "a": 2.0, "b": 1.0})
-    monkeypatch.setattr(ArcLengthParam, "_invert", spy)
-    tl.measure(track, ell=10.0, base=0.4, placement=placement)
-    assert len(calls) == inversions
+    track = tl.make_curve(dict(CHARTED[kind], **extra))
+    monkeypatch.setattr(ArcLengthParam, "__init__", spy_init)
+    monkeypatch.setattr(ArcLengthParam, "_invert", spy_invert)
+    r = tl.measure(track, ell=10.0, base=base, placement=placement)
+    assert calls == []
+    assert abs(r.closure_defect) < 1e-12
+    monkeypatch.undo()
+    assert np.allclose(r.base_point, track.position(base), rtol=0.0, atol=1e-13)
 
 
 def test_rod_legs_keep_their_front_frame(ellipse21):
     loop = ellipse21.rebased(0.4)
     square = tl.make_curve({"kind": "polyline", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]})
-    legs = [*loop.split_at_corners(), *square.split_at_corners()]
-    for leg in tl.rod_flow(legs, ell=3.0, theta0=0.2, steps_per_unit=300.0):
-        front, phi = leg.track.frame(leg.t)
+    legs = tl.rod_flow([*loop.split_at_corners(), *square.split_at_corners()],
+                       ell=3.0, theta0=0.2, steps_per_unit=300.0)
+    assert legs[0].track.chart is not None and all(leg.track.chart is None for leg in legs[1:])
+    for leg in legs:
+        # a charted leg is stepped in its chart parameter, any other in arc length
+        chart = leg.track.chart
+        front, phi, speed = (leg.track.frame(leg.t) + (1.0,) if chart is None
+                             else chart.frame(leg.t)[:3])
         assert leg.front.shape == front.shape and leg.phi.shape == leg.t.shape == leg.theta.shape
         assert np.allclose(leg.front, front, rtol=0.0, atol=1e-14)
         assert np.allclose(leg.phi, phi, rtol=0.0, atol=1e-14)
+        assert np.allclose(leg.speed, speed, rtol=0.0, atol=1e-14)
+    assert legs[0].t[-1] == loop.chart.span
+    # the charted leg ends where the rebased loop starts, one pass on
+    assert np.allclose(legs[0].front[[0, -1]], loop.position(0.0), rtol=0.0, atol=1e-14)
 
 
 def test_centroid_start_at_the_centroid_is_refused():
