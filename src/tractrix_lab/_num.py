@@ -144,8 +144,8 @@ class ArcLengthParam:
         rough = np.flatnonzero(self.rough[idx])
         for _ in range(4):
             xi = (u - lo) / half - 1.0  # from lo, not a rounded midpoint: u - lo is exact
-            residual = c0 + _clenshaw(length_series, xi) - t
-            slope = _clenshaw(speed_series, xi)
+            residual = c0 + np.polynomial.legendre.legval(xi, length_series, tensor=False) - t
+            slope = np.polynomial.legendre.legval(xi, speed_series, tensor=False)
             if rough.size:
                 residual[rough] = c0[rough] + self._partial(lo[rough], u[rough]) - t[rough]
                 slope[rough] = self.speed(u[rough])
@@ -159,16 +159,6 @@ class ArcLengthParam:
         t = np.clip(np.asarray(t, dtype=float), 0.0, self.total)
         u = self._invert(np.atleast_1d(t))
         return float(u[0]) if t.ndim == 0 else u
-
-
-def _clenshaw(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``sum_k coef[k] P_k(x)`` column by column: ``coef`` is (terms, points), ``x`` is (points,)."""
-    b1 = np.zeros_like(x)
-    b2 = np.zeros_like(x)
-    for k in range(coef.shape[0] - 1, 0, -1):
-        # b_k = c_k + (2k+1)/(k+1) x b_{k+1} - (k+1)/(k+2) b_{k+2}
-        b1, b2 = coef[k] + (2 * k + 1) / (k + 1) * x * b1 - (k + 1) / (k + 2) * b2, b1
-    return coef[0] + x * b1 - 0.5 * b2
 
 
 def simpson(y: np.ndarray, dx: float) -> float:

@@ -536,13 +536,6 @@ class SteeringSolution:
     def step(self) -> float:
         return float(self.t[1] - self.t[0])
 
-    def tangent_angles(self) -> np.ndarray:
-        return self.track.tangent_angle(self.t)
-
-    def rod_angles(self) -> np.ndarray:
-        """Direction theta of the rod (from rear to front), unwrapped."""
-        return self.tangent_angles() - self.alpha
-
 
 def integrate_steering(track: FrontTrack, params: BikeParams, alpha0: float) -> SteeringSolution:
     """Integrate the steering equation from ``alpha0`` over the whole track.

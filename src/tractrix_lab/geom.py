@@ -233,7 +233,10 @@ class Chart:
         """The chart of the track re-based to start at arc length ``t0``: ``u -> u0 + u``.
 
         ``u0 = u_of_t(t0)`` on the pass that holds ``t0``, plus one ``span``
-        per whole pass before it.
+        per whole pass before it. The new ``u_of_t`` runs over one whole
+        pass from there: past the end of this chart's pass it reads the next
+        pass, one ``span`` on, so the end of the new pass (``t = length``)
+        maps to ``u = span``, not back to 0.
         """
         span, length = self.span, self.length
         laps = math.floor(t0 / length)
@@ -242,8 +245,10 @@ class Chart:
         u0 = u_start + laps * span
 
         def u_of_t(t):
-            u = self.u_of_t((start + t) % length) - u_start
-            return u + span if u < 0.0 else u
+            end = start + t
+            if end <= length:
+                return self.u_of_t(end) - u_start
+            return self.u_of_t(end - length) - u_start + span
 
         def frame(u):
             return self.frame(u0 + u)
@@ -317,6 +322,11 @@ class FrontTrack:
         and closure from the chart's ends, and its curvature range and area
         from the chart, so building it and checking it convex evaluate none
         of the arc-length accessors.
+
+    The combinators (:meth:`reversed`, :meth:`reinterpreted`,
+    :meth:`transformed`, :meth:`rebased`) derive tracks of the same period
+    that carry these options over unless they change them (see
+    :meth:`_derived`). A track keeps no record of how it was built.
     """
 
     def __init__(
@@ -330,8 +340,6 @@ class FrontTrack:
         geometry: Geometry = Geometry.EUCLIDEAN,
         pieces: np.ndarray | None = None,
         chart: Chart | None = None,
-        spec: CurveSpec | None = None,
-        label: str = "",
     ):
         if not 1 <= traversals <= PAIRABLE:  # compared exactly, however large the integer
             raise InvalidCurveError(
@@ -358,8 +366,6 @@ class FrontTrack:
             length, k, turn = self.pieces.T
             self.breakpoints = np.cumsum(length[:-1])[(turn[:-1] != 0.0) | (k[:-1] != k[1:])]
         self.chart = chart
-        self.spec = spec
-        self.label = label
         self._frame_c = frame_fn
         self._k_c = curvature_fn
         self._grid: dict = {}  # step grids of the dynamics, (steps, in chart) -> see dynamics._grid
@@ -448,6 +454,16 @@ class FrontTrack:
 
     # -- combinators --------------------------------------------------------
 
+    def _derived(self, frame_fn, curvature_fn, **changes) -> "FrontTrack":
+        """A track of the same period on new accessors, for the combinators below.
+
+        It inherits ``closed``, ``traversals``, ``geometry``, ``pieces`` and
+        ``chart`` from this track, except those that ``changes`` names.
+        """
+        kept = dict(closed=self.closed, traversals=self.traversals, geometry=self.geometry,
+                    pieces=self.pieces, chart=self.chart)
+        return FrontTrack(self.period, frame_fn, curvature_fn, **(kept | changes))
+
     def reversed(self) -> "FrontTrack":
         """Same point set traced the other way; curvature and corner turns change sign.
 
@@ -475,12 +491,7 @@ class FrontTrack:
         def cur(t):
             return -self._k_c(period - t)
 
-        return FrontTrack(
-            period, frame, cur,
-            closed=self.closed, traversals=self.traversals, geometry=self.geometry,
-            pieces=pieces, chart=self.chart and self.chart.reversed(), spec=self.spec,
-            label=self.label,
-        )
+        return self._derived(frame, cur, pieces=pieces, chart=self.chart and self.chart.reversed())
 
     def reinterpreted(self, geometry: Geometry) -> "FrontTrack":
         """Same chart and curvature function, read in a different geometry.
@@ -490,11 +501,7 @@ class FrontTrack:
         of another (e.g. a euclidean convex track played through the
         hyperbolic unit-bicycle equation). Positions keep their chart role.
         """
-        return FrontTrack(
-            self.period, self._frame_c, self._k_c,
-            closed=self.closed, traversals=self.traversals, geometry=geometry,
-            pieces=self.pieces, chart=self.chart, spec=self.spec, label=self.label,
-        )
+        return self._derived(self._frame_c, self._k_c, geometry=geometry)
 
     def transformed(self, rotation: float = 0.0, translation: Sequence[float] = (0.0, 0.0)) -> "FrontTrack":
         """Apply a rigid motion of the plane (euclidean tracks only)."""
@@ -508,12 +515,7 @@ class FrontTrack:
             xy, phi = self._frame_c(t)
             return xy @ rot.T + shift, phi + rotation
 
-        return FrontTrack(
-            self.period, frame, self._k_c,
-            closed=self.closed, traversals=self.traversals, geometry=self.geometry,
-            pieces=self.pieces, chart=self.chart and self.chart.moved(rotation, rot, shift),
-            spec=None, label=self.label,
-        )
+        return self._derived(frame, self._k_c, chart=self.chart and self.chart.moved(rotation, rot, shift))
 
     def rebased(self, t0: float) -> "FrontTrack":
         """Closed track re-parameterized to start at parameter ``t0``.
@@ -539,12 +541,8 @@ class FrontTrack:
             into = start - starts[i]
             pieces = np.concatenate(([[length - into, k, turn]], self.pieces[i + 1:],
                                      self.pieces[:i], [[into, k, 0.0]] if into > 0.0 else np.empty((0, 3))))
-        return FrontTrack(
-            self.period, lambda t: self.frame(t0 + t), lambda t: self.curvature(t0 + t),
-            closed=True, traversals=self.traversals, geometry=self.geometry,
-            pieces=pieces, chart=self.chart and self.chart.rebased(t0),
-            spec=None, label=self.label,
-        )
+        return self._derived(lambda t: self.frame(t0 + t), lambda t: self.curvature(t0 + t),
+                             pieces=pieces, chart=self.chart and self.chart.rebased(t0))
 
     def split_at_corners(self) -> list["FrontTrack"]:
         """One pass cut at its corners into open tracks, in order; ``[self]`` if it has none.
@@ -568,7 +566,7 @@ class FrontTrack:
             out.append(FrontTrack(
                 span, lambda t, a=a, tan=tan: (self._frame_c(a + t)[0], tan(t)),
                 lambda t, a=a: self._k_c(a + t), closed=False, geometry=self.geometry,
-                pieces=pieces, label=self.label))
+                pieces=pieces))
         return out
 
 
@@ -602,7 +600,6 @@ def _build_circle(spec: CurveSpec) -> FrontTrack:
         lambda t: (r * np.stack([np.cos(t / r), np.sin(t / r)], axis=-1), t / r + 0.5 * math.pi),
         lambda t: np.full_like(t, 1.0 / r),
         closed=True, traversals=spec.traversals, pieces=[(TWO_PI * r, 1.0 / r, 0.0)],
-        label=f"circle r={r:g}",
     )
 
 
@@ -680,8 +677,7 @@ def _build_ellipse(spec: CurveSpec) -> FrontTrack:
     perimeter = _ellipse_perimeter(a, b)
     chart = Chart(TWO_PI, half, chart_frame, lambda t: inverse()(t), np.array([[a, 0.0], [a, 0.0]]),
                   np.array([0.0, TWO_PI]) + 0.5 * math.pi, perimeter, math.pi * a * b, 1)
-    return FrontTrack(perimeter, frame, cur, closed=True,
-                      traversals=spec.traversals, chart=chart, label=f"ellipse {a:g}x{b:g}")
+    return FrontTrack(perimeter, frame, cur, closed=True, traversals=spec.traversals, chart=chart)
 
 
 def _build_fourier_support(spec: CurveSpec) -> FrontTrack:
@@ -723,8 +719,7 @@ def _build_fourier_support(spec: CurveSpec) -> FrontTrack:
     ends = np.array([0.0, TWO_PI])
     chart = Chart(TWO_PI, half, chart_frame, lambda t: inverse()(t), support.envelope(ends),
                   ends + 0.5 * math.pi, length, area, len(support.cos_coeffs) + 1)
-    return FrontTrack(length, frame, cur, closed=True, traversals=spec.traversals,
-                      chart=chart, label="fourier-support")
+    return FrontTrack(length, frame, cur, closed=True, traversals=spec.traversals, chart=chart)
 
 
 def _check_coordinates(points: np.ndarray, what: str) -> None:
@@ -807,10 +802,7 @@ def _build_polyline(spec: CurveSpec) -> FrontTrack:
     def cur(t):
         return rate[locate(t)[0]]
 
-    return FrontTrack(
-        total, frame, cur,
-        closed=True, traversals=spec.traversals, pieces=pieces, label=f"polyline[{m}]",
-    )
+    return FrontTrack(total, frame, cur, closed=True, traversals=spec.traversals, pieces=pieces)
 
 
 def _build_samples(spec: CurveSpec) -> FrontTrack:
@@ -860,8 +852,7 @@ def _build_samples(spec: CurveSpec) -> FrontTrack:
         sp = np.hypot(v[..., 0], v[..., 1])
         return (v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]) / sp**3
 
-    return FrontTrack(alp.total, frame, cur, closed=closed, traversals=spec.traversals,
-                      label=f"samples[{len(spec.points)}]")
+    return FrontTrack(alp.total, frame, cur, closed=closed, traversals=spec.traversals)
 
 
 def _build_line(spec: CurveSpec) -> FrontTrack:
@@ -880,7 +871,7 @@ def _build_line(spec: CurveSpec) -> FrontTrack:
         length,
         lambda t: (p0 + t[:, None] * direction, np.full_like(t, theta)),
         lambda t: np.zeros_like(t),
-        closed=False, pieces=[(length, 0.0, 0.0)], label="line",
+        closed=False, pieces=[(length, 0.0, 0.0)],
     )
 
 
@@ -898,7 +889,8 @@ def make_curve(spec: CurveSpec | dict | str) -> FrontTrack:
     """Build a :class:`FrontTrack` from a spec, a dict, or a JSON string.
 
     Each kind is built about the origin. A circle, ellipse or fourier-support
-    curve is then placed by :meth:`FrontTrack.transformed`, before it is oriented.
+    curve is then placed by :meth:`FrontTrack.transformed`, and an orientation
+    of -1 then reverses it. The track does not keep the spec.
     """
     if isinstance(spec, str):
         spec = CurveSpec.from_json(spec)
@@ -907,10 +899,7 @@ def make_curve(spec: CurveSpec | dict | str) -> FrontTrack:
     track = _BUILDERS[spec.kind](spec)
     if spec.kind in ("circle", "ellipse", "fourier-support"):  # the kinds with center and angle
         track = track.transformed(spec.angle, spec.center)
-    if spec.orientation == -1:
-        track = track.reversed()
-    track.spec = spec
-    return track
+    return track.reversed() if spec.orientation == -1 else track
 
 
 # -- integral quantities ----------------------------------------------------

@@ -66,8 +66,7 @@ def geodesic_circle(rho: float, geometry: Geometry, traversals: int = 1) -> Fron
         return np.full_like(np.asarray(t, dtype=float), k)
 
     return FrontTrack(period, frame, cur, closed=True, traversals=traversals,
-                      geometry=geometry, pieces=[(period, k, 0.0)],
-                      label=f"geodesic-circle rho={rho:g} ({geometry.value})")
+                      geometry=geometry, pieces=[(period, k, 0.0)])
 
 
 def geodesic_area(track: FrontTrack) -> float:
@@ -76,15 +75,19 @@ def geodesic_area(track: FrontTrack) -> float:
 
     Convention: the region on the left of the positively-oriented curve;
     simple curves only (single turning). Corners count with their turns.
+    On a track made of pieces ``\\oint k`` is the exact sum of each piece's
+    ``length * k`` and turn; a smooth track takes it by panel quadrature.
     """
     if track.geometry is Geometry.EUCLIDEAN:
         raise ValidationError("Gauss-Bonnet area is for curved geometries; "
                               "use enclosed_area in the plane")
     if not track.closed or track.turning_single != 1:
         raise ValidationError("Gauss-Bonnet area needs a simple positively-oriented curve")
-    total_k = panel_quad(track.curvature, 0.0, track.period, track.breakpoints)
-    if track.pieces is not None:
-        total_k += float(np.sum(track.pieces[:, 2]))
+    if track.pieces is None:
+        total_k = panel_quad(track.curvature, 0.0, track.period)
+    else:
+        length, k, turn = track.pieces.T
+        total_k = float(np.sum(length * k + turn))
     if track.geometry is Geometry.SPHERICAL:
         return TWO_PI - total_k
     return total_k - TWO_PI

@@ -1,5 +1,6 @@
 """Front-track constructions: lengths, areas, curvature, support functions."""
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -358,7 +359,8 @@ FRAME_SPECS = [
 def _frame_tracks():
     tracks = [tl.make_curve(spec) for spec in FRAME_SPECS]
     tracks += [tl.make_curve(dict(FRAME_SPECS[1], traversals=2)),
-               tl.geodesic_circle(0.8, Geometry.HYPERBOLIC), tl.geodesic_circle(1.0, Geometry.SPHERICAL)]
+               tl.geodesic_circle(0.8, Geometry.HYPERBOLIC), tl.geodesic_circle(1.0, Geometry.SPHERICAL),
+               tl.geodesic_circle(0.8, Geometry.HYPERBOLIC, traversals=2)]
     out = []
     for track in tracks:
         out += [track, track.reversed(), track.reinterpreted(Geometry.HYPERBOLIC),
@@ -376,8 +378,8 @@ def test_frame_is_position_and_tangent_angle():
         t = np.concatenate((np.linspace(-0.5, 2.5 * track.total_length, 97), corners, corners - 1e-9))
         xy, phi = track.frame(t)
         assert xy.shape == (t.size, 2) and phi.shape == t.shape
-        assert np.array_equal(xy, track.position(t)), track.label
-        assert np.array_equal(phi, track.tangent_angle(t)), track.label
+        assert np.array_equal(xy, track.position(t))
+        assert np.array_equal(phi, track.tangent_angle(t))
         for scalar in (0.0, 0.3 * track.period, track.period, 1.7 * track.total_length):
             point, heading = track.frame(scalar)
             assert point.shape == (2,) and isinstance(heading, float)
@@ -496,6 +498,60 @@ def test_rebased_chart_starts_at_the_base_point(spec, t0):
         params = tl.BikeParams(ell=ell)
         a, b = tl.monodromy(based, params).trace, tl.monodromy(track, params).trace
         assert abs(a - b) <= 1e-12 * max(abs(b), 1.0)
+
+
+CHAIN_SPECS = {"ellipse": {"kind": "ellipse", "a": 2.0, "b": 1.0},
+               "ellipse-two-passes": {"kind": "ellipse", "a": 2.0, "b": 1.0, "traversals": 2},
+               "fourier": {"kind": "fourier-support", "a0": 1.0, "cos": [0.0, 0.08, -0.02],
+                           "sin": [0.0, 0.03, 0.015]}}
+
+
+@pytest.mark.parametrize("spec", CHAIN_SPECS.values(), ids=CHAIN_SPECS.keys())
+def test_chained_charts_agree_with_arc_length(spec):
+    # every three-step chain of the combinators, re-based before, at and past the ends
+    track = tl.make_curve(spec)
+    steps = [lambda x: x.reversed(), lambda x: x.transformed(0.8, (1.0, -3.0))]
+    steps += [lambda x, t0=t0: x.rebased(t0) for t0 in
+              (0.0, 1.0, track.period, -2.5 * track.total_length, 1.7 * track.total_length)]
+    t = np.array([0.0, track.period / 3.0, track.period])
+    bad = []
+    for chain in itertools.product(range(len(steps)), repeat=3):
+        derived = track
+        for i in chain:
+            derived = steps[i](derived)
+        chart = derived.chart
+        point, heading = derived.frame(0.0)
+        xy, phi, _, _ = chart.frame(np.array([chart.u_of_t(x) for x in t]))
+        want_xy, want_phi = derived.frame(t)
+        if not (np.allclose(chart.points[0], point, rtol=0.0, atol=1e-12)
+                and abs(chart.headings[0] - heading) <= 1e-12
+                and np.allclose(xy, want_xy, rtol=0.0, atol=1e-12)
+                and np.allclose(phi, want_phi, rtol=0.0, atol=1e-12)):
+            bad.append(chain)
+    assert not bad, f"{len(bad)} of {len(steps) ** 3} chains disagree, first {bad[:3]}"
+
+
+def test_derived_tracks_inherit_their_options():
+    # what each combinator keeps of closed, traversals, geometry, pieces and chart
+    circle = tl.geodesic_circle(0.8, Geometry.HYPERBOLIC, traversals=2)
+    length, k, _ = circle.pieces[0]
+    for derived, geometry, pieces in [
+            (circle.reversed(), Geometry.HYPERBOLIC, [[length, -k, 0.0]]),
+            (circle.rebased(0.3), Geometry.HYPERBOLIC, [[length - 0.3, k, 0.0], [0.3, k, 0.0]]),
+            (circle.reinterpreted(Geometry.EUCLIDEAN), Geometry.EUCLIDEAN, circle.pieces)]:
+        assert derived.closed and derived.traversals == 2
+        assert derived.geometry is geometry and derived.chart is None
+        assert np.allclose(derived.pieces, pieces, rtol=0.0, atol=1e-15)
+    for spec in (FRAME_SPECS[1], FRAME_SPECS[4]):  # a placed ellipse, a filleted polyline
+        track = tl.make_curve(spec)
+        moved = track.transformed(0.7, (1.5, -2.0))
+        assert moved.closed and moved.traversals == 1 and moved.geometry is Geometry.EUCLIDEAN
+        assert (moved.pieces is None) == (track.pieces is None)
+        assert track.pieces is None or np.array_equal(moved.pieces, track.pieces)
+        assert (moved.chart is None) == (track.chart is None)
+        if moved.chart is not None:
+            ends = moved.position(np.array([0.0, track.period]))
+            assert np.allclose(moved.chart.points, ends, rtol=0.0, atol=1e-12)
 
 
 def test_reference_shapes_in_their_chart():
