@@ -56,7 +56,9 @@ needs ``h max |k sigma| <= 2``, and so does a monodromy stepped in a chart,
 whose step doubling misses a turn that falls into a few steps (an
 ellipse's tips). A smooth track's monodromy comes with its
 step-doubling error estimate, from the same product taken in steps of
-twice the length.
+twice the length. Where a chart's ``sigma`` and ``k sigma`` repeat within
+the track (its ``symmetry`` times the passes), the steps repeat too, and a
+monodromy sweep steps one sub-pass and raises both products to a power.
 Angles are read back from the direction of each lifted vector; summed
 ``atan2(cross, dot)`` increments between consecutive vectors choose the
 continuous branch from the start angle.
@@ -415,6 +417,17 @@ def _tree(e: np.ndarray) -> np.ndarray:
     return e[..., 0]
 
 
+def _power(e: np.ndarray, reps: int) -> np.ndarray:
+    """E-form of ``(I + e)^reps`` for ``reps >= 1``, by square-and-multiply over the bits of ``reps``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # callers refuse overflow
+        out = e
+        for bit in bin(reps)[3:]:
+            out = _combine(out, out)
+            if bit == "1":
+                out = _combine(e, out)
+    return out
+
+
 def _scan(e: np.ndarray) -> np.ndarray:
     """E-forms of the prefix products ``Q_j = S_{j-1} ... S_0``, ``j = 0..n``, shape ``(4, B, n+1)``.
 
@@ -484,6 +497,13 @@ def _monodromy_sweep(track: FrontTrack, params: Sequence[BikeParams],
     Steps are built and reduced in aligned blocks whose length is a power
     of two, at most ``BLOCK`` row-steps each, so memory does not grow with
     rows times steps, and every row comes out as it would alone.
+    In a chart whose ``(sigma, k sigma)`` repeat ``reps`` times over the
+    track (its ``symmetry`` times the passes), the steps repeat too, so
+    when ``n_steps`` splits into ``reps`` sub-passes of an even number of
+    steps only the first sub-pass is swept, and its fine and coarse
+    products are raised to the power ``reps`` (:func:`_power`); the
+    estimate is then taken on the powered products, and ``n_steps`` still
+    counts the whole track. Otherwise ``reps`` is 1 and every step is swept.
     """
     c = _coefficients(track, params)
     if track.pieces is not None:
@@ -492,22 +512,26 @@ def _monodromy_sweep(track: FrontTrack, params: Sequence[BikeParams],
         return _flagged(m, np.full(len(params), e.shape[-1] * np.finfo(float).eps))
     charted = _charted(track, n_steps)
     h, top, turn, fine, coarse = _grid(track, n_steps, charted)
+    reps = track.chart.symmetry * track.traversals if charted else 1
+    if n_steps % (2 * reps):
+        reps = 1
     resolved = h * np.maximum(np.abs(c[:, 0]) * top, turn if charted else 0.0) <= RESOLVED_STEP
     c = np.where(resolved[:, None], c, 0.0)
     block = 2
     while 2 * block * len(params) <= BLOCK:
         block *= 2
     products, coarse_products = [], []
-    for start in range(0, n_steps, block):
-        stop = min(start + block, n_steps)
+    swept = n_steps // reps
+    for start in range(0, swept, block):
+        stop = min(start + block, swept)
         pairs = (stop - start) // 2
         e = _factors([_cut(t, slice(start, stop)) for t in fine], c)
         ec = np.concatenate((_factors([_cut(t, slice(start // 2, start // 2 + pairs)) for t in coarse], c),
                              e[..., 2 * pairs:]), axis=-1)  # an odd last step stays unpaired
         products.append(_tree(e))
         coarse_products.append(_tree(ec))
-    m = np.eye(2).reshape(4, 1) + _tree(np.stack(products, axis=-1))
-    mc = np.eye(2).reshape(4, 1) + _tree(np.stack(coarse_products, axis=-1))
+    m = np.eye(2).reshape(4, 1) + _power(_tree(np.stack(products, axis=-1)), reps)
+    mc = np.eye(2).reshape(4, 1) + _power(_tree(np.stack(coarse_products, axis=-1)), reps)
     with np.errstate(invalid="ignore"):  # an overflowed row reads nan
         error = np.max(np.abs(m - mc), axis=0) / (15.0 * np.max(np.abs(m), axis=0))
     return _flagged(m, np.where(resolved, error, np.inf))

@@ -192,7 +192,14 @@ class Chart:
     Parseval sum for a support function). The positions are trigonometric
     polynomials of degree ``degree`` in ``u`` (span ``2 pi``), so a boundary
     moment, of degree at most ``4 degree``, is exact in the periodic
-    trapezoid rule on ``4 degree + 1`` nodes.
+    trapezoid rule on ``4 degree + 1`` nodes. ``symmetry`` is the order
+    ``m`` with which ``(sigma, k sigma)`` repeat with period ``span / m``:
+    2 for an ellipse (period pi in its eccentric anomaly), and for a
+    support function the gcd of the harmonics ``n >= 2`` it holds (``n = 1``
+    is a translation and drops out of ``sigma = p + p''``), 1 if it holds
+    none. The lift's generator repeats with them, so a monodromy is the
+    ``m``-th power of the product over ``span / m``. Shifting and flipping
+    ``u`` keep the period, so every combinator keeps ``symmetry``.
     """
 
     span: float
@@ -204,6 +211,7 @@ class Chart:
     length: float
     area: float
     degree: int
+    symmetry: int
 
     def reversed(self) -> "Chart":
         """The chart of the reversed track: ``u -> span - u``, headings plus pi, ``-k sigma`` and ``-area``."""
@@ -218,7 +226,7 @@ class Chart:
             return xy, phi + math.pi, sigma, -ksigma
 
         return Chart(span, half, frame, lambda t: span - self.u_of_t(length - t), self.points[::-1],
-                     self.headings[::-1] + math.pi, length, -self.area, self.degree)
+                     self.headings[::-1] + math.pi, length, -self.area, self.degree, self.symmetry)
 
     def moved(self, rotation: float, rot: np.ndarray, shift: np.ndarray) -> "Chart":
         """The chart of the track moved by the rigid motion ``x -> rot x + shift``."""
@@ -227,7 +235,7 @@ class Chart:
             return xy @ rot.T + shift, phi + rotation, sigma, ksigma
 
         return Chart(self.span, self.half_grid, frame, self.u_of_t, self.points @ rot.T + shift,
-                     self.headings + rotation, self.length, self.area, self.degree)
+                     self.headings + rotation, self.length, self.area, self.degree, self.symmetry)
 
     def rebased(self, t0: float) -> "Chart":
         """The chart of the track re-based to start at arc length ``t0``: ``u -> u0 + u``.
@@ -255,7 +263,7 @@ class Chart:
 
         ends, headings, _, _ = frame(np.array([0.0, span]))
         return Chart(span, lambda m: frame(np.linspace(0.0, span, m + 1))[2:], frame, u_of_t,
-                     ends, headings, length, self.area, self.degree)
+                     ends, headings, length, self.area, self.degree, self.symmetry)
 
 
 def _series_inverse(a0: float, cos_c: np.ndarray, sin_c: np.ndarray) -> Callable[[float], float]:
@@ -676,7 +684,7 @@ def _build_ellipse(spec: CurveSpec) -> FrontTrack:
 
     perimeter = _ellipse_perimeter(a, b)
     chart = Chart(TWO_PI, half, chart_frame, lambda t: inverse()(t), np.array([[a, 0.0], [a, 0.0]]),
-                  np.array([0.0, TWO_PI]) + 0.5 * math.pi, perimeter, math.pi * a * b, 1)
+                  np.array([0.0, TWO_PI]) + 0.5 * math.pi, perimeter, math.pi * a * b, 1, 2)
     return FrontTrack(perimeter, frame, cur, closed=True, traversals=spec.traversals, chart=chart)
 
 
@@ -717,8 +725,11 @@ def _build_fourier_support(spec: CurveSpec) -> FrontTrack:
     inverse = functools.cache(lambda: _series_inverse(*support.radius_series()))
     length, area = support_length_area(support)
     ends = np.array([0.0, TWO_PI])
+    # rho = p + p'' repeats with the gcd of its harmonics n >= 2 (0 when it has none)
+    held = np.flatnonzero((support.cos_coeffs[1:] != 0.0) | (support.sin_coeffs[1:] != 0.0)) + 2
     chart = Chart(TWO_PI, half, chart_frame, lambda t: inverse()(t), support.envelope(ends),
-                  ends + 0.5 * math.pi, length, area, len(support.cos_coeffs) + 1)
+                  ends + 0.5 * math.pi, length, area, len(support.cos_coeffs) + 1,
+                  int(np.gcd.reduce(held)) or 1)
     return FrontTrack(length, frame, cur, closed=True, traversals=spec.traversals, chart=chart)
 
 

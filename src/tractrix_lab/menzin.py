@@ -8,7 +8,11 @@ multiplicative ladder of wheelbases, brackets every crossing of trace = 2,
 and sharpens the first one by a safeguarded Illinois (regula falsi) search
 on ``trace - 2``. The whole ladder is integrated in one batched RK4 sweep,
 the bracket ends keep the traces the ladder read for them, and each search
-step is one single-row sweep.
+step is one single-row sweep. On a track whose chart repeats within a pass
+(an ellipse, period pi in its eccentric anomaly, or a support function whose
+harmonics share a factor) each sweep steps one sub-pass and raises its
+product to the power of the sub-passes (see
+:func:`.dynamics._monodromy_sweep`).
 """
 
 from __future__ import annotations

@@ -364,3 +364,77 @@ def test_rear_track_euclidean_only(circle2):
     sol = tl.integrate_steering(h, tl.BikeParams(ell=1.0, geometry=Geometry.HYPERBOLIC), 1.0)
     with pytest.raises(tl.ValidationError):
         tl.rear_track(sol)
+
+
+# -- symmetric charts ----------------------------------------------------------
+
+# harmonics 2 and 4 (m = 2); harmonics 1, 3 and 6 (m = 3: the translation drops out)
+EVEN_SPEC = {"kind": "fourier-support", "a0": 1.0, "cos": [0.0, 0.03, 0.0, -0.008], "sin": [0.0, 0.02]}
+THREEFOLD_SPEC = {"kind": "fourier-support", "a0": 1.0, "cos": [0.05, 0.0, 0.015, 0.0, 0.0, 0.002],
+                  "sin": [0.0, 0.0, 0.01]}
+SYMMETRIC_CASES = [({"kind": "ellipse", "a": 2.0, "b": 1.0}, 512), (EVEN_SPEC, 512),
+                   (THREEFOLD_SPEC, 516), ({"kind": "ellipse", "a": 1.0, "b": 0.7, "traversals": 2}, 512)]
+
+
+def _symmetric_variants(spec):
+    track = tl.make_curve(spec)
+    return {"plain": track, "reversed": track.reversed(), "transformed": track.transformed(0.8, (1.0, -3.0)),
+            "rebased": track.rebased(0.3 * track.period)}
+
+
+def _ladder(track, steps):
+    r = 1.0 / max(map(abs, track.curvature_range()))  # the reversed tracks turn clockwise
+    return [tl.BikeParams(ell=0.5 * r * 1.05 ** i, steps_per_traversal=steps) for i in range(60)]
+
+
+def _unsymmetric(track):
+    """The same track with its chart's symmetry forgotten, so every step is swept."""
+    from dataclasses import replace
+
+    return tl.FrontTrack(track.period, track.frame, track.curvature, closed=track.closed,
+                         traversals=track.traversals, chart=replace(track.chart, symmetry=1))
+
+
+@pytest.mark.parametrize("spec, steps", SYMMETRIC_CASES, ids=["ellipse21", "even", "threefold", "two-pass"])
+def test_symmetric_sweep_matches_full_pass(spec, steps, monkeypatch):
+    # the sweep steps one sub-pass and powers it; monodromy_matrix multiplies
+    # every step of the track and witnesses the powered trace, and the sweep
+    # with the symmetry forgotten its step-doubling estimate
+    from tractrix_lab import dynamics
+
+    built, factors = [], dynamics._factors
+
+    def counted(terms, c):
+        e = factors(terms, c)
+        built.append(e.shape[-1])
+        return e
+
+    monkeypatch.setattr(dynamics, "_factors", counted)
+    for name, track in _symmetric_variants(spec).items():
+        reps = track.chart.symmetry * track.traversals
+        assert reps > 1
+        n = steps * track.traversals
+        params = _ladder(track, steps)
+        built.clear()
+        maps, errors = dynamics._monodromy_sweep(track, params, n)
+        assert sum(built) == 3 * n // (2 * reps), name  # the fine and coarse steps of one sub-pass
+        full_maps, full_errors = dynamics._monodromy_sweep(_unsymmetric(track), params, n)
+        for p, m, error, full_error in zip(params, maps, errors, full_errors):
+            witness = tl.monodromy_matrix(track, p)
+            scale = np.max(np.abs(witness))  # the sweep's own scale for its estimate
+            assert abs(np.trace(m) - np.trace(witness)) <= 1e-14 * scale, (name, p.ell)
+            assert error == pytest.approx(full_error, rel=1e-4), (name, p.ell)
+
+
+def test_sweep_that_does_not_split_runs_every_step():
+    # 514 steps do not split into 6 sub-passes of an even count: the sweep is
+    # the full pass, bit for bit as with the symmetry forgotten
+    from tractrix_lab.dynamics import _monodromy_sweep
+
+    for name, track in _symmetric_variants(THREEFOLD_SPEC).items():
+        assert track.chart.symmetry == 3
+        params = _ladder(track, 514)
+        maps, errors = _monodromy_sweep(track, params, 514)
+        full_maps, full_errors = _monodromy_sweep(_unsymmetric(track), params, 514)
+        assert np.array_equal(maps, full_maps), name
+        assert np.array_equal(errors, full_errors), name

@@ -464,6 +464,21 @@ def test_chart_tracks_match_their_arc_length_copies(spec, variant):
                            rtol=0.0, atol=1e-9 * max(abs(b), 1.0))
 
 
+@pytest.mark.parametrize("cos, sin, symmetry", [
+    ([0.0, 0.05], [], 2), ([], [0.0, 0.0, 0.01, 0.0, 0.0, 0.002], 3), ([0.0, 0.03, 0.01], [], 1),
+    ([0.0] * 11 + [1e-4], [], 12), ([], [], 1), ([0.2], [0.1], 1),
+])
+def test_chart_symmetry_is_read_from_the_harmonics(cos, sin, symmetry):
+    # the gcd of the harmonics n >= 2; a first harmonic is a translation and changes nothing
+    for first in (0.0, 0.2):
+        track = tl.make_curve({"kind": "fourier-support", "a0": 1.0, "cos": [first, *cos[1:]], "sin": sin})
+        assert track.chart.symmetry == symmetry
+        for derived in (track.reversed(), track.transformed(0.8, (1.0, -3.0)), track.rebased(1.7),
+                        track.reinterpreted(Geometry.HYPERBOLIC)):
+            assert derived.chart.symmetry == symmetry
+    assert tl.make_curve({"kind": "ellipse", "a": 2.0, "b": 1.0, "traversals": 3}).chart.symmetry == 2
+
+
 def test_chart_is_carried_or_dropped():
     track = tl.make_curve({"kind": "fourier-support", "a0": 1.0, "cos": [0.0, 0.05]})
     assert track.reinterpreted(Geometry.HYPERBOLIC).chart is track.chart

@@ -301,3 +301,19 @@ def test_menzin_reference_accuracy_at_512_steps():
         rep = tl.menzin_verify(tl.make_curve(shape["spec"]), steps_per_traversal=512)
         assert rep.ok
         assert abs(rep.ell0 - before) <= tl.menzin.DEFAULT_TOL * math.sqrt(rep.area / math.pi)
+
+
+# ell0 of the 1 x b ellipses at 512 steps with every step of the pass swept,
+# and the rows of their classification curves
+ELLIPSE_ELL0_FULL_PASS = {0.9: (0.9491770037311631, 52), 0.7: (0.8416558493808847, 60),
+                          0.5: (0.723111233989292, 70)}
+
+
+@pytest.mark.parametrize("b", sorted(ELLIPSE_ELL0_FULL_PASS))
+def test_symmetric_sweep_keeps_ell0(b):
+    # the ellipse's sweeps step half a pass and square it; ell0 stays at rounding
+    ell0, rows = ELLIPSE_ELL0_FULL_PASS[b]
+    rep = tl.menzin_verify(tl.make_curve({"kind": "ellipse", "a": 1.0, "b": b}), steps_per_traversal=512)
+    assert rep.ok
+    assert rep.ell0 == pytest.approx(ell0, rel=1e-14, abs=0.0)
+    assert len(rep.classification_curve) == rows
