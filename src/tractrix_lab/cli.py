@@ -26,16 +26,15 @@ from .dynamics import (
     rear_track,
     area_between_tracks,
 )
-from .errors import InvalidCurveError, ResidualError, ValidationError
+from .errors import ResidualError, ValidationError
 from .geom import FrontTrack, Geometry, _floats, _numeric, make_curve
 from .menzin import menzin_verify
 from .moebius import monodromy
-from .noneuclid import develop_hyperbolic, geodesic_circle, stargazing_residual
+from .noneuclid import develop_hyperbolic, stargazing_residual
 from .planimeter import error_scan, measure
 from .svg import Dots, Polyline, RefCircle, render
 
 MAX_GRID = 2**20  # most integration steps a command may ask for over a whole track
-_GEODESIC_FIELDS = {"kind", "rho", "geometry", "traversals", "orientation"}
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -43,13 +42,6 @@ def _emit(text: str, path: str | None) -> None:
         atomic_write_text(path, text)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _geometry(name: str) -> Geometry:
-    try:
-        return Geometry(name)
-    except ValueError:
-        raise ValidationError(f"unknown geometry {name!r}") from None
 
 
 def _load_json_object(path: str, what: str) -> dict:
@@ -87,25 +79,11 @@ def _rod_placement(text: str) -> str | float:
 
 
 def _load_curve(path: str, geometry: str | None = None) -> FrontTrack:
+    """The track of the curve spec at ``path``, in ``geometry`` when the spec names none."""
     data = _load_json_object(path, "curve spec")
-    if data.get("kind") == "geodesic-circle":
-        unknown = set(data) - _GEODESIC_FIELDS
-        if unknown:
-            raise InvalidCurveError(f"unknown geodesic-circle fields: {sorted(unknown)}")
-        if "rho" not in data:
-            raise InvalidCurveError("geodesic-circle spec needs a radius 'rho'")
-        traversals, orientation = data.get("traversals", 1), data.get("orientation", 1)
-        if not (isinstance(traversals, int) and traversals >= 1):
-            raise InvalidCurveError(f"traversals must be a positive integer, got {traversals!r}")
-        if orientation not in (1, -1):
-            raise InvalidCurveError(f"orientation must be +1 or -1, got {orientation!r}")
-        geo = _geometry(data.get("geometry", geometry or "spherical"))
-        track = geodesic_circle(_numeric("rho", data["rho"], float), geo, traversals=traversals)
-        return track if orientation == 1 else track.reversed()
-    track = make_curve(data)
-    if geometry and geometry != Geometry.EUCLIDEAN.value:
-        track = track.reinterpreted(_geometry(geometry))
-    return track
+    if geometry:
+        data.setdefault("geometry", geometry)
+    return make_curve(data)
 
 
 def _grid(steps: int, traversals: int = 1) -> int:
@@ -306,7 +284,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("monodromy", help="fit and classify the monodromy")
     common(p)
     p.add_argument("--geometry", choices=[g.value for g in Geometry], default=None,
-                   help="reinterpret the curvature profile in this geometry")
+                   help="geometry of a spec that names none (a planar curve's "
+                        "curvature profile is read in it)")
     p.add_argument("--out", help="JSON output path (default stdout)")
     p.set_defaults(func=_cmd_monodromy)
 

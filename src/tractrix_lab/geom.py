@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -54,8 +54,9 @@ class Geometry(Enum):
 
 _PROBE = 8192  # normal angles on which a support function's convexity is checked
 _K_GRID = 4096  # points of one pass on which a smooth track's curvature range is read
-_KINDS = ("circle", "ellipse", "fourier-support", "polyline", "samples", "line")
-_SCALAR_FIELDS = ("r", "a", "b", "angle", "a0", "fillet_radius")
+_KINDS = ("circle", "ellipse", "fourier-support", "polyline", "samples", "line", "geodesic-circle")
+_SCALAR_FIELDS = ("r", "a", "b", "angle", "a0", "fillet_radius", "rho")
+_GEODESIC_FIELDS = {"kind", "rho", "geometry", "traversals", "orientation"}
 
 
 def _floats(values) -> tuple[float, ...]:
@@ -87,7 +88,10 @@ class CurveSpec:
 
     Only the fields relevant to ``kind`` are consulted; see FORMATS.md for the
     wire format. ``orientation`` is +1 for counterclockwise traversal of the
-    canonical construction, -1 for the reverse.
+    canonical construction, -1 for the reverse. A ``geodesic-circle`` of
+    radius ``rho`` is built in ``geometry`` (spherical when it is None);
+    a planar kind that names a ``geometry`` is built in the plane and then
+    read in that geometry (:meth:`FrontTrack.reinterpreted`).
     """
 
     kind: str
@@ -107,6 +111,8 @@ class CurveSpec:
     end: tuple[float, float] | None = None
     traversals: int = 1
     orientation: int = 1
+    rho: float | None = None
+    geometry: Geometry | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -124,7 +130,15 @@ class CurveSpec:
             raise InvalidCurveError(f"unknown curve-spec fields: {sorted(unknown)}")
         if "kind" not in data:
             raise InvalidCurveError("curve spec is missing 'kind'")
+        if data["kind"] == "geodesic-circle" and set(data) - _GEODESIC_FIELDS:
+            raise InvalidCurveError(
+                f"fields a geodesic-circle does not take: {sorted(set(data) - _GEODESIC_FIELDS)}")
         clean = dict(data)
+        if clean.get("geometry") is not None:
+            try:
+                clean["geometry"] = Geometry(clean["geometry"])
+            except (TypeError, ValueError):
+                raise InvalidCurveError(f"unknown geometry {clean['geometry']!r}") from None
         for key in _SCALAR_FIELDS:
             if clean.get(key) is not None:
                 clean[key] = _numeric(key, clean[key], float)
@@ -149,21 +163,6 @@ class CurveSpec:
         if not isinstance(data, dict):
             raise InvalidCurveError("curve spec JSON must be an object")
         return cls.from_dict(data)
-
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        defaults = {f.name: f.default for f in self.__dataclass_fields__.values()}
-        for name, value in asdict(self).items():
-            if name == "kind":
-                continue
-            if value != defaults.get(name):
-                out[name] = value
-        out["traversals"] = self.traversals
-        out["orientation"] = self.orientation
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def _flip(x):
@@ -599,16 +598,50 @@ def _heading(pieces: np.ndarray, theta0: float, period: float) -> Callable[[np.n
 # -- constructions ----------------------------------------------------------
 
 
+def geodesic_circle(rho: float, geometry: Geometry, traversals: int = 1) -> FrontTrack:
+    """Circle of intrinsic radius ``rho`` as a front track in ``geometry``.
+
+    The geodesic curvature (1/rho in the plane, cot rho on the sphere, coth
+    rho in the hyperbolic plane) is what the dynamics consumes; the stored
+    positions are a flat chart circle of matching circumference, which in
+    the plane is the circle itself and in a curved geometry is for drawing
+    only.
+    """
+    if geometry is Geometry.SPHERICAL:
+        if not 0.0 < rho < math.pi:
+            raise InvalidCurveError(f"spherical radius must lie in (0, pi), got {rho}")
+        k, chart_r = 1.0 / math.tan(rho), math.sin(rho)
+    elif geometry is Geometry.HYPERBOLIC:
+        if not rho > 0.0:
+            raise InvalidCurveError(f"hyperbolic radius must be positive, got {rho}")
+        if rho > math.asinh(PAIRABLE / TWO_PI):
+            raise InvalidCurveError(
+                f"hyperbolic radius {rho:g} gives a circumference beyond {PAIRABLE:.3e}")
+        k, chart_r = 1.0 / math.tanh(rho), math.sinh(rho)
+    else:
+        if not rho > 0.0:
+            raise InvalidCurveError(f"radius must be positive, got {rho}")
+        k, chart_r = 1.0 / rho, rho
+    period = TWO_PI * chart_r
+
+    def frame(t):
+        ang = t / chart_r
+        return chart_r * np.stack([np.cos(ang), np.sin(ang)], axis=-1), ang + 0.5 * math.pi
+
+    return FrontTrack(period, frame, lambda t: np.full_like(t, k), closed=True,
+                      traversals=traversals, geometry=geometry, pieces=[(period, k, 0.0)])
+
+
 def _build_circle(spec: CurveSpec) -> FrontTrack:
-    if spec.r is None or not spec.r > 0.0:
-        raise InvalidCurveError(f"circle needs a positive radius, got {spec.r}")
-    r = float(spec.r)
-    return FrontTrack(
-        TWO_PI * r,
-        lambda t: (r * np.stack([np.cos(t / r), np.sin(t / r)], axis=-1), t / r + 0.5 * math.pi),
-        lambda t: np.full_like(t, 1.0 / r),
-        closed=True, traversals=spec.traversals, pieces=[(TWO_PI * r, 1.0 / r, 0.0)],
-    )
+    if spec.r is None:
+        raise InvalidCurveError("circle needs a radius 'r'")
+    return geodesic_circle(spec.r, Geometry.EUCLIDEAN, spec.traversals)
+
+
+def _build_geodesic_circle(spec: CurveSpec) -> FrontTrack:
+    if spec.rho is None:
+        raise InvalidCurveError("geodesic-circle needs a radius 'rho'")
+    return geodesic_circle(spec.rho, spec.geometry or Geometry.SPHERICAL, spec.traversals)
 
 
 def _ellipse_perimeter(a: float, b: float) -> float:
@@ -893,6 +926,7 @@ _BUILDERS = {
     "polyline": _build_polyline,
     "samples": _build_samples,
     "line": _build_line,
+    "geodesic-circle": _build_geodesic_circle,
 }
 
 
@@ -900,8 +934,10 @@ def make_curve(spec: CurveSpec | dict | str) -> FrontTrack:
     """Build a :class:`FrontTrack` from a spec, a dict, or a JSON string.
 
     Each kind is built about the origin. A circle, ellipse or fourier-support
-    curve is then placed by :meth:`FrontTrack.transformed`, and an orientation
-    of -1 then reverses it. The track does not keep the spec.
+    curve is then placed by :meth:`FrontTrack.transformed`, a planar kind
+    that names a curved ``geometry`` is then read in it
+    (:meth:`FrontTrack.reinterpreted`), and an orientation of -1 then
+    reverses it. The track does not keep the spec.
     """
     if isinstance(spec, str):
         spec = CurveSpec.from_json(spec)
@@ -910,6 +946,8 @@ def make_curve(spec: CurveSpec | dict | str) -> FrontTrack:
     track = _BUILDERS[spec.kind](spec)
     if spec.kind in ("circle", "ellipse", "fourier-support"):  # the kinds with center and angle
         track = track.transformed(spec.angle, spec.center)
+    if spec.geometry not in (None, track.geometry):
+        track = track.reinterpreted(spec.geometry)
     return track.reversed() if spec.orientation == -1 else track
 
 

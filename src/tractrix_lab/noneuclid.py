@@ -2,10 +2,13 @@
 
 The steering equation keeps its form in every constant-curvature plane; only
 the coefficient in front of ``sin(alpha)`` changes (1/ell, cot ell, coth ell).
-This module supplies curved front tracks (geodesic circles), Gauss-Bonnet
-areas, the development of a curvature profile into the hyperboloid model of
-the hyperbolic plane, the stargazing angle along a developed curve, and the
-area-threshold hyperbolicity check in both curved geometries.
+This module supplies Gauss-Bonnet areas, the development of a curvature
+profile into the hyperboloid model of the hyperbolic plane, the stargazing
+angle along a developed curve, and the area-threshold hyperbolicity check in
+both curved geometries. Curved front tracks come from :mod:`.geom`, like
+planar ones: ``make_curve`` builds a ``geodesic-circle`` spec, and
+:func:`geodesic_circle` (defined there, re-exported here) builds one
+directly.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ import numpy as np
 from ._io import fmt17
 from ._num import PAIRABLE, panel_quad
 from .dynamics import BikeParams, _prefix, _resolved_factors, _scan, _terms
-from .errors import InvalidCurveError, ResidualError, ValidationError
-from .geom import TWO_PI, FrontTrack, Geometry
+from .errors import ResidualError, ValidationError
+from .geom import TWO_PI, FrontTrack, Geometry, geodesic_circle  # re-exported
 from .moebius import MapClass, MonodromyReport, monodromy
 
 # the hyperbolic unit bicycle: coth(ell) -> 1 as ell -> infinity, and the
@@ -28,45 +31,6 @@ UNIT_WHEELBASE = math.inf
 # relative |ad - bc - 1| of a developed lift past which its frame has lost
 # its digits; the frame defect is about twice this
 UNIMODULAR_TOL = 1e-8
-
-
-def geodesic_circle(rho: float, geometry: Geometry, traversals: int = 1) -> FrontTrack:
-    """Circle of intrinsic radius ``rho`` as a front track in ``geometry``.
-
-    The geodesic curvature (cot rho on the sphere, coth rho in the
-    hyperbolic plane) is what the dynamics consumes; the stored positions
-    are a flat chart circle of matching circumference, used for drawing
-    only.
-    """
-    if geometry is Geometry.SPHERICAL:
-        if not 0.0 < rho < math.pi:
-            raise ValidationError(f"spherical radius must lie in (0, pi), got {rho}")
-        k = 1.0 / math.tan(rho)
-        chart_r = math.sin(rho)
-    elif geometry is Geometry.HYPERBOLIC:
-        if not rho > 0.0:
-            raise ValidationError(f"hyperbolic radius must be positive, got {rho}")
-        if rho > math.asinh(PAIRABLE / TWO_PI):
-            raise InvalidCurveError(
-                f"hyperbolic radius {rho:g} gives a circumference beyond {PAIRABLE:.3e}")
-        k = 1.0 / math.tanh(rho)
-        chart_r = math.sinh(rho)
-    else:
-        if not rho > 0.0:
-            raise ValidationError(f"radius must be positive, got {rho}")
-        k = 1.0 / rho
-        chart_r = rho
-    period = TWO_PI * chart_r
-
-    def frame(t):
-        ang = t / chart_r
-        return chart_r * np.stack([np.cos(ang), np.sin(ang)], axis=-1), t / chart_r + 0.5 * math.pi
-
-    def cur(t):
-        return np.full_like(np.asarray(t, dtype=float), k)
-
-    return FrontTrack(period, frame, cur, closed=True, traversals=traversals,
-                      geometry=geometry, pieces=[(period, k, 0.0)])
 
 
 def geodesic_area(track: FrontTrack) -> float:

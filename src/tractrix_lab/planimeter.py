@@ -52,13 +52,14 @@ def _leg_nodes(leg: FrontTrack, n: int, ell: float):
     A leg with a chart is stepped in its chart parameter ``u`` over all its
     passes; it must resolve the rod, ``h max sigma / ell``, and the turning,
     ``h max |k sigma|``, each at most ``RESOLVED_STEP``. Any other leg is
-    stepped in arc length (``sigma`` is 1.0) and must resolve the rod,
-    ``h / ell <= RESOLVED_STEP``.
+    stepped in arc length (``sigma`` is 1.0) and must resolve both with
+    ``sigma = 1``: ``h / ell`` and ``h max |k|``, with ``k`` over one pass
+    (exact from its pieces).
     """
     chart = leg.chart
     if chart is None:
         h = leg.total_length / n
-        rod, turn = h / ell, 0.0
+        rod, turn = h / ell, h * max(map(abs, leg.curvature_range()))
         t = np.linspace(0.0, leg.total_length, 2 * n + 1)
         front, phi = leg.frame(t)
         sigma = 1.0
@@ -100,8 +101,9 @@ def rod_flow(legs: Sequence[FrontTrack], ell: float, theta0: float,
     with generator ``sigma(u) B(Phi(u))``, so no arc length is inverted;
     any other leg is stepped in arc length. As on every smooth grid of the
     engine, a step must resolve the rod (``h c max sigma <= RESOLVED_STEP``
-    with ``c = 1/ell``) and, in a chart, the turning (``h max |k sigma| <=
-    RESOLVED_STEP``); a coarser grid is refused with :class:`ResidualError`.
+    with ``c = 1/ell``) and the turning (``h max |k sigma| <=
+    RESOLVED_STEP``, with ``sigma = 1`` on a leg stepped in arc length); a
+    coarser grid is refused with :class:`ResidualError`.
     """
     if not ell > 0.0:
         raise ValidationError("rod length must be positive")
@@ -212,15 +214,14 @@ def measure(track: FrontTrack, ell: float, base: float = 0.0,
         A float fixes the initial rod direction ``theta`` absolutely.
     steps_per_traversal : int
         Rod-flow steps per boundary pass, at least 2. A grid must also
-        resolve the boundary's turning; a coarser grid is refused with
-        :class:`ResidualError`, as in every dense history. A boundary with a
-        chart (an ellipse or a support function) is stepped in its chart
-        parameter ``u``, and :func:`rod_flow` reads the rule there,
+        resolve the boundary's turning; :func:`rod_flow` refuses a coarser
+        grid with :class:`ResidualError`, as in every dense history. A
+        boundary with a chart (an ellipse or a support function) is stepped
+        in its chart parameter ``u``, and the rule reads there,
         ``h_u max|k sigma| <= RESOLVED_STEP`` with ``h_u = span /
-        steps_per_traversal``. Any other boundary is stepped in arc length
-        and needs ``h max|k| <= RESOLVED_STEP`` with ``h = period /
-        steps_per_traversal`` and ``k`` over one pass (exact from its
-        pieces).
+        steps_per_traversal``. Any other boundary is stepped in arc length,
+        each stretch between corners on the step it takes, and needs
+        ``h max|k| <= RESOLVED_STEP``.
 
     The loop is the track re-based at ``base`` (:meth:`.FrontTrack.rebased`),
     which keeps a chart, so on a charted boundary the base point and start
@@ -237,11 +238,6 @@ def measure(track: FrontTrack, ell: float, base: float = 0.0,
             f"rod length must be positive and at most {PAIRABLE:.3e}, got {ell!r}")
     if not steps_per_traversal >= 2:
         raise ValidationError(f"steps_per_traversal must be at least 2, got {steps_per_traversal!r}")
-    if track.chart is None:  # a charted loop is checked in its chart by rod_flow
-        turn = track.period * max(np.abs(track.curvature_range())) / steps_per_traversal
-        if not turn <= RESOLVED_STEP:
-            raise ResidualError(
-                f"the steps do not resolve the boundary's turning: step x max|k| = {turn:.3g} > {RESOLVED_STEP:g}")
     loop = track.rebased(base)
     chart = loop.chart
     base_point, phi0 = loop.frame(0.0) if chart is None else (chart.points[0], float(chart.headings[0]))

@@ -349,9 +349,13 @@ def test_non_numeric_field_exits_2(capsys, tmp_path, command, field):
     (["monodromy", "--ell", "1"], {"kind": "geodesic-circle", "rho": 1.0, "traversals": 0}),
     (["monodromy", "--ell", "1"], {"kind": "geodesic-circle", "rho": 1.0, "traversals": -1}),
     (["monodromy", "--ell", "1"], {"kind": "geodesic-circle", "rho": 1.0, "traversals": 1.5}),
+    (["monodromy", "--ell", "1"], {"kind": "geodesic-circle", "rho": 1.0, "r": 1.0}),
+    (["monodromy", "--ell", "1"], {"kind": "geodesic-circle", "rho": 1.0, "center": [0, 0]}),
+    (["monodromy", "--ell", "1"], {"kind": "circle", "r": 1.0, "geometry": "flat"}),
 ], ids=["rho-not-numeric", "rho-missing", "loop-block-not-object", "length-overflows",
         "vertex-not-a-pair", "point-not-finite", "traversals-past-double-range",
-        "geodesic-traversals-0", "geodesic-traversals-negative", "geodesic-traversals-fraction"])
+        "geodesic-traversals-0", "geodesic-traversals-negative", "geodesic-traversals-fraction",
+        "geodesic-with-r", "geodesic-with-center", "unknown-geometry"])
 def test_malformed_spec_exits_2(capsys, tmp_path, argv, spec):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
@@ -562,6 +566,34 @@ def test_geodesic_circle_spec_fields(capsys, tmp_path):
         rc, cap = run(capsys, ["monodromy", "--input", str(path), "--ell", "0.5"])
         assert rc == 2
         assert cap.err.startswith("error:") and cap.out == ""
+
+
+@pytest.mark.parametrize("spec, flag, geometry", [
+    ({"kind": "geodesic-circle", "rho": 0.8, "geometry": "hyperbolic"}, "spherical", "hyperbolic"),
+    ({"kind": "geodesic-circle", "rho": 0.8}, "hyperbolic", "hyperbolic"),
+    ({"kind": "geodesic-circle", "rho": 0.8}, None, "spherical"),
+    ({"kind": "ellipse", "a": 2.0, "b": 1.0, "geometry": "hyperbolic"}, "spherical", "hyperbolic"),
+    ({"kind": "ellipse", "a": 2.0, "b": 1.0}, "spherical", "spherical"),
+    ({"kind": "ellipse", "a": 2.0, "b": 1.0}, "euclidean", "euclidean"),
+], ids=["geodesic-own-wins", "geodesic-flag-fills-in", "geodesic-default", "planar-own-wins",
+        "planar-flag-fills-in", "planar-euclidean-flag"])
+def test_geometry_flag_fills_in_a_missing_geometry(tmp_path, spec, flag, geometry):
+    from tractrix_lab import Geometry, make_curve
+    from tractrix_lab.cli import _load_curve
+
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    track = _load_curve(str(path), flag)
+    assert track.geometry is Geometry(geometry)
+    # a planar curve keeps its plane track, read in the geometry
+    built = make_curve({**spec, "geometry": geometry})
+    t = [0.0, 0.4, 2.5, 7.0]
+    assert track.position(t).tolist() == built.position(t).tolist()
+    assert track.curvature(t).tolist() == built.curvature(t).tolist()
+    if spec["kind"] == "ellipse":
+        plane = make_curve({k: v for k, v in spec.items() if k != "geometry"})
+        assert track.curvature(t).tolist() == plane.curvature(t).tolist()
+        assert (track.chart is None) == (plane.chart is None)
 
 
 _FLAG = st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr),

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -370,6 +371,45 @@ def _frame_tracks():
         if track.geometry is Geometry.EUCLIDEAN:
             out.append(track.transformed(0.7, (1.5, -2.0)))
     return out
+
+
+FORMATS = Path(__file__).resolve().parents[1] / "FORMATS.md"
+
+
+def test_make_curve_builds_every_formats_kind():
+    section = FORMATS.read_text().split("## Curve spec")[1].split("\n## ")[0]
+    kinds = re.findall(r"^\| `([a-z-]+)` \|", section, flags=re.M)
+    examples = {spec["kind"]: spec for spec in FRAME_SPECS}
+    examples["geodesic-circle"] = {"kind": "geodesic-circle", "rho": 1.0}
+    assert sorted(kinds) == sorted(examples)
+    for kind in kinds:
+        assert isinstance(tl.make_curve(examples[kind]), tl.FrontTrack)
+
+
+@pytest.mark.parametrize("geometry, rho", [("euclidean", 1.3), ("spherical", 1.0), ("hyperbolic", 0.8)])
+@pytest.mark.parametrize("traversals", [1, 2])
+@pytest.mark.parametrize("orientation", [1, -1])
+def test_geodesic_circle_spec_is_geodesic_circle(geometry, rho, traversals, orientation):
+    track = tl.make_curve({"kind": "geodesic-circle", "rho": rho, "geometry": geometry,
+                           "traversals": traversals, "orientation": orientation})
+    direct = tl.geodesic_circle(rho, Geometry(geometry), traversals)
+    direct = direct if orientation == 1 else direct.reversed()
+    assert (track.period, track.traversals, track.geometry) == (direct.period, traversals, Geometry(geometry))
+    assert np.array_equal(track.pieces, direct.pieces)
+    t = np.linspace(-0.5, 2.5 * track.total_length, 97)
+    for got, want in zip(track.frame(t), direct.frame(t)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(track.curvature(t), direct.curvature(t))
+
+
+def test_circle_frame_is_closed_form():
+    r = 1.5
+    track = tl.make_curve({"kind": "circle", "r": r})
+    t = np.linspace(0.0, track.period, 97, endpoint=False)
+    xy, phi = track.frame(t)
+    assert np.array_equal(xy, r * np.stack([np.cos(t / r), np.sin(t / r)], axis=-1))
+    assert np.array_equal(phi, t / r + 0.5 * math.pi)
+    assert np.array_equal(track.pieces, [[TWO_PI * r, 1.0 / r, 0.0]])
 
 
 def test_frame_is_position_and_tangent_angle():

@@ -149,6 +149,18 @@ def test_resolved_turning_is_accepted():
     assert r.deflection == pytest.approx(0.026133287, abs=1e-5)
 
 
+def test_unresolved_turning_in_arc_length_is_refused():
+    # a closed spline through 12 points of the 1x0.05 ellipse has no chart and
+    # max |k| = 570, so 64 arc-length steps of its 4.02 turn h max |k| = 36;
+    # the rod flow refuses them for any caller, not only for measure
+    spline = tl.make_curve({"kind": "samples", "points": [
+        [math.cos(a), 0.05 * math.sin(a)] for a in np.linspace(0.0, TWO_PI, 12, endpoint=False)]})
+    with pytest.raises(tl.ResidualError, match="turning"):
+        tl.rod_flow([spline], ell=5.0, theta0=0.3, steps_per_unit=4.0)
+    with pytest.raises(tl.ResidualError, match="turning"):
+        tl.measure(spline, ell=5.0, steps_per_traversal=64)
+
+
 @pytest.mark.parametrize("steps", [1, 0, -5])
 def test_fewer_than_two_steps_are_refused(unit_circle, steps):
     with pytest.raises(tl.ValidationError, match="at least 2"):
