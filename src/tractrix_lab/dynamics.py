@@ -71,9 +71,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ._num import fourier_grid, simpson, trapezoid, wrap_angle
+from ._num import simpson, trapezoid, wrap_angle
 from .errors import ResidualError, ValidationError
-from .geom import TWO_PI, FrontTrack, Geometry, SupportFunction, _area_density, _green_integral, enclosed_area
+from .geom import TWO_PI, FrontTrack, Geometry, _path_area, enclosed_area
 
 
 @dataclass(frozen=True)
@@ -672,12 +672,13 @@ def area_between_tracks(solution: SteeringSolution) -> float:
     For a closed front track with both tracks closed this is ``A_F - A_R``; for
     the straight-line front it is the classical area between the tractrix and
     its asymptote. A closed front's area is :func:`.geom.enclosed_area`
-    (closed form on a track with a chart); an open front's is its Green
-    integral.
+    (closed form on a track with a chart or made of pieces); an open
+    front's is the same integral along its path (closed form on pieces,
+    such as the tractrix's line; Green quadrature otherwise).
     """
     rt = rear_track(solution)
     track = solution.track
-    area_front = enclosed_area(track) if track.closed else _green_integral(track, _area_density)[0]
+    area_front = enclosed_area(track) if track.closed else _path_area(track)
     x, y = rt.points[:, 0], rt.points[:, 1]
     dx = np.cos(solution.alpha) * np.cos(rt.theta)
     dy = np.cos(solution.alpha) * np.sin(rt.theta)
@@ -690,6 +691,57 @@ def area_between_tracks(solution: SteeringSolution) -> float:
 
 
 # -- configuration-space loops ----------------------------------------------
+
+LOOP_NODES = 4096  # most steps a loop takes when it chooses its own grid
+LOOP_TAIL = 1e-15  # top half-band of exp(i theta)'s spectrum, relative to its peak, on a resolved grid
+
+
+def _loop_spectrum(*series) -> np.ndarray:
+    """Rows ``(a0, a_1 - i b_1, ..., a_H - i b_H)`` of (a0, cos[], sin[]) sets, padded to one ``H``."""
+    parts = [(float(a0), np.asarray(cos, dtype=float), np.asarray(sin, dtype=float))
+             for a0, cos, sin in series]
+    harmonics = max(max(len(cos), len(sin)) for _, cos, sin in parts)
+    cos_sin = np.zeros((2, len(parts), harmonics))
+    for i, (_, cos, sin) in enumerate(parts):
+        cos_sin[0, i, :len(cos)], cos_sin[1, i, :len(sin)] = cos, sin
+    return np.concatenate(([[a0] for a0, _, _ in parts], cos_sin[0] - 1j * cos_sin[1]), axis=1)
+
+
+def _loop_rows(spectrum: np.ndarray, winding: int, n: int) -> np.ndarray:
+    """Rows s, x, y, theta, dx, dy, dtheta at ``s = j / n``, ``j = 0 .. n``, of a Fourier loop.
+
+    Values and ``s``-derivatives of all three series are one inverse real
+    FFT of a (6, ·) spectrum, taken on the first power-of-two multiple of
+    ``n`` above twice the harmonic count, so no harmonic aliases, and read
+    back at every ``n``-th point; the endpoint repeats the first node.
+    """
+    harmonics = spectrum.shape[1] - 1
+    size = n
+    while size <= 2 * harmonics:
+        size *= 2
+    full = np.zeros((6, size // 2 + 1), dtype=complex)
+    full[:3, 0] = size * spectrum[:, 0].real
+    # a cos + b sin is the real part of (a - ib) e^{i phi}, whose derivative is i times it
+    full[:3, 1:harmonics + 1] = (0.5 * size) * spectrum[:, 1:]
+    full[3:, 1:harmonics + 1] = full[:3, 1:harmonics + 1] * (1j * np.arange(1, harmonics + 1))
+    grid = np.fft.irfft(full, size)[:, ::size // n]
+    s = np.linspace(0.0, 1.0, n + 1)
+    rows = np.concatenate((s[None], np.concatenate((grid, grid[:, :1]), axis=1)))
+    rows[4:] *= TWO_PI
+    rows[3] += TWO_PI * winding * s
+    rows[6] += TWO_PI * winding
+    return rows
+
+
+def _resolved(theta: np.ndarray) -> bool:
+    """Whether ``exp(i theta)`` on these ``n`` periodic nodes is resolved to ``LOOP_TAIL``.
+
+    Its spectrum at frequencies ``|f| >= n/4`` (the top half of the band
+    the nodes carry) must be at most ``LOOP_TAIL`` of its peak.
+    """
+    n = len(theta)
+    spectrum = np.abs(np.fft.fft(np.exp(1j * theta)))
+    return bool(np.max(spectrum[n // 4:n - n // 4 + 1]) <= LOOP_TAIL * np.max(spectrum))
 
 
 @dataclass(frozen=True)
@@ -720,27 +772,36 @@ class ConfigLoop:
         return int(round((self.theta[-1] - self.theta[0]) / TWO_PI))
 
     @classmethod
-    def from_fourier(cls, x_coeffs, y_coeffs, theta_coeffs, winding: int = 0, n: int = 4096) -> "ConfigLoop":
+    def from_fourier(cls, x_coeffs, y_coeffs, theta_coeffs, winding: int = 0,
+                     n: int | None = None) -> "ConfigLoop":
         """Trigonometric-polynomial loop on ``n`` steps; each coefficient set is (a0, cos[], sin[]).
 
-        A block's values and ``s``-derivatives are two inverse FFTs
-        (:func:`._num.fourier_grid`), closed by the periodic endpoint.
+        All six rows (x, y, theta and their ``s``-derivatives) are one
+        batched inverse real FFT (see :func:`_loop_rows`), closed by the
+        periodic endpoint. An explicit ``n`` is used as given. By default the
+        loop chooses it: from the smallest power of two that is at least 64
+        and at least ``8 (harmonics + |winding|)``, ``n`` doubles while the
+        top half-band (frequencies ``>= n/4``) of the spectrum of
+        ``exp(i theta)`` on ``n`` nodes is above ``LOOP_TAIL`` of its peak,
+        up to ``LOOP_NODES``. Every integrand of :func:`loop_identity` is
+        ``exp(i theta)`` times polynomials of at most ``2 harmonics <= n/4``,
+        so the periodic trapezoid rule then takes them to rounding.
         """
-        if n < 1:
+        if n is not None and n < 1:
             raise ValidationError(f"a loop needs at least one step, got {n}")
-        s = np.linspace(0.0, 1.0, n + 1)
-
-        def series(coeffs):
-            # a value and its s-derivative; the support-function form pads cos and sin to one length
-            p = SupportFunction.from_coefficients(*coeffs)
-            value, slope = (fourier_grid(p.a0, p.cos_coeffs, p.sin_coeffs, n, d) for d in (False, True))
-            return np.append(value, value[0]), np.append(slope, slope[0]) * TWO_PI
-
+        spectrum = _loop_spectrum(x_coeffs, y_coeffs, theta_coeffs)
         with np.errstate(over="ignore", invalid="ignore"):  # loop_identity refuses overflow
-            x, dx = series(x_coeffs)
-            y, dy = series(y_coeffs)
-            theta, dtheta = series(theta_coeffs)
-            return cls(s, x, y, theta + TWO_PI * winding * s, dx, dy, dtheta + TWO_PI * winding)
+            if n is not None:
+                rows = _loop_rows(spectrum, winding, n)
+            else:
+                n = 64
+                while n < min(8 * (spectrum.shape[1] - 1 + abs(winding)), LOOP_NODES):
+                    n *= 2
+                rows = _loop_rows(spectrum, winding, n)
+                while n < LOOP_NODES and not _resolved(rows[3, :-1]):
+                    n *= 2
+                    rows = _loop_rows(spectrum, winding, n)
+            return cls(*rows)
 
     @classmethod
     def from_rear_solution(cls, solution: SteeringSolution) -> "ConfigLoop":
@@ -759,13 +820,19 @@ class ConfigLoop:
 
 @dataclass(frozen=True)
 class LoopCheck:
-    """Both sides of the rod-area identity for one configuration loop."""
+    """Both sides of the rod-area identity for one configuration loop.
+
+    ``quadrature_error`` is the error bar of the trapezoid sums: how far
+    ``area_front``, ``area_rear`` and ``ell * lambda_integral`` each move,
+    summed, when taken on every second node (see :func:`loop_identity`).
+    """
 
     area_front: float
     area_rear: float
     lambda_integral: float
     dtheta_integral: float
     ell: float
+    quadrature_error: float
 
     @property
     def lhs(self) -> float:
@@ -786,13 +853,19 @@ def loop_identity(loop: ConfigLoop, ell: float) -> LoopCheck:
     ``lambda = cos(theta) dy - sin(theta) dx`` measures sideways slip of the
     rear point; the identity holds for arbitrary loops, not just motions that
     satisfy the rolling constraint. Periodic trapezoid quadrature makes the
-    check spectrally accurate for smooth loops.
+    check spectrally accurate for smooth loops. The same sums taken on every
+    second node give the error bar ``quadrature_error`` with no new
+    evaluation: on an even ``n`` that is the periodic rule on ``n/2`` steps,
+    so the bar is the coarse rule's error and overstates the fine one's; on
+    an odd ``n`` the coarse nodes end with one single step, an ordinary
+    second-order trapezoid rule, so the bar reads its ``O(1/n^2)`` error and
+    not the spectral one (0 on one step, where both rules are the same).
     """
     if not ell > 0.0:
         raise ValidationError("rod length must be positive")
-
-    def periodic_trapz(values):
-        return float(trapezoid(values, loop.s))
+    n = len(loop.s) - 1
+    coarse = np.arange(0, n + 2, 2)
+    coarse[-1] = n
 
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite integrals are refused below
         ct, st = np.cos(loop.theta), np.sin(loop.theta)
@@ -800,11 +873,13 @@ def loop_identity(loop: ConfigLoop, ell: float) -> LoopCheck:
         fy = loop.y + ell * st
         dfx = loop.dx - ell * st * loop.dtheta
         dfy = loop.dy + ell * ct * loop.dtheta
-        area_rear = periodic_trapz(0.5 * (loop.x * loop.dy - loop.y * loop.dx))
-        area_front = periodic_trapz(0.5 * (fx * dfy - fy * dfx))
-        lam = periodic_trapz(ct * loop.dy - st * loop.dx)
+        integrands = np.stack((0.5 * (fx * dfy - fy * dfx), 0.5 * (loop.x * loop.dy - loop.y * loop.dx),
+                               ct * loop.dy - st * loop.dx))
+        area_front, area_rear, lam = (float(v) for v in trapezoid(integrands, loop.s))
+        moved = np.abs(trapezoid(integrands[:, coarse], loop.s[coarse]) - (area_front, area_rear, lam))
         dth = float(loop.theta[-1] - loop.theta[0])
-    check = LoopCheck(area_front, area_rear, lam, dth, float(ell))
+        error = float(moved[0] + moved[1] + ell * moved[2])
+    check = LoopCheck(area_front, area_rear, lam, dth, float(ell), error)
     try:
         finite = bool(np.isfinite(check.lhs - check.rhs))  # both sides, so every integral
     except OverflowError:  # ell**2
@@ -816,8 +891,12 @@ def loop_identity(loop: ConfigLoop, ell: float) -> LoopCheck:
 
 def random_config_loop(rng: np.random.Generator, n_harmonics: int = 4,
                        amplitude: float = 1.0, winding: int | None = None,
-                       n: int = 4096) -> ConfigLoop:
-    """Random smooth loop with decaying Fourier content, for identity sweeps."""
+                       n: int | None = None) -> ConfigLoop:
+    """Random smooth loop with decaying Fourier content, for identity sweeps.
+
+    ``n`` is passed to :meth:`ConfigLoop.from_fourier`: by default the loop
+    chooses its own grid, at most ``LOOP_NODES`` steps.
+    """
     def coeffs(scale):
         decay = scale / np.arange(1, n_harmonics + 1) ** 2
         return (rng.uniform(-scale, scale),

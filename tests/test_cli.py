@@ -456,6 +456,23 @@ def test_oversized_grid_exits_2(capsys, tmp_path, argv, spec):
     assert cap.err.startswith("error:") and "grid limit" in cap.err
 
 
+@pytest.mark.parametrize("spec", [
+    {"a0": 1e200},
+    {"a0": 1.3407807929942597e154},  # one ulp past sqrt(max double)
+    {"a0": 1.0, "cos": [1e200]},
+    {"a0": 1.0, "sin": [0.0, -1e300]},
+], ids=["a0", "a0-just-past", "cos", "sin"])
+def test_fourier_support_past_pairable_exits_2(capsys, tmp_path, spec):
+    path = tmp_path / "support.json"
+    path.write_text(json.dumps({"kind": "fourier-support", **spec}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, cap = run(capsys, ["monodromy", "--input", str(path), "--ell", "1"])
+    assert rc == 2
+    assert [str(w.message) for w in caught] == []
+    assert cap.err.startswith("error:") and "exceed" in cap.err and cap.out == ""
+
+
 @pytest.mark.parametrize("tol", ["0", "-1e-9", "nan", "inf"])
 def test_menzin_bad_tolerance_exits_2(capsys, unit_circle_spec, tol):
     rc, cap = run(capsys, ["menzin", "--input", unit_circle_spec, f"--tol={tol}"])

@@ -350,6 +350,77 @@ def test_loop_winding_counts_rod_turns():
     assert check.dtheta_integral == pytest.approx(2.0 * TWO_PI, rel=1e-9)
 
 
+def _loop_fields(loop):
+    return [getattr(loop, f) for f in ("s", "x", "y", "theta", "dx", "dy", "dtheta")]
+
+
+def _scaled_gap(a, b, ell):
+    scale = max(1.0, abs(b.area_front), abs(b.area_rear), ell * ell)
+    return max(abs(a.area_front - b.area_front), abs(a.area_rear - b.area_rear),
+               ell * abs(a.lambda_integral - b.lambda_integral)) / scale
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+       ell=st.floats(min_value=0.1, max_value=3.0))
+def test_default_loop_grid_is_converged(seed, ell):
+    loop = tl.random_config_loop(np.random.default_rng(seed))
+    n = len(loop.s) - 1
+    assert 64 <= n <= tl.dynamics.LOOP_NODES and n & (n - 1) == 0
+    fine = tl.random_config_loop(np.random.default_rng(seed), n=65536)
+    check = tl.loop_identity(loop, ell)
+    assert _scaled_gap(check, tl.loop_identity(fine, ell), ell) < 1e-14
+    assert check.quadrature_error < 1e-13 * max(1.0, abs(check.area_front), abs(check.area_rear), ell**2)
+
+
+def test_unresolved_loop_stops_at_the_cap():
+    # exp(i theta) of a 400-radian fourth harmonic needs about 1600 frequencies,
+    # more than the top half-band of 4096 nodes leaves below LOOP_TAIL
+    coeffs = ((0.1, [1.0, 0.2], [0.0, 0.3]), (0.0, [], [1.0]), (0.0, [0, 0, 0, 400.0], [200.0]))
+    loop = tl.ConfigLoop.from_fourier(*coeffs, winding=1)
+    explicit = tl.ConfigLoop.from_fourier(*coeffs, winding=1, n=4096)
+    assert len(loop.s) == 4097
+    for a, b in zip(_loop_fields(loop), _loop_fields(explicit)):
+        assert np.array_equal(a, b)
+    # the error bar shows what the cap leaves
+    assert tl.loop_identity(loop, 1.0).quadrature_error > 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 64, 100, 4096])
+def test_explicit_loop_grid_is_kept(n):
+    from tractrix_lab._num import fourier_grid
+
+    x, y, theta = (0.1, [1.0, 0.2], [0.0, 0.3, 0.05]), (0.0, [], [1.0]), (0.2, [0.7, 0.1], [])
+    loop = tl.ConfigLoop.from_fourier(x, y, theta, winding=1, n=n)
+    assert np.array_equal(loop.s, np.linspace(0.0, 1.0, n + 1))
+    # the same values, bit for bit, as one inverse FFT per row on the series' common length
+    turn = (0.0, TWO_PI * loop.s)
+    for (a0, cos, sin), value, slope, winding in ((x, loop.x, loop.dx, 0), (y, loop.y, loop.dy, 0),
+                                                  (theta, loop.theta, loop.dtheta, 1)):
+        cos, sin = (np.concatenate((c, np.zeros(3 - len(c)))) for c in (cos, sin))
+        grid = fourier_grid(a0, cos, sin, n)
+        assert np.array_equal(np.append(grid, grid[0]) + turn[winding], value)
+        grid = fourier_grid(a0, cos, sin, n, True)
+        assert np.array_equal(np.append(grid, grid[0]) * TWO_PI + TWO_PI * winding, slope)
+    assert len(tl.random_config_loop(np.random.default_rng(2), n=n).s) == n + 1
+
+
+def test_loop_quadrature_error_bounds_a_coarse_grid():
+    rng = np.random.default_rng(8)
+    coarse = tl.random_config_loop(rng, n=16)
+    exact = tl.random_config_loop(np.random.default_rng(8), n=65536)
+    check = tl.loop_identity(coarse, 1.2)
+    reference = tl.loop_identity(exact, 1.2)
+    actual = (abs(check.area_front - reference.area_front) + abs(check.area_rear - reference.area_rear)
+              + 1.2 * abs(check.lambda_integral - reference.lambda_integral))
+    assert 0.0 < actual <= check.quadrature_error
+    # an odd grid's coarse rule ends on one single step: a second-order bar, far above the error
+    odd = tl.loop_identity(tl.random_config_loop(np.random.default_rng(8), n=4095), 1.2)
+    assert odd.quadrature_error > 1e3 * _scaled_gap(odd, reference, 1.2)
+    # on one step both rules are the same
+    assert tl.loop_identity(tl.random_config_loop(np.random.default_rng(8), n=1), 1.2).quadrature_error == 0.0
+
+
 # -- geometry mismatches -----------------------------------------------------
 
 

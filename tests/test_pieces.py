@@ -210,3 +210,94 @@ def test_planimeter_closes_on_a_polyline_with_exact_corners(placement):
     assert reading.exact_area == pytest.approx(2.0, rel=1e-15)
     # stepping RK4 across the corners left a closure defect of 6e-4
     assert abs(reading.closure_defect) < 1e-11
+
+
+# -- closed-form areas on pieces ---------------------------------------------
+
+
+def _green_area(track, panels: int = 4096) -> float:
+    # Gauss-Legendre Green quadrature, exact to rounding on every arc
+    from tractrix_lab._num import panel_nodes
+    from tractrix_lab.geom import _area_density
+
+    t, weights = panel_nodes(0.0, track.total_length, track.path_breakpoints(),
+                             min_panels=panels * track.traversals)
+    xy, phi = track.frame(t.ravel())
+    return float(np.sum(weights * _area_density(xy[..., 0], xy[..., 1], np.cos(phi),
+                                                 np.sin(phi)).reshape(t.shape)))
+
+
+def _ulps(value: float, exact: float) -> float:
+    return abs(value - exact) / math.ulp(exact)
+
+
+@pytest.mark.parametrize("w, h, r", [(2.0, 2.0, 0.3), (3.0, 1.0, 0.4), (5.0, 2.0, 0.999),
+                                     (1.0, 1.0, 0.01)])
+def test_filleted_rectangle_area_is_exact(w, h, r):
+    rect = tl.make_curve({"kind": "polyline", "vertices": [[0, 0], [w, 0], [w, h], [0, h]],
+                          "fillet_radius": r})
+    exact = w * h - (4.0 - math.pi) * r * r
+    assert _ulps(tl.enclosed_area(rect), exact) <= 2.0
+    assert _ulps(tl.enclosed_area(rect), _green_area(rect)) <= 4.0
+
+
+def test_reversed_piece_track_has_the_negative_area():
+    # the chords and segments are the same terms with their signs flipped,
+    # summed exactly rounded, so the sum flips exactly where the piece starts
+    # evaluate to the same points (one piece; exact vertices)
+    for track in (tl.make_curve({"kind": "circle", "r": 1.7, "center": [3.0, -2.0]}),
+                  tl.make_curve({"kind": "polyline", "vertices": SQUARE})):
+        assert tl.enclosed_area(track.reversed()) == -tl.enclosed_area(track)
+    # elsewhere the reversed starts may round differently
+    filleted = tl.make_curve({"kind": "polyline", "vertices": [[-1, -1], [1, -1], [1, 1], [-1, 1]],
+                              "fillet_radius": 0.3})
+    assert _ulps(-tl.enclosed_area(filleted.reversed()), tl.enclosed_area(filleted)) <= 2.0
+
+
+def test_passes_multiply_the_piece_area():
+    spec = {"kind": "polyline", "vertices": [[0, 0], [4, 0], [5, 3], [2, 5], [-1, 3]],
+            "fillet_radius": 0.4}
+    once = tl.enclosed_area(tl.make_curve(spec))
+    twice = tl.make_curve(spec | {"traversals": 2})
+    assert tl.enclosed_area(twice) == 2.0 * once
+    # Green quadrature agrees once a panel ends where one pass kinks into the next
+    assert _ulps(_green_area(twice), 2.0 * once) <= 8.0
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0), (3.0, -2.0), (1e3, -2e3), (1e6, 1e6)])
+def test_placed_circle_area_does_not_see_its_center(center):
+    for r in (0.5, 1.7, 3.0):
+        circle = tl.make_curve({"kind": "circle", "r": r, "center": list(center)})
+        assert _ulps(tl.enclosed_area(circle), math.pi * r * r) <= 1.0
+
+
+@pytest.mark.parametrize("rise", [1e-6, 1e-3])
+def test_nearly_collinear_fillet_takes_the_series(rise):
+    # the corner at (1, rise) turns by about 2 rise: its fillet's theta = k L is tiny
+    track = tl.make_curve({"kind": "polyline", "vertices": [[0, 0], [1, rise], [2, 0], [2, 1], [0, 1]],
+                           "fillet_radius": 0.2})
+    length, k, _ = track.pieces.T
+    assert np.min(np.abs(k * length)[k != 0.0]) < 3.0 * rise
+    assert _ulps(tl.enclosed_area(track), _green_area(track)) <= 4.0
+
+
+def test_geodesic_circle_keeps_its_green_area():
+    # flat chart positions with geodesic curvature: the planar sum does not apply
+    from tractrix_lab.geom import _area_density, _green_integral
+
+    for geometry in (Geometry.SPHERICAL, Geometry.HYPERBOLIC):
+        cap = tl.geodesic_circle(1.0, geometry)
+        assert tl.enclosed_area(cap) == _green_integral(cap, _area_density)[0]
+
+
+def test_open_line_area_is_its_end_term():
+    from tractrix_lab.geom import _path_area
+
+    line = tl.make_curve({"kind": "line", "start": [1.0, 2.0], "end": [5.0, 3.0]})
+    assert _path_area(line) == 0.5 * (1.0 * 3.0 - 2.0 * 5.0)
+    # the tractrix's circuit area does not depend on where its line lies
+    for start in ([0.0, 0.0], [3.0, -2.0]):
+        ell = 1.3
+        line = tl.make_curve({"kind": "line", "start": start, "end": [start[0] + 40 * ell, start[1]]})
+        sol = tl.integrate_steering(line, tl.BikeParams(ell=ell), math.pi - 1e-7)
+        assert tl.area_between_tracks(sol) == pytest.approx(0.5 * math.pi * ell**2, rel=1e-6)
