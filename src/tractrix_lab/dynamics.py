@@ -56,7 +56,8 @@ needs ``h max |k sigma| <= 2``, and so does a monodromy stepped in a chart,
 whose step doubling misses a turn that falls into a few steps (an
 ellipse's tips). A smooth track's monodromy comes with its
 step-doubling error estimate, from the same product taken in steps of
-twice the length. Where a chart's ``sigma`` and ``k sigma`` repeat within
+twice the length; both products are reduced in one tree over a shared,
+zero-padded buffer. Where a chart's ``sigma`` and ``k sigma`` repeat within
 the track (its ``symmetry`` times the passes), the steps repeat too, and a
 monodromy sweep steps one sub-pass and raises both products to a power.
 Angles are read back from the direction of each lifted vector; summed
@@ -261,7 +262,7 @@ def _terms(sigma, ksigma, h: float) -> tuple:
                 a4 * ss * cross)
 
 
-def _factors(terms: tuple, c: np.ndarray) -> np.ndarray:
+def _factors(terms: tuple, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Steering step factors ``E_j`` for every row of ``c`` and step ``j``, shape ``(4, B, n)``.
 
     ``terms`` are a grid's node terms (:func:`_terms`) and ``c`` holds each
@@ -272,11 +273,13 @@ def _factors(terms: tuple, c: np.ndarray) -> np.ndarray:
     ``(eI - q / (1 + s)) / s`` and the other three scalars divided by ``s``.
     The determinant is multiplicative, so every product of steps is the RK4
     product scaled to determinant one, and none is carried beside them.
+    The factors are written into ``out`` when it is given (a view of that
+    shape, such as part of a sweep's buffer), else into a new array.
     """
     p1, p3, q0, q2, r0, r2, r4, x1, x3 = terms
     shape = np.broadcast_shapes(c.shape, *(np.shape(t) for t in terms))
     c2 = c * c
-    out = np.empty((4,) + shape)
+    out = np.empty((4,) + shape) if out is None else out
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused by _finite
         # each polynomial starts from its top term in a buffer of the full shape
         ez = np.multiply(p3, c2, out=np.empty(shape))
@@ -403,11 +406,16 @@ def _prefix(track: FrontTrack, c: np.ndarray, n_steps: int, chart: bool = False)
 
 
 def _tree(e: np.ndarray) -> np.ndarray:
-    """E-form of each row's product ``S_{n-1} ... S_0``, shape ``(4, B)``, by a balanced tree.
+    """E-form of each row's product ``S_{n-1} ... S_0`` over the last axis, by a balanced tree.
 
     Level by level, factors ``(0, 1), (2, 3), ...`` are combined and an odd
     last one is carried up. Reducing aligned blocks of a power-of-two length
     first and then the block results builds this same tree, bit for bit.
+    So does padding the factors with zeros, the identity's E-form, to a
+    power of two: ``_combine`` of ``E`` with a zero operand returns ``E``
+    exactly, as carrying it up does. Axes between the first and the last
+    are kept (``(4, B, n)`` gives ``(4, B)``), so several stacks of one
+    length reduce in one tree.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # callers refuse overflow
         while e.shape[-1] > 1:
@@ -496,7 +504,16 @@ def _monodromy_sweep(track: FrontTrack, params: Sequence[BikeParams],
     callers refuse it.
     Steps are built and reduced in aligned blocks whose length is a power
     of two, at most ``BLOCK`` row-steps each, so memory does not grow with
-    rows times steps, and every row comes out as it would alone.
+    rows times steps, and every row comes out as it would alone. The fine
+    and coarse products of a block share one buffer of three chunks of
+    ``half`` steps, the least power of two with ``2 half`` at least the
+    block's length: the fine steps fill chunks 0 and 1, the coarse pairs
+    chunk 2 followed by an odd last fine step, and zeros pad the rest. One
+    :func:`_tree` reduces all three chunks, the fine product joins its two
+    halves, and one more tree over the blocks and one :func:`_power` take
+    both products on. Zero factors are the identity, so each product is
+    the one its own tree would give, bit for bit; only a row that
+    overflowed may read nan where it read inf, and it is flagged either way.
     In a chart whose ``(sigma, k sigma)`` repeat ``reps`` times over the
     track (its ``symmetry`` times the passes), the steps repeat too, so
     when ``n_steps`` splits into ``reps`` sub-passes of an even number of
@@ -520,18 +537,25 @@ def _monodromy_sweep(track: FrontTrack, params: Sequence[BikeParams],
     block = 2
     while 2 * block * len(params) <= BLOCK:
         block *= 2
-    products, coarse_products = [], []
+    products = []
     swept = n_steps // reps
     for start in range(0, swept, block):
-        stop = min(start + block, swept)
-        pairs = (stop - start) // 2
-        e = _factors([_cut(t, slice(start, stop)) for t in fine], c)
-        ec = np.concatenate((_factors([_cut(t, slice(start // 2, start // 2 + pairs)) for t in coarse], c),
-                             e[..., 2 * pairs:]), axis=-1)  # an odd last step stays unpaired
-        products.append(_tree(e))
-        coarse_products.append(_tree(ec))
-    m = np.eye(2).reshape(4, 1) + _power(_tree(np.stack(products, axis=-1)), reps)
-    mc = np.eye(2).reshape(4, 1) + _power(_tree(np.stack(coarse_products, axis=-1)), reps)
+        steps = min(block, swept - start)
+        pairs = steps // 2
+        half = 1
+        while 2 * half < steps:
+            half *= 2
+        # chunks 0-1: the fine steps; chunk 2: the coarse pairs, then an odd last fine step
+        e = (np.empty if 2 * half == steps else np.zeros)((4, len(params), 3, half))
+        e_fine = _factors([_cut(t, slice(start, start + steps)) for t in fine],
+                          c, out=e.reshape(4, len(params), 3 * half)[..., :steps])
+        _factors([_cut(t, slice(start // 2, start // 2 + pairs)) for t in coarse], c, out=e[:, :, 2, :pairs])
+        e[:, :, 2, pairs:steps - pairs] = e_fine[..., 2 * pairs:]
+        t = _tree(e)
+        with np.errstate(over="ignore", invalid="ignore"):  # callers refuse overflow
+            products.append(np.stack((_combine(t[..., 1], t[..., 0]), t[..., 2]), axis=-1))
+    both = np.eye(2).reshape(4, 1, 1) + _power(_tree(np.stack(products, axis=-1)), reps)
+    m, mc = both[..., 0], both[..., 1]
     with np.errstate(invalid="ignore"):  # an overflowed row reads nan
         error = np.max(np.abs(m - mc), axis=0) / (15.0 * np.max(np.abs(m), axis=0))
     return _flagged(m, np.where(resolved, error, np.inf))

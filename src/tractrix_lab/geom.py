@@ -961,16 +961,25 @@ def make_curve(spec: CurveSpec | dict | str) -> FrontTrack:
 # -- integral quantities ----------------------------------------------------
 
 
+def _boundary_nodes(track: FrontTrack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss weights, positions ``(N, 2)`` and tangent angles on panels of the full path.
+
+    The path is evaluated once, for positions and angles together.
+    """
+    t, weights = panel_nodes(0.0, track.total_length, track.path_breakpoints(),
+                             min_panels=512 * track.traversals)
+    xy, phi = track.frame(t.ravel())
+    return weights.ravel(), xy, phi
+
+
 def _green_integral(track: FrontTrack, *densities) -> list[float]:
     """Line integrals of each ``density(x, y, cos_phi, sin_phi)`` over the full path.
 
     The path is evaluated once, on the quadrature nodes, for all densities.
     """
-    t, weights = panel_nodes(0.0, track.total_length, track.path_breakpoints(),
-                             min_panels=512 * track.traversals)
-    xy, phi = track.frame(t.ravel())
+    weights, xy, phi = _boundary_nodes(track)
     args = (xy[..., 0], xy[..., 1], np.cos(phi), np.sin(phi))
-    return [float(np.sum(weights * density(*args).reshape(t.shape))) for density in densities]
+    return [float(np.sum(weights * density(*args))) for density in densities]
 
 
 def _area_density(x, y, c, s):
@@ -1037,27 +1046,31 @@ def _region_moments(track: FrontTrack) -> tuple[float, np.ndarray, float]:
     of the boundary. On a track with a chart that is the periodic trapezoid
     rule in ``u`` on ``4 degree + 1`` nodes of one pass (see :class:`Chart`),
     weighted by ``sigma`` and the number of passes, which is exact for these
-    integrands; any other track takes them by Green quadrature in arc length.
+    integrands; any other track takes them by Green quadrature in arc length
+    (:func:`_boundary_nodes`). The moments are taken about the first node,
+    a point of the track, and the centroid is shifted back by it, so the
+    polar moment minus the squared centroid cancels only the region's own
+    size, not its distance from the origin.
     """
     if not track.closed:
         raise ValidationError("centroid needs a closed track")
-    densities = (_area_density,
-                 lambda x, y, c, s: 0.5 * x * x * s,
-                 lambda x, y, c, s: -0.5 * y * y * c,
-                 lambda x, y, c, s: (x**3 * s - y**3 * c) / 3.0)
     chart = track.chart
     if chart is None:
-        area, mx, my, polar = _green_integral(track, *densities)
+        weights, xy, phi = _boundary_nodes(track)
     else:
         m = 4 * chart.degree + 1
         xy, phi, sigma, _ = chart.frame(np.arange(m) * (chart.span / m))
         weights = (chart.span / m * track.traversals) * sigma
-        args = (xy[:, 0], xy[:, 1], np.cos(phi), np.sin(phi))
-        area, mx, my, polar = (float(np.sum(weights * density(*args))) for density in densities)
+    origin = xy[0]
+    x, y = (xy - origin).T
+    c, s = np.cos(phi), np.sin(phi)
+    area, mx, my, polar = (float(np.sum(weights * density))
+                           for density in (_area_density(x, y, c, s), 0.5 * x * x * s, -0.5 * y * y * c,
+                                           (x**3 * s - y**3 * c) / 3.0))
     if abs(area) < 1e-12:
         raise ValidationError("centroid is undefined for a zero-area track")
     centroid = np.array([mx / area, my / area])
-    return area, centroid, polar / area - float(centroid @ centroid)
+    return area, origin + centroid, polar / area - float(centroid @ centroid)
 
 
 def area_centroid(track: FrontTrack) -> np.ndarray:

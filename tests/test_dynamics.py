@@ -475,8 +475,8 @@ def test_symmetric_sweep_matches_full_pass(spec, steps, monkeypatch):
 
     built, factors = [], dynamics._factors
 
-    def counted(terms, c):
-        e = factors(terms, c)
+    def counted(terms, c, out=None):
+        e = factors(terms, c, out=out)
         built.append(e.shape[-1])
         return e
 
@@ -509,3 +509,86 @@ def test_sweep_that_does_not_split_runs_every_step():
         full_maps, full_errors = _monodromy_sweep(_unsymmetric(track), params, 514)
         assert np.array_equal(maps, full_maps), name
         assert np.array_equal(errors, full_errors), name
+
+
+def _unfused_sweep(track, params, n):
+    """:func:`_monodromy_sweep` with the fine and coarse products reduced apart, each in one tree.
+
+    One tree over all steps is the blocked tree (see ``_tree``), so this is
+    the reduction the fused buffer replaces, step for step.
+    """
+    from tractrix_lab import dynamics as d
+
+    charted = d._charted(track, n)
+    h, top, turn, fine, coarse = d._grid(track, n, charted)
+    reps = track.chart.symmetry * track.traversals if charted else 1
+    if n % (2 * reps):
+        reps = 1
+    c = d._coefficients(track, params)
+    resolved = h * np.maximum(np.abs(c[:, 0]) * top, turn if charted else 0.0) <= d.RESOLVED_STEP
+    c = np.where(resolved[:, None], c, 0.0)
+    swept = n // reps
+    e = d._factors([d._cut(t, slice(0, swept)) for t in fine], c)
+    ec = np.concatenate((d._factors([d._cut(t, slice(0, swept // 2)) for t in coarse], c),
+                         e[..., 2 * (swept // 2):]), axis=-1)
+    m, mc = (np.eye(2).reshape(4, 1) + d._power(d._tree(x), reps) for x in (e, ec))
+    error = np.max(np.abs(m - mc), axis=0) / (15.0 * np.max(np.abs(m), axis=0))
+    return m.T.reshape(-1, 2, 2), np.where(resolved, error, np.inf)
+
+
+def _arc_length_ellipse():
+    track = tl.make_curve({"kind": "ellipse", "a": 2.0, "b": 1.0})
+    return tl.FrontTrack(track.period, track.frame, track.curvature, closed=True)
+
+
+FUSED_TRACKS = {
+    "ellipse21": lambda: tl.make_curve({"kind": "ellipse", "a": 2.0, "b": 1.0}),
+    "threefold-reversed": lambda: tl.make_curve(THREEFOLD_SPEC).reversed(),
+    "two-pass-reversed": lambda: tl.make_curve({"kind": "ellipse", "a": 1.0, "b": 0.7,
+                                                "traversals": 2}).reversed(),
+    "arc-length": _arc_length_ellipse,
+}
+
+
+@pytest.mark.parametrize("rows", [1, 7, 200])
+@pytest.mark.parametrize("n", [2, 3, 5, 12, 65, 130, 514, 1030, 1500])
+@pytest.mark.parametrize("name", list(FUSED_TRACKS))
+def test_fused_sweep_matches_separate_trees(name, n, rows):
+    # the sweep reduces its fine and coarse steps in one zero-padded buffer
+    # (200 rows: blocks of 128 steps); a zero factor is the identity, so both
+    # maps and estimates are those of the separate trees, bit for bit, on
+    # odd and uneven counts, split and unsplit symmetric charts, reversed
+    # tracks and a track with no chart; where a step reverses orientation
+    # (3 arc-length steps, unchecked for turning) both refuse it
+    from tractrix_lab.dynamics import _monodromy_sweep
+
+    track = FUSED_TRACKS[name]()
+    params = [tl.BikeParams(ell=ell) for ell in np.geomspace(0.05, 3.0, rows)]
+    try:
+        expected_maps, expected_errors = _unfused_sweep(track, params, n)
+    except tl.ResidualError:
+        with pytest.raises(tl.ResidualError):
+            _monodromy_sweep(track, params, n)
+        return
+    maps, errors = _monodromy_sweep(track, params, n)
+    assert np.all(np.isfinite(maps))
+    assert np.array_equal(maps, expected_maps)
+    assert np.array_equal(errors, expected_errors)
+
+
+def test_single_row_sweep_combines_once_per_level(monkeypatch):
+    # 512 steps of the 2x1 ellipse: one sub-pass of 256 steps in a buffer of
+    # three chunks of 128, 7 levels, the fine halves joined once, and one
+    # squaring for the two sub-passes
+    from tractrix_lab import dynamics
+
+    calls, combine = [], dynamics._combine
+
+    def counted(later, earlier):
+        calls.append(later.shape)
+        return combine(later, earlier)
+
+    monkeypatch.setattr(dynamics, "_combine", counted)
+    track = tl.make_curve({"kind": "ellipse", "a": 2.0, "b": 1.0})
+    dynamics._monodromy_sweep(track, [tl.BikeParams(ell=0.8)], 512)
+    assert len(calls) <= 9

@@ -305,6 +305,32 @@ def test_mean_square_radius_disk(unit_circle):
     assert tl.mean_square_radius(unit_circle) == pytest.approx(0.5, rel=1e-9)
 
 
+PLACEMENTS = [(0.0, 0.0), (5.0, -3.0), (1e3, 0.0), (1e5, 1e5), (1e7, 0.0)]
+
+
+@pytest.mark.parametrize("center", PLACEMENTS, ids=["origin", "near", "1e3", "1e5-1e5", "1e7"])
+@pytest.mark.parametrize("spec, msr", [({"kind": "circle", "r": 1.0}, 0.5),
+                                       ({"kind": "ellipse", "a": 2.0, "b": 1.0, "angle": 0.3}, 1.25)],
+                         ids=["circle", "ellipse"])
+def test_region_moments_keep_their_digits_away_from_the_origin(spec, msr, center):
+    # taken about the origin, <r^2> lost digits with the square of the
+    # offset (a unit circle at (1e7, 0) read 21975.8); about a point of the
+    # track they stay at rounding of the coordinates
+    track = tl.make_curve(dict(spec, center=list(center)))
+    scale = max(1.0, math.hypot(*center))
+    assert abs(tl.mean_square_radius(track) - msr) <= 1e-14 * scale * msr
+    assert np.max(np.abs(tl.area_centroid(track) - center)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("center", PLACEMENTS, ids=["origin", "near", "1e3", "1e5-1e5", "1e7"])
+def test_square_moments_are_exact_anywhere(center):
+    # a unit square (Green quadrature on its sides): <r^2> = 1/6, centroid at its middle
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]) + center
+    track = tl.make_curve({"kind": "polyline", "vertices": vertices.tolist()})
+    assert tl.mean_square_radius(track) == pytest.approx(1.0 / 6.0, rel=1e-14)
+    assert np.max(np.abs(tl.area_centroid(track) - np.add(center, 0.5))) <= 4e-16 * max(1.0, abs(center[0]))
+
+
 def test_region_moments_invert_arc_length_once(monkeypatch):
     from tractrix_lab._num import ArcLengthParam
     from tractrix_lab.geom import _region_moments
