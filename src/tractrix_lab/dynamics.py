@@ -57,9 +57,11 @@ whose step doubling misses a turn that falls into a few steps (an
 ellipse's tips). A smooth track's monodromy comes with its
 step-doubling error estimate, from the same product taken in steps of
 twice the length; both products are reduced in one tree over a shared,
-zero-padded buffer. Where a chart's ``sigma`` and ``k sigma`` repeat within
-the track (its ``symmetry`` times the passes), the steps repeat too, and a
-monodromy sweep steps one sub-pass and raises both products to a power.
+zero-padded buffer, and the map is their global Richardson extrapolation,
+which cancels RK4's leading error term at no extra step. Where a chart's
+``sigma`` and ``k sigma`` repeat within the track (its ``symmetry`` times
+the passes), the steps repeat too, and a monodromy sweep steps one
+sub-pass and raises both products to a power.
 Angles are read back from the direction of each lifted vector; summed
 ``atan2(cross, dot)`` increments between consecutive vectors choose the
 continuous branch from the start angle.
@@ -485,23 +487,48 @@ def _monodromy_sweep(track: FrontTrack, params: Sequence[BikeParams],
 
     On a piecewise track the map is the product of one exact factor per
     piece and per corner, whatever ``n_steps``, and its error is the
-    rounding of that many factors, ``eps`` each. On a smooth track the steps
-    are taken in its chart when it has one (they are uniform in the chart's
-    parameter ``u``), else in arc length, and the error is the step-doubling
-    estimate: the same product taken in steps of ``2h``, whose midpoint
-    nodes are already on the half grid, differs from it by about 15 times
-    its own error (RK4's error falls 16-fold when the step halves). It is
-    returned relative to the map's largest entry, shape ``(B,)``. A row
-    whose wheelbase the grid does not resolve (``h |c| max sigma >
-    RESOLVED_STEP``) is stepped with ``c = 0``, so it cannot overflow or
-    reverse and stop the other rows, and reads an infinite error. In a
-    chart every row also reads an infinite error when ``h max |k sigma| >
-    RESOLVED_STEP``: an ellipse turns through its tips in ``min/max`` of its
-    eccentric anomaly, and a grid that steps over them passes step
-    doubling with a wrong map. A row
-    whose product overflows double precision comes out with non-finite
-    entries and a nan error, and does not stop the others either; its
-    callers refuse it.
+    rounding of that many factors, ``eps`` each. On a smooth track the
+    fine product ``M = I + F`` (``n_steps`` steps) and the coarse product
+    ``Mc = I + C`` (steps of ``2h``) come from :func:`_sweep_products`.
+    RK4's global error is ``K h^4`` to leading order, so ``M - Mc`` is
+    about 15 times the fine product's error, and the map returned is the
+    global Richardson extrapolation ``R = I + F + (F - C) / 15``, which
+    cancels that term at no extra step. The error returned is the fine
+    product's step-doubling estimate ``max |M - Mc| / (15 max |M|)``,
+    shape ``(B,)``: it bounds ``R``'s error conservatively, and it is the
+    estimate the grid is refined on. ``R`` is not rescaled: its
+    determinant is one to second order in ``M - Mc``. A row the grid does
+    not resolve reads an infinite error. A row whose product overflows
+    double precision comes out with non-finite entries and a nan error,
+    and does not stop the others; its callers refuse it.
+    """
+    if track.pieces is not None:
+        e = _piece_factors(track, _coefficients(track, params))
+        m = np.eye(2).reshape(4, 1) + _tree(e)
+        return _flagged(m, np.full(len(params), e.shape[-1] * np.finfo(float).eps))
+    f, fc, resolved = _sweep_products(track, params, n_steps)
+    eye = np.eye(2).reshape(4, 1)
+    m = eye + f
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed row reads nan
+        error = np.max(np.abs(m - (eye + fc)), axis=0) / (15.0 * np.max(np.abs(m), axis=0))
+        r = eye + (f + (f - fc) / 15.0)
+    return _flagged(r, np.where(resolved, error, np.inf))
+
+
+def _sweep_products(track: FrontTrack, params: Sequence[BikeParams],
+                    n_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Raw fine and coarse products of a smooth track, E-forms ``F``, ``C`` (4, B), and the resolved rows.
+
+    The steps are taken in the track's chart when it has one (they are
+    uniform in the chart's parameter ``u``), else in arc length. The
+    coarse product takes steps of ``2h``, whose midpoint nodes are already
+    on the half grid. A row whose wheelbase the grid does not resolve
+    (``h |c| max sigma > RESOLVED_STEP``) is stepped with ``c = 0``, so it
+    cannot overflow or reverse and stop the other rows, and is flagged
+    unresolved. In a chart every row is also unresolved when ``h max |k
+    sigma| > RESOLVED_STEP``: an ellipse turns through its tips in
+    ``min/max`` of its eccentric anomaly, and a grid that steps over them
+    passes step doubling with a wrong map.
     Steps are built and reduced in aligned blocks whose length is a power
     of two, at most ``BLOCK`` row-steps each, so memory does not grow with
     rows times steps, and every row comes out as it would alone. The fine
@@ -513,20 +540,15 @@ def _monodromy_sweep(track: FrontTrack, params: Sequence[BikeParams],
     halves, and one more tree over the blocks and one :func:`_power` take
     both products on. Zero factors are the identity, so each product is
     the one its own tree would give, bit for bit; only a row that
-    overflowed may read nan where it read inf, and it is flagged either way.
+    overflowed may read nan where it read inf.
     In a chart whose ``(sigma, k sigma)`` repeat ``reps`` times over the
     track (its ``symmetry`` times the passes), the steps repeat too, so
     when ``n_steps`` splits into ``reps`` sub-passes of an even number of
     steps only the first sub-pass is swept, and its fine and coarse
-    products are raised to the power ``reps`` (:func:`_power`); the
-    estimate is then taken on the powered products, and ``n_steps`` still
-    counts the whole track. Otherwise ``reps`` is 1 and every step is swept.
+    products are raised to the power ``reps``; ``n_steps`` still counts
+    the whole track. Otherwise ``reps`` is 1 and every step is swept.
     """
     c = _coefficients(track, params)
-    if track.pieces is not None:
-        e = _piece_factors(track, c)
-        m = np.eye(2).reshape(4, 1) + _tree(e)
-        return _flagged(m, np.full(len(params), e.shape[-1] * np.finfo(float).eps))
     charted = _charted(track, n_steps)
     h, top, turn, fine, coarse = _grid(track, n_steps, charted)
     reps = track.chart.symmetry * track.traversals if charted else 1
@@ -554,11 +576,8 @@ def _monodromy_sweep(track: FrontTrack, params: Sequence[BikeParams],
         t = _tree(e)
         with np.errstate(over="ignore", invalid="ignore"):  # callers refuse overflow
             products.append(np.stack((_combine(t[..., 1], t[..., 0]), t[..., 2]), axis=-1))
-    both = np.eye(2).reshape(4, 1, 1) + _power(_tree(np.stack(products, axis=-1)), reps)
-    m, mc = both[..., 0], both[..., 1]
-    with np.errstate(invalid="ignore"):  # an overflowed row reads nan
-        error = np.max(np.abs(m - mc), axis=0) / (15.0 * np.max(np.abs(m), axis=0))
-    return _flagged(m, np.where(resolved, error, np.inf))
+    both = _power(_tree(np.stack(products, axis=-1)), reps)
+    return both[..., 0], both[..., 1], resolved
 
 
 def _flagged(m: np.ndarray, error: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -4,11 +4,17 @@ For a convex closed front path of area ``A`` the monodromy is hyperbolic for
 every wheelbase below the smallest osculating radius and elliptic for large
 wheelbases, so somewhere in between a first parabolic transition ``ell0``
 occurs, and the claim under test is ``A <= pi * ell0**2``. The scan walks a
-multiplicative ladder of wheelbases, brackets every crossing of trace = 2,
-and sharpens the first one by a safeguarded Illinois (regula falsi) search
-on ``trace - 2``. The whole ladder is integrated in one batched RK4 sweep,
-the bracket ends keep the traces the ladder read for them, and each search
-step is one single-row sweep. On a track whose chart repeats within a pass
+multiplicative ladder of wheelbases, finds the first crossing of trace = 2,
+and sharpens it by a safeguarded search on ``trace - 2``
+(:func:`_locate_transition`): inverse polynomial interpolation of ``ell``
+in ``trace - 2``, seeded by the ladder rows around the crossing, with up
+to four trial wheelbases per sweep around each estimate. The whole ladder
+is integrated in one batched RK4 sweep and each search step in one sweep
+of at most four rows; on the ellipses and support functions tested two search
+sweeps reach the default tolerance at 512 steps. Every trace is read off
+the extrapolated map (see :func:`.dynamics._monodromy_sweep`), so at 512
+steps ``ell0`` is within that tolerance of the converged root on ellipses
+down to an aspect ratio of 5. On a track whose chart repeats within a pass
 (an ellipse, period pi in its eccentric anomaly, or a support function whose
 harmonics share a factor) each sweep steps one sub-pass and raises its
 product to the power of the sub-passes (see
@@ -17,8 +23,11 @@ product to the power of the sub-passes (see
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from ._io import fmt17
 from ._num import wrap_angle
@@ -75,41 +84,72 @@ class StageCheck:
     detail: str
 
 
-def _locate_transition(track: FrontTrack, lo: tuple[float, float], hi: tuple[float, float],
-                       tol: float, steps: int) -> float:
+def _inverse_estimates(known: list[tuple[float, float]]) -> tuple[float, float]:
+    """Where ``trace - 2`` vanishes, by inverse interpolation, and a coarser estimate of the same.
+
+    ``known`` holds ``(ell, trace - 2)``. Neville's tableau interpolates
+    ``ell`` as a polynomial in ``trace - 2`` at 0 through the (at most 6)
+    points with the smallest ``|trace - 2|``, nearest first, so the same
+    tableau gives the estimate through the nearest two points fewer (4 of
+    6), which is the coarser one. Two points with equal ``trace - 2`` make
+    both nan.
+    """
+    pts = sorted(known, key=lambda p: abs(p[1]))[:6]
+    f = [p[1] for p in pts]
+    if len(set(f)) < len(f):
+        return math.nan, math.nan
+    col = [p[0] for p in pts]
+    estimates = [col[0]]
+    for j in range(1, len(pts)):
+        col = [(f[i] * col[i + 1] - f[i + j] * col[i]) / (f[i] - f[i + j]) for i in range(len(col) - 1)]
+        estimates.append(col[0])
+    return estimates[-1], estimates[max(len(pts) - 3, 0)]
+
+
+def _locate_transition(traces: Callable[[list[float]], list[float]],
+                       known: list[tuple[float, float]], lo: float, hi: float,
+                       tol: float) -> float:
     """Wheelbase, to within ``tol``, where the trace crosses 2 between ``lo`` and ``hi``.
 
-    ``lo`` and ``hi`` are ``(ell, trace)`` with trace >= 2 at ``lo`` and
-    trace < 2 at ``hi``; a trial point with trace 2 becomes the new ``hi``.
-    Illinois steps on ``trace - 2``: the regula falsi point, with the value
-    at a bracket end halved whenever that end is kept twice running. The
-    point is kept ``tol / 2`` inside the bracket, so a root next to a
-    bracket end cannot stall the search, and it is the midpoint when the
-    bracket has not halved over the last three steps (a row over the error
-    cap is refined, so the trace can jump).
+    ``traces`` maps a list of wheelbases to their traces in one sweep.
+    ``known`` holds ``(ell, trace)`` of wheelbases already evaluated, the
+    bracket ends among them, with trace >= 2 at ``lo`` and trace < 2 at
+    ``hi``. Each sweep interpolates ``ell`` inversely in ``trace - 2``
+    (:func:`_inverse_estimates`) to ``x``, through the 6 points nearest the
+    root, and takes the gap ``s`` to the 4-point estimate as its error
+    bar. It evaluates ``x +- s / 10`` and ``x +- 2 s``, or only
+    ``x +- tol / 4`` once ``s`` is within ``tol / 4``. Every trial point is
+    kept ``tol / 2`` inside the bracket, so a root next to a bracket end
+    cannot stall the search, and each one in turn, from the lowest,
+    narrows the bracket on its sign; a trace of exactly 2 becomes the new
+    ``hi``. A sweep that does not halve the bracket (the estimate missed,
+    or a row over the error cap was refined and the trace jumped) is
+    followed by one that splits the bracket into 5 equal parts. Returns
+    the final bracket's midpoint.
     """
-    (a, fa), (b, fb) = (lo[0], lo[1] - 2.0), (hi[0], hi[1] - 2.0)
+    a, b = lo, hi
+    known = [(ell, trace - 2.0) for ell, trace in known]
     tol = max(tol, 8.0 * math.ulp(b))  # the bracket cannot close below a few ulps
-    widths = [b - a]
-    kept = 0  # +1 when the last step kept ``a``, -1 when it kept ``b``
+    split = False
     while b - a > tol:
-        if len(widths) > 3 and widths[-1] > 0.5 * widths[-4]:
-            x = 0.5 * (a + b)
+        width = b - a
+        x, coarse = _inverse_estimates(known)
+        s = abs(x - coarse)
+        if split or not math.isfinite(s):
+            trials = [a + width * i / 5 for i in range(1, 5)]
+        elif s <= 0.25 * tol:
+            trials = [x - 0.25 * tol, x + 0.25 * tol]
         else:
-            x = a + fa / (fa - fb) * (b - a)
-        x = min(max(x, a + 0.5 * tol), b - 0.5 * tol)
-        f = _trace(track, x, steps) - 2.0
-        if f > 0.0:
-            a, fa = x, f
-            if kept == -1:
-                fb *= 0.5
-            kept = -1
-        else:
-            b, fb = x, f
-            if kept == 1:
-                fa *= 0.5
-            kept = 1
-        widths.append(b - a)
+            trials = [x - 2.0 * s, x - 0.1 * s, x + 0.1 * s, x + 2.0 * s]
+        trials = sorted({min(max(t, a + 0.5 * tol), b - 0.5 * tol) for t in trials})
+        for t, trace in zip(trials, traces(trials)):
+            known.append((t, trace - 2.0))
+            if a < t < b:
+                if trace > 2.0:
+                    a = t
+                else:
+                    b = t
+        split = b - a > 0.5 * width
     return 0.5 * (a + b)
 
 
@@ -118,12 +158,13 @@ def _overflow(ell: float) -> ResidualError:
                          "strongly hyperbolic for double precision")
 
 
-def _trace(track: FrontTrack, ell: float, steps: int) -> float:
-    """Trace of the fitted monodromy at one wheelbase; an overflowed product is refused."""
-    fit = _fits(track, [ell], steps)[0]
-    if fit is None:
-        raise _overflow(ell)
-    return fit[0].trace
+def _traces(track: FrontTrack, steps: int, ells: list[float]) -> list[float]:
+    """Traces of the fitted monodromies at ``ells``, from one sweep; an overflowed product is refused."""
+    fits = _fits(track, ells, steps)
+    for ell, fit in zip(ells, fits):
+        if fit is None:
+            raise _overflow(ell)
+    return [fit[0].trace for fit in fits]
 
 
 def _ladder(r: float, cap: float) -> list[float]:
@@ -137,32 +178,24 @@ def _ladder(r: float, cap: float) -> list[float]:
     return out
 
 
-Bracket = tuple[tuple[float, float] | None, tuple[float, float]]  # (lo, hi) as (ell, trace)
-
-
-def _scan(ladder: list[float], fits) -> tuple[list[ScanSample], list[Bracket]]:
-    """Walk the wheelbase ladder; bracket every sign change of trace - 2.
+def _scan(ladder: list[float], fits) -> tuple[list[ScanSample], int | None]:
+    """Walk the wheelbase ladder; find the first crossing of trace = 2.
 
     ``fits[i]`` is the fitted monodromy of ``ladder[i]`` (see ``moebius._fits``);
-    a row whose product overflowed is refused. A bracket ``(lo, hi)`` holds
-    the ``(ell, trace)`` of its ends, with trace >= 2 at ``lo`` and
-    trace < 2 at ``hi``; ``lo`` is None when already the first ladder point
-    is non-hyperbolic (the transition then sits at the osculating radius
-    itself).
+    a row whose product overflowed is refused. Returns the samples and the
+    index of the first one with trace < 2, None if there is none. The
+    rows before it all have trace >= 2; there are none when already the
+    first ladder point is non-hyperbolic (the transition then sits at the
+    osculating radius itself).
     """
     samples: list[ScanSample] = []
-    brackets: list[Bracket] = []
-    prev: tuple[float, float] | None = None
     for ell, fit in zip(ladder, fits):
         if fit is None:
             raise _overflow(ell)
         fitted, eps_par = fit
         samples.append(ScanSample(ell, fitted.trace, fitted.classify(eps_par).value))
-        below = fitted.trace < 2.0
-        if below and (prev is None or prev[1] >= 2.0):
-            brackets.append((prev, (ell, fitted.trace)))
-        prev = (ell, fitted.trace)
-    return samples, brackets
+    first = next((i for i, s in enumerate(samples) if s.trace < 2.0), None)
+    return samples, first
 
 
 def _tolerance(tol: float | None, scale: float) -> float:
@@ -174,18 +207,25 @@ def _tolerance(tol: float | None, scale: float) -> float:
     return tol
 
 
-def _resolve_first(track: FrontTrack, bracket: Bracket, r: float, tol: float,
-                   steps: int) -> float:
-    lo, hi = bracket
-    if lo is None:
+def _resolve_first(traces: Callable[[list[float]], list[float]], samples: list[ScanSample],
+                   first: int, r: float, tol: float) -> float:
+    """``ell0`` from the ladder rows around the first crossing, ``samples[first - 1:first + 1]``.
+
+    ``traces`` evaluates wheelbases in one sweep (see :func:`_locate_transition`).
+    Up to 3 rows on each side seed the search: those below the crossing,
+    and those above it while their trace stays below 2.
+    """
+    below = [(s.ell, s.trace) for s in samples[max(first - 3, 0):first]]
+    above = list(itertools.takewhile(lambda p: p[1] < 2.0,
+                                     ((s.ell, s.trace) for s in samples[first:first + 3])))
+    if not below:
         # the ladder started non-hyperbolic; wheelbases below the osculating
         # radius are guaranteed hyperbolic, so bracket just beneath it
-        lo = (r / LADDER_RATIO, _trace(track, r / LADDER_RATIO, steps))
-        if not lo[1] > 2.0:
-            raise ScanError(
-                f"trace <= 2 at ell = {lo[0]:.6g}, below the min osculating radius {r:.6g}"
-            )
-    return _locate_transition(track, lo, hi, tol, steps)
+        ell = r / LADDER_RATIO
+        below = [(ell, traces([ell])[0])]
+        if not below[0][1] > 2.0:
+            raise ScanError(f"trace <= 2 at ell = {ell:.6g}, below the min osculating radius {r:.6g}")
+    return _locate_transition(traces, below + above, below[-1][0], above[0][0], tol)
 
 
 def critical_length(track: FrontTrack, tol: float | None = None, *,
@@ -202,13 +242,13 @@ def critical_length(track: FrontTrack, tol: float | None = None, *,
     scale = math.sqrt(area / math.pi)
     tol = _tolerance(tol, scale)
     ladder = _ladder(r, CAP_FACTOR * scale)
-    _, brackets = _scan(ladder, _fits(track, ladder, steps_per_traversal))
-    if not brackets:
+    samples, first = _scan(ladder, _fits(track, ladder, steps_per_traversal))
+    if first is None:
         raise ScanError(
             f"no parabolic transition found up to ell = {CAP_FACTOR * scale:.6g}; "
             "large-wheelbase monodromy should be elliptic"
         )
-    return _resolve_first(track, brackets[0], r, tol, steps_per_traversal)
+    return _resolve_first(partial(_traces, track, steps_per_traversal), samples, first, r, tol)
 
 
 def defect_bound(track: FrontTrack, ell: float, *,
@@ -321,7 +361,7 @@ def menzin_verify(track: FrontTrack, tol: float | None = None, *,
     # one sweep for the ladder, whose last point is the cap, and for 0.5 * r
     ladder = _ladder(r, cap)
     fits = _fits(track, ladder + [0.5 * r], steps)
-    samples, brackets = _scan(ladder, fits)
+    samples, first = _scan(ladder, fits)
 
     if fits[-1] is None:  # a trace past double range is hyperbolic
         checks.append(StageCheck("hyperbolic_below_osculating_radius", 0.5 * r, True,
@@ -342,13 +382,13 @@ def menzin_verify(track: FrontTrack, tol: float | None = None, *,
 
     ell0: float | None = None
     transitions: list[float] = []
-    if brackets:
-        ell0 = _resolve_first(track, brackets[0], r, tol, steps)
+    if first is not None:
+        ell0 = _resolve_first(partial(_traces, track, steps), samples, first, r, tol)
         transitions.append(ell0)
         # later crossings (either direction) are logged coarsely: the scan
         # never assumes the first transition is the only one
         for s0, s1 in zip(samples, samples[1:]):
-            if (s0.trace - 2.0) * (s1.trace - 2.0) < 0.0 and s1.ell > brackets[0][1][0]:
+            if (s0.trace - 2.0) * (s1.trace - 2.0) < 0.0 and s1.ell > samples[first].ell:
                 transitions.append(0.5 * (s0.ell + s1.ell))
     checks.append(StageCheck(
         "parabolic_transition_found", ell0 if ell0 is not None else cap,

@@ -1,7 +1,9 @@
 """Steering flow, rear tracks, and the configuration-loop area identity."""
 
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from scipy.linalg import expm
 
 import tractrix_lab as tl
 from tractrix_lab.geom import Geometry
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 TWO_PI = 2.0 * math.pi
 SQRT3 = math.sqrt(3.0)
@@ -196,15 +200,52 @@ def test_factors_have_determinant_one(case):
 def test_lift_products_are_unimodular(ellipse21):
     # no determinant is carried: the monodromy matrix has determinant one as
     # it comes (on 64 steps a raw RK4 product's is off by about 1e-6), and
-    # the endpoint derivative on the kept grid is the fitted map's derivative
+    # the endpoint derivative on the kept grid is the raw product's
+    # derivative; the fitted map is extrapolated, unscaled, and its
+    # determinant is one to second order in the step-doubling estimate
     params = tl.BikeParams(ell=1.0, steps_per_traversal=64)
     m = tl.monodromy_matrix(ellipse21, params)
     assert abs(np.linalg.det(m) - 1.0) <= 1e-12
     rep = tl.monodromy(ellipse21, params)
+    assert abs(np.linalg.det(rep.map.matrix) - 1.0) <= rep.residual
     att = rep.fixed_points[0]
     _, beta = tl.steering_endpoints(ellipse21, params, [att.angle], n_steps=rep.n_steps,
                                     variational=True)
-    assert beta[0] == pytest.approx(rep.map.derivative(att.angle), rel=1e-12)
+    raw = tl.MoebiusMap.from_matrix(tl.monodromy_matrix(ellipse21, params, n_steps=rep.n_steps))
+    assert beta[0] == pytest.approx(raw.derivative(att.angle), rel=1e-12)
+
+
+@pytest.mark.parametrize("spec, ell", [("ellipse21", 0.3), ("ellipse21", 0.8), ("ellipse21", 1.6),
+                                       ("menzin-fourier-0", 0.3)])
+def test_extrapolated_trace_is_within_its_residual(spec, ell):
+    # against 2^16 steps, the extrapolated map's trace is off by 1e-12 to
+    # 2.5e-10 of the largest entry at 512 steps, 100 to 10^4 times less than
+    # the raw product's; the step-doubling estimate, which is the raw
+    # product's error, bounds it
+    from tractrix_lab.dynamics import _monodromy_sweep
+
+    if spec == "ellipse21":
+        spec = {"kind": "ellipse", "a": 2.0, "b": 1.0}
+    else:
+        spec = json.loads(REFERENCE.read_text())["menzin_fourier"][0]["spec"]
+    track = tl.make_curve(spec)
+    params = tl.BikeParams(ell=ell, steps_per_traversal=512)
+    maps, errors = _monodromy_sweep(track, [params], 512)
+    witness = tl.monodromy_matrix(track, params, n_steps=1 << 16)
+    assert abs(np.trace(maps[0]) - np.trace(witness)) <= errors[0] * np.max(np.abs(witness))
+
+
+def test_extrapolation_on_a_stiff_row_is_no_worse():
+    # 128 steps of the 2x1 ellipse at ell 0.05 (h |c| max sigma 1.96): both
+    # traces are tens of percent off, the extrapolated one less so
+    from tractrix_lab.dynamics import _monodromy_sweep, _sweep_products
+
+    track = tl.make_curve({"kind": "ellipse", "a": 2.0, "b": 1.0})
+    params = tl.BikeParams(ell=0.05, steps_per_traversal=128)
+    maps, _ = _monodromy_sweep(track, [params], 128)
+    fine, _, _ = _sweep_products(track, [params], 128)
+    witness = np.trace(tl.monodromy_matrix(track, params, n_steps=1 << 16))
+    assert abs(np.trace(maps[0]) - witness) <= abs(2.0 + fine[0, 0] + fine[3, 0] - witness)
 
 
 def test_too_coarse_stiff_grid_is_refused():
@@ -469,8 +510,8 @@ def _unsymmetric(track):
 @pytest.mark.parametrize("spec, steps", SYMMETRIC_CASES, ids=["ellipse21", "even", "threefold", "two-pass"])
 def test_symmetric_sweep_matches_full_pass(spec, steps, monkeypatch):
     # the sweep steps one sub-pass and powers it; monodromy_matrix multiplies
-    # every step of the track and witnesses the powered trace, and the sweep
-    # with the symmetry forgotten its step-doubling estimate
+    # every step of the track and witnesses the powered fine product's trace,
+    # and the sweep with the symmetry forgotten its step-doubling estimate
     from tractrix_lab import dynamics
 
     built, factors = [], dynamics._factors
@@ -487,9 +528,11 @@ def test_symmetric_sweep_matches_full_pass(spec, steps, monkeypatch):
         n = steps * track.traversals
         params = _ladder(track, steps)
         built.clear()
-        maps, errors = dynamics._monodromy_sweep(track, params, n)
+        fine, _, _ = dynamics._sweep_products(track, params, n)
         assert sum(built) == 3 * n // (2 * reps), name  # the fine and coarse steps of one sub-pass
-        full_maps, full_errors = dynamics._monodromy_sweep(_unsymmetric(track), params, n)
+        maps = (np.eye(2).reshape(4, 1) + fine).T.reshape(-1, 2, 2)
+        _, errors = dynamics._monodromy_sweep(track, params, n)
+        _, full_errors = dynamics._monodromy_sweep(_unsymmetric(track), params, n)
         for p, m, error, full_error in zip(params, maps, errors, full_errors):
             witness = tl.monodromy_matrix(track, p)
             scale = np.max(np.abs(witness))  # the sweep's own scale for its estimate
@@ -512,7 +555,7 @@ def test_sweep_that_does_not_split_runs_every_step():
 
 
 def _unfused_sweep(track, params, n):
-    """:func:`_monodromy_sweep` with the fine and coarse products reduced apart, each in one tree.
+    """:func:`_sweep_products` with the fine and coarse products reduced apart, each in one tree.
 
     One tree over all steps is the blocked tree (see ``_tree``), so this is
     the reduction the fused buffer replaces, step for step.
@@ -531,9 +574,7 @@ def _unfused_sweep(track, params, n):
     e = d._factors([d._cut(t, slice(0, swept)) for t in fine], c)
     ec = np.concatenate((d._factors([d._cut(t, slice(0, swept // 2)) for t in coarse], c),
                          e[..., 2 * (swept // 2):]), axis=-1)
-    m, mc = (np.eye(2).reshape(4, 1) + d._power(d._tree(x), reps) for x in (e, ec))
-    error = np.max(np.abs(m - mc), axis=0) / (15.0 * np.max(np.abs(m), axis=0))
-    return m.T.reshape(-1, 2, 2), np.where(resolved, error, np.inf)
+    return d._power(d._tree(e), reps), d._power(d._tree(ec), reps), resolved
 
 
 def _arc_length_ellipse():
@@ -556,24 +597,25 @@ FUSED_TRACKS = {
 def test_fused_sweep_matches_separate_trees(name, n, rows):
     # the sweep reduces its fine and coarse steps in one zero-padded buffer
     # (200 rows: blocks of 128 steps); a zero factor is the identity, so both
-    # maps and estimates are those of the separate trees, bit for bit, on
-    # odd and uneven counts, split and unsplit symmetric charts, reversed
-    # tracks and a track with no chart; where a step reverses orientation
-    # (3 arc-length steps, unchecked for turning) both refuse it
-    from tractrix_lab.dynamics import _monodromy_sweep
+    # raw products are those of the separate trees, bit for bit, on odd and
+    # uneven counts, split and unsplit symmetric charts, reversed tracks and
+    # a track with no chart; where a step reverses orientation (3 arc-length
+    # steps, unchecked for turning) both refuse it
+    from tractrix_lab.dynamics import _sweep_products
 
     track = FUSED_TRACKS[name]()
     params = [tl.BikeParams(ell=ell) for ell in np.geomspace(0.05, 3.0, rows)]
     try:
-        expected_maps, expected_errors = _unfused_sweep(track, params, n)
+        expected = _unfused_sweep(track, params, n)
     except tl.ResidualError:
         with pytest.raises(tl.ResidualError):
-            _monodromy_sweep(track, params, n)
+            _sweep_products(track, params, n)
         return
-    maps, errors = _monodromy_sweep(track, params, n)
-    assert np.all(np.isfinite(maps))
-    assert np.array_equal(maps, expected_maps)
-    assert np.array_equal(errors, expected_errors)
+    fine, coarse, resolved = _sweep_products(track, params, n)
+    assert np.all(np.isfinite(fine)) and np.all(np.isfinite(coarse))
+    assert np.array_equal(fine, expected[0])
+    assert np.array_equal(coarse, expected[1])
+    assert np.array_equal(resolved, expected[2])
 
 
 def test_single_row_sweep_combines_once_per_level(monkeypatch):

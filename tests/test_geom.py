@@ -645,7 +645,10 @@ def test_reference_shapes_in_their_chart():
         for ell, expected in shape["trace"].items():
             trace = tl.monodromy(track, tl.BikeParams(ell=float(ell))).trace
             worst = max(worst, abs(trace - expected) / max(abs(expected), 1.0))
-    assert worst <= 4.81e-10
+    # 4.8153e-10 on extrapolated maps (4.81e-10 raw): the worst rows, at ell
+    # 0.4, are rounding-bound, and (M - Mc) / 15 adds 1/15 of the coarse
+    # product's rounding to the fine product's
+    assert worst <= 4.82e-10
 
 
 # -- what a charted track reads from its chart ------------------------------

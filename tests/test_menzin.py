@@ -10,6 +10,8 @@ from scipy.special import ellipe
 
 import tractrix_lab as tl
 
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
 # 4096-step transition of the 2x1 ellipse: plain bisection on the monodromy
 # trace (see _plain_bisection) down to a bracket width of 1e-14
 ELL0_ELLIPSE = 1.4462224676194553
@@ -231,7 +233,7 @@ def test_batched_ladder_matches_single_monodromy(spec):
 
 
 def test_critical_length_matches_plain_bisection(ellipse21):
-    # the Illinois search must land within its tolerance of the root that
+    # the search must land within its tolerance of the root that
     # plain bisection on fresh monodromies finds for the same grid
     tol = 1e-10 * math.sqrt(2.0)  # default: 1e-10 * sqrt(A / pi)
     fresh = tl.make_curve({"kind": "ellipse", "a": 2.0, "b": 1.0})
@@ -291,8 +293,7 @@ def test_menzin_reference_accuracy_at_512_steps():
     # the benchmark's menzin references (16-fold steps): the ellipses, stepped
     # in the eccentric anomaly, reach these digits (10.55, 10.42 and 9.10 in
     # arc length); the fourier shapes keep their arc-length ell0 within tol
-    ref = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "reference.json")
-                     .read_text())
+    ref = json.loads(REFERENCE.read_text())
     for entry, floor in zip(ref["menzin_ellipse"], (10.5, 10.7, 9.6)):
         rep = tl.menzin_verify(tl.make_curve(entry["spec"]), steps_per_traversal=512)
         assert rep.ok
@@ -303,10 +304,10 @@ def test_menzin_reference_accuracy_at_512_steps():
         assert abs(rep.ell0 - before) <= tl.menzin.DEFAULT_TOL * math.sqrt(rep.area / math.pi)
 
 
-# ell0 of the 1 x b ellipses at 512 steps with every step of the pass swept,
-# and the rows of their classification curves
-ELLIPSE_ELL0_FULL_PASS = {0.9: (0.9491770037311631, 52), 0.7: (0.8416558493808847, 60),
-                          0.5: (0.723111233989292, 70)}
+# ell0 of the 1 x b ellipses at 512 steps with every step of the pass swept
+# (on extrapolated maps), and the rows of their classification curves
+ELLIPSE_ELL0_FULL_PASS = {0.9: (0.9491770037501959, 52), 0.7: (0.8416558493626966, 60),
+                          0.5: (0.723111233809756, 70)}
 
 
 @pytest.mark.parametrize("b", sorted(ELLIPSE_ELL0_FULL_PASS))
@@ -317,3 +318,85 @@ def test_symmetric_sweep_keeps_ell0(b):
     assert rep.ok
     assert rep.ell0 == pytest.approx(ell0, rel=1e-14, abs=0.0)
     assert len(rep.classification_curve) == rows
+
+
+@pytest.mark.parametrize("b", [0.9, 0.7, 0.5, 0.3, 0.2])
+def test_ell0_within_tolerance_at_512_steps(b):
+    # the search reads extrapolated maps, so the 512-step ell0 is within its
+    # default tolerance of the converged one (4096 steps, tol 1e-15); RK4's
+    # raw products put it 0.2 to 90 tolerances off
+    track = tl.make_curve({"kind": "ellipse", "a": 1.0, "b": b})
+    tol = tl.menzin.DEFAULT_TOL * math.sqrt(b)
+    converged = tl.critical_length(track, tol=1e-15, steps_per_traversal=4096)
+    assert abs(tl.critical_length(track, steps_per_traversal=512) - converged) <= tol
+
+
+# -- the ell0 search -----------------------------------------------------------
+
+SEARCH_TOL = 1e-10
+SEARCH_LADDER = [1.05 ** i for i in range(20)]
+
+
+def _synthetic_search(curve):
+    """``ell0`` of the trace curve ``curve`` from its ladder rows, and the wheelbases of each sweep."""
+    from tractrix_lab.menzin import ScanSample, _resolve_first
+
+    sweeps = []
+
+    def traces(ells):
+        sweeps.append(list(ells))
+        return [curve(ell) for ell in ells]
+
+    samples = [ScanSample(ell, curve(ell), "") for ell in SEARCH_LADDER]
+    first = next(i for i, s in enumerate(samples) if s.trace < 2.0)
+    return _resolve_first(traces, samples, first, SEARCH_LADDER[0], SEARCH_TOL), sweeps
+
+
+@pytest.mark.parametrize("curve, root, most", [
+    (lambda ell: 2.0 - 3.0 * (ell - 1.0), 1.0, 1),  # at the lower bracket end, the first row
+    (lambda ell: 2.0 + 0.7 * (0.99 - ell), 0.99, 2),  # below the first row: one sweep brackets it
+    (lambda ell: 2.0 + 0.7 * (1.234 - ell), 1.234, 1),
+    (lambda ell: 2.0 + math.expm1(30.0 * (1.234 - ell)), 1.234, 5),  # steep and curved
+], ids=["lower-end", "below-ladder", "linear", "steep"])
+def test_search_on_synthetic_traces(curve, root, most):
+    ell0, sweeps = _synthetic_search(curve)
+    assert abs(ell0 - root) <= SEARCH_TOL
+    assert len(sweeps) <= most
+    assert all(len(sweep) <= 4 for sweep in sweeps)
+
+
+def test_search_through_a_jump_splits_the_bracket():
+    # the trace jumps across 2 between ladder rows, as where a row over the
+    # error cap is refined: the interpolation misses, a sweep that does not
+    # halve the bracket is followed by one at 4 evenly spaced points, and the
+    # search closes on the jump within 4-fold narrowing per two sweeps
+    jump = 1.2345678
+    ell0, sweeps = _synthetic_search(lambda ell: 2.0 + 0.8 * ((1.3 if ell < jump else 1.2) - ell))
+    assert abs(ell0 - jump) <= SEARCH_TOL
+    width = SEARCH_LADDER[5] - SEARCH_LADDER[4]  # the ladder's bracket
+    assert len(sweeps) <= 2 * math.ceil(math.log(width / SEARCH_TOL, 4)) + 1
+    assert any(len(s) == 4 and np.allclose(np.diff(s), s[1] - s[0], rtol=1e-6, atol=0.0)
+               for s in sweeps)
+
+
+def test_reference_searches_take_two_sweeps(monkeypatch):
+    # the ladder sweep and two search sweeps per report on the benchmark's
+    # ellipses and fourier shapes; the circle's root is the ladder's first
+    # row, and one sweep closes on it, a quarter tolerance above
+    calls = []
+    fits = tl.menzin._fits
+
+    def counted(track, ells, steps):
+        calls.append(len(ells))
+        return fits(track, ells, steps)
+
+    monkeypatch.setattr(tl.menzin, "_fits", counted)
+    ref = json.loads(REFERENCE.read_text())
+    for entry in ref["menzin_ellipse"] + ref["menzin_fourier"]:
+        calls.clear()
+        assert tl.menzin_verify(tl.make_curve(entry["spec"]), steps_per_traversal=512).ok
+        assert len(calls) <= 3 and all(n <= 4 for n in calls[1:]), entry["spec"]
+    calls.clear()
+    circle = tl.menzin_verify(tl.make_curve({"kind": "circle", "r": 1.0}), steps_per_traversal=512)
+    assert circle.ell0 == 1.000000000025
+    assert len(calls) == 2
