@@ -109,7 +109,7 @@ def _cmd_trace(args) -> int:
                               "curved geometries report through monodromy/develop")
     sol = integrate_steering(track, _params(track, args.ell, args.steps), args.alpha0)
     rt = rear_track(sol)
-    area = area_between_tracks(sol)
+    area = area_between_tracks(sol, rt)
     summary = {
         "final_alpha": sol.final_alpha,
         "signed_rear_length": rt.signed_length,

@@ -43,8 +43,9 @@ piece with ``A^2 = lambda^2 I``, so its factor is the closed form
 ``k^2 > c^2``, ``_exact``), and a corner turning by ``gamma`` is the
 rotation by ``gamma/2``: the monodromy is one factor per piece and per
 corner, and a dense history is exact at every node. A
-balanced tree multiplies the factors into the monodromy, and a log-depth
-(Hillis-Steele) scan into the prefix products of a dense history. Factors
+balanced tree multiplies the factors into the monodromy, and a
+work-efficient odd-even scan (about ``2n`` combines, Hillis-Steele doubling
+on short lengths) into the prefix products of a dense history. Factors
 travel as ``E = S - I`` and combine as ``(I + A)(I + B) = I + (A + B + AB)``,
 so thousands of nearly identical steps do not round ``I + E`` once each.
 Every steering factor has determinant one: the exact ones by construction,
@@ -156,6 +157,7 @@ def _check_geometry(track, params: BikeParams) -> None:
 # row of a batch is computed exactly as it would be alone.
 
 BLOCK = 1 << 16  # row-steps per block of a batched monodromy sweep
+SCAN_BASE = 512  # longest prefix scan taken by Hillis-Steele doubling (see _scan)
 RESOLVED_STEP = 2.0  # largest h |c| max sigma (and h max |k sigma|) of a smooth grid that resolves the flow
 
 
@@ -441,15 +443,32 @@ def _power(e: np.ndarray, reps: int) -> np.ndarray:
 def _scan(e: np.ndarray) -> np.ndarray:
     """E-forms of the prefix products ``Q_j = S_{j-1} ... S_0``, ``j = 0..n``, shape ``(4, B, n+1)``.
 
-    ``Q_0`` is the identity. Hillis-Steele doubling: ``ceil(log2(n+1))``
-    rounds, each one vectorized.
+    ``Q_0`` is the identity. Odd-even recursion (Ladner & Fischer 1980;
+    Brent & Kung 1982): the pairs ``S_{2i+1} S_{2i}`` are combined, their
+    half-length scan gives the even prefixes ``Q_{2i}``, and one more
+    :func:`_combine` gives the odd ones, ``Q_{2i+1} = S_{2i} Q_{2i}``. Each
+    halving costs ``n`` combines in two vectorized rounds. A scan of at most
+    ``SCAN_BASE`` steps is Hillis-Steele doubling instead, ``ceil(log2(n+1))``
+    rounds over the whole length, about ``n log2(n)`` combines: at these
+    lengths per-round overhead rules and the two cost about the same
+    (measured), and short scans keep their rounding. The halvings take
+    about ``2n`` combines and the base case at most about ``8 SCAN_BASE``,
+    so from ``n = 8 SCAN_BASE`` on a scan takes under ``3n`` (``2.75n`` at
+    ``n = 4096``, against ``11n`` by doubling alone), in about
+    ``2 log2(n / SCAN_BASE) + log2(SCAN_BASE)`` rounds.
     """
-    x = np.concatenate((np.zeros(e.shape[:-1] + (1,)), e), axis=-1)
-    d = 1
+    n = e.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
-        while d < x.shape[-1]:
-            x[..., d:] = _combine(x[..., d:], x[..., :-d])
-            d *= 2
+        if n <= SCAN_BASE:
+            x = np.concatenate((np.zeros(e.shape[:-1] + (1,)), e), axis=-1)
+            d = 1
+            while d < x.shape[-1]:
+                x[..., d:] = _combine(x[..., d:], x[..., :-d])
+                d *= 2
+        else:
+            x = np.empty(e.shape[:-1] + (n + 1,))
+            x[..., 0::2] = _scan(_combine(e[..., 1::2], e[..., 0:n - 1:2]))
+            x[..., 1::2] = _combine(e[..., 0::2], x[..., 0:n:2])
     return _finite(x)
 
 
@@ -709,7 +728,7 @@ def rear_track(solution: SteeringSolution) -> RearTrack:
     return RearTrack(solution.t, points, theta, cusps, signed_rear_length(solution), closed)
 
 
-def area_between_tracks(solution: SteeringSolution) -> float:
+def area_between_tracks(solution: SteeringSolution, rear: RearTrack | None = None) -> float:
     """Signed area of the circuit: front forward, rod, rear backward, rod back.
 
     For a closed front track with both tracks closed this is ``A_F - A_R``; for
@@ -717,9 +736,11 @@ def area_between_tracks(solution: SteeringSolution) -> float:
     its asymptote. A closed front's area is :func:`.geom.enclosed_area`
     (closed form on a track with a chart or made of pieces); an open
     front's is the same integral along its path (closed form on pieces,
-    such as the tractrix's line; Green quadrature otherwise).
+    such as the tractrix's line; Green quadrature otherwise). ``rear`` is
+    the solution's :func:`rear_track` when the caller has built it already;
+    by default it is built here.
     """
-    rt = rear_track(solution)
+    rt = rear_track(solution) if rear is None else rear
     track = solution.track
     area_front = enclosed_area(track) if track.closed else _path_area(track)
     x, y = rt.points[:, 0], rt.points[:, 1]

@@ -95,8 +95,9 @@ def rod_flow(legs: Sequence[FrontTrack], ell: float, theta0: float,
     the lift contracts, so it cannot overflow however short the rod. All
     legs' RK4 factors go through one prefix scan. Each leg takes ``n`` steps
     (its length times ``steps_per_unit``, at least ``n_min``) and is
-    evaluated once, on its ``2n + 1`` half-step nodes; the even ones are the
-    nodes of its :class:`RodLeg`. A leg with a chart (an ellipse or a
+    evaluated once, on its ``2n + 1`` half-step nodes, where its generator is
+    formed once for RK4's start, midpoint and end nodes; the even ones are
+    the nodes of its :class:`RodLeg`. A leg with a chart (an ellipse or a
     support function) is stepped uniformly in its chart parameter ``u``,
     with generator ``sigma(u) B(Phi(u))``, so no arc length is inverted;
     any other leg is stepped in arc length. As on every smooth grid of the
@@ -110,17 +111,13 @@ def rod_flow(legs: Sequence[FrontTrack], ell: float, theta0: float,
     if steps_per_unit <= 0.0:
         steps_per_unit = 4096.0 / max(leg.total_length for leg in legs)
 
-    def gen(phi, sigma):
-        cos, sin = np.cos(phi), np.sin(phi)
-        return ((0.5 / ell) * sigma) * np.stack((-cos - 1.0, sin, sin, cos - 1.0))[:, None]
-
     ns = [max(n_min, int(math.ceil(leg.total_length * steps_per_unit))) for leg in legs]
     factors, nodes = [], []
     for leg, n in zip(legs, ns):
         h, t, front, phi, sigma = _leg_nodes(leg, n, ell)
-        s = np.broadcast_to(sigma, t.shape)
-        factors.append(_rk4(gen(phi[0:-1:2], s[0:-1:2]), gen(phi[1::2], s[1::2]),
-                            gen(phi[2::2], s[2::2]), h))
+        cos, sin = np.cos(phi), np.sin(phi)
+        gen = ((0.5 / ell) * sigma) * np.stack((-cos - 1.0, sin, sin, cos - 1.0))[:, None]
+        factors.append(_rk4(gen[..., 0:-1:2], gen[..., 1::2], gen[..., 2::2], h))
         nodes.append((t[::2], front[::2], phi[::2], sigma if np.ndim(sigma) == 0 else sigma[::2]))
     start = np.array([float(theta0)])
     theta = _angles(_lifted(_scan(np.concatenate(factors, axis=-1)), start), start)[0, 0]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import tractrix_lab as tl
+from tractrix_lab.dynamics import SCAN_BASE
 from tractrix_lab.geom import Geometry
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -123,21 +124,74 @@ def test_monodromy_matrix_matches_exponential(circle2):
     assert np.max(np.abs(m - exact)) / np.max(np.abs(exact)) < 1e-10
 
 
+def _hillis_steele(e):
+    """Prefix E-forms by Hillis-Steele doubling, the reference for short scans."""
+    from tractrix_lab.dynamics import _combine
+
+    x = np.concatenate((np.zeros(e.shape[:-1] + (1,)), e), axis=-1)
+    d = 1
+    while d < x.shape[-1]:
+        x[..., d:] = _combine(x[..., d:], x[..., :-d])
+        d *= 2
+    return x
+
+
 def test_tree_and_scan_match_sequential_product():
-    # 1000 steps: odd counts appear at several tree levels
-    from tractrix_lab.dynamics import _scan, _step_factors, _tree
+    # three wheelbases on the 2x1 ellipse, ell 0.3 strongly hyperbolic; every
+    # prefix of every length (odd ones at several levels of the tree and the
+    # scan) against the sequential product in long double
+    from tractrix_lab.dynamics import SCAN_BASE, _scan, _step_factors, _tree
 
     track = tl.make_curve({"kind": "ellipse", "a": 2.0, "b": 1.0})
-    e = _step_factors(track, np.array([[1.0 / 0.3]]), 1000)
-    seq = np.eye(2)
-    for j in range(e.shape[-1]):
-        seq = (np.eye(2) + e[:, 0, j].reshape(2, 2)) @ seq
-    scale = np.max(np.abs(seq))
-    assert scale > 1e3  # strongly hyperbolic: the entries have grown
-    tree = np.eye(2) + _tree(e)[:, 0].reshape(2, 2)
-    assert np.max(np.abs(tree - seq)) <= 1e-13 * scale
-    prefix = np.eye(2) + _scan(e)[:, 0, -1].reshape(2, 2)
-    assert np.max(np.abs(prefix - tree)) <= 1e-13 * scale
+    e_all = _step_factors(track, np.array([[1.0 / 0.3], [1.0], [1.0 / 3.0]]), 5788)
+    steps = np.moveaxis(np.eye(2, dtype=np.longdouble).reshape(4, 1, 1) + e_all.astype(np.longdouble), 0, -1)
+    q = np.broadcast_to(np.eye(2, dtype=np.longdouble), (3, 2, 2))
+    seq = [q]
+    for j in range(steps.shape[1]):
+        q = steps[:, j].reshape(3, 2, 2) @ q
+        seq.append(q)
+    seq = np.stack(seq, axis=1)  # (rows, n + 1, 2, 2)
+    scale = np.max(np.abs(seq), axis=(2, 3))
+    assert scale[0, -1] > 1e6  # strongly hyperbolic: the entries have grown
+    for n in (1, 2, 3, SCAN_BASE - 1, SCAN_BASE, SCAN_BASE + 1, 1000, 4097, 5788):
+        e = e_all[..., :n]
+        x = _scan(e)
+        if n <= SCAN_BASE:
+            assert np.array_equal(x, _hillis_steele(e))
+        prefix = np.moveaxis(np.eye(2).reshape(4, 1, 1) + x, 0, -1).reshape(3, n + 1, 2, 2)
+        error = np.max(np.abs(prefix - seq[:, :n + 1]), axis=(2, 3)) / scale[:, :n + 1]
+        assert np.max(error) <= 4e-15, n
+        tree = np.eye(2) + _tree(e).T.reshape(3, 2, 2)
+        assert np.all(np.max(np.abs(tree - seq[:, n]), axis=(1, 2)) <= 1e-14 * scale[:, n])
+
+
+@pytest.mark.parametrize("n", [SCAN_BASE, 4097])
+def test_overflowing_scan_is_refused(n):
+    # diag(e^2, e^-2) per step: the prefixes pass e^709 well before the end
+    from tractrix_lab.dynamics import _scan
+
+    e = np.zeros((4, 1, n))
+    e[0], e[3] = math.expm1(2.0), math.expm1(-2.0)
+    with pytest.raises(tl.ResidualError):
+        _scan(e)
+
+
+@pytest.mark.parametrize("n", [4096, 5788])
+def test_scan_work_is_linear(n, monkeypatch):
+    # Hillis-Steele doubling alone combines 11.0n steps at 4096 and 11.6n at 5788;
+    # the odd-even scan 2.75n and 2.35n
+    from tractrix_lab import dynamics
+
+    combined = []
+    combine = dynamics._combine
+
+    def counted(later, earlier):
+        combined.append(later.shape[-1])
+        return combine(later, earlier)
+
+    monkeypatch.setattr(dynamics, "_combine", counted)
+    dynamics._scan(np.zeros((4, 1, n)))
+    assert sum(combined) <= 3 * n
 
 
 def _generator_stack(sigma_nodes, ksigma_nodes, c):
@@ -287,14 +341,18 @@ def test_endpoints_keep_the_continuous_branch():
 def test_area_between_tracks_closed(circle2):
     sol = tl.integrate_steering(circle2, tl.BikeParams(ell=1.0), math.pi / 6.0)
     # A_front - A_rear = pi ell^2 when the rod makes one turn
-    assert tl.area_between_tracks(sol) == pytest.approx(math.pi, rel=1e-9)
+    area = tl.area_between_tracks(sol)
+    assert area == pytest.approx(math.pi, rel=1e-9)
+    assert tl.area_between_tracks(sol, tl.rear_track(sol)) == area  # a built rear track is reused as is
 
 
 def test_area_between_tracks_tractrix():
     # full tractrix sweep: the rod turns by pi/2, sweeping a quarter disk
     ell = 1.0
     sol = tl.integrate_steering(_line(40.0), tl.BikeParams(ell=ell), 0.5 * math.pi)
-    assert tl.area_between_tracks(sol) == pytest.approx(0.25 * math.pi * ell**2, abs=1e-6)
+    area = tl.area_between_tracks(sol)
+    assert area == pytest.approx(0.25 * math.pi * ell**2, abs=1e-6)
+    assert tl.area_between_tracks(sol, rear=tl.rear_track(sol)) == area
 
 
 def test_rear_track_inverts_arc_length_once(ellipse21, monkeypatch):

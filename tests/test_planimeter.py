@@ -103,6 +103,34 @@ def test_rod_flow_straight_leg_closed_form():
     assert np.max(np.abs(leg.theta - exact)) < 1e-12
 
 
+def test_rod_flow_forms_each_generator_once():
+    # the generator at all 2n + 1 nodes, sliced, gives the same bits as one
+    # generator per node set (start, midpoint, end) on re-based ellipses,
+    # stepped in the chart, and on the centroid start's straight legs
+    from tractrix_lab.dynamics import _angles, _lifted, _rk4, _scan
+    from tractrix_lab.planimeter import _leg_nodes
+
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        a = rng.uniform(0.5, 3.0)
+        loop = tl.make_curve({"kind": "ellipse", "a": a, "b": a * rng.uniform(0.2, 1.0)}).rebased(
+            rng.uniform(0.0, 5.0))
+        ell, n = rng.uniform(0.3, 3.0), 1024
+        legs = [tl.make_curve({"kind": "line", "start": [0.0, 0.0], "end": [1.0, 0.5]}), loop]
+        factors = []
+        for leg in legs:
+            h, t, _, phi, sigma = _leg_nodes(leg, n, ell)
+            s = np.broadcast_to(sigma, t.shape)
+            parts = [(0.5 / ell) * s[p] * np.stack((-np.cos(phi[p]) - 1.0, np.sin(phi[p]), np.sin(phi[p]),
+                                                    np.cos(phi[p]) - 1.0))[:, None]
+                     for p in (slice(0, -1, 2), slice(1, None, 2), slice(2, None, 2))]
+            factors.append(_rk4(*parts, h))
+        start = np.array([0.7])
+        theta = _angles(_lifted(_scan(np.concatenate(factors, axis=-1)), start), start)[0, 0]
+        rod = tl.rod_flow(legs, ell, 0.7, steps_per_unit=1.0, n_min=n)  # every leg takes n steps
+        assert np.array_equal(np.concatenate((rod[0].theta, rod[1].theta[1:])), theta)
+
+
 def test_short_rod_does_not_overflow(unit_circle):
     # the boundary is about 3100 rod lengths long, over which an expanding
     # lift would grow like e^1570; the rod ends tangent, a quarter turn past
