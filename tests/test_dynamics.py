@@ -140,7 +140,7 @@ def test_tree_and_scan_match_sequential_product():
     # three wheelbases on the 2x1 ellipse, ell 0.3 strongly hyperbolic; every
     # prefix of every length (odd ones at several levels of the tree and the
     # scan) against the sequential product in long double
-    from tractrix_lab.dynamics import SCAN_BASE, _scan, _step_factors, _tree
+    from tractrix_lab.dynamics import _scan, _step_factors, _tree
 
     track = tl.make_curve({"kind": "ellipse", "a": 2.0, "b": 1.0})
     e_all = _step_factors(track, np.array([[1.0 / 0.3], [1.0], [1.0 / 3.0]]), 5788)
