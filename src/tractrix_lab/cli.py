@@ -68,6 +68,14 @@ def _finite(text: str) -> float:
     return value
 
 
+def _natural(text: str) -> int:
+    """Argparse type of a count or seed: an integer of at least 0, else a usage error (exit 2)."""
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text!r}")
+    return value
+
+
 def _finite_list(text: str) -> list[float]:
     """Argparse type of a comma list of finite numbers."""
     return [_finite(v) for v in text.split(",")]
@@ -310,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="report JSON path (default stdout)")
     p.add_argument("--csv", help="classification-curve CSV path")
     p.add_argument("--svg", help="nested rear-track figure path")
-    p.add_argument("--nested", type=int, default=5, help="rear tracks in the figure")
+    p.add_argument("--nested", type=_natural, default=5, help="rear tracks in the figure")
     p.set_defaults(func=_cmd_menzin)
 
     p = sub.add_parser("develop", help="develop a curvature profile into the hyperbolic plane")
@@ -326,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("loopcheck", help="rod-area identity on a configuration loop")
     p.add_argument("--input", help="loop JSON (x/y/theta Fourier blocks)")
     p.add_argument("--ell", type=_finite, required=True)
-    p.add_argument("--seed", type=int, default=0, help="seed for a random loop (no --input)")
+    p.add_argument("--seed", type=_natural, default=0, help="seed for a random loop (no --input)")
     p.add_argument("--steps", type=int, default=4096)
     p.add_argument("--out", help="JSON output path (default stdout)")
     p.set_defaults(func=_cmd_loopcheck)

@@ -29,43 +29,30 @@ eccentric-anomaly chart, with ``sigma = hypot(a sin psi, b cos psi)`` and
 the same circle map in every chart, so endpoint products (the monodromy,
 and the final angles of :func:`steering_endpoints`) are stepped in the
 chart when the track has one, while dense histories, indexed by arc
-length, stay in arc length. The steering
-generator is ``-c sigma/2 diag(1, -1)`` plus ``k sigma/2`` times a rotation
-generator, and products of two such generators stay in the span of four
-fixed matrices, so its RK4 step is written out in closed form as four
-scalars per step, each a short polynomial in ``c`` whose coefficients are
-formed once per grid (``_factors``, one kernel for both charts and for the
-development with ``c = 1``); the rod generator goes through the generic
+length, stay in arc length. The steering generator is
+``-c sigma/2 diag(1, -1)`` plus ``k sigma/2`` times a rotation generator, so
+its RK4 step is written out in closed form, four scalars per step, each a
+short polynomial in ``c`` whose coefficients are formed once per grid
+(``_terms``, ``_factors``); the rod generator goes through the generic
 products of ``_rk4``. On a track made of pieces of constant curvature
-(circles, lines, polylines, geodesic circles) ``A`` is constant on each
-piece with ``A^2 = lambda^2 I``, so its factor is the closed form
-``cosh(lambda L) I + sinh(lambda L)/lambda A`` (cos and sin when
-``k^2 > c^2``, ``_exact``), and a corner turning by ``gamma`` is the
-rotation by ``gamma/2``: the monodromy is one factor per piece and per
-corner, and a dense history is exact at every node. A
-balanced tree multiplies the factors into the monodromy, and a
-work-efficient odd-even scan (about ``2n`` combines, Hillis-Steele doubling
-on short lengths) into the prefix products of a dense history. Factors
-travel as ``E = S - I`` and combine as ``(I + A)(I + B) = I + (A + B + AB)``,
-so thousands of nearly identical steps do not round ``I + E`` once each.
-Every steering factor has determinant one: the exact ones by construction,
-the RK4 steps because each is scaled to it where it is built, so no
-product needs a determinant carried beside it. A smooth grid resolves a
-wheelbase only while ``h |c| max sigma <= 2``, and a coarser one gives no
-result; a dense history or a development, with no error estimate, also
-needs ``h max |k sigma| <= 2``, and so does a monodromy stepped in a chart,
-whose step doubling misses a turn that falls into a few steps (an
-ellipse's tips). A smooth track's monodromy comes with its
-step-doubling error estimate, from the same product taken in steps of
-twice the length; both products are reduced in one tree over a shared,
-zero-padded buffer, and the map is their global Richardson extrapolation,
-which cancels RK4's leading error term at no extra step. Where a chart's
-``sigma`` and ``k sigma`` repeat within the track (its ``symmetry`` times
-the passes), the steps repeat too, and a monodromy sweep steps one
-sub-pass and raises both products to a power.
-Angles are read back from the direction of each lifted vector; summed
-``atan2(cross, dot)`` increments between consecutive vectors choose the
-continuous branch from the start angle.
+(circles, lines, polylines, geodesic circles) every piece and corner has an
+exact factor (``_exact``, ``_piece_factors``), so the monodromy is one
+factor per piece and per corner, and a dense history is exact at every
+node. A balanced tree (``_tree``) multiplies the factors into the
+monodromy, and a work-efficient scan (``_scan``) into the prefix products
+of a dense history. Factors travel as ``E = S - I`` and combine as
+``(I + A)(I + B) = I + (A + B + AB)``, so thousands of nearly identical
+steps do not round ``I + E`` once each; every steering factor has
+determinant one, so no product carries a determinant beside it. Every
+smooth grid obeys one resolution rule (``_resolves``),
+``h max(|c| max sigma, max |k sigma|) <= 2``, or gives no result; the
+turning term counts wherever no step doubling catches a turn that falls
+into a few steps (an ellipse's tips): in dense histories, developments,
+the rod flow and a monodromy stepped in a chart. A smooth track's
+monodromy comes with its step-doubling error estimate and is the global
+Richardson extrapolation of its two products (``_monodromy_sweep``).
+Angles are read back from the direction of each lifted vector
+(``_angles``).
 """
 
 from __future__ import annotations
@@ -103,16 +90,21 @@ def _charted(track: FrontTrack, n_steps: int) -> bool:
     return track.chart is not None and (2 * n_steps) % track.traversals == 0
 
 
+def _arc_grid(curvature, length: float, n_steps: int):
+    """``(h, 1.0, k)`` at the ``2n + 1`` half-step nodes of ``n`` arc-length steps over ``[0, length]``."""
+    t = np.linspace(0.0, length, 2 * n_steps + 1)
+    return length / n_steps, 1.0, np.broadcast_to(np.asarray(curvature(t), dtype=float), t.shape)[None, :]
+
+
 def _half_grid(track: FrontTrack, n_steps: int, chart: bool):
     """Step ``h`` and ``(sigma, k sigma)`` at the ``2n + 1`` half-step nodes.
 
     In the track's chart when ``chart`` is true (its grid of one pass tiled
-    over the passes), else in arc length, where ``sigma`` is the float 1.0
-    and ``k sigma`` is the curvature. An array has shape ``(1, 2n+1)``.
+    over the passes), else in arc length (:func:`_arc_grid`). An array has
+    shape ``(1, 2n+1)``.
     """
     if not chart:
-        t = np.linspace(0.0, track.total_length, 2 * n_steps + 1)
-        return track.total_length / n_steps, 1.0, np.asarray(track.curvature(t), dtype=float)[None, :]
+        return _arc_grid(track.curvature, track.total_length, n_steps)
     passes = track.traversals
     grid = [x if np.ndim(x) == 0 else np.concatenate((np.tile(x[:-1], passes), x[-1:]))[None, :]
             for x in track.chart.half_grid(2 * n_steps // passes)]
@@ -158,7 +150,7 @@ def _check_geometry(track, params: BikeParams) -> None:
 
 BLOCK = 1 << 16  # row-steps per block of a batched monodromy sweep
 SCAN_BASE = 512  # longest prefix scan taken by Hillis-Steele doubling (see _scan)
-RESOLVED_STEP = 2.0  # largest h |c| max sigma (and h max |k sigma|) of a smooth grid that resolves the flow
+RESOLVED_STEP = 2.0  # largest h max(|c| max sigma, max |k sigma|) of a smooth grid that resolves the flow
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -368,22 +360,32 @@ def _step_factors(track: FrontTrack, c: np.ndarray, n_steps: int, chart: bool = 
     if track.pieces is not None:
         return _piece_factors(track, c)
     h, top, turn, fine, _ = _grid(track, n_steps, chart and _charted(track, n_steps))
-    return _resolved_factors(h, top, turn, fine, c)
+    _require_resolved(h, c, top, turn)
+    return _factors(fine, c)
 
 
-def _resolved_factors(h: float, top: float, turn: float, terms: tuple, c: np.ndarray) -> np.ndarray:
-    """:func:`_factors` for coefficients ``c`` (B, 1), refused unless the grid resolves the flow.
+def _resolves(h: float, c, top: float, turn: float) -> np.ndarray:
+    """The resolution rule ``h max(|c| max sigma, max |k sigma|) <= RESOLVED_STEP``, per coefficient in ``c``.
 
-    With no step doubling to catch a coarse grid, the step ``h`` must
-    resolve both the steering, ``h |c| max sigma`` (``top``), and the
-    turning, ``h max |k sigma|`` (``turn``): each must be at most
-    ``RESOLVED_STEP``.
+    ``top`` is the grid's largest ``sigma`` and ``turn`` its largest
+    ``|k sigma|``, or 0 where step doubling checks the turning.
     """
-    if not h * max(float(np.max(np.abs(c))) * top, turn) <= RESOLVED_STEP:
+    return h * np.maximum(np.abs(c) * top, turn) <= RESOLVED_STEP
+
+
+def _require_resolved(h: float, c, top: float, turn: float) -> None:
+    """Refuse a grid that breaks :func:`_resolves` for any coefficient in ``c``."""
+    if not np.all(_resolves(h, c, top, turn)):
         raise ResidualError(
-            f"the steps do not resolve the flow: a step times the steering coefficient (1 in a "
-            f"development) or times the curvature must be at most {RESOLVED_STEP:g}")
-    return _factors(terms, c)
+            f"the steps do not resolve the flow: step x max(|c| max sigma, max |k sigma|) must be at most "
+            f"{RESOLVED_STEP:g} (c = 1/ell for the rod, 1 in a development; k sigma is the turning)")
+
+
+def _arc_prefix(curvature, length: float, n_steps: int, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The curvature at the ``n + 1`` nodes of :func:`_arc_grid`, and :func:`_prefix`'s E-forms there."""
+    h, sigma, k = _arc_grid(curvature, length, n_steps)
+    _require_resolved(h, c, sigma, float(np.max(np.abs(k))))
+    return k[0, ::2].copy(), _scan(_factors(_terms(sigma, k, h), c))
 
 
 def _prefix(track: FrontTrack, c: np.ndarray, n_steps: int, chart: bool = False) -> np.ndarray:
@@ -542,12 +544,11 @@ def _sweep_products(track: FrontTrack, params: Sequence[BikeParams],
     uniform in the chart's parameter ``u``), else in arc length. The
     coarse product takes steps of ``2h``, whose midpoint nodes are already
     on the half grid. A row whose wheelbase the grid does not resolve
-    (``h |c| max sigma > RESOLVED_STEP``) is stepped with ``c = 0``, so it
-    cannot overflow or reverse and stop the other rows, and is flagged
-    unresolved. In a chart every row is also unresolved when ``h max |k
-    sigma| > RESOLVED_STEP``: an ellipse turns through its tips in
-    ``min/max`` of its eccentric anomaly, and a grid that steps over them
-    passes step doubling with a wrong map.
+    (:func:`_resolves`) is stepped with ``c = 0``, so it cannot overflow
+    or reverse and stop the other rows, and is flagged unresolved. The
+    turning term counts in a chart only: an ellipse turns through its tips
+    in ``min/max`` of its eccentric anomaly, and a grid that steps over
+    them passes step doubling with a wrong map.
     Steps are built and reduced in aligned blocks whose length is a power
     of two, at most ``BLOCK`` row-steps each, so memory does not grow with
     rows times steps, and every row comes out as it would alone. The fine
@@ -573,7 +574,7 @@ def _sweep_products(track: FrontTrack, params: Sequence[BikeParams],
     reps = track.chart.symmetry * track.traversals if charted else 1
     if n_steps % (2 * reps):
         reps = 1
-    resolved = h * np.maximum(np.abs(c[:, 0]) * top, turn if charted else 0.0) <= RESOLVED_STEP
+    resolved = _resolves(h, c[:, 0], top, turn if charted else 0.0)
     c = np.where(resolved[:, None], c, 0.0)
     block = 2
     while 2 * block * len(params) <= BLOCK:
@@ -687,6 +688,21 @@ def monodromy_matrix(track: FrontTrack, params: BikeParams,
     return np.eye(2) + _finite(_tree(e))[:, 0].reshape(2, 2)
 
 
+def _rear_path(front: np.ndarray, theta: np.ndarray, rate, ell: float,
+               h: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Points ``front - ell u``, velocity ``rate u`` and Simpson area of a rod's rear end.
+
+    ``u = (cos theta, sin theta)`` is the rod's direction, ``rate`` the rear
+    speed per unit of the parameter (``cos alpha`` times the front's) and
+    ``h`` the node spacing; with ``ell = 0`` ``front`` is the rear path itself.
+    """
+    u = np.stack((np.cos(theta), np.sin(theta)), axis=-1)
+    points = front - ell * u
+    velocity = rate[..., None] * u
+    area = simpson(0.5 * (points[:, 0] * velocity[:, 1] - points[:, 1] * velocity[:, 0]), h)
+    return points, velocity, area
+
+
 @dataclass(frozen=True)
 class RearTrack:
     """Rear path generated by a steering solution on a euclidean track."""
@@ -714,9 +730,9 @@ def rear_track(solution: SteeringSolution) -> RearTrack:
     front, phi = solution.track.frame(solution.t)
     theta = phi - solution.alpha
     ell = solution.params.ell
-    points = front - ell * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-
     c = np.cos(solution.alpha)
+    points, _, _ = _rear_path(front, theta, c, ell, solution.step)
+
     flips = np.nonzero(np.sign(c[:-1]) * np.sign(c[1:]) < 0)[0]
     frac = c[flips] / (c[flips] - c[flips + 1])
     cusps = solution.t[flips] + frac * solution.step
@@ -743,10 +759,7 @@ def area_between_tracks(solution: SteeringSolution, rear: RearTrack | None = Non
     rt = rear_track(solution) if rear is None else rear
     track = solution.track
     area_front = enclosed_area(track) if track.closed else _path_area(track)
-    x, y = rt.points[:, 0], rt.points[:, 1]
-    dx = np.cos(solution.alpha) * np.cos(rt.theta)
-    dy = np.cos(solution.alpha) * np.sin(rt.theta)
-    area_rear = simpson(0.5 * (x * dy - y * dx), solution.step)
+    _, _, area_rear = _rear_path(rt.points, rt.theta, np.cos(solution.alpha), 0.0, solution.step)
     f0, fT = track.position(0.0), track.position(track.total_length)
     r0, rT = rt.points[0], rt.points[-1]
     edge_out = 0.5 * (fT[0] * rT[1] - fT[1] * rT[0])
@@ -876,10 +889,9 @@ class ConfigLoop:
         rt = rear_track(solution)
         big_t = solution.track.total_length
         s = solution.t / big_t
-        dx = big_t * np.cos(solution.alpha) * np.cos(rt.theta)
-        dy = big_t * np.cos(solution.alpha) * np.sin(rt.theta)
+        _, velocity, _ = _rear_path(rt.points, rt.theta, big_t * np.cos(solution.alpha), 0.0, solution.step)
         dtheta = big_t * solution.params.coefficient * np.sin(solution.alpha)
-        return cls(s, rt.points[:, 0], rt.points[:, 1], rt.theta, dx, dy, dtheta)
+        return cls(s, rt.points[:, 0], rt.points[:, 1], rt.theta, velocity[:, 0], velocity[:, 1], dtheta)
 
 
 @dataclass(frozen=True)

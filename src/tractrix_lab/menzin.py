@@ -153,18 +153,9 @@ def _locate_transition(traces: Callable[[list[float]], list[float]],
     return 0.5 * (a + b)
 
 
-def _overflow(ell: float) -> ResidualError:
-    return ResidualError(f"lift product overflowed at ell = {ell:.6g}: the monodromy is too "
-                         "strongly hyperbolic for double precision")
-
-
 def _traces(track: FrontTrack, steps: int, ells: list[float]) -> list[float]:
     """Traces of the fitted monodromies at ``ells``, from one sweep; an overflowed product is refused."""
-    fits = _fits(track, ells, steps)
-    for ell, fit in zip(ells, fits):
-        if fit is None:
-            raise _overflow(ell)
-    return [fit[0].trace for fit in fits]
+    return [s.trace for s in _scan(ells, _fits(track, ells, steps))[0]]
 
 
 def _ladder(r: float, cap: float) -> list[float]:
@@ -191,7 +182,8 @@ def _scan(ladder: list[float], fits) -> tuple[list[ScanSample], int | None]:
     samples: list[ScanSample] = []
     for ell, fit in zip(ladder, fits):
         if fit is None:
-            raise _overflow(ell)
+            raise ResidualError(f"lift product overflowed at ell = {ell:.6g}: the monodromy is too "
+                                "strongly hyperbolic for double precision")
         fitted, eps_par = fit
         samples.append(ScanSample(ell, fitted.trace, fitted.classify(eps_par).value))
     first = next((i for i, s in enumerate(samples) if s.trace < 2.0), None)
@@ -228,27 +220,39 @@ def _resolve_first(traces: Callable[[list[float]], list[float]], samples: list[S
     return _locate_transition(traces, below + above, below[-1][0], above[0][0], tol)
 
 
-def critical_length(track: FrontTrack, tol: float | None = None, *,
-                    steps_per_traversal: int = 4096) -> float:
-    """Smallest wheelbase at which the monodromy stops being hyperbolic.
+def _ladder_scan(track: FrontTrack, tol: float | None, steps: int, probes: tuple[float, ...]):
+    """``(r, area, tol, samples, first, fits, ell0)`` of the ladder scan of a convex track.
 
-    Scans upward from the min osculating radius by steps of ``LADDER_RATIO``,
-    then closes in on the first trace = 2 crossing to within ``tol``
-    (default ``1e-10 * sqrt(A/pi)``). Raises :class:`ScanError` if no transition shows
-    up below ``CAP_FACTOR * sqrt(A/pi)``.
+    The ladder (see :func:`_ladder`) and the wheelbases ``probes`` times
+    ``r`` are fitted in one sweep; ``fits`` are the cap's and the probes'.
+    ``first`` and ``ell0`` are None when no ladder row crosses trace = 2.
     """
     r = min_osculating_radius(track)  # enforces convexity first
     area = enclosed_area(track)
     scale = math.sqrt(area / math.pi)
     tol = _tolerance(tol, scale)
     ladder = _ladder(r, CAP_FACTOR * scale)
-    samples, first = _scan(ladder, _fits(track, ladder, steps_per_traversal))
-    if first is None:
-        raise ScanError(
-            f"no parabolic transition found up to ell = {CAP_FACTOR * scale:.6g}; "
-            "large-wheelbase monodromy should be elliptic"
-        )
-    return _resolve_first(partial(_traces, track, steps_per_traversal), samples, first, r, tol)
+    fits = _fits(track, ladder + [p * r for p in probes], steps)
+    samples, first = _scan(ladder, fits)
+    ell0 = None if first is None else _resolve_first(partial(_traces, track, steps), samples, first, r, tol)
+    return r, area, tol, samples, first, fits[len(ladder) - 1:], ell0
+
+
+def critical_length(track: FrontTrack, tol: float | None = None, *,
+                    steps_per_traversal: int = 4096) -> float:
+    """Smallest wheelbase at which the monodromy stops being hyperbolic.
+
+    Scans upward from the min osculating radius by steps of ``LADDER_RATIO``,
+    then closes in on the first trace = 2 crossing to within ``tol``
+    (default ``1e-10 * sqrt(A/pi)``), as :func:`menzin_verify` does. Raises
+    :class:`ScanError` if no transition shows up below
+    ``CAP_FACTOR * sqrt(A/pi)``.
+    """
+    _, _, _, samples, _, _, ell0 = _ladder_scan(track, tol, steps_per_traversal, ())
+    if ell0 is None:  # the ladder ends at the cap
+        raise ScanError(f"no parabolic transition found up to ell = {samples[-1].ell:.6g}; "
+                        "large-wheelbase monodromy should be elliptic")
+    return ell0
 
 
 def defect_bound(track: FrontTrack, ell: float, *,
@@ -350,40 +354,32 @@ def menzin_verify(track: FrontTrack, tol: float | None = None, *,
     are recorded per stage (with the offending wheelbase) rather than
     raised, so a counterexample would produce a readable report.
     """
-    r = min_osculating_radius(track)  # enforces convexity first
-    area = enclosed_area(track)
+    # one sweep for the ladder, whose last point is the cap, and for 0.5 * r
+    r, area, tol, samples, first, (cap_fit, small_fit), ell0 = _ladder_scan(
+        track, tol, steps_per_traversal, (0.5,))
     scale = math.sqrt(area / math.pi)
-    tol = _tolerance(tol, scale)
     cap = CAP_FACTOR * scale
-    steps = steps_per_traversal
     checks: list[StageCheck] = []
 
-    # one sweep for the ladder, whose last point is the cap, and for 0.5 * r
-    ladder = _ladder(r, cap)
-    fits = _fits(track, ladder + [0.5 * r], steps)
-    samples, first = _scan(ladder, fits)
-
-    if fits[-1] is None:  # a trace past double range is hyperbolic
+    if small_fit is None:  # a trace past double range is hyperbolic
         checks.append(StageCheck("hyperbolic_below_osculating_radius", 0.5 * r, True,
                                  "trace exceeds double range"))
     else:
-        small, eps_small = fits[-1]
+        small, eps_small = small_fit
         checks.append(StageCheck(
             "hyperbolic_below_osculating_radius", 0.5 * r,
             small.classify(eps_small) is MapClass.HYPERBOLIC,
             f"trace = {small.trace:.9g}"))
 
-    at_cap, eps_cap = fits[-2]
+    at_cap, eps_cap = cap_fit
     checks.append(StageCheck(
         "elliptic_at_cap", cap,
         at_cap.classify(eps_cap) is MapClass.ELLIPTIC
         and not at_cap.distance_to_identity() < IDENTITY_TOL,
         f"trace = {at_cap.trace:.9g}"))
 
-    ell0: float | None = None
     transitions: list[float] = []
-    if first is not None:
-        ell0 = _resolve_first(partial(_traces, track, steps), samples, first, r, tol)
+    if ell0 is not None:
         transitions.append(ell0)
         # later crossings (either direction) are logged coarsely: the scan
         # never assumes the first transition is the only one
@@ -418,7 +414,7 @@ def menzin_verify(track: FrontTrack, tol: float | None = None, *,
         # of negative signed area, making the defect bound informative
         cand = 0.5 * (scale + ell0)
         try:
-            _, bound_val = _defect_bound(track, cand, steps, area)
+            _, bound_val = _defect_bound(track, cand, steps_per_traversal, area)
             defect_ell = cand
         except (ValidationError, ResidualError):
             bound_val = None

@@ -156,29 +156,23 @@ class MoebiusMap:
         cls = self.classify(eps_parabolic)
         if cls is MapClass.ELLIPTIC:
             return ()
-        if cls is MapClass.PARABOLIC:
-            # kernel direction of M -+ I via the smallest singular vector
-            sign = 1.0 if self.trace >= 0.0 else -1.0
-            _, _, vt = np.linalg.svd(self.matrix - sign * np.eye(2))
-            v = vt[-1]
-            angle = math.atan2(v[0], v[1]) * 2.0 % TWO_PI
-            return (FixedPoint(angle, 1.0),)
         tr = self.trace
-        if not math.isfinite(tr * tr):
-            raise ResidualError(f"trace {tr:.3e}: the fixed-point multipliers exceed double range")
-        root = math.sqrt(tr * tr - 4.0)
-        # det 1 makes the eigenvalues reciprocal; the subtractive formula for
-        # the small one cancels to zero once |tr| > ~1e8, so divide instead.
         sign = 1.0 if tr >= 0.0 else -1.0
-        lam_big = sign * 0.5 * (abs(tr) + root)
+        if cls is MapClass.PARABOLIC:
+            lams = (sign,)  # the double eigenvalue; its multiplier is exactly 1
+        else:
+            if not math.isfinite(tr * tr):
+                raise ResidualError(f"trace {tr:.3e}: the fixed-point multipliers exceed double range")
+            # det 1 makes the eigenvalues reciprocal; the subtractive formula for
+            # the small one cancels to zero once |tr| > ~1e8, so divide instead.
+            lam_big = sign * 0.5 * (abs(tr) + math.sqrt(tr * tr - 4.0))
+            lams = (lam_big, 1.0 / lam_big)  # attracting first: |lam| > 1
+        a, b, c, d = self.matrix.ravel()
         out = []
-        for lam in (lam_big, 1.0 / lam_big):  # attracting first: |lam| > 1
-            a, b, c, d = self.matrix.ravel()
-            v1 = np.array([b, lam - a])
-            v2 = np.array([lam - d, c])
-            v = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
-            angle = math.atan2(v[0], v[1]) * 2.0 % TWO_PI
-            out.append(FixedPoint(angle, 1.0 / (lam * lam)))
+        for lam in lams:
+            # the kernel of M - lam I, orthogonal to its longer row
+            v = max((b, lam - a), (lam - d, c), key=np.linalg.norm)
+            out.append(FixedPoint(math.atan2(*v) * 2.0 % TWO_PI, 1.0 / (lam * lam)))
         return tuple(out)
 
 
@@ -345,21 +339,27 @@ def _refine(track: FrontTrack, params: BikeParams, n: int, matrix: np.ndarray,
     return kept
 
 
+def _swept(track: FrontTrack, params: Sequence[BikeParams]) -> list[tuple[int, np.ndarray, float]]:
+    """The kept grid ``(steps, matrix, error)`` of each row: one batched sweep, then :func:`_refine` per row.
+
+    The rows share one ``steps_per_traversal``; each comes out as it would alone.
+    """
+    n = params[0].steps_per_traversal * track.traversals
+    mats, errors = _monodromy_sweep(track, params, n)
+    return [_refine(track, p, n, m, float(e)) for p, m, e in zip(params, mats, errors)]
+
+
 def _fits(track: FrontTrack, ells: Sequence[float],
           steps_per_traversal: int) -> list[tuple[MoebiusMap, float] | None]:
-    """``(map, eps_parabolic)`` of one track at many wheelbases, from one batched sweep.
+    """``(map, eps_parabolic)`` of one track at many wheelbases, from one batched sweep (:func:`_swept`).
 
-    Each row is refined as :func:`monodromy` refines its grid, starting
-    from the swept grid. Only the map and its parabolic band are made: no
-    fixed points or rear lengths. A row whose product overflows double
-    precision (its trace is past double range) is ``None``, and the other
-    rows are made as they would be alone.
+    Only the map and its parabolic band are made: no fixed points or rear
+    lengths. A row whose product overflows double precision (its trace is
+    past double range) is ``None``, and the other rows are made as they
+    would be alone.
     """
-    n = steps_per_traversal * track.traversals
     params = [BikeParams(ell=ell, steps_per_traversal=steps_per_traversal) for ell in ells]
-    mats, errors = _monodromy_sweep(track, params, n)
-    kept = [_refine(track, p, n, m, float(e))[1:] for p, m, e in zip(params, mats, errors)]
-    return [None if math.isnan(e) else _fit(m, e) for m, e in kept]
+    return [None if math.isnan(e) else _fit(m, e) for _, m, e in _swept(track, params)]
 
 
 def monodromy(track: FrontTrack, params: BikeParams) -> MonodromyReport:
@@ -373,9 +373,7 @@ def monodromy(track: FrontTrack, params: BikeParams) -> MonodromyReport:
     1e-7. Rear lengths at the fixed angles come from the trace (see
     :func:`_rear_length`).
     """
-    n = params.steps_per_traversal * track.traversals
-    mats, errors = _monodromy_sweep(track, [params], n)
-    n, matrix, error = _refine(track, params, n, mats[0], float(errors[0]))
+    (n, matrix, error), = _swept(track, [params])
     if math.isnan(error):
         raise ResidualError(
             "lift product overflowed: the monodromy is too strongly hyperbolic for double precision")

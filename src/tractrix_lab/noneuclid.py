@@ -20,7 +20,7 @@ import numpy as np
 
 from ._io import fmt17
 from ._num import PAIRABLE, panel_quad
-from .dynamics import BikeParams, _prefix, _resolved_factors, _scan, _terms
+from .dynamics import BikeParams, _arc_prefix, _prefix
 from .errors import ResidualError, ValidationError
 from .geom import TWO_PI, FrontTrack, Geometry, geodesic_circle  # re-exported
 from .moebius import MapClass, MonodromyReport, monodromy
@@ -164,21 +164,19 @@ def develop_hyperbolic(k, length: float | None = None, *, n_steps: int | None = 
     frame obeys ``P' = T, T' = P + k N, N' = -k T`` from the standard basis.
     That system is the adjoint image of the unit bicycle's lift
     ``z' = A z``, ``A = 1/2 [[-1, k], [-k, 1]]``, so the steering engine
-    propagates it: RK4 step factors of determinant one, a prefix scan, and
-    the frame read off in closed form. The RK4 steps come from the
-    closed-form kernel of :func:`.dynamics._factors` with ``c = 1``. A track
-    made of pieces of constant curvature is developed over its whole length
-    from the exact factors of its pieces and corners, so a polyline turns at
-    its vertices. The frame stays Minkowski-orthonormal to rounding without
-    any re-orthonormalization while the lifts stay unimodular. Three things raise
-    :class:`ResidualError`: a smooth grid whose step, or whose step times
-    the largest ``|k|``, is longer than ``RESOLVED_STEP`` (as for the
-    steering engine with ``c = 1``; no step doubling would catch it), a lift
-    whose determinant drifts from one by more than ``UNIMODULAR_TOL``
-    relative (a geodesic stretch longer than about 35, where the contracting
-    entry ``e^(-t/2)`` falls below the rounding of ``1 + E``), and
-    coordinates too large for their Minkowski pairings in double precision
-    (lengths past about 350 where the lifts stay accurate).
+    propagates it with ``c = 1``: RK4 step factors of determinant one (or
+    the exact factors of a track's pieces and corners, over its whole
+    length, so a polyline turns at its vertices), a prefix scan, and the
+    frame read off in closed form. The frame stays Minkowski-orthonormal to
+    rounding without any re-orthonormalization while the lifts stay
+    unimodular. Three things raise :class:`ResidualError`: a smooth grid
+    that breaks the engine's resolution rule, here ``h max(1, max |k|) <=
+    2`` (no step doubling would catch it), a lift whose determinant drifts
+    from one by more than ``UNIMODULAR_TOL`` relative (a geodesic stretch
+    longer than about 35, where the contracting entry ``e^(-t/2)`` falls
+    below the rounding of ``1 + E``), and coordinates too large for their
+    Minkowski pairings in double precision (lengths past about 350 where
+    the lifts stay accurate).
     """
     if hasattr(k, "curvature"):
         if length is None:
@@ -197,16 +195,11 @@ def develop_hyperbolic(k, length: float | None = None, *, n_steps: int | None = 
     if getattr(k, "pieces", None) is not None:
         if length != k.total_length:
             raise ValidationError("a track of constant-curvature pieces develops over its whole length")
-        q = np.eye(2).reshape(4, 1) + _prefix(k, np.ones((1, 1)), n)[:, 0]
+        e = _prefix(k, np.ones((1, 1)), n)
         k_nodes = np.asarray(k_fn(t), dtype=float)
     else:
-        grid = np.linspace(0.0, float(length), 2 * n + 1)
-        k_half = np.broadcast_to(np.asarray(k_fn(grid), dtype=float), grid.shape)
-        h = float(length) / n
-        e = _resolved_factors(h, 1.0, float(np.max(np.abs(k_half))), _terms(1.0, k_half[None], h),
-                              np.ones((1, 1)))
-        q = np.eye(2).reshape(4, 1) + _scan(e)[:, 0]
-        k_nodes = k_half[::2].copy()
+        k_nodes, e = _arc_prefix(k_fn, float(length), n, np.ones((1, 1)))
+    q = np.eye(2).reshape(4, 1) + e[:, 0]
     frame = _frame(q)
     _check_unimodular(q)
     return HCurve(t, frame[:, 0], frame[:, 1], frame[:, 2], k_nodes)
@@ -240,11 +233,22 @@ def stargazing_angle(curve: HCurve, star) -> np.ndarray:
 
 
 def stargazing_residual(curve: HCurve, star) -> float:
-    """Worst central-difference violation of ``alpha' = k - sin(alpha)``."""
+    """Worst violation of ``alpha' = k - sin(alpha)`` along the sampled angle.
+
+    ``alpha'`` is the seven-point, sixth-order central difference
+    ``(45 (a[i+1] - a[i-1]) - 9 (a[i+2] - a[i-2]) + (a[i+3] - a[i-3])) / (60 h)``
+    of the samples, so the residual reads the development's error, not the
+    stencil's; the three nodes at each end have no stencil and are left
+    out. A jump ``J`` of the angle (a corner of a piecewise track) reads up
+    to ``37 J / (60 h)`` on the six rows whose stencils straddle it.
+    """
     alpha = stargazing_angle(curve, star)
+    if len(alpha) < 7:
+        raise ValidationError("the stargazing residual needs a development of at least 6 steps")
     h = curve.t[1] - curve.t[0]
-    lhs = (alpha[2:] - alpha[:-2]) / (2.0 * h)
-    rhs = curve.curvature[1:-1] - np.sin(alpha[1:-1])
+    lhs = (45.0 * (alpha[4:-2] - alpha[2:-4]) - 9.0 * (alpha[5:-1] - alpha[1:-5])
+           + (alpha[6:] - alpha[:-6])) / (60.0 * h)
+    rhs = curve.curvature[3:-3] - np.sin(alpha[3:-3])
     return float(np.abs(lhs - rhs).max())
 
 

@@ -17,9 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from ._io import fmt17
-from ._num import PAIRABLE, simpson
-from .dynamics import RESOLVED_STEP, _angles, _lifted, _rk4, _scan
-from .errors import ResidualError, ValidationError
+from ._num import PAIRABLE
+from .dynamics import _angles, _lifted, _rear_path, _require_resolved, _rk4, _scan
+from .errors import ValidationError
 from .geom import CurveSpec, FrontTrack, Geometry, _region_moments, make_curve
 
 NORMAL = "normal"
@@ -50,31 +50,21 @@ def _leg_nodes(leg: FrontTrack, n: int, ell: float):
     """Step, nodes, positions, headings and ``sigma`` of ``n`` rod steps along ``leg``.
 
     A leg with a chart is stepped in its chart parameter ``u`` over all its
-    passes; it must resolve the rod, ``h max sigma / ell``, and the turning,
-    ``h max |k sigma|``, each at most ``RESOLVED_STEP``. Any other leg is
-    stepped in arc length (``sigma`` is 1.0) and must resolve both with
-    ``sigma = 1``: ``h / ell`` and ``h max |k|``, with ``k`` over one pass
-    (exact from its pieces).
+    passes, any other in arc length (``sigma`` is 1.0, and ``max |k|`` is
+    over one pass, exact from its pieces); the grid is refused unless it
+    resolves the flow with ``c = 1/ell`` (:func:`.dynamics._resolves`).
     """
     chart = leg.chart
+    span = leg.total_length if chart is None else chart.span * leg.traversals
+    h = span / n
+    t = np.linspace(0.0, span, 2 * n + 1)
     if chart is None:
-        h = leg.total_length / n
-        rod, turn = h / ell, h * max(map(abs, leg.curvature_range()))
-        t = np.linspace(0.0, leg.total_length, 2 * n + 1)
         front, phi = leg.frame(t)
-        sigma = 1.0
+        sigma, top, turn = 1.0, 1.0, max(map(abs, leg.curvature_range()))
     else:
-        span = chart.span * leg.traversals
-        h = span / n
-        t = np.linspace(0.0, span, 2 * n + 1)
         front, phi, sigma, ksigma = chart.frame(t)
-        rod, turn = h * np.max(sigma) / ell, h * np.max(np.abs(ksigma))
-    if not rod <= RESOLVED_STEP:
-        raise ResidualError(f"the steps do not resolve the rod: {rod:.3g} rod lengths > {RESOLVED_STEP:g}")
-    if not turn <= RESOLVED_STEP:
-        raise ResidualError(
-            f"the steps do not resolve the boundary's turning: step x max|k sigma| = {turn:.3g}"
-            f" > {RESOLVED_STEP:g}")
+        top, turn = np.max(sigma), np.max(np.abs(ksigma))
+    _require_resolved(h, 1.0 / ell, top, turn)
     return h, t, front, phi, sigma
 
 
@@ -100,11 +90,9 @@ def rod_flow(legs: Sequence[FrontTrack], ell: float, theta0: float,
     the nodes of its :class:`RodLeg`. A leg with a chart (an ellipse or a
     support function) is stepped uniformly in its chart parameter ``u``,
     with generator ``sigma(u) B(Phi(u))``, so no arc length is inverted;
-    any other leg is stepped in arc length. As on every smooth grid of the
-    engine, a step must resolve the rod (``h c max sigma <= RESOLVED_STEP``
-    with ``c = 1/ell``) and the turning (``h max |k sigma| <=
-    RESOLVED_STEP``, with ``sigma = 1`` on a leg stepped in arc length); a
-    coarser grid is refused with :class:`ResidualError`.
+    any other leg is stepped in arc length. A leg's grid that breaks the
+    engine's one resolution rule, ``h max(max sigma / ell, max |k sigma|)
+    <= 2``, is refused with :class:`ResidualError`.
     """
     if not ell > 0.0:
         raise ValidationError("rod length must be positive")
@@ -127,16 +115,9 @@ def rod_flow(legs: Sequence[FrontTrack], ell: float, theta0: float,
 
 def _chisel_zigzag_area(legs: Sequence[RodLeg], ell: float) -> float:
     """Signed Green area swept along the open chisel path, leg by leg, by Simpson in each leg's parameter."""
-    total = 0.0
-    for leg in legs:
-        u = np.stack([np.cos(leg.theta), np.sin(leg.theta)], axis=-1)
-        rear = leg.front - ell * u
-        speed = np.cos(leg.phi - leg.theta) * leg.speed  # chisel speed = cos(alpha) ds/dt
-        dx = speed * u[:, 0]
-        dy = speed * u[:, 1]
-        h = leg.t[1] - leg.t[0]
-        total += simpson(0.5 * (rear[:, 0] * dy - rear[:, 1] * dx), h)
-    return total
+    # the chisel's speed is cos(alpha) ds/dt
+    return sum(_rear_path(leg.front, leg.theta, np.cos(leg.phi - leg.theta) * leg.speed, ell,
+                          leg.t[1] - leg.t[0])[2] for leg in legs)
 
 
 def _closing_arc_area(pivot: np.ndarray, ell: float, theta_end: float, theta_start: float) -> float:
@@ -210,15 +191,11 @@ def measure(track: FrontTrack, ell: float, base: float = 0.0,
         and straight back, the rod starting aligned with the outbound leg.
         A float fixes the initial rod direction ``theta`` absolutely.
     steps_per_traversal : int
-        Rod-flow steps per boundary pass, at least 2. A grid must also
-        resolve the boundary's turning; :func:`rod_flow` refuses a coarser
-        grid with :class:`ResidualError`, as in every dense history. A
-        boundary with a chart (an ellipse or a support function) is stepped
-        in its chart parameter ``u``, and the rule reads there,
-        ``h_u max|k sigma| <= RESOLVED_STEP`` with ``h_u = span /
-        steps_per_traversal``. Any other boundary is stepped in arc length,
-        each stretch between corners on the step it takes, and needs
-        ``h max|k| <= RESOLVED_STEP``.
+        Rod-flow steps per boundary pass, at least 2; :func:`rod_flow`
+        refuses a grid that breaks the resolution rule. A boundary with a
+        chart (an ellipse or a support function) is stepped in its chart
+        parameter, any other in arc length, each stretch between corners on
+        the step it takes.
 
     The loop is the track re-based at ``base`` (:meth:`.FrontTrack.rebased`),
     which keeps a chart, so on a charted boundary the base point and start

@@ -234,7 +234,14 @@ def test_develop_star_residual(capsys):
                            "--star", "0.7"])
     assert rc == 0
     summary = strict_json(cap.out)
-    assert summary["stargazing_residual"] < 1e-5
+    assert summary["stargazing_residual"] < 1e-10  # 4.9e-12 by the seven-point stencil
+
+
+def test_develop_star_needs_six_steps(capsys):
+    rc, cap = run(capsys, ["develop", "--constant-k", "1.2", "--length", "2", "--steps", "5",
+                           "--star", "0.7"])
+    assert rc == 2
+    assert cap.err.startswith("error:") and "at least 6 steps" in cap.err and cap.out == ""
 
 
 def test_develop_coarse_curved_grid_exits_3(capsys):
@@ -527,9 +534,12 @@ def test_any_input_json_exits_cleanly(command, spec):
     ["develop", "--constant-k", "inf", "--length", "5"],
     ["develop", "--constant-k", "1", "--length", "nan"],
     ["develop", "--constant-k", "1", "--length", "5", "--star", "inf"],
+    ["menzin", "--nested", "-1"],
+    ["loopcheck", "--ell", "1", "--seed", "-1"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
 def test_non_finite_flag_exits_2(capsys, unit_circle_spec, argv):
-    if argv[0] in ("planimeter", "monodromy", "trace"):
+    # a negative --nested or --seed is refused like a non-finite float
+    if argv[0] in ("planimeter", "monodromy", "trace", "menzin"):
         argv = [argv[0], "--input", unit_circle_spec, *argv[1:]]
     with pytest.raises(SystemExit) as exc:
         main(argv)

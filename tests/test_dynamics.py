@@ -536,6 +536,42 @@ def test_rear_track_euclidean_only(circle2):
         tl.rear_track(sol)
 
 
+# -- the resolution rule -------------------------------------------------------
+
+ROUND = {"kind": "fourier-support", "a0": 1.0}  # the unit circle in its tangent-angle chart
+H16 = TWO_PI / 16  # 16 steps around it, in arc length or in the chart: sigma = k sigma = 1
+
+
+def _round():
+    return tl.make_curve(ROUND)
+
+
+# each case at the rule's value x = h max(|c| max sigma, max |k sigma|): the
+# steering term for the bicycle (c = x / H16) and the rod (ell = H16 / x),
+# the turning term for a development of curvature 3 (c = 1)
+RULE_CASES = {
+    "integrate_steering": lambda x: tl.integrate_steering(
+        _round(), tl.BikeParams(ell=H16 / x, steps_per_traversal=16), 0.3),
+    "steering_endpoints": lambda x: tl.steering_endpoints(
+        _round(), tl.BikeParams(ell=H16 / x, steps_per_traversal=16), [0.3]),
+    "monodromy_matrix": lambda x: tl.monodromy_matrix(
+        _round(), tl.BikeParams(ell=H16 / x, steps_per_traversal=16)),
+    "develop_hyperbolic": lambda x: tl.develop_hyperbolic(
+        lambda t: np.full_like(t, 3.0), 16.0 * x / 3.0, n_steps=16),
+    "rod_flow": lambda x: tl.rod_flow([_round()], H16 / x, 0.3, steps_per_unit=1e-9, n_min=16),
+}
+
+
+@pytest.mark.parametrize("case", list(RULE_CASES))
+def test_one_resolution_rule_everywhere(case):
+    # every dense or endpoint product on a smooth grid refuses a step just
+    # past h max(|c| max sigma, max |k sigma|) = 2, with one message, and
+    # takes one just inside it
+    with pytest.raises(tl.ResidualError, match="do not resolve the flow"):
+        RULE_CASES[case](2.0 * (1.0 + 1e-6))
+    RULE_CASES[case](2.0 * (1.0 - 1e-6))
+
+
 # -- symmetric charts ----------------------------------------------------------
 
 # harmonics 2 and 4 (m = 2); harmonics 1, 3 and 6 (m = 3: the translation drops out)
@@ -626,7 +662,7 @@ def _unfused_sweep(track, params, n):
     if n % (2 * reps):
         reps = 1
     c = d._coefficients(track, params)
-    resolved = h * np.maximum(np.abs(c[:, 0]) * top, turn if charted else 0.0) <= d.RESOLVED_STEP
+    resolved = d._resolves(h, c[:, 0], top, turn if charted else 0.0)
     c = np.where(resolved[:, None], c, 0.0)
     swept = n // reps
     e = d._factors([d._cut(t, slice(0, swept)) for t in fine], c)

@@ -107,6 +107,19 @@ def test_parabolic_fixed_point():
     assert math.sin(0.5 * (m.act_angle(a) - a)) == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("s", [0.7, -0.7, 3.0, -3.0])
+@pytest.mark.parametrize("phi", [0.0, 0.3, 1.9, -2.6, math.pi])
+def test_parabolic_fixed_point_of_a_conjugated_shear(phi, s):
+    # R [[1, s], [0, 1]] R^-1 fixes the lift R (1, 0) = (cos phi, sin phi),
+    # whose circle angle is 2 atan2(cos phi, sin phi) = pi - 2 phi
+    r = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+    m = MoebiusMap.from_matrix(r @ np.array([[1.0, s], [0.0, 1.0]]) @ r.T)
+    assert m.classify() is MapClass.PARABOLIC
+    (fp,) = m.fixed_points()
+    assert fp.multiplier == 1.0
+    assert abs(math.remainder(fp.angle - (math.pi - 2.0 * phi), TWO_PI)) < 1e-12
+
+
 # -- group structure ---------------------------------------------------------
 
 

@@ -200,7 +200,30 @@ def test_stargazing_satisfies_steering_equation():
     k = 2.0 / SQRT3
     curve = tl.develop_hyperbolic(lambda t: np.full_like(t, k), TWO_PI * SQRT3)
     residual = tl.stargazing_residual(curve, tl.star_direction(0.7))
-    assert residual < 1e-5
+    assert residual < 1e-10  # 1.1e-12 by the seven-point stencil; 8e-7 by a central difference
+
+
+def test_stargazing_residual_needs_six_steps():
+    # the seven-point stencil has no row on fewer than 7 nodes
+    def k(t):
+        return np.full_like(t, 1.2)
+
+    with pytest.raises(tl.ValidationError, match="at least 6 steps"):
+        tl.stargazing_residual(tl.develop_hyperbolic(k, 2.0, n_steps=5), 0.7)
+    assert tl.stargazing_residual(tl.develop_hyperbolic(k, 2.0, n_steps=6), 0.7) > 0.0
+
+
+def test_stargazing_residual_spreads_a_corner_over_six_rows():
+    # a polyline's angle jumps by J at a vertex; the stencil reads it on the
+    # six rows whose stencils straddle the jump, at most 37 J / (60 h) plus the
+    # smooth part |k - sin alpha| <= 2 (a central difference read J / (2 h))
+    square = tl.make_curve({"kind": "polyline", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]})
+    curve = tl.develop_hyperbolic(square, n_steps=4096)
+    h = curve.t[1] - curve.t[0]
+    alpha = tl.stargazing_angle(curve, 0.4)
+    jump = np.max(np.abs(np.diff(alpha)))
+    residual = tl.stargazing_residual(curve, 0.4)
+    assert 0.6 * jump / h < residual < 37.0 / 60.0 * jump / h + 2.0
 
 
 # -- unit bicycle ------------------------------------------------------------

@@ -144,7 +144,7 @@ def test_coarse_rod_grid_is_refused(ellipse21):
     # 64 steps of the 2x1 ellipse are 3.03 rod lengths of 0.05 each: RK4
     # read the deflection 4.79 against the converged 7.76, so the grid is
     # refused as every smooth grid with a step over 2 / c is
-    with pytest.raises(tl.ResidualError, match="resolve the rod"):
+    with pytest.raises(tl.ResidualError, match="do not resolve the flow"):
         tl.measure(ellipse21, ell=0.05, steps_per_traversal=64)
 
 
