@@ -257,6 +257,7 @@ def _cmd_loopcheck(args) -> int:
         "lhs": check.lhs,
         "rhs": check.rhs,
         "residual": check.lhs - check.rhs,
+        "quadrature_error": check.quadrature_error,
     }
     _emit(json.dumps(payload, indent=2), args.out)
     return 0

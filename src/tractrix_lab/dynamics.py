@@ -694,7 +694,7 @@ def _rear_path(front: np.ndarray, theta: np.ndarray, rate, ell: float,
 
     ``u = (cos theta, sin theta)`` is the rod's direction, ``rate`` the rear
     speed per unit of the parameter (``cos alpha`` times the front's) and
-    ``h`` the node spacing; with ``ell = 0`` ``front`` is the rear path itself.
+    ``h`` the node spacing.
     """
     u = np.stack((np.cos(theta), np.sin(theta)), axis=-1)
     points = front - ell * u
@@ -713,6 +713,8 @@ class RearTrack:
     cusp_times: np.ndarray
     signed_length: float
     closed: bool
+    velocity: np.ndarray  # d points / d t, ``cos(alpha) (cos theta, sin theta)``
+    area: float  # (1/2) int (x dy - y dx) along the points, by Simpson's rule
 
 
 def rear_track(solution: SteeringSolution) -> RearTrack:
@@ -731,7 +733,7 @@ def rear_track(solution: SteeringSolution) -> RearTrack:
     theta = phi - solution.alpha
     ell = solution.params.ell
     c = np.cos(solution.alpha)
-    points, _, _ = _rear_path(front, theta, c, ell, solution.step)
+    points, velocity, area = _rear_path(front, theta, c, ell, solution.step)
 
     flips = np.nonzero(np.sign(c[:-1]) * np.sign(c[1:]) < 0)[0]
     frac = c[flips] / (c[flips] - c[flips + 1])
@@ -741,7 +743,7 @@ def rear_track(solution: SteeringSolution) -> RearTrack:
         solution.track.closed
         and np.linalg.norm(points[-1] - points[0]) < 1e-6 * (ell + np.hypot(*np.ptp(front, axis=0)))
     )
-    return RearTrack(solution.t, points, theta, cusps, signed_rear_length(solution), closed)
+    return RearTrack(solution.t, points, theta, cusps, signed_rear_length(solution), closed, velocity, area)
 
 
 def area_between_tracks(solution: SteeringSolution, rear: RearTrack | None = None) -> float:
@@ -759,12 +761,11 @@ def area_between_tracks(solution: SteeringSolution, rear: RearTrack | None = Non
     rt = rear_track(solution) if rear is None else rear
     track = solution.track
     area_front = enclosed_area(track) if track.closed else _path_area(track)
-    _, _, area_rear = _rear_path(rt.points, rt.theta, np.cos(solution.alpha), 0.0, solution.step)
     f0, fT = track.position(0.0), track.position(track.total_length)
     r0, rT = rt.points[0], rt.points[-1]
     edge_out = 0.5 * (fT[0] * rT[1] - fT[1] * rT[0])
     edge_back = 0.5 * (r0[0] * f0[1] - r0[1] * f0[0])
-    return area_front + edge_out - area_rear + edge_back
+    return area_front + edge_out - rt.area + edge_back
 
 
 # -- configuration-space loops ----------------------------------------------
@@ -889,9 +890,9 @@ class ConfigLoop:
         rt = rear_track(solution)
         big_t = solution.track.total_length
         s = solution.t / big_t
-        _, velocity, _ = _rear_path(rt.points, rt.theta, big_t * np.cos(solution.alpha), 0.0, solution.step)
+        dx, dy = big_t * rt.velocity.T
         dtheta = big_t * solution.params.coefficient * np.sin(solution.alpha)
-        return cls(s, rt.points[:, 0], rt.points[:, 1], rt.theta, velocity[:, 0], velocity[:, 1], dtheta)
+        return cls(s, rt.points[:, 0], rt.points[:, 1], rt.theta, dx, dy, dtheta)
 
 
 @dataclass(frozen=True)

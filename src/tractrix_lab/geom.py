@@ -236,29 +236,27 @@ class Chart:
         return Chart(self.span, self.half_grid, frame, self.u_of_t, self.points @ rot.T + shift,
                      self.headings + rotation, self.length, self.area, self.degree, self.symmetry)
 
-    def rebased(self, t0: float) -> "Chart":
-        """The chart of the track re-based to start at arc length ``t0``: ``u -> u0 + u``.
+    def rebased(self, start: float, turned: float) -> "Chart":
+        """The chart of the track re-based to arc length ``start`` of this pass: ``u -> u0 + u``.
 
-        ``u0 = u_of_t(t0)`` on the pass that holds ``t0``, plus one ``span``
-        per whole pass before it. The new ``u_of_t`` runs over one whole
+        ``u0 = u_of_t(start)``, and the headings add ``turned``, the turning of
+        the passes before the new start. The new ``u_of_t`` runs over one whole
         pass from there: past the end of this chart's pass it reads the next
         pass, one ``span`` on, so the end of the new pass (``t = length``)
         maps to ``u = span``, not back to 0.
         """
         span, length = self.span, self.length
-        laps = math.floor(t0 / length)
-        start = min(max(t0 - laps * length, 0.0), length)
-        u_start = self.u_of_t(start)
-        u0 = u_start + laps * span
+        u0 = self.u_of_t(start)
 
         def u_of_t(t):
             end = start + t
             if end <= length:
-                return self.u_of_t(end) - u_start
-            return self.u_of_t(end - length) - u_start + span
+                return self.u_of_t(end) - u0
+            return self.u_of_t(end - length) - u0 + span
 
         def frame(u):
-            return self.frame(u0 + u)
+            xy, phi, sigma, ksigma = self.frame(u0 + u)
+            return xy, phi + turned, sigma, ksigma
 
         ends, headings, _, _ = frame(np.array([0.0, span]))
         return Chart(span, lambda m: frame(np.linspace(0.0, span, m + 1))[2:], frame, u_of_t,
@@ -391,12 +389,17 @@ class FrontTrack:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _split(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self.closed:
-            laps = np.floor(t / self.period)
-            tc = np.clip(t - laps * self.period, 0.0, self.period)
-            return tc, laps
-        return np.clip(t, 0.0, self.total_length), np.zeros_like(t)
+    def _split(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """``t`` as an exact remainder in one pass and the count of whole passes before it.
+
+        A closed track's remainder lies in ``[0, period)``; one rounded up to
+        ``period`` is 0 of the next pass. An open track is clamped, with no passes.
+        """
+        if not self.closed:
+            return np.clip(t, 0.0, self.total_length), np.zeros_like(t)
+        laps, rest = np.divmod(t, self.period)
+        wrap = rest == self.period
+        return np.where(wrap, 0.0, rest), laps + wrap
 
     def frame(self, t) -> tuple[np.ndarray, np.ndarray | float]:
         """Positions and tangent angles (see :meth:`tangent_angle`) at ``t``, from one evaluation."""
@@ -451,17 +454,6 @@ class FrontTrack:
         """Uniform parameter grid over the full path with positions, endpoint included."""
         t = np.linspace(0.0, self.total_length, n + 1)
         return t, self.position(t)
-
-    def path_breakpoints(self) -> np.ndarray:
-        """Breakpoints replicated over all passes, for piecewise-aware quadrature.
-
-        The ends of the passes between them count too, since a track with
-        breakpoints may kink where one pass runs into the next.
-        """
-        if not len(self.breakpoints):
-            return self.breakpoints
-        one = np.append(self.breakpoints, self.period)
-        return np.concatenate([one + k * self.period for k in range(self.traversals)])[:-1]
 
     # -- combinators --------------------------------------------------------
 
@@ -531,29 +523,36 @@ class FrontTrack:
     def rebased(self, t0: float) -> "FrontTrack":
         """Closed track re-parameterized to start at parameter ``t0``.
 
-        The piece holding ``t0`` is split in two: its part after ``t0``
-        comes first, with the piece's corner, and its part before ``t0``
-        comes last, with none. A corner at ``t0`` itself ends the new pass.
-        A chart is kept, shifted to start at ``u0 = u(t0)`` (see
-        :meth:`Chart.rebased`), so the re-based track is still stepped and
-        read in its chart.
+        The start is ``t0``'s remainder in one pass (:meth:`_split`), and the
+        headings add the turning of the whole passes before it. The piece
+        holding the start is split in two: its part after the start comes
+        first, with the piece's corner, and its part before it comes last,
+        with none. A corner at the start itself ends the new pass. A chart is
+        kept, shifted to the start (see :meth:`Chart.rebased`), so the
+        re-based track is still stepped and read in its chart.
         """
         if not self.closed:
             raise ValidationError("only closed tracks can be re-based")
         if not math.isfinite(t0):
             raise ValidationError(f"re-basing parameter must be finite, got {t0!r}")
+        start, laps = (float(x) for x in self._split(t0))
+        turned = TWO_PI * self.turning_single * laps
 
         pieces = None
         if self.pieces is not None:
-            start = t0 % self.period % self.period  # the second % maps a rounded-up period to 0
             starts = np.concatenate(([0.0], np.cumsum(self.pieces[:-1, 0])))
             i = int(np.searchsorted(starts, start, side="right")) - 1
             length, k, turn = self.pieces[i]
             into = start - starts[i]
             pieces = np.concatenate(([[length - into, k, turn]], self.pieces[i + 1:],
                                      self.pieces[:i], [[into, k, 0.0]] if into > 0.0 else np.empty((0, 3))))
-        return self._derived(lambda t: self.frame(t0 + t), lambda t: self.curvature(t0 + t),
-                             pieces=pieces, chart=self.chart and self.chart.rebased(t0))
+
+        def frame(t):
+            xy, phi = self.frame(start + t)
+            return xy, phi + turned
+
+        return self._derived(frame, lambda t: self.curvature(start + t),
+                             pieces=pieces, chart=self.chart and self.chart.rebased(start, turned))
 
     def split_at_corners(self) -> list["FrontTrack"]:
         """One pass cut at its corners into open tracks, in order; ``[self]`` if it has none.
@@ -962,24 +961,15 @@ def make_curve(spec: CurveSpec | dict | str) -> FrontTrack:
 
 
 def _boundary_nodes(track: FrontTrack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss weights, positions ``(N, 2)`` and tangent angles on panels of the full path.
+    """Gauss weights, positions ``(N, 2)`` and tangent angles on panels of one pass.
 
-    The path is evaluated once, for positions and angles together.
+    The weights count each node once per pass. No panel straddles a
+    breakpoint, and the pass is evaluated once, for positions and angles
+    together.
     """
-    t, weights = panel_nodes(0.0, track.total_length, track.path_breakpoints(),
-                             min_panels=512 * track.traversals)
+    t, weights = panel_nodes(0.0, track.period, track.breakpoints)
     xy, phi = track.frame(t.ravel())
-    return weights.ravel(), xy, phi
-
-
-def _green_integral(track: FrontTrack, *densities) -> list[float]:
-    """Line integrals of each ``density(x, y, cos_phi, sin_phi)`` over the full path.
-
-    The path is evaluated once, on the quadrature nodes, for all densities.
-    """
-    weights, xy, phi = _boundary_nodes(track)
-    args = (xy[..., 0], xy[..., 1], np.cos(phi), np.sin(phi))
-    return [float(np.sum(weights * density(*args))) for density in densities]
+    return weights.ravel() * track.traversals, xy, phi
 
 
 def _area_density(x, y, c, s):
@@ -1009,7 +999,8 @@ def _path_area(track: FrontTrack) -> float:
     flat chart positions, which the planar sum would not describe.
     """
     if track.pieces is None or track.geometry is not Geometry.EUCLIDEAN:
-        return _green_integral(track, _area_density)[0]
+        weights, xy, phi = _boundary_nodes(track)
+        return float(np.sum(weights * _area_density(xy[..., 0], xy[..., 1], np.cos(phi), np.sin(phi))))
     length, k, _ = track.pieces.T
     starts = np.concatenate(([0.0], np.cumsum(length[:-1])))
     p = track.frame(starts if track.closed else np.append(starts, track.period))[0]
@@ -1047,10 +1038,10 @@ def _region_moments(track: FrontTrack) -> tuple[float, np.ndarray, float]:
     rule in ``u`` on ``4 degree + 1`` nodes of one pass (see :class:`Chart`),
     weighted by ``sigma`` and the number of passes, which is exact for these
     integrands; any other track takes them by Green quadrature in arc length
-    (:func:`_boundary_nodes`). The moments are taken about the first node,
-    a point of the track, and the centroid is shifted back by it, so the
-    polar moment minus the squared centroid cancels only the region's own
-    size, not its distance from the origin.
+    on one pass (:func:`_boundary_nodes`). The moments are taken about the
+    first node, a point of the track, and the centroid is shifted back by it,
+    so the polar moment minus the squared centroid cancels only the region's
+    own size, not its distance from the origin.
     """
     if not track.closed:
         raise ValidationError("centroid needs a closed track")

@@ -182,7 +182,7 @@ def measure(track: FrontTrack, ell: float, base: float = 0.0,
     ----------
     base : float
         Arc-length parameter of the base point where the boundary tracing
-        starts and stops.
+        starts and stops, read modulo the boundary's length.
     placement : "normal", "centroid", or float
         Initial rod attitude. ``"normal"`` sets the rod perpendicular to the
         boundary, chisel inside the region. ``"centroid"`` reproduces the
@@ -212,7 +212,9 @@ def measure(track: FrontTrack, ell: float, base: float = 0.0,
             f"rod length must be positive and at most {PAIRABLE:.3e}, got {ell!r}")
     if not steps_per_traversal >= 2:
         raise ValidationError(f"steps_per_traversal must be at least 2, got {steps_per_traversal!r}")
-    loop = track.rebased(base)
+    if not math.isfinite(base):
+        raise ValidationError(f"base must be finite, got {base!r}")
+    loop = track.rebased(float(track._split(base)[0]))  # a reading depends only on the base point
     chart = loop.chart
     base_point, phi0 = loop.frame(0.0) if chart is None else (chart.points[0], float(chart.headings[0]))
     steps_per_unit = steps_per_traversal / track.period

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tractrix_lab as tl
 from tractrix_lab.cli import MAX_GRID, main
 
 from conftest import strict_json
@@ -119,6 +120,20 @@ def test_planimeter_single_reading(capsys, unit_circle_spec):
     assert reading["exact_area"] == pytest.approx(math.pi, rel=1e-9)
     assert reading["estimate"] == pytest.approx(math.pi, rel=1e-2)
     assert reading["closure_defect"] == pytest.approx(0.0, abs=1e-8)
+
+
+def test_planimeter_far_base_reads_its_first_pass_base(capsys, tmp_path):
+    # a base of 1e300 is 1e300 mod the perimeter, not a reading of 0
+    path = tmp_path / "ellipse.json"
+    path.write_text(json.dumps({"kind": "ellipse", "a": 2.0, "b": 1.0}))
+    track = tl.make_curve({"kind": "ellipse", "a": 2.0, "b": 1.0})
+    rc, cap = run(capsys, ["planimeter", "--input", str(path), "--ell", "10", "--base", "1e300"])
+    assert rc == 0
+    reading = strict_json(cap.out)
+    near = tl.measure(track, ell=10.0, base=1e300 % track.period)
+    assert reading["base_param"] == 1e300
+    assert reading["estimate"] == near.estimate and reading["deflection"] == near.deflection
+    assert reading["base_point"] == list(near.base_point)
 
 
 def test_planimeter_scan_csv(capsys, unit_circle_spec):
@@ -299,8 +314,17 @@ def test_loopcheck_random_seed(capsys):
     assert rc == 0
     out = strict_json(cap.out)
     assert abs(out["residual"]) < 1e-6 * max(1.0, abs(out["area_front"]))
+    assert list(out)[-2:] == ["residual", "quadrature_error"] and 0.0 < out["quadrature_error"] < 1e-12
     winding = out["dtheta_integral"] / (2.0 * math.pi)
     assert winding == pytest.approx(round(winding), abs=1e-9) and round(winding) != 0
+
+
+def test_loopcheck_reports_its_error_bar_on_a_coarse_grid(capsys):
+    # two steps miss the identity by about 1.1; the bar says so
+    rc, cap = run(capsys, ["loopcheck", "--ell", "1", "--steps", "2"])
+    assert rc == 0
+    out = strict_json(cap.out)
+    assert abs(out["residual"]) > 0.5 and out["quadrature_error"] > abs(out["residual"])
 
 
 def test_loopcheck_from_file(capsys, tmp_path):

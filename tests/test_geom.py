@@ -331,6 +331,20 @@ def test_square_moments_are_exact_anywhere(center):
     assert np.max(np.abs(tl.area_centroid(track) - np.add(center, 0.5))) <= 4e-16 * max(1.0, abs(center[0]))
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "samples", "points": [[2.0 * math.cos(a), math.sin(a)] for a in np.linspace(0.0, 6.0, 20)]},
+    {"kind": "polyline", "vertices": [[0, 0], [2, 0], [2, 1], [0, 1]], "fillet_radius": 0.2}],
+    ids=["samples", "filleted"])
+def test_moments_of_passes_are_those_of_one_pass(spec):
+    # Green quadrature of a chartless track takes one pass, weighted by the passes
+    once, thrice = tl.make_curve(spec), tl.make_curve(dict(spec, traversals=3))
+    area = tl.enclosed_area(once)
+    assert abs(tl.enclosed_area(thrice) - 3.0 * area) <= 1e-14 * abs(area)
+    assert np.max(np.abs(tl.area_centroid(thrice) - tl.area_centroid(once))) <= 1e-14
+    msr = tl.mean_square_radius(once)
+    assert abs(tl.mean_square_radius(thrice) - msr) <= 1e-14 * msr
+
+
 def test_region_moments_invert_arc_length_once(monkeypatch):
     from tractrix_lab._num import ArcLengthParam
     from tractrix_lab.geom import _region_moments
@@ -440,7 +454,8 @@ def test_circle_frame_is_closed_form():
 
 def test_frame_is_position_and_tangent_angle():
     for track in _frame_tracks():
-        corners = track.path_breakpoints()
+        one = np.append(track.breakpoints, track.period)  # a pass may kink where the next begins
+        corners = (one + track.period * np.arange(track.traversals)[:, None]).ravel()
         t = np.concatenate((np.linspace(-0.5, 2.5 * track.total_length, 97), corners, corners - 1e-9))
         xy, phi = track.frame(t)
         assert xy.shape == (t.size, 2) and phi.shape == t.shape
@@ -579,6 +594,24 @@ def test_rebased_chart_starts_at_the_base_point(spec, t0):
         params = tl.BikeParams(ell=ell)
         a, b = tl.monodromy(based, params).trace, tl.monodromy(track, params).trace
         assert abs(a - b) <= 1e-12 * max(abs(b), 1.0)
+
+
+@pytest.mark.parametrize("k", [1, 3, -2, 10**6])
+def test_rebased_many_passes_on_starts_at_its_remainder(k):
+    # the start is t0's exact remainder in one pass; only the headings count the passes before it
+    for track in _frame_tracks():
+        if not track.closed:
+            continue
+        t0 = 0.3 * track.period + k * track.period
+        far, near = track.rebased(t0), track.rebased(t0 % track.period)
+        t = np.linspace(-0.5, 1.5 * track.total_length, 29)
+        (xy_far, phi_far), (xy_near, phi_near) = far.frame(t), near.frame(t)
+        assert np.array_equal(xy_far, xy_near)
+        turned = TWO_PI * track.turning_single * (t0 // track.period)
+        assert np.allclose(phi_far - phi_near, turned, rtol=0.0, atol=1e-15 * max(1.0, abs(turned)))
+        if track.chart is not None:
+            assert np.array_equal(far.chart.points, near.chart.points)
+            assert np.array_equal(far.chart.frame(t)[0], near.chart.frame(t)[0])
 
 
 CHAIN_SPECS = {"ellipse": {"kind": "ellipse", "a": 2.0, "b": 1.0},

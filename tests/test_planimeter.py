@@ -1,6 +1,7 @@
 """Hatchet-planimeter simulation: exactness identity, error orders, scans."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,6 +80,23 @@ def test_base_point_moves_start(ellipse21):
     # coefficient; both readings still land within coarse range of the area
     for reading in (a, b):
         assert abs(reading.estimate - reading.exact_area) < 0.5 * abs(reading.exact_area)
+
+
+FAR_SHAPES = {"ellipse": {"kind": "ellipse", "a": 2.0, "b": 1.0},
+              "square": {"kind": "polyline", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]},
+              "circle": {"kind": "circle", "r": 1.5},
+              "samples": {"kind": "samples", "points": [[1, 0], [0, 1], [-1, 0], [0, -1]]}}
+
+
+@pytest.mark.parametrize("spec", FAR_SHAPES.values(), ids=FAR_SHAPES.keys())
+def test_reading_depends_on_the_base_point_only(spec):
+    # a base many passes on reads the same as its remainder in the first pass
+    # (far bases used to lose digits, be refused from about 1e9, and read 0 at 1e300)
+    track = tl.make_curve(spec)
+    for base in [10.0**k + 0.3 for k in (3, 6, 9, 12)] + [1e300]:
+        far, near = (tl.measure(track, ell=10.0, base=b) for b in (base, base % track.period))
+        assert far.base_param == base
+        assert replace(far, base_param=near.base_param) == near
 
 
 def test_rod_flow_multi_leg(ellipse21):
@@ -276,6 +294,8 @@ def test_measure_validations(unit_circle):
         tl.measure(curved, ell=5.0)
     with pytest.raises(tl.ValidationError):
         tl.measure(unit_circle, ell=5.0, placement="sideways")
+    with pytest.raises(tl.ValidationError, match="base must be finite"):
+        tl.measure(unit_circle, ell=5.0, base=math.inf)
 
 
 def test_rod_length_whose_square_overflows_is_refused(unit_circle):
