@@ -48,9 +48,12 @@ smooth grid obeys one resolution rule (``_resolves``),
 ``h max(|c| max sigma, max |k sigma|) <= 2``, or gives no result; the
 turning term counts wherever no step doubling catches a turn that falls
 into a few steps (an ellipse's tips): in dense histories, developments,
-the rod flow and a monodromy stepped in a chart. A smooth track's
-monodromy comes with its step-doubling error estimate and is the global
-Richardson extrapolation of its two products (``_monodromy_sweep``).
+the rod flow and a monodromy stepped in a chart. A track run ``k`` times
+has the ``k``-th power of one pass's map, so every grid is one pass's
+(``_grid``): a monodromy raises one pass's products to the passes,
+and a dense history repeats one pass's factors. A smooth track's monodromy
+comes with its step-doubling error estimate and is the global Richardson
+extrapolation of its two products (``_monodromy_sweep``).
 Angles are read back from the direction of each lifted vector
 (``_angles``).
 """
@@ -85,47 +88,43 @@ class BikeParams:
         return self.geometry.steering_coefficient(self.ell)
 
 
-def _charted(track: FrontTrack, n_steps: int) -> bool:
-    """Whether ``n_steps`` over all passes tile the track's chart with whole passes of half steps."""
-    return track.chart is not None and (2 * n_steps) % track.traversals == 0
-
-
 def _arc_grid(curvature, length: float, n_steps: int):
     """``(h, 1.0, k)`` at the ``2n + 1`` half-step nodes of ``n`` arc-length steps over ``[0, length]``."""
     t = np.linspace(0.0, length, 2 * n_steps + 1)
     return length / n_steps, 1.0, np.broadcast_to(np.asarray(curvature(t), dtype=float), t.shape)[None, :]
 
 
-def _half_grid(track: FrontTrack, n_steps: int, chart: bool):
-    """Step ``h`` and ``(sigma, k sigma)`` at the ``2n + 1`` half-step nodes.
+def _half_grid(track: FrontTrack, m: int, chart: bool):
+    """Step ``h`` and ``(sigma, k sigma)`` at the ``2m + 1`` half-step nodes of one pass of ``m`` steps.
 
-    In the track's chart when ``chart`` is true (its grid of one pass tiled
-    over the passes), else in arc length (:func:`_arc_grid`). An array has
-    shape ``(1, 2n+1)``.
+    In the track's chart when ``chart`` is true, else in arc length
+    (:func:`_arc_grid`). An array has shape ``(1, 2m+1)``.
     """
     if not chart:
-        return _arc_grid(track.curvature, track.total_length, n_steps)
-    passes = track.traversals
-    grid = [x if np.ndim(x) == 0 else np.concatenate((np.tile(x[:-1], passes), x[-1:]))[None, :]
-            for x in track.chart.half_grid(2 * n_steps // passes)]
-    return track.chart.span * passes / n_steps, *grid
+        return _arc_grid(track.curvature, track.period, m)
+    return track.chart.span / m, *(x if np.ndim(x) == 0 else x[None, :] for x in track.chart.half_grid(2 * m))
 
 
 def _grid(track: FrontTrack, n_steps: int, chart: bool):
-    """``(h, max sigma, max |k sigma|, fine, coarse)`` of a smooth track's grid (see :func:`_half_grid`).
+    """``(h, max sigma, max |k sigma|, fine, coarse)`` of one pass of ``n_steps`` over all passes.
 
-    ``fine`` holds the node terms (:func:`_terms`) of its ``n`` steps and
-    ``coarse`` those of its ``n // 2`` steps of twice the length, whose
-    nodes are the even half-grid nodes. They do not depend on the
-    wheelbase, so each grid asked for is kept on the track, read-only, and
-    every later sweep costs only its rows.
+    The passes must split ``n_steps`` evenly, into ``m >= 1`` steps each. The
+    grid is in the track's chart when ``chart`` is true and it has one (see
+    :func:`_half_grid`). ``fine`` holds the node terms (:func:`_terms`) of
+    its ``m`` steps and ``coarse`` those of its ``m // 2`` steps of twice
+    the length, on the even nodes. They do not depend on the wheelbase, so
+    each grid asked for is kept on the track, read-only, and every later
+    sweep costs only its rows.
     """
-    key = (n_steps, chart)
+    m, rest = divmod(n_steps, track.traversals)
+    if rest or m < 1:
+        raise ValidationError(f"{n_steps} steps do not split evenly into {track.traversals} nonempty passes")
+    key = (m, chart and track.chart is not None)
     cached = track._grid.get(key)
     if cached is not None:
         return cached
-    h, sigma, ksigma = _half_grid(track, n_steps, chart)
-    even = slice(0, 4 * (n_steps // 2) + 1, 2)
+    h, sigma, ksigma = _half_grid(track, *key)
+    even = slice(0, 4 * (m // 2) + 1, 2)
     fine = _terms(sigma, ksigma, h)
     coarse = _terms(_cut(sigma, even), _cut(ksigma, even), 2.0 * h)
     for x in fine + coarse:
@@ -330,36 +329,31 @@ def _exact(c: np.ndarray, k: np.ndarray, length: np.ndarray) -> np.ndarray:
         return np.stack(np.broadcast_arrays(cm1 - half * c, half * k, -half * k, cm1 + half * c))
 
 
-def _pieces(track: FrontTrack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lengths, curvatures and corner turns of the pieces of every pass, in order."""
-    return tuple(np.tile(track.pieces, (track.traversals, 1)).T)
-
-
 def _piece_factors(track: FrontTrack, c: np.ndarray) -> np.ndarray:
-    """Exact factors of every piece, each followed by its corner, shape ``(4, B, 2m)``.
+    """Exact factors of every piece of one pass, each followed by its corner, shape ``(4, B, 2m)``.
 
     A corner turning by ``gamma`` is the half-angle rotation ``R(gamma/2)``:
     a piece of unit length and curvature ``gamma`` with ``c = 0``. A piece
     without a corner is followed by ``E = 0``, the identity.
     """
-    length, k, turn = _pieces(track)
+    length, k, turn = track.pieces.T
     corner = np.tile([False, True], len(length))
     return _exact(np.where(corner, 0.0, c), np.stack((k, turn), axis=1).ravel(),
                   np.stack((length, np.ones_like(length)), axis=1).ravel())
 
 
 def _step_factors(track: FrontTrack, c: np.ndarray, n_steps: int, chart: bool = False) -> np.ndarray:
-    """Factors ``E_j`` whose product over the whole track is its monodromy, shape ``(4, B, N)``.
+    """Factors ``E_j`` whose product over one pass is the map of that pass, shape ``(4, B, N)``.
 
     ``c`` holds each row's coefficient, shape ``(B, 1)``. On a smooth track,
-    the ``n_steps`` RK4 steps, in the track's chart if ``chart`` and it has
-    one (else in arc length), refused when they do not resolve the flow; on
-    a piecewise track, the exact factors of its pieces and corners,
-    whatever ``n_steps``.
+    the RK4 steps of one pass (:func:`_grid`), in the track's chart
+    if ``chart`` and it has one (else in arc length), refused when they do
+    not resolve the flow; on a piecewise track, the exact factors of its
+    pieces and corners, whatever ``n_steps``.
     """
     if track.pieces is not None:
         return _piece_factors(track, c)
-    h, top, turn, fine, _ = _grid(track, n_steps, chart and _charted(track, n_steps))
+    h, top, turn, fine, _ = _grid(track, n_steps, chart)
     _require_resolved(h, c, top, turn)
     return _factors(fine, c)
 
@@ -391,17 +385,18 @@ def _arc_prefix(curvature, length: float, n_steps: int, c: np.ndarray) -> tuple[
 def _prefix(track: FrontTrack, c: np.ndarray, n_steps: int, chart: bool = False) -> np.ndarray:
     """E-forms of the lift's propagator from the start to each of ``n_steps + 1`` even nodes.
 
-    ``c`` holds each row's coefficient, shape ``(B, 1)``. On a smooth track
-    these are the prefix products of its RK4 steps, uniform in the track's
-    chart if ``chart`` and it has one, else in arc length. On a piecewise
-    track they are exact: the factor of the part of a node's piece before
-    the node, times the product of all earlier pieces and corners; a corner
-    on a node counts there. Shape ``(4, B, n+1)``.
+    ``c`` holds each row's coefficient, shape ``(B, 1)``, and one pass's
+    factors (:func:`_step_factors`) repeat over the passes. On a smooth
+    track these are the prefix products of its RK4 steps, uniform in the
+    track's chart if ``chart`` and it has one, else in arc length. On a
+    piecewise track they are exact: the factor of the part of a node's
+    piece before the node, times the product of all earlier pieces and
+    corners; a corner on a node counts there. Shape ``(4, B, n+1)``.
     """
-    e = _step_factors(track, c, n_steps, chart)
+    e = np.tile(_step_factors(track, c, n_steps, chart), track.traversals)
     if track.pieces is None:
         return _scan(e)
-    length, k, _ = _pieces(track)
+    length, k, _ = np.tile(track.pieces, (track.traversals, 1)).T
     starts = np.concatenate(([0.0], np.cumsum(length)))
     t = np.linspace(0.0, track.total_length, n_steps + 1)
     done = np.searchsorted(starts[1:], t, side="right")  # pieces finished at each node
@@ -507,26 +502,27 @@ def _monodromy_sweep(track: FrontTrack, params: Sequence[BikeParams],
     """Monodromy of every wheelbase row on one grid, shape ``(B, 2, 2)``, and its error estimate.
 
     On a piecewise track the map is the product of one exact factor per
-    piece and per corner, whatever ``n_steps``, and its error is the
-    rounding of that many factors, ``eps`` each. On a smooth track the
-    fine product ``M = I + F`` (``n_steps`` steps) and the coarse product
-    ``Mc = I + C`` (steps of ``2h``) come from :func:`_sweep_products`.
-    RK4's global error is ``K h^4`` to leading order, so ``M - Mc`` is
-    about 15 times the fine product's error, and the map returned is the
-    global Richardson extrapolation ``R = I + F + (F - C) / 15``, which
-    cancels that term at no extra step. The error returned is the fine
-    product's step-doubling estimate ``max |M - Mc| / (15 max |M|)``,
-    shape ``(B,)``: it bounds ``R``'s error conservatively, and it is the
-    estimate the grid is refined on. ``R`` is not rescaled: its
-    determinant is one to second order in ``M - Mc``. A row the grid does
-    not resolve reads an infinite error. A row whose product overflows
-    double precision comes out with non-finite entries and a nan error,
-    and does not stop the others; its callers refuse it.
+    piece and per corner of one pass, whatever ``n_steps``, raised to the
+    passes, and its error is the rounding of the factors of every pass,
+    ``eps`` each. On a smooth track the fine product ``M = I + F``
+    (``n_steps`` steps) and the coarse product ``Mc = I + C`` (steps of
+    ``2h``) come from :func:`_sweep_products`. RK4's global error is
+    ``K h^4`` to leading order, so ``M - Mc`` is about 15 times the fine
+    product's error, and the map returned is the global Richardson
+    extrapolation ``R = I + F + (F - C) / 15``, which cancels that term at
+    no extra step. The error returned is the fine product's step-doubling
+    estimate ``max |M - Mc| / (15 max |M|)``, shape ``(B,)``: it bounds
+    ``R``'s error conservatively, and it is the estimate the grid is
+    refined on. ``R`` is not rescaled: its determinant is one to second
+    order in ``M - Mc``. A row the grid does not resolve reads an infinite
+    error. A row whose product overflows double precision comes out with
+    non-finite entries and a nan error, and does not stop the others; its
+    callers refuse it.
     """
     if track.pieces is not None:
         e = _piece_factors(track, _coefficients(track, params))
-        m = np.eye(2).reshape(4, 1) + _tree(e)
-        return _flagged(m, np.full(len(params), e.shape[-1] * np.finfo(float).eps))
+        m = np.eye(2).reshape(4, 1) + _power(_tree(e), track.traversals)
+        return _flagged(m, np.full(len(params), e.shape[-1] * track.traversals * np.finfo(float).eps))
     f, fc, resolved = _sweep_products(track, params, n_steps)
     eye = np.eye(2).reshape(4, 1)
     m = eye + f
@@ -540,15 +536,14 @@ def _sweep_products(track: FrontTrack, params: Sequence[BikeParams],
                     n_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Raw fine and coarse products of a smooth track, E-forms ``F``, ``C`` (4, B), and the resolved rows.
 
-    The steps are taken in the track's chart when it has one (they are
-    uniform in the chart's parameter ``u``), else in arc length. The
-    coarse product takes steps of ``2h``, whose midpoint nodes are already
-    on the half grid. A row whose wheelbase the grid does not resolve
-    (:func:`_resolves`) is stepped with ``c = 0``, so it cannot overflow
-    or reverse and stop the other rows, and is flagged unresolved. The
-    turning term counts in a chart only: an ellipse turns through its tips
-    in ``min/max`` of its eccentric anomaly, and a grid that steps over
-    them passes step doubling with a wrong map.
+    The grid is one pass of ``m = n_steps / traversals`` steps, in the
+    track's chart when it has one (they are uniform in the chart's
+    parameter ``u``), else in arc length (see :func:`_grid`). A row whose
+    wheelbase the grid does not resolve (:func:`_resolves`) is stepped with
+    ``c = 0``, so it cannot overflow or reverse and stop the other rows,
+    and is flagged unresolved. The turning term counts in a chart only: an
+    ellipse turns through its tips in ``min/max`` of its eccentric anomaly,
+    and a grid that steps over them passes step doubling with a wrong map.
     Steps are built and reduced in aligned blocks whose length is a power
     of two, at most ``BLOCK`` row-steps each, so memory does not grow with
     rows times steps, and every row comes out as it would alone. The fine
@@ -561,26 +556,22 @@ def _sweep_products(track: FrontTrack, params: Sequence[BikeParams],
     both products on. Zero factors are the identity, so each product is
     the one its own tree would give, bit for bit; only a row that
     overflowed may read nan where it read inf.
-    In a chart whose ``(sigma, k sigma)`` repeat ``reps`` times over the
-    track (its ``symmetry`` times the passes), the steps repeat too, so
-    when ``n_steps`` splits into ``reps`` sub-passes of an even number of
-    steps only the first sub-pass is swept, and its fine and coarse
-    products are raised to the power ``reps``; ``n_steps`` still counts
-    the whole track. Otherwise ``reps`` is 1 and every step is swept.
+    A chart's ``(sigma, k sigma)`` repeat ``symmetry`` times in a pass, so
+    ``sub`` is the symmetry when ``m`` splits into that many sub-passes of
+    an even number of steps, else 1; the first ``m // sub`` steps are
+    swept, and both products raised to the power ``sub * traversals``.
     """
     c = _coefficients(track, params)
-    charted = _charted(track, n_steps)
-    h, top, turn, fine, coarse = _grid(track, n_steps, charted)
-    reps = track.chart.symmetry * track.traversals if charted else 1
-    if n_steps % (2 * reps):
-        reps = 1
-    resolved = _resolves(h, c[:, 0], top, turn if charted else 0.0)
+    h, top, turn, fine, coarse = _grid(track, n_steps, True)
+    m, chart = n_steps // track.traversals, track.chart
+    sub = chart.symmetry if chart is not None and m % (2 * chart.symmetry) == 0 else 1
+    resolved = _resolves(h, c[:, 0], top, 0.0 if chart is None else turn)
     c = np.where(resolved[:, None], c, 0.0)
     block = 2
     while 2 * block * len(params) <= BLOCK:
         block *= 2
     products = []
-    swept = n_steps // reps
+    swept = m // sub
     for start in range(0, swept, block):
         steps = min(block, swept - start)
         pairs = steps // 2
@@ -596,7 +587,7 @@ def _sweep_products(track: FrontTrack, params: Sequence[BikeParams],
         t = _tree(e)
         with np.errstate(over="ignore", invalid="ignore"):  # callers refuse overflow
             products.append(np.stack((_combine(t[..., 1], t[..., 0]), t[..., 2]), axis=-1))
-    both = _power(_tree(np.stack(products, axis=-1)), reps)
+    both = _power(_tree(np.stack(products, axis=-1)), sub * track.traversals)
     return both[..., 0], both[..., 1], resolved
 
 
@@ -647,7 +638,8 @@ def steering_endpoints(track: FrontTrack, params: BikeParams, alpha0: Sequence[f
     when it has one, as for :func:`monodromy_matrix`: the final angle does
     not depend on the parameter the steps are uniform in. The tangent factor
     of the lift product ``P``, of determinant one, at a unit lift ``z0`` is
-    ``1 / |P z0|^2``.
+    ``1 / |P z0|^2``. An explicit ``n_steps`` counts every pass: on a
+    smooth track, a multiple of the passes (``ValidationError`` otherwise).
     """
     n = n_steps if n_steps is not None else params.steps_per_traversal * track.traversals
     starts = np.asarray(alpha0, dtype=float)
@@ -673,19 +665,21 @@ def monodromy_matrix(track: FrontTrack, params: BikeParams,
     The steering equation is the projectivization of the linear system
     ``z' = A(t) z`` on ``z = (sin(alpha/2), cos(alpha/2))`` with
     ``A = [[-c/2, k/2], [-k/2, c/2]]``; the returned 2x2 matrix is the raw
-    product ``S_{n-1} ... S_0`` from the engine's balanced tree, the
-    fundamental solution over the whole track. On a smooth track the steps
-    are RK4 steps scaled to determinant one, uniform in the track's chart
-    when it has one (see :func:`_monodromy_sweep`), so it holds up to step error;
-    on a piecewise track they are exact, corners included, and it holds to
-    rounding. Either way its determinant is one to rounding. Entries grow
-    only like the square root of the multiplier ratio, so the product stays
-    usable for strongly contracting monodromies, where every probe
-    trajectory lands on the attracting angle to machine precision.
+    product ``S_{n-1} ... S_0`` of one pass from the engine's balanced tree,
+    raised to the passes: the fundamental solution over the whole track.
+    An explicit ``n_steps`` counts every pass: on a smooth track, a multiple
+    of the passes (``ValidationError`` otherwise). On a smooth track the
+    steps are RK4 steps scaled to determinant one, uniform in the track's
+    chart when it has one (see :func:`_monodromy_sweep`), so it holds up to
+    step error; on a piecewise track they are exact, corners included, and
+    it holds to rounding. Either way its determinant is one to rounding.
+    Entries grow only like the square root of the multiplier ratio, so the
+    product stays usable for strongly contracting monodromies, where every
+    probe trajectory lands on the attracting angle to machine precision.
     """
     n = n_steps if n_steps is not None else params.steps_per_traversal * track.traversals
     e = _step_factors(track, _coefficients(track, [params]), n, chart=True)
-    return np.eye(2) + _finite(_tree(e))[:, 0].reshape(2, 2)
+    return np.eye(2) + _finite(_power(_tree(e), track.traversals))[:, 0].reshape(2, 2)
 
 
 def _rear_path(front: np.ndarray, theta: np.ndarray, rate, ell: float,

@@ -236,14 +236,13 @@ class Chart:
         return Chart(self.span, self.half_grid, frame, self.u_of_t, self.points @ rot.T + shift,
                      self.headings + rotation, self.length, self.area, self.degree, self.symmetry)
 
-    def rebased(self, start: float, turned: float) -> "Chart":
+    def rebased(self, start: float) -> "Chart":
         """The chart of the track re-based to arc length ``start`` of this pass: ``u -> u0 + u``.
 
-        ``u0 = u_of_t(start)``, and the headings add ``turned``, the turning of
-        the passes before the new start. The new ``u_of_t`` runs over one whole
-        pass from there: past the end of this chart's pass it reads the next
-        pass, one ``span`` on, so the end of the new pass (``t = length``)
-        maps to ``u = span``, not back to 0.
+        ``u0 = u_of_t(start)``. The new ``u_of_t`` runs over one whole pass
+        from there: past the end of this chart's pass it reads the next pass,
+        one ``span`` on, so the end of the new pass (``t = length``) maps to
+        ``u = span``, not back to 0.
         """
         span, length = self.span, self.length
         u0 = self.u_of_t(start)
@@ -255,8 +254,7 @@ class Chart:
             return self.u_of_t(end - length) - u0 + span
 
         def frame(u):
-            xy, phi, sigma, ksigma = self.frame(u0 + u)
-            return xy, phi + turned, sigma, ksigma
+            return self.frame(u0 + u)
 
         ends, headings, _, _ = frame(np.array([0.0, span]))
         return Chart(span, lambda m: frame(np.linspace(0.0, span, m + 1))[2:], frame, u_of_t,
@@ -373,7 +371,7 @@ class FrontTrack:
         self.chart = chart
         self._frame_c = frame_fn
         self._k_c = curvature_fn
-        self._grid: dict = {}  # step grids of the dynamics, (steps, in chart) -> see dynamics._grid
+        self._grid: dict = {}  # one-pass step grids of the dynamics, (steps, in chart) -> see dynamics._grid
         if self.closed:
             span = float(headings[1] - headings[0])
             gap = math.hypot(*(ends[1] - ends[0]))
@@ -524,8 +522,8 @@ class FrontTrack:
         """Closed track re-parameterized to start at parameter ``t0``.
 
         The start is ``t0``'s remainder in one pass (:meth:`_split`), and the
-        headings add the turning of the whole passes before it. The piece
-        holding the start is split in two: its part after the start comes
+        re-based track depends on it alone, not on the passes before it. The
+        piece holding the start is split in two: its part after the start comes
         first, with the piece's corner, and its part before it comes last,
         with none. A corner at the start itself ends the new pass. A chart is
         kept, shifted to the start (see :meth:`Chart.rebased`), so the
@@ -535,8 +533,7 @@ class FrontTrack:
             raise ValidationError("only closed tracks can be re-based")
         if not math.isfinite(t0):
             raise ValidationError(f"re-basing parameter must be finite, got {t0!r}")
-        start, laps = (float(x) for x in self._split(t0))
-        turned = TWO_PI * self.turning_single * laps
+        start = float(self._split(t0)[0])
 
         pieces = None
         if self.pieces is not None:
@@ -547,12 +544,8 @@ class FrontTrack:
             pieces = np.concatenate(([[length - into, k, turn]], self.pieces[i + 1:],
                                      self.pieces[:i], [[into, k, 0.0]] if into > 0.0 else np.empty((0, 3))))
 
-        def frame(t):
-            xy, phi = self.frame(start + t)
-            return xy, phi + turned
-
-        return self._derived(frame, lambda t: self.curvature(start + t),
-                             pieces=pieces, chart=self.chart and self.chart.rebased(start, turned))
+        return self._derived(lambda t: self.frame(start + t), lambda t: self.curvature(start + t),
+                             pieces=pieces, chart=self.chart and self.chart.rebased(start))
 
     def split_at_corners(self) -> list["FrontTrack"]:
         """One pass cut at its corners into open tracks, in order; ``[self]`` if it has none.

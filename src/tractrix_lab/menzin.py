@@ -57,6 +57,12 @@ def _require_convex(track: FrontTrack) -> float:
     return k_max
 
 
+def _require_single_pass(track: FrontTrack) -> None:
+    """Refuse a track of several passes: its area counts them all, and its ``ell0`` is one pass's."""
+    if track.traversals != 1:
+        raise ValidationError("the area bound and the defect bound are defined for a single traversal")
+
+
 def min_osculating_radius(track: FrontTrack) -> float:
     """Radius of the smallest osculating circle, 1/max k over the grid."""
     return 1.0 / _require_convex(track)
@@ -259,12 +265,13 @@ def defect_bound(track: FrontTrack, ell: float, *,
                  steps_per_traversal: int = 4096) -> tuple[float, float]:
     """Isoperimetric defect of the front track and its rear-area lower bound.
 
-    Requires a non-elliptic monodromy so a closed rear track exists at the
-    attracting (or parabolic) fixed angle. Its signed area comes from the
-    exact area identity ``A0 = A_F - pi * ell**2`` (turning number one), and
-    the pair ``(L_F**2 - 4 pi A_F, -4 pi A0)`` is returned after asserting
-    the defect really does sit above the bound.
+    Requires a track of one pass and a non-elliptic monodromy, so a closed
+    rear track exists at the attracting (or parabolic) fixed angle. Its
+    signed area comes from the exact area identity ``A0 = A_F - pi * ell**2``
+    (turning number one), and the pair ``(L_F**2 - 4 pi A_F, -4 pi A0)`` is
+    returned after asserting the defect really does sit above the bound.
     """
+    _require_single_pass(track)
     _require_convex(track)
     return _defect_bound(track, ell, steps_per_traversal, enclosed_area(track))
 
@@ -352,8 +359,10 @@ def menzin_verify(track: FrontTrack, tol: float | None = None, *,
     the scan cap, location of the first parabolic transition, and the area
     inequality ``A <= pi * ell0**2`` with a 1e-4 relative margin. Failures
     are recorded per stage (with the offending wheelbase) rather than
-    raised, so a counterexample would produce a readable report.
+    raised, so a counterexample would produce a readable report. A track
+    of several passes is refused; :func:`critical_length` accepts it.
     """
+    _require_single_pass(track)
     # one sweep for the ladder, whose last point is the cap, and for 0.5 * r
     r, area, tol, samples, first, (cap_fit, small_fit), ell0 = _ladder_scan(
         track, tol, steps_per_traversal, (0.5,))

@@ -214,7 +214,7 @@ def measure(track: FrontTrack, ell: float, base: float = 0.0,
         raise ValidationError(f"steps_per_traversal must be at least 2, got {steps_per_traversal!r}")
     if not math.isfinite(base):
         raise ValidationError(f"base must be finite, got {base!r}")
-    loop = track.rebased(float(track._split(base)[0]))  # a reading depends only on the base point
+    loop = track.rebased(base)
     chart = loop.chart
     base_point, phi0 = loop.frame(0.0) if chart is None else (chart.points[0], float(chart.headings[0]))
     steps_per_unit = steps_per_traversal / track.period

@@ -383,10 +383,12 @@ def test_non_numeric_field_exits_2(capsys, tmp_path, command, field):
     (["monodromy", "--ell", "1"], {"kind": "geodesic-circle", "rho": 1.0, "r": 1.0}),
     (["monodromy", "--ell", "1"], {"kind": "geodesic-circle", "rho": 1.0, "center": [0, 0]}),
     (["monodromy", "--ell", "1"], {"kind": "circle", "r": 1.0, "geometry": "flat"}),
+    # the area of both passes against one pass's ell0 read as a counterexample (exit 3)
+    (["menzin", "--steps", "512"], {"kind": "ellipse", "a": 2, "b": 1, "traversals": 2}),
 ], ids=["rho-not-numeric", "rho-missing", "loop-block-not-object", "length-overflows",
         "vertex-not-a-pair", "point-not-finite", "traversals-past-double-range",
         "geodesic-traversals-0", "geodesic-traversals-negative", "geodesic-traversals-fraction",
-        "geodesic-with-r", "geodesic-with-center", "unknown-geometry"])
+        "geodesic-with-r", "geodesic-with-center", "unknown-geometry", "menzin-two-passes"])
 def test_malformed_spec_exits_2(capsys, tmp_path, argv, spec):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))

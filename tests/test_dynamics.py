@@ -656,15 +656,15 @@ def _unfused_sweep(track, params, n):
     """
     from tractrix_lab import dynamics as d
 
-    charted = d._charted(track, n)
-    h, top, turn, fine, coarse = d._grid(track, n, charted)
-    reps = track.chart.symmetry * track.traversals if charted else 1
-    if n % (2 * reps):
-        reps = 1
+    h, top, turn, fine, coarse = d._grid(track, n, True)  # one pass
+    m = n // track.traversals
+    charted = track.chart is not None
+    sub = track.chart.symmetry if charted and m % (2 * track.chart.symmetry) == 0 else 1
+    reps = sub * track.traversals
     c = d._coefficients(track, params)
     resolved = d._resolves(h, c[:, 0], top, turn if charted else 0.0)
     c = np.where(resolved[:, None], c, 0.0)
-    swept = n // reps
+    swept = m // sub
     e = d._factors([d._cut(t, slice(0, swept)) for t in fine], c)
     ec = np.concatenate((d._factors([d._cut(t, slice(0, swept // 2)) for t in coarse], c),
                          e[..., 2 * (swept // 2):]), axis=-1)
@@ -694,11 +694,16 @@ def test_fused_sweep_matches_separate_trees(name, n, rows):
     # raw products are those of the separate trees, bit for bit, on odd and
     # uneven counts, split and unsplit symmetric charts, reversed tracks and
     # a track with no chart; where a step reverses orientation (3 arc-length
-    # steps, unchecked for turning) both refuse it
+    # steps, unchecked for turning) both refuse it, and the sweep refuses
+    # steps that do not split evenly into the passes
     from tractrix_lab.dynamics import _sweep_products
 
     track = FUSED_TRACKS[name]()
     params = [tl.BikeParams(ell=ell) for ell in np.geomspace(0.05, 3.0, rows)]
+    if n % track.traversals:
+        with pytest.raises(tl.ValidationError, match="do not split evenly"):
+            _sweep_products(track, params, n)
+        return
     try:
         expected = _unfused_sweep(track, params, n)
     except tl.ResidualError:
@@ -728,3 +733,61 @@ def test_single_row_sweep_combines_once_per_level(monkeypatch):
     track = tl.make_curve({"kind": "ellipse", "a": 2.0, "b": 1.0})
     dynamics._monodromy_sweep(track, [tl.BikeParams(ell=0.8)], 512)
     assert len(calls) <= 9
+
+
+# -- passes ----------------------------------------------------------------------
+
+PASS_SPECS = {
+    "ellipse": {"kind": "ellipse", "a": 2.0, "b": 1.0},
+    "fourier-support": {"kind": "fourier-support", "a0": 1.0, "cos": [0.0, 0.1, 0.03], "sin": [0.0, 0.02]},
+    "spline": {"kind": "samples", "points": [[1, 0], [0, 1], [-1, 0], [0, -1.3]]},
+    "filleted-polyline": {"kind": "polyline", "vertices": [[0, 0], [2, 0], [2, 1], [0, 1]], "fillet_radius": 0.2},
+}
+
+
+@pytest.mark.parametrize("spec", PASS_SPECS.values(), ids=PASS_SPECS.keys())
+def test_grids_hold_one_pass(spec, monkeypatch):
+    # a track of 64 passes builds and steps the grid of one pass, never one tiled over the passes
+    from tractrix_lab import dynamics
+
+    nodes, half_grid = [], dynamics._half_grid
+
+    def spied(*args):
+        out = half_grid(*args)
+        nodes.append(max(np.size(x) for x in out[1:]))
+        return out
+
+    monkeypatch.setattr(dynamics, "_half_grid", spied)
+    track = tl.make_curve(spec | {"traversals": 64})
+    params = tl.BikeParams(ell=1.0, steps_per_traversal=256)
+    rep = tl.monodromy(track, params)
+    tl.integrate_steering(track, params, 0.4)
+    assert max(nodes, default=0) <= 2 * (rep.n_steps // 64) + 1
+    assert (track.pieces is None) == bool(nodes)
+
+
+@pytest.mark.parametrize("passes", [2, 3, 8])
+@pytest.mark.parametrize("spec", PASS_SPECS.values(), ids=PASS_SPECS.keys())
+def test_map_of_several_passes_is_the_power_of_one(spec, passes):
+    # the paper's rule: a track run k times has the k-th power of the map of one pass
+    for ell in (0.6, 2.5):
+        params = tl.BikeParams(ell=ell, steps_per_traversal=256)
+        one = tl.monodromy_matrix(tl.make_curve(spec), params)
+        many = tl.monodromy_matrix(tl.make_curve(spec | {"traversals": passes}), params)
+        want = np.linalg.matrix_power(one, passes)
+        assert np.max(np.abs(many - want)) <= 1e-12 * np.max(np.abs(want)), ell
+
+
+def test_steps_must_split_into_the_passes():
+    # an explicit step count on a smooth track of several passes is a multiple of the passes
+    twice = tl.make_curve({"kind": "ellipse", "a": 2.0, "b": 1.0, "traversals": 2})
+    params = tl.BikeParams(ell=1.0)
+    with pytest.raises(tl.ValidationError, match="do not split evenly"):
+        tl.monodromy_matrix(twice, params, n_steps=7)
+    with pytest.raises(tl.ValidationError, match="do not split evenly"):
+        tl.steering_endpoints(twice, params, [0.4], n_steps=7)
+    assert np.isfinite(tl.monodromy_matrix(twice, params, n_steps=512)).all()
+    with pytest.raises(tl.ValidationError, match="do not split evenly"):  # no pass of zero steps
+        tl.monodromy_matrix(tl.make_curve({"kind": "ellipse", "a": 2.0, "b": 1.0}), params, n_steps=0)
+    circle = tl.make_curve({"kind": "circle", "r": 1.0, "traversals": 2})  # pieces take any count
+    assert np.isfinite(tl.steering_endpoints(circle, params, [0.4], n_steps=7)).all()

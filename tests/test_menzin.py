@@ -140,6 +140,19 @@ def test_defect_bound_needs_nonelliptic(unit_circle):
         tl.defect_bound(unit_circle, 5.0)
 
 
+def test_area_bounds_refuse_a_track_of_several_passes(ellipse21):
+    # the area counts both passes and ell0 only one, which read as a failed
+    # area bound and a defect below its bound; the first transition is the
+    # same for both passes, so critical_length keeps them
+    twice = tl.make_curve({"kind": "ellipse", "a": 2.0, "b": 1.0, "traversals": 2})
+    with pytest.raises(tl.ValidationError, match="single traversal"):
+        tl.menzin_verify(twice, steps_per_traversal=512)
+    with pytest.raises(tl.ValidationError, match="single traversal"):
+        tl.defect_bound(twice, 1.3)
+    once = tl.critical_length(ellipse21, steps_per_traversal=512)
+    assert tl.critical_length(twice, steps_per_traversal=512) == pytest.approx(once, rel=1e-10)
+
+
 def test_menzin_report_ellipse(menzin_ellipse):
     rep = menzin_ellipse
     assert rep.ok
