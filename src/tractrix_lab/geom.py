@@ -317,8 +317,12 @@ class FrontTrack:
         per arc of a single pass, in order, where ``turn`` is the exterior
         angle of the corner at the arc's end. The dynamics propagate such a
         track in closed form, and its ``breakpoints`` (where the curvature
-        jumps or the track turns) are read from the pieces. ``None`` for
-        smooth tracks.
+        jumps or the track turns) are read from the pieces. A line, a
+        polyline and their corner legs also draw their positions, tangent
+        angles and curvature from the pieces (:func:`_piece_frame`); a
+        circle keeps its closed form, and a geodesic circle in a curved
+        geometry is drawn as a flat circle whose curvature is not its
+        pieces'. ``None`` for smooth tracks.
     chart : Chart, optional
         A second parameter of one pass (see :class:`Chart`), in which the
         dynamics step the monodromy. A track with a chart reads its start
@@ -472,25 +476,32 @@ class FrontTrack:
         of the piece that now precedes it. The reflected tangent angle would
         take each corner's turn one point early (at ``t = 0`` it would
         already include the turn at the start vertex), so a track with
-        corners reads its tangent from the reversed pieces: at a corner it
-        is the angle after the turn, as on the forward track. A chart is
+        corners is drawn from the reversed pieces (:func:`_piece_frame`):
+        each starts where its forward piece ends, one evaluation of this
+        track reads those points, and the tangent angles add up the pieces'
+        turning from the reversed end heading, so at a corner the angle is
+        the one after the turn, as on the forward track. A chart is
         reversed with the track.
         """
         period = self.period
-        pieces = tan = None
+
+        def frame(t):
+            xy, phi = self._frame_c(period - t)
+            return xy, phi + math.pi
+
+        def cur(t):
+            return -self._k_c(period - t)
+
+        pieces = None
         if self.pieces is not None:
             length, k, turn = self.pieces.T
             pieces = np.stack((length, -k, -np.roll(turn, 1)), axis=1)[::-1]
             if np.any(turn):
-                end = float(self._frame_c(np.array([period]))[1][0])
-                tan = _heading(pieces, end + math.pi - turn[-1], period)
-
-        def frame(t):
-            xy, phi = self._frame_c(period - t)
-            return xy, (phi + math.pi if tan is None else tan(t))
-
-        def cur(t):
-            return -self._k_c(period - t)
+                # the reversed pieces start where these end, the first at the period
+                ends, phi = self._frame_c(np.append(np.cumsum(length[:-1]), period))
+                headings = phi[-1] + math.pi - turn[-1] + np.concatenate(
+                    ([0.0], np.cumsum(pieces[:-1, 1] * pieces[:-1, 0] + pieces[:-1, 2])))
+                frame, cur = _piece_frame(pieces, ends[::-1], headings, period)
 
         return self._derived(frame, cur, pieces=pieces, chart=self.chart and self.chart.reversed())
 
@@ -550,45 +561,62 @@ class FrontTrack:
     def split_at_corners(self) -> list["FrontTrack"]:
         """One pass cut at its corners into open tracks, in order; ``[self]`` if it has none.
 
-        Each stretch's tangent runs up to the corner that ends it, not past
-        it, so an integrator that samples the stretches one by one never
-        steps across a turn.
+        Each stretch is drawn from its pieces (:func:`_piece_frame`), from
+        one evaluation of this track at the piece starts, with tangent
+        angles that add up the turning from the start of the pass, so it
+        keeps none of this track's accessors. Its tangent runs up to the
+        corner that ends it, not past it, so an integrator that samples the
+        stretches one by one never steps across a turn.
         """
         if self.pieces is None or not np.any(self.pieces[:, 2]):
             return [self]
         length, k, turn = self.pieces.T
         starts = np.concatenate(([0.0], np.cumsum(length)))
-        heading = float(self._frame_c(np.array([0.0]))[1][0]) + np.concatenate(
-            ([0.0], np.cumsum(k * length + turn)))
+        origins, phi = self._frame_c(starts[:-1])
+        headings = phi[0] + np.concatenate(([0.0], np.cumsum(k * length + turn)[:-1]))
         cuts = [0, *(np.flatnonzero(turn[:-1]) + 1), len(length)]
         out = []
         for i, j in zip(cuts[:-1], cuts[1:]):
-            a, span = starts[i], starts[j] - starts[i]
+            span = starts[j] - starts[i]
             pieces = np.stack((length[i:j], k[i:j], np.zeros(j - i)), axis=1)
-            tan = _heading(pieces, heading[i], span)
-            out.append(FrontTrack(
-                span, lambda t, a=a, tan=tan: (self._frame_c(a + t)[0], tan(t)),
-                lambda t, a=a: self._k_c(a + t), closed=False, geometry=self.geometry,
-                pieces=pieces))
+            out.append(FrontTrack(span, *_piece_frame(pieces, origins[i:j], headings[i:j], span),
+                                  closed=False, geometry=self.geometry, pieces=pieces))
         return out
 
 
-def _heading(pieces: np.ndarray, theta0: float, period: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Tangent angle along ``pieces`` of one pass of length ``period``, from ``theta0``.
+def _piece_frame(pieces, origins, headings, period: float) -> tuple[Callable, Callable]:
+    """Frame and curvature functions of one pass, of length ``period``, of planar ``pieces``.
 
-    A corner's turn counts from its piece's end on, so the angle at a corner
+    Piece ``i`` starts at ``origins[i]`` with tangent angle ``headings[i]``.
+    A point ``s`` into a piece of curvature ``k`` lies on the chord of its
+    arc, ``p + s sinc(k s / 2) (cos, sin)(theta + k s / 2)``, which on a
+    straight piece is the segment itself, with no trigonometric call per
+    point; it heads along ``theta + k s`` and its curvature is ``k``. A
+    corner's turn counts from its piece's end on, so the angle at a corner
     is the one after it, and the angle at ``period`` includes the last
     corner (the closure check reads it there).
     """
-    length, k, turn = pieces.T
-    starts = np.concatenate(([0.0], np.cumsum(length[:-1])))
-    at_start = theta0 + np.concatenate(([0.0], np.cumsum(k * length + turn)[:-1]))
+    length, k, turn = np.asarray(pieces, dtype=float).T
+    origins = np.asarray(origins, dtype=float)
+    headings = np.asarray(headings, dtype=float)
+    inner = np.cumsum(length[:-1])  # the starts of all pieces but the first
+    starts = np.concatenate(([0.0], inner))
+    unit = np.stack((np.cos(headings), np.sin(headings)), axis=-1)
 
-    def tan(t):
-        idx = np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(starts) - 1)
-        return at_start[idx] + k[idx] * (t - starts[idx]) + np.where(t >= period, turn[-1], 0.0)
+    def frame(t):
+        i = np.searchsorted(inner, t, side="right")
+        s, ki = t - starts[i], k[i]
+        xy = np.take(origins, i, axis=0) + s[:, None] * np.take(unit, i, axis=0)
+        half = 0.5 * ki * s
+        bent = np.flatnonzero(half)
+        if len(bent):
+            ib, h = i[bent], half[bent]
+            chord = s[bent] * np.sin(h) / h
+            xy[bent] = origins[ib] + chord[:, None] * np.stack(
+                (np.cos(headings[ib] + h), np.sin(headings[ib] + h)), axis=-1)
+        return xy, headings[i] + ki * s + np.where(t >= period, turn[-1], 0.0)
 
-    return tan
+    return frame, lambda t: k[np.searchsorted(inner, t, side="right")]
 
 
 # -- constructions ----------------------------------------------------------
@@ -773,6 +801,8 @@ def _check_coordinates(points: np.ndarray, what: str) -> None:
 
 def _build_polyline(spec: CurveSpec) -> FrontTrack:
     verts = np.asarray(spec.vertices, dtype=float)
+    if verts.ndim == 2 and len(verts) > 1 and math.hypot(*(verts[-1] - verts[0])) <= 1e-9:
+        verts = verts[:-1]  # a last vertex on the first closes the polygon, as on samples
     if verts.ndim != 2 or verts.shape[0] < 3 or verts.shape[1] != 2:
         raise InvalidCurveError("polyline needs at least 3 plane vertices")
     _check_coordinates(verts, "polyline")
@@ -802,50 +832,22 @@ def _build_polyline(spec: CurveSpec) -> FrontTrack:
         if setback[i] + setback[(i + 1) % m] >= lengths[i] - 1e-12:
             raise InvalidCurveError("fillet radius too large for an edge of the polyline")
 
-    # pieces: straight along edge i, then the fillet arc at vertex i+1 or its corner
-    rows, is_arc, anchor, aux = [], [], [], []
+    # pieces: straight along edge i, then the fillet arc at vertex i+1 or its corner,
+    # both leaving along edge i
+    rows, origins = [], []
     for i in range(m):
         j = (i + 1) % m
         g = gamma[j]
         rows.append((lengths[i] - setback[i] - setback[j], 0.0, 0.0 if rf else g))
-        is_arc.append(False); anchor.append(verts[i] + setback[i] * dirs[i]); aux.append(dirs[i])
+        origins.append(verts[i] + setback[i] * dirs[i])
         if rf:
-            b_pt = verts[j] - setback[j] * dirs[i]
-            sgn = 1.0 if g >= 0.0 else -1.0
-            center = b_pt + rf * sgn * np.array([-dirs[i, 1], dirs[i, 0]])
-            start_ang = math.atan2(b_pt[1] - center[1], b_pt[0] - center[0])
-            rows.append((rf * abs(g), sgn / rf, 0.0))
-            is_arc.append(True); anchor.append(center); aux.append(np.array([start_ang, sgn / rf]))
-
+            rows.append((rf * abs(g), (1.0 if g >= 0.0 else -1.0) / rf, 0.0))
+            origins.append(verts[j] - setback[j] * dirs[i])
     pieces = np.array(rows)
-    starts = np.concatenate(([0.0], np.cumsum(pieces[:-1, 0])))
-    total = starts[-1] + pieces[-1, 0]
-    is_arc = np.asarray(is_arc)
-    anchor = np.asarray(anchor)
-    aux = np.asarray(aux)
-    rate = pieces[:, 1]
-
-    def locate(t):
-        idx = np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(starts) - 1)
-        return idx, t - starts[idx]
-
-    tan = _heading(pieces, math.atan2(dirs[0, 1], dirs[0, 0]), total)
-
-    def frame(t):
-        idx, s = locate(t)
-        arc = is_arc[idx]
-        out = np.empty((len(t), 2))
-        st = ~arc
-        out[st] = anchor[idx[st]] + s[st, None] * aux[idx[st]]
-        ia = idx[arc]
-        ang = aux[ia, 0] + aux[ia, 1] * s[arc]
-        out[arc] = anchor[ia] + rf * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-        return out, tan(t)
-
-    def cur(t):
-        return rate[locate(t)[0]]
-
-    return FrontTrack(total, frame, cur, closed=True, traversals=spec.traversals, pieces=pieces)
+    headings = np.repeat(np.unwrap(np.arctan2(dirs[:, 1], dirs[:, 0])), 2 if rf else 1)
+    total = float(np.cumsum(pieces[:, 0])[-1])
+    return FrontTrack(total, *_piece_frame(pieces, origins, headings, total), closed=True,
+                      traversals=spec.traversals, pieces=pieces)
 
 
 def _build_samples(spec: CurveSpec) -> FrontTrack:
@@ -908,14 +910,9 @@ def _build_line(spec: CurveSpec) -> FrontTrack:
         direction = (p1 - p0) / length
     if length < 1e-12:
         raise InvalidCurveError("line endpoints coincide")
-    theta = math.atan2(direction[1], direction[0])
-
-    return FrontTrack(
-        length,
-        lambda t: (p0 + t[:, None] * direction, np.full_like(t, theta)),
-        lambda t: np.zeros_like(t),
-        closed=False, pieces=[(length, 0.0, 0.0)],
-    )
+    pieces = [(length, 0.0, 0.0)]
+    frame, cur = _piece_frame(pieces, [p0], [math.atan2(direction[1], direction[0])], length)
+    return FrontTrack(length, frame, cur, closed=False, pieces=pieces)
 
 
 _BUILDERS = {

@@ -1,5 +1,6 @@
 """Numerical helpers: arc-length inversion, Simpson quadrature, import footprint."""
 
+import json
 import math
 import os
 import subprocess
@@ -144,3 +145,26 @@ def test_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+_RUN_MONODROMY = """
+import contextlib, io, json, sys
+from tractrix_lab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["monodromy", "--input", sys.argv[1], "--ell", "0.7"])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+"""
+
+
+@pytest.mark.parametrize("spec, loads", [
+    ({"kind": "ellipse", "a": 2.0, "b": 1.0}, False),
+    ({"kind": "samples", "points": [[1, 0], [0, 1], [-1, 0], [0, -1.3]]}, True),  # the spline
+])
+def test_only_a_samples_spec_loads_scipy(tmp_path, spec, loads):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = subprocess.run([sys.executable, "-c", _RUN_MONODROMY, str(path)],
+                         env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, check=True)
+    code, modules = json.loads(out.stdout)
+    assert code == 0
+    assert bool(modules) is loads, modules

@@ -103,6 +103,23 @@ def test_zero_fillet_is_refused(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_polyline_may_repeat_its_first_vertex(capsys, tmp_path):
+    # the closing convention of samples: a last vertex on the first is dropped
+    square = tl.make_curve({"kind": "polyline", "vertices": SQUARE})
+    for last in ([0.0, 0.0], [1e-10, 0.0]):
+        closed = {"kind": "polyline", "vertices": SQUARE + [last]}
+        assert np.array_equal(tl.make_curve(closed).pieces, square.pieces)
+    path = tmp_path / "closed.json"
+    path.write_text(json.dumps({"kind": "polyline", "vertices": SQUARE + [SQUARE[0]]}))
+    assert main(["monodromy", "--input", str(path), "--ell", "0.7"]) == 0
+    capsys.readouterr()
+    # anywhere else a repeated vertex is an edge of zero length, and two left are too few
+    for vertices in ([[0, 0], [1, 0], [1, 0], [1, 1], [0, 1]], [[0, 0], [1, 0], [0, 0]]):
+        path.write_text(json.dumps({"kind": "polyline", "vertices": vertices}))
+        assert main(["monodromy", "--input", str(path), "--ell", "0.7"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
 @pytest.mark.parametrize("ell", np.linspace(0.01, 0.9, 25))
 def test_unit_circle_traces_match_the_closed_form(unit_circle, ell):
     rep = tl.monodromy(unit_circle, tl.BikeParams(ell=float(ell)))
@@ -201,6 +218,57 @@ def test_split_at_corners_gives_the_stretches_between_turns():
     assert np.allclose(legs[-1].position(np.array([0.25])), square.position(0.0))
     circle = tl.make_curve({"kind": "circle", "r": 1.0})
     assert circle.split_at_corners() == [circle]
+
+
+_FRAME_SPECS = {
+    "square": {"kind": "polyline", "vertices": SQUARE},
+    "clockwise square": {"kind": "polyline", "vertices": SQUARE, "orientation": -1},
+    "filleted rectangle": {"kind": "polyline", "vertices": [[0, 0], [2, 0], [2, 1], [0, 1]],
+                           "fillet_radius": 0.2},
+    "two-pass fillet": {"kind": "polyline", "vertices": [[0, 0], [4, 0], [5, 3], [2, 5], [-1, 3]],
+                        "fillet_radius": 0.4, "traversals": 2},
+    "line": {"kind": "line", "start": [0.0, 1.0], "end": [3.0, 5.0]},
+}
+_COPIES = {
+    "plain": lambda track: track,
+    "reversed": lambda track: track.reversed(),
+    "moved": lambda track: track.transformed(0.3, (2.0, -5.0)),
+    "rebased": lambda track: track.rebased(0.37 * track.period),
+}
+
+
+@pytest.mark.parametrize("spec, copy", [(spec, copy) for spec in _FRAME_SPECS for copy in _COPIES
+                                         if not (spec == "line" and copy == "rebased")])
+def test_piece_frames_follow_their_pieces(spec, copy):
+    track = _COPIES[copy](tl.make_curve(_FRAME_SPECS[spec]))
+    legs = track.split_at_corners()
+    for leg in [track, *legs]:
+        _check_piece_frame(leg)
+    # the legs run from corner to corner of one pass
+    cuts = np.cumsum([0.0] + [leg.period for leg in legs])
+    ends = [leg.position(np.array([0.0, leg.period])) for leg in legs]
+    assert np.allclose(ends, track.position(np.stack((cuts[:-1], cuts[1:]), axis=1)), rtol=0.0, atol=1e-13)
+
+
+def _check_piece_frame(track):
+    length, k, _ = track.pieces.T
+    passes = track.period * np.arange(track.traversals)[:, None]
+    starts = np.concatenate(([0.0], np.cumsum(length[:-1])))
+    long = length > 0.0
+    mid = (starts + 0.5 * length)[long] + passes
+    h = 1e-6 * track.period
+    (before, after), (phi_before, phi_after) = track.frame(np.stack((mid - h, mid + h)))
+    phi = track.tangent_angle(mid)
+    # a central difference of positions heads along the tangent, one of angles turns at k
+    assert np.allclose((after - before) / (2.0 * h), np.stack((np.cos(phi), np.sin(phi)), axis=-1),
+                       rtol=0.0, atol=1e-8)
+    assert np.allclose((phi_after - phi_before) / (2.0 * h), k[long], rtol=0.0, atol=1e-8)
+    # and no piece starts away from where the one before it ended
+    ends = (np.cumsum(length) + passes).ravel()
+    ends = ends[ends < track.total_length]
+    step = 1e-9 * track.period
+    gap = np.hypot(*(track.position(ends + step) - track.position(ends - step)).T)
+    assert np.all(gap <= 3.0 * step)
 
 
 @pytest.mark.parametrize("placement", ["normal", "centroid"])
