@@ -176,11 +176,12 @@ def simpson(y: np.ndarray, dx: float) -> float:
     stop = n - 2 if n % 2 else n - 3
     result = np.sum(y[0:stop:2] + 4.0 * y[1:stop + 1:2] + y[2:stop + 2:2]) * (dx / 3.0)
     if n % 2 == 0:
-        h = np.float64(dx)
+        # the weights are linear in h: taken on h scaled to order one, exactly, no cube overflows
+        h, e = np.frexp(np.float64(dx))
         alpha = (2 * h**2 + 3 * h * h) / (6 * (h + h))
         beta = (h**2 + 3.0 * h * h) / (6 * h)
         eta = (1 * h**3) / (6 * h * (h + h))
-        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+        result += np.ldexp(alpha, e) * y[-1] + np.ldexp(beta, e) * y[-2] - np.ldexp(eta, e) * y[-3]
     return float(result)
 
 

@@ -735,7 +735,7 @@ def rear_track(solution: SteeringSolution) -> RearTrack:
 
     closed = bool(
         solution.track.closed
-        and np.linalg.norm(points[-1] - points[0]) < 1e-6 * (ell + np.hypot(*np.ptp(front, axis=0)))
+        and np.hypot(*(points[-1] - points[0])) < 1e-6 * (ell + np.hypot(*np.ptp(front, axis=0)))
     )
     return RearTrack(solution.t, points, theta, cusps, signed_rear_length(solution), closed, velocity, area)
 

@@ -318,10 +318,12 @@ class FrontTrack:
         angle of the corner at the arc's end. The dynamics propagate such a
         track in closed form, and its ``breakpoints`` (where the curvature
         jumps or the track turns) are read from the pieces. A line, a
-        polyline and their corner legs also draw their positions, tangent
-        angles and curvature from the pieces (:func:`_piece_frame`); a
-        circle keeps its closed form, and a geodesic circle in a curved
-        geometry is drawn as a flat circle whose curvature is not its
+        polyline and every track with corners derived from one (reversed,
+        re-based, its corner legs) also draw their positions, tangent
+        angles and curvature from the pieces (:func:`_piece_frame`), each
+        read where it starts, so at every corner the angle is the one after
+        the turn; a circle keeps its closed form, and a geodesic circle in a
+        curved geometry is drawn as a flat circle whose curvature is not its
         pieces'. ``None`` for smooth tracks.
     chart : Chart, optional
         A second parameter of one pass (see :class:`Chart`), in which the
@@ -477,11 +479,11 @@ class FrontTrack:
         take each corner's turn one point early (at ``t = 0`` it would
         already include the turn at the start vertex), so a track with
         corners is drawn from the reversed pieces (:func:`_piece_frame`):
-        each starts where its forward piece ends, one evaluation of this
-        track reads those points, and the tangent angles add up the pieces'
-        turning from the reversed end heading, so at a corner the angle is
-        the one after the turn, as on the forward track. A chart is
-        reversed with the track.
+        each starts where its forward piece ends, heading back along that
+        piece's end before its corner, both read from one evaluation of
+        this track at the piece ends, so at a corner the angle is the one
+        after the turn, as on the forward track. A chart is reversed with
+        the track.
         """
         period = self.period
 
@@ -497,11 +499,9 @@ class FrontTrack:
             length, k, turn = self.pieces.T
             pieces = np.stack((length, -k, -np.roll(turn, 1)), axis=1)[::-1]
             if np.any(turn):
-                # the reversed pieces start where these end, the first at the period
+                # the reversed pieces start where these end (the first at the period), heading back
                 ends, phi = self._frame_c(np.append(np.cumsum(length[:-1]), period))
-                headings = phi[-1] + math.pi - turn[-1] + np.concatenate(
-                    ([0.0], np.cumsum(pieces[:-1, 1] * pieces[:-1, 0] + pieces[:-1, 2])))
-                frame, cur = _piece_frame(pieces, ends[::-1], headings, period)
+                frame, cur = _piece_frame(pieces, ends[::-1], (phi - turn + math.pi)[::-1], period)
 
         return self._derived(frame, cur, pieces=pieces, chart=self.chart and self.chart.reversed())
 
@@ -536,9 +536,14 @@ class FrontTrack:
         re-based track depends on it alone, not on the passes before it. The
         piece holding the start is split in two: its part after the start comes
         first, with the piece's corner, and its part before it comes last,
-        with none. A corner at the start itself ends the new pass. A chart is
-        kept, shifted to the start (see :meth:`Chart.rebased`), so the
-        re-based track is still stepped and read in its chart.
+        with none. A corner at the start itself ends the new pass. A track
+        with corners is drawn from the new pieces (:func:`_piece_frame`),
+        each read on this track where it starts (one pass on past the end
+        of this pass), so every corner reads the angle after its turn, even
+        one ulp from the start, and it keeps none of this track's
+        accessors; any other track is read on this one from the start. A
+        chart is kept, shifted to the start (see :meth:`Chart.rebased`), so
+        the re-based track is still stepped and read in its chart.
         """
         if not self.closed:
             raise ValidationError("only closed tracks can be re-based")
@@ -546,34 +551,36 @@ class FrontTrack:
             raise ValidationError(f"re-basing parameter must be finite, got {t0!r}")
         start = float(self._split(t0)[0])
 
-        pieces = None
+        pieces, frame, cur = None, (lambda t: self.frame(start + t)), (lambda t: self.curvature(start + t))
         if self.pieces is not None:
-            starts = np.concatenate(([0.0], np.cumsum(self.pieces[:-1, 0])))
+            length, k, turn = self.pieces.T
+            starts = np.concatenate(([0.0], np.cumsum(length[:-1])))
             i = int(np.searchsorted(starts, start, side="right")) - 1
-            length, k, turn = self.pieces[i]
             into = start - starts[i]
-            pieces = np.concatenate(([[length - into, k, turn]], self.pieces[i + 1:],
-                                     self.pieces[:i], [[into, k, 0.0]] if into > 0.0 else np.empty((0, 3))))
+            pieces = np.concatenate(([[length[i] - into, k[i], turn[i]]], self.pieces[i + 1:],
+                                     self.pieces[:i], [[into, k[i], 0.0]] if into > 0.0 else np.empty((0, 3))))
+            if np.any(turn):  # read each piece where it starts, the last i and the tail one pass on
+                origins, phi = self._frame_c(np.concatenate(([start], starts[i + 1:], starts[:i + (into > 0)])))
+                phi[len(length) - i:] += TWO_PI * self.turning_single
+                frame, cur = _piece_frame(pieces, origins, phi, self.period)
 
-        return self._derived(lambda t: self.frame(start + t), lambda t: self.curvature(start + t),
-                             pieces=pieces, chart=self.chart and self.chart.rebased(start))
+        return self._derived(frame, cur, pieces=pieces, chart=self.chart and self.chart.rebased(start))
 
     def split_at_corners(self) -> list["FrontTrack"]:
         """One pass cut at its corners into open tracks, in order; ``[self]`` if it has none.
 
-        Each stretch is drawn from its pieces (:func:`_piece_frame`), from
-        one evaluation of this track at the piece starts, with tangent
-        angles that add up the turning from the start of the pass, so it
-        keeps none of this track's accessors. Its tangent runs up to the
-        corner that ends it, not past it, so an integrator that samples the
-        stretches one by one never steps across a turn.
+        Each stretch is drawn from its pieces (:func:`_piece_frame`), with
+        the positions and tangent angles of one evaluation of this track at
+        its piece starts, so it keeps none of this track's accessors. Its
+        tangent runs up to the corner that ends it, not past it, so an
+        integrator that samples the stretches one by one never steps across
+        a turn.
         """
         if self.pieces is None or not np.any(self.pieces[:, 2]):
             return [self]
         length, k, turn = self.pieces.T
         starts = np.concatenate(([0.0], np.cumsum(length)))
-        origins, phi = self._frame_c(starts[:-1])
-        headings = phi[0] + np.concatenate(([0.0], np.cumsum(k * length + turn)[:-1]))
+        origins, headings = self._frame_c(starts[:-1])
         cuts = [0, *(np.flatnonzero(turn[:-1]) + 1), len(length)]
         out = []
         for i, j in zip(cuts[:-1], cuts[1:]):
@@ -722,7 +729,8 @@ def _build_ellipse(spec: CurveSpec) -> FrontTrack:
         return chart_frame(arc().u_of_t(t))[:2]
 
     def cur(t):
-        return a * b / speed(arc().u_of_t(t)) ** 3
+        sigma = speed(arc().u_of_t(t))
+        return (a / sigma) * (b / sigma) / sigma  # a b / sigma^3, with no cube to overflow
 
     def half(m):
         sigma = speed(np.linspace(0.0, TWO_PI, m + 1))
@@ -895,7 +903,8 @@ def _build_samples(spec: CurveSpec) -> FrontTrack:
         u = alp.u_of_t(t)
         v, w = d1(u), d2(u)
         sp = np.hypot(v[..., 0], v[..., 1])
-        return (v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]) / sp**3
+        with np.errstate(divide="ignore", invalid="ignore"):  # a cusp of the spline: refused downstream
+            return (v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]) / sp**3
 
     return FrontTrack(alp.total, frame, cur, closed=closed, traversals=spec.traversals)
 
@@ -1031,7 +1040,9 @@ def _region_moments(track: FrontTrack) -> tuple[float, np.ndarray, float]:
     on one pass (:func:`_boundary_nodes`). The moments are taken about the
     first node, a point of the track, and the centroid is shifted back by it,
     so the polar moment minus the squared centroid cancels only the region's
-    own size, not its distance from the origin.
+    own size, not its distance from the origin. They are summed on lengths
+    and weights scaled to order one by powers of two, exactly, and scaled
+    back, so no cube of a coordinate leaves double range.
     """
     if not track.closed:
         raise ValidationError("centroid needs a closed track")
@@ -1043,15 +1054,18 @@ def _region_moments(track: FrontTrack) -> tuple[float, np.ndarray, float]:
         xy, phi, sigma, _ = chart.frame(np.arange(m) * (chart.span / m))
         weights = (chart.span / m * track.traversals) * sigma
     origin = xy[0]
-    x, y = (xy - origin).T
+    xy = xy - origin
+    e, f = (math.frexp(float(np.max(np.abs(v))))[1] for v in (xy, weights))
+    (x, y), weights = np.ldexp(xy, -e).T, np.ldexp(weights, -f)
     c, s = np.cos(phi), np.sin(phi)
     area, mx, my, polar = (float(np.sum(weights * density))
                            for density in (_area_density(x, y, c, s), 0.5 * x * x * s, -0.5 * y * y * c,
                                            (x**3 * s - y**3 * c) / 3.0))
-    if abs(area) < 1e-12:
+    if abs(math.ldexp(area, e + f)) < 1e-12:
         raise ValidationError("centroid is undefined for a zero-area track")
     centroid = np.array([mx / area, my / area])
-    return area, origin + centroid, polar / area - float(centroid @ centroid)
+    return (math.ldexp(area, e + f), origin + np.ldexp(centroid, e),
+            math.ldexp(polar / area - float(centroid @ centroid), 2 * e))
 
 
 def area_centroid(track: FrontTrack) -> np.ndarray:
@@ -1120,11 +1134,6 @@ class SupportFunction:
         uperp = np.stack([-np.sin(phi), np.cos(phi)], axis=-1)
         return self.anchor + p[..., None] * u + dp[..., None] * uperp
 
-    def shifted(self, t: float) -> "SupportFunction":
-        """Inward wavefront at distance ``t``: subtract ``t`` from the mean radius."""
-        return SupportFunction(self.a0 - t, self.cos_coeffs.copy(), self.sin_coeffs.copy(),
-                               self.anchor.copy())
-
 
 def support_function(track: FrontTrack, origin: Sequence[float] | None = None,
                      n_grid: int = 4096, n_harmonics: int = 64) -> SupportFunction:
@@ -1173,8 +1182,8 @@ def support_length_area(p: SupportFunction) -> tuple[float, float]:
 
 
 def wavefront(p: SupportFunction, t: float) -> SupportFunction:
-    """Front of the envelope propagated inward by ``t``."""
-    return p.shifted(t)
+    """Front of the envelope propagated inward by ``t``: ``t`` less on the mean radius."""
+    return SupportFunction(p.a0 - t, p.cos_coeffs.copy(), p.sin_coeffs.copy(), p.anchor.copy())
 
 
 def isoperimetric_defect(p: SupportFunction) -> float:

@@ -136,6 +136,19 @@ def test_planimeter_far_base_reads_its_first_pass_base(capsys, tmp_path):
     assert reading["base_point"] == list(near.base_point)
 
 
+def test_planimeter_base_one_ulp_before_a_corner(capsys, tmp_path):
+    # the re-based square's last piece is one ulp long, and its corner rule still holds
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({"kind": "polyline", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}))
+    rc, cap = run(capsys, ["planimeter", "--input", str(path), "--ell", "3", "--base", "0.9999999999999999"])
+    assert rc == 0
+    reading = strict_json(cap.out)
+    # the reading is continuous up to the corner (past it the rod starts normal to the next edge)
+    near = tl.measure(tl.make_curve(path.read_text()), 3.0, base=1.0 - 1e-9)
+    assert reading["base_point"] == [0.9999999999999999, 0.0]
+    assert reading["estimate"] == pytest.approx(near.estimate, rel=1e-9)
+
+
 def test_planimeter_scan_csv(capsys, unit_circle_spec):
     rc, cap = run(capsys, ["planimeter", "--input", unit_circle_spec,
                            "--ells", "5,10", "--bases", "0,2", "--steps", "512"])
@@ -416,6 +429,39 @@ def test_huge_spec_is_refused_without_warnings(tmp_path, command, spec):
     assert proc.returncode in (2, 3)
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("argv, spec", [
+    # region moments and Simpson's closing weights cube their lengths
+    (["planimeter", "--ell", "1e110"], {"kind": "circle", "r": 1e110}),
+    (["planimeter", "--ell", "1e110", "--placement", "centroid"],
+     {"kind": "polyline", "vertices": [[0, 0], [1e110, 0], [1e110, 1e110], [0, 1e110]]}),
+    # the ellipse's curvature a b / sigma^3 and the rear track's end gap
+    (["trace", "--ell", "1"], {"kind": "ellipse", "a": 1e150, "b": 1e150}),
+    (["trace", "--ell", "1"], {"kind": "ellipse", "a": 1e-150, "b": 1e-150}),
+    (["trace", "--ell", "1e200"], {"kind": "ellipse", "a": 2, "b": 1}),
+    # a closed spline through collinear points has a cusp, where its curvature is 0 / 0
+    (["monodromy", "--ell", "1"], {"kind": "samples", "closed": True, "points": [[0, 0], [1, 0], [2, 0]]}),
+    (["trace", "--ell", "1"], {"kind": "samples", "closed": True, "points": [[0, 0], [1, 0], [2, 0]]}),
+    (["develop"], {"kind": "samples", "closed": True, "points": [[0, 0], [1, 0], [2, 0]]}),
+    (["menzin"], {"kind": "samples", "closed": True, "points": [[0, 0], [1, 0], [2, 0]]}),
+], ids=["planimeter-circle-1e110", "planimeter-centroid-square-1e110", "trace-ellipse-1e150",
+        "trace-ellipse-1e-150", "trace-ell-1e200", "monodromy-collinear", "trace-collinear",
+        "develop-collinear", "menzin-collinear"])
+def test_extreme_spec_reads_or_refuses_without_warnings(tmp_path, argv, spec):
+    # run in a fresh interpreter: numpy's warnings go to its stderr
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps(spec))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tractrix_lab.cli", argv[0], "--input", str(path), *argv[1:]],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True)
+    if proc.returncode == 0:
+        assert proc.stderr == ""
+        strict_json(proc.stdout)
+    else:
+        assert proc.returncode in (2, 3)
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 @pytest.mark.parametrize("command", ["monodromy", "trace"])

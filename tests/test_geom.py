@@ -331,6 +331,19 @@ def test_square_moments_are_exact_anywhere(center):
     assert np.max(np.abs(tl.area_centroid(track) - np.add(center, 0.5))) <= 4e-16 * max(1.0, abs(center[0]))
 
 
+@pytest.mark.parametrize("spec", [{"kind": "circle", "r": 1.0}, {"kind": "ellipse", "a": 2.0, "b": 1.0},
+                                  {"kind": "polyline", "vertices": [[0, 0], [2, 0], [2, 1], [0, 1]]}],
+                         ids=["circle", "ellipse", "rectangle"])
+def test_region_moments_of_a_huge_region(spec):
+    # the polar moment cubes the coordinates: at 2^360 they leave double range unless scaled
+    scale = 2.0**360
+    huge = {key: scale * value if key in ("r", "a", "b") else (np.array(value) * scale).tolist()
+            for key, value in spec.items() if key != "kind"}
+    track, big = tl.make_curve(spec), tl.make_curve(dict(huge, kind=spec["kind"]))
+    assert tl.mean_square_radius(big) == pytest.approx(scale**2 * tl.mean_square_radius(track), rel=1e-14)
+    assert np.allclose(tl.area_centroid(big), scale * tl.area_centroid(track), rtol=0.0, atol=1e-14 * scale)
+
+
 @pytest.mark.parametrize("spec", [
     {"kind": "samples", "points": [[2.0 * math.cos(a), math.sin(a)] for a in np.linspace(0.0, 6.0, 20)]},
     {"kind": "polyline", "vertices": [[0, 0], [2, 0], [2, 1], [0, 1]], "fillet_radius": 0.2}],

@@ -137,6 +137,14 @@ def test_simpson_matches_scipy_bit_for_bit(n):
         assert simpson(y, dx) == float(scipy_simpson(y, dx=dx))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 9, 10])
+def test_simpson_scales_exactly_with_its_step(n):
+    # 2^400 cubed leaves double range, and 2^-600 cubed underflows to 0
+    y = np.random.default_rng(n).normal(size=n)
+    for power in (400, -600):
+        assert simpson(y, math.ldexp(0.3, power)) == math.ldexp(simpson(y, 0.3), power)
+
+
 # -- import footprint --------------------------------------------------------
 
 

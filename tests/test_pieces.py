@@ -220,6 +220,21 @@ def test_split_at_corners_gives_the_stretches_between_turns():
     assert circle.split_at_corners() == [circle]
 
 
+@pytest.mark.parametrize("vertices", [SQUARE, [[0, 0], [4, 0], [5, 3], [2, 5], [-1, 3]]],
+                         ids=["square", "pentagon"])
+def test_rebased_polygon_reads_each_corner_after_its_turn(vertices):
+    # a rounded start + t lands on either side of a corner; the pieces' own starts do not
+    track = tl.make_curve({"kind": "polyline", "vertices": vertices})
+    bases = np.random.default_rng(0).uniform(0.0, track.period, 1000)
+    corners = np.append(track.breakpoints, track.period)
+    for base in [*bases, *corners[:-1], *np.nextafter(corners, 0.0)]:
+        loop = track.rebased(base)
+        length, k, turn = loop.pieces.T
+        starts = np.concatenate(([0.0], np.cumsum(length[:-1])))
+        turned = np.concatenate(([0.0], np.cumsum(k * length + turn)[:-1]))
+        assert np.abs(loop.tangent_angle(starts) - loop.tangent_angle(0.0) - turned).max() < 1e-9
+
+
 _FRAME_SPECS = {
     "square": {"kind": "polyline", "vertices": SQUARE},
     "clockwise square": {"kind": "polyline", "vertices": SQUARE, "orientation": -1},
@@ -234,11 +249,14 @@ _COPIES = {
     "reversed": lambda track: track.reversed(),
     "moved": lambda track: track.transformed(0.3, (2.0, -5.0)),
     "rebased": lambda track: track.rebased(0.37 * track.period),
+    "rebased at a breakpoint": lambda track: track.rebased(track.breakpoints[1]),
+    # a start one ulp short of a corner: its tail piece is one ulp long
+    "rebased one ulp before a breakpoint": lambda track: track.rebased(np.nextafter(track.breakpoints[1], 0)),
 }
 
 
 @pytest.mark.parametrize("spec, copy", [(spec, copy) for spec in _FRAME_SPECS for copy in _COPIES
-                                         if not (spec == "line" and copy == "rebased")])
+                                         if not (spec == "line" and copy.startswith("rebased"))])
 def test_piece_frames_follow_their_pieces(spec, copy):
     track = _COPIES[copy](tl.make_curve(_FRAME_SPECS[spec]))
     legs = track.split_at_corners()
@@ -251,12 +269,16 @@ def test_piece_frames_follow_their_pieces(spec, copy):
 
 
 def _check_piece_frame(track):
-    length, k, _ = track.pieces.T
+    length, k, turn = track.pieces.T
     passes = track.period * np.arange(track.traversals)[:, None]
     starts = np.concatenate(([0.0], np.cumsum(length[:-1])))
-    long = length > 0.0
+    # at every piece start, in every pass, the angle is the one after the turns before it
+    turned = np.concatenate(([0.0], np.cumsum(np.tile(k * length + turn, track.traversals))[:-1]))
+    assert np.allclose(track.tangent_angle((starts + passes).ravel()), track.tangent_angle(0.0) + turned,
+                       rtol=0.0, atol=1e-9)
+    h = 1e-6 * max(track.period, 1.0)  # coordinates here are of order one
+    long = length > 4.0 * h  # pieces the differences below fit in (not a piece or leg one ulp long)
     mid = (starts + 0.5 * length)[long] + passes
-    h = 1e-6 * track.period
     (before, after), (phi_before, phi_after) = track.frame(np.stack((mid - h, mid + h)))
     phi = track.tangent_angle(mid)
     # a central difference of positions heads along the tangent, one of angles turns at k
