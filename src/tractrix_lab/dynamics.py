@@ -33,8 +33,10 @@ length, stay in arc length. The steering generator is
 ``-c sigma/2 diag(1, -1)`` plus ``k sigma/2`` times a rotation generator, so
 its RK4 step is written out in closed form, four scalars per step, each a
 short polynomial in ``c`` whose coefficients are formed once per grid
-(``_terms``, ``_factors``); the rod generator goes through the generic
-products of ``_rk4``. On a track made of pieces of constant curvature
+(``_terms``, ``_factors``). The rod generator is ``sigma/(2 ell)`` times a
+reflection less the identity, so its RK4 step is four scalars too, formed
+from ``cos Phi``, ``sin Phi`` and ``sigma`` at each step's nodes
+(``_rod_steps``). On a track made of pieces of constant curvature
 (circles, lines, polylines, geodesic circles) every piece and corner has an
 exact factor (``_exact``, ``_piece_factors``), so the monodromy is one
 factor per piece and per corner, and a dense history is exact at every
@@ -152,18 +154,11 @@ SCAN_BASE = 512  # longest prefix scan taken by Hillis-Steele doubling (see _sca
 RESOLVED_STEP = 2.0  # largest h max(|c| max sigma, max |k sigma|) of a smooth grid that resolves the flow
 
 
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise 2x2 products ``a @ b`` of two stacks."""
-    return np.stack((a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
-                     a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3]))
-
-
 def _combine(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
     """``(I + later)(I + earlier) - I``, never forming ``I + E``.
 
     Each entry of the product ``later @ earlier`` is added in place to
-    ``later + earlier``, the same additions in the same order as
-    ``later + earlier + _mul(later, earlier)`` with no stacked temporary.
+    ``later + earlier``, with no stacked temporary.
     """
     out = later + earlier
     out[0] += later[0] * earlier[0] + later[1] * earlier[2]
@@ -187,19 +182,61 @@ def _coefficients(track: FrontTrack, params: Sequence[BikeParams]) -> np.ndarray
     return np.array([[p.coefficient] for p in params])
 
 
-def _rk4(a0: np.ndarray, am: np.ndarray, a1: np.ndarray, h: float) -> np.ndarray:
-    """``E_j = S_j - I`` of the RK4 steps of ``z' = A z``, shape ``(4, B, n)``.
+def _nodes(x) -> tuple:
+    """Values at each step's start, midpoint and end, from ``2n + 1`` half-step nodes (last axis) or a constant."""
+    return (x, x, x) if np.ndim(x) == 0 else (x[..., 0:-1:2], x[..., 1::2], x[..., 2::2])
 
-    ``a0``, ``am`` and ``a1`` are the generator ``A`` at each step's start,
-    midpoint and end: ``K1 = A0``, ``K2 = Am (I + h/2 K1)``,
-    ``K3 = Am (I + h/2 K2)``, ``K4 = A1 (I + h K3)`` and
-    ``E = h/6 (K1 + 2 K2 + 2 K3 + K4)``.
+
+def _rod_steps(cos: np.ndarray, sin: np.ndarray, g, h: float) -> np.ndarray:
+    """``E_j = S_j - I`` of the RK4 steps of the rod flow, shape ``(4, 1, n)``.
+
+    ``cos`` and ``sin`` are ``cos Phi`` and ``sin Phi`` at the ``2n + 1``
+    half-step nodes, and ``g = sigma / (2 ell)`` is a float or an array on
+    the same nodes. The rod generator is ``A = g P`` with ``P = n - I`` and
+    the reflection ``n(Phi) = -cos Phi sz + sin Phi sx``, so ``P^2 = -2 P``
+    and ``n(a) n(b) = cos(a - b) I + sin(a - b) J``: with ``G = h g`` at
+    each step's start, midpoint and end (nodes 0, m, 1), RK4's step is
+
+        6 E = G0 P0 + G1 P1 + Gm (4 - 2 Gm) Pm
+              + (1 - Gm) (Gm G0 Pm P0 + G1 Gm P1 Pm) - G1 Gm^2 G0 P1 Pm P0 / 2,
+
+    a rotation part ``q`` (on ``I`` and ``J``) plus a reflection part ``r``
+    (on ``-sz`` and ``sx``), each a complex scalar. With the turns
+    ``u = e^(i (Phi_m - Phi_0))`` and ``v = e^(i (Phi_1 - Phi_m))``,
+    ``a = (1 - Gm) Gm``, ``b = G0 Gm^2 G1 / 2``, ``A0 = a G0 + b`` and
+    ``A1 = a G1 + b``,
+
+        q = (A0 + A1 - b - G0 - G1 - 2 (Gm + a)) + A0 u + A1 v + b u v
+        r = (G0 - A0) e^(i Phi_0) + (2 (Gm + a) - A0 - A1 + b) e^(i Phi_m)
+            + (G1 - A1) e^(i Phi_1) - b e^(i Phi_0) v,
+
+    four scalars per step, each a few multiply-adds.
     """
+    c0, cm, c1 = _nodes(cos)
+    s0, sm, s1 = _nodes(sin)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused by _finite
-        k2 = am + (0.5 * h) * _mul(am, a0)
-        k3 = am + (0.5 * h) * _mul(am, k2)
-        k4 = a1 + h * _mul(a1, k3)
-        return (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
+        g0, gm, g1 = _nodes(h * g)
+        # the turn between neighbouring nodes: u over each step's first half, v over its second
+        turn_c = cos[1:] * cos[:-1] + sin[1:] * sin[:-1]
+        turn_s = sin[1:] * cos[:-1] - cos[1:] * sin[:-1]
+        ur, vr, ui, vi = turn_c[0::2], turn_c[1::2], turn_s[0::2], turn_s[1::2]
+        a = (1.0 - gm) * gm
+        b = 0.5 * (gm - a) * (g0 * g1)
+        a0, a1 = a * g0 + b, a * g1 + b
+        r0, r1, rm = g0 - a0, g1 - a1, 2.0 * (gm + a) - (a0 + a1 - b)
+        wr, wi = ur * vr - ui * vi, ur * vi + ui * vr  # u v
+        zr, zi = c0 * vr - s0 * vi, s0 * vr + c0 * vi  # e^(i Phi_0) v
+        qr = (a0 + a1 - b - (g0 + g1) - 2.0 * (gm + a)) + a0 * ur + a1 * vr + b * wr
+        qi = a0 * ui + a1 * vi + b * wi
+        rr = r0 * c0 + rm * cm + r1 * c1 - b * zr
+        ri = r0 * s0 + rm * sm + r1 * s1 - b * zi
+        out = np.empty((4, 1, len(ur)))
+        np.subtract(qr, rr, out=out[0, 0])
+        np.add(qi, ri, out=out[1, 0])
+        np.subtract(ri, qi, out=out[2, 0])
+        np.add(qr, rr, out=out[3, 0])
+        out /= 6.0
+    return out
 
 
 def _cut(x, part: slice):
@@ -216,8 +253,10 @@ def _terms(sigma, ksigma, h: float) -> tuple:
     ``sigma A = d sz + b J`` with ``d = -c sigma/2`` and ``b = k sigma/2``,
     where ``sz = diag(1, -1)``, ``J = [[0, 1], [-1, 0]]`` and
     ``sx = [[0, 1], [1, 0]]``. Two such generators multiply to
-    ``A_x A_y = (d_x d_y - b_x b_y) I + (d_x b_y - b_x d_y) sx``, so the RK4
-    step of :func:`_rk4` is ``E = eI I + ez sz + eJ J + ex sx``, and with
+    ``A_x A_y = (d_x d_y - b_x b_y) I + (d_x b_y - b_x d_y) sx``, so the
+    classical RK4 step of ``z' = A z``, ``E = h/6 (K1 + 2 K2 + 2 K3 + K4)``
+    with ``K1 = A0``, ``K2 = Am (I + h/2 K1)``, ``K3 = Am (I + h/2 K2)`` and
+    ``K4 = A1 (I + h K3)``, is ``E = eI I + ez sz + eJ J + ex sx``, and with
     ``g = d_m^2 - b_m^2`` and nodes 0, m, 1 at each step's start, midpoint
     and end its four scalars are
 
@@ -232,11 +271,8 @@ def _terms(sigma, ksigma, h: float) -> tuple:
     through them, so arc length pays for no ``sigma`` and a chart with
     ``k sigma = 1`` for no ``k sigma``.
     """
-    def nodes(x):
-        return (x, x, x) if np.ndim(x) == 0 else (x[:, 0:-1:2], x[:, 1::2], x[:, 2::2])
-
-    s0, sm, s1 = nodes(sigma)
-    k0, km, k1 = nodes(ksigma)
+    s0, sm, s1 = _nodes(sigma)
+    k0, km, k1 = _nodes(ksigma)
     h2 = h * h
     a1, a2, a3, a4 = h / 12.0, h2 / 24.0, h * h2 / 96.0, h2 * h2 / 384.0
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused by _finite
@@ -317,16 +353,31 @@ def _exact(c: np.ndarray, k: np.ndarray, length: np.ndarray) -> np.ndarray:
     ``2 sinh^2(x/2)`` (``-2 sin^2(x/2)``), never as a difference with 1, and
     ``sinh`` and ``sin`` keep their relative accuracy down to the smallest
     ``x``, so both stay accurate as ``lambda`` goes to 0 with no series;
-    at ``x = 0`` itself ``S`` is its limit 1.
+    at ``x = 0`` itself ``S`` is its limit 1. A hyperbolic factor's
+    diagonal is ``(C - 1) -+ (c / r) sinh x`` with ``r = sqrt(c^2 - k^2)``;
+    its contracting entry (the first where ``c > 0``) would be a difference
+    of two terms of size ``e^x / 2``, so it is taken as
+    ``expm1(-x) - k^2 / (r (|c| + r)) sinh x``, accurate relative to itself
+    for any ``x``; the growing entry has no cancellation.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused by _finite
         disc = (c - k) * (c + k)
-        x = 0.5 * np.sqrt(np.abs(disc)) * length
+        r = np.sqrt(np.abs(disc))
+        x = 0.5 * r * length
         hyperbolic = disc > 0.0
-        cm1 = np.where(hyperbolic, 2.0 * np.sinh(0.5 * x) ** 2, -2.0 * np.sin(0.5 * x) ** 2)
+        cm1 = np.where(hyperbolic, np.sinh(0.5 * x), np.sin(0.5 * x))
+        cm1 *= cm1
+        cm1 *= np.where(hyperbolic, 2.0, -2.0)
         s = np.where(x > 0.0, np.where(hyperbolic, np.sinh(x), np.sin(x)) / x, 1.0)
         half = 0.5 * length * s
-        return np.stack(np.broadcast_arrays(cm1 - half * c, half * k, -half * k, cm1 + half * c))
+        hc, hk, abs_k = half * c, half * k, np.abs(k)
+        shrinks = np.expm1(-x) - k * hk / (np.abs(c) + r)
+        out = np.empty((4,) + hc.shape)
+        out[0] = np.where(c > abs_k, shrinks, cm1 - hc)
+        out[1] = hk
+        out[2] = -hk
+        out[3] = np.where(c < -abs_k, shrinks, cm1 + hc)
+        return out
 
 
 def _piece_factors(track: FrontTrack, c: np.ndarray) -> np.ndarray:
@@ -733,10 +784,8 @@ def rear_track(solution: SteeringSolution) -> RearTrack:
     frac = c[flips] / (c[flips] - c[flips + 1])
     cusps = solution.t[flips] + frac * solution.step
 
-    closed = bool(
-        solution.track.closed
-        and np.hypot(*(points[-1] - points[0])) < 1e-6 * (ell + np.hypot(*np.ptp(front, axis=0)))
-    )
+    size = np.hypot(np.ptp(front[:, 0]), np.ptp(front[:, 1]))  # column by column: ptp along axis 0 is slow
+    closed = bool(solution.track.closed and np.hypot(*(points[-1] - points[0])) < 1e-6 * (ell + size))
     return RearTrack(solution.t, points, theta, cusps, signed_rear_length(solution), closed, velocity, area)
 
 

@@ -54,6 +54,7 @@ class Geometry(Enum):
 
 _PROBE = 8192  # normal angles on which a support function's convexity is checked
 _K_GRID = 4096  # points of one pass on which a smooth track's curvature range is read
+ZERO_AREA = 1e-12  # area, relative to the squared perimeter, below which a region has no centroid
 _KINDS = ("circle", "ellipse", "fourier-support", "polyline", "samples", "line", "geodesic-circle")
 _SCALAR_FIELDS = ("r", "a", "b", "angle", "a0", "fillet_radius", "rho")
 _GEODESIC_FIELDS = {"kind", "rho", "geometry", "traversals", "orientation"}
@@ -1042,7 +1043,11 @@ def _region_moments(track: FrontTrack) -> tuple[float, np.ndarray, float]:
     so the polar moment minus the squared centroid cancels only the region's
     own size, not its distance from the origin. They are summed on lengths
     and weights scaled to order one by powers of two, exactly, and scaled
-    back, so no cube of a coordinate leaves double range.
+    back, so no cube of a coordinate leaves double range, and a region
+    scaled by a power of two has its moments scaled exactly. A region is
+    refused as having no area when ``|area| < ZERO_AREA perimeter^2``
+    (the perimeter counts every pass), a bound that does not depend on
+    its scale.
     """
     if not track.closed:
         raise ValidationError("centroid needs a closed track")
@@ -1061,7 +1066,8 @@ def _region_moments(track: FrontTrack) -> tuple[float, np.ndarray, float]:
     area, mx, my, polar = (float(np.sum(weights * density))
                            for density in (_area_density(x, y, c, s), 0.5 * x * x * s, -0.5 * y * y * c,
                                            (x**3 * s - y**3 * c) / 3.0))
-    if abs(math.ldexp(area, e + f)) < 1e-12:
+    perimeter = float(np.sum(weights))
+    if abs(area) < math.ldexp(ZERO_AREA * perimeter * perimeter, f - e):  # |area| < ZERO_AREA perimeter^2
         raise ValidationError("centroid is undefined for a zero-area track")
     centroid = np.array([mx / area, my / area])
     return (math.ldexp(area, e + f), origin + np.ldexp(centroid, e),

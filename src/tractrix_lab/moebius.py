@@ -81,7 +81,7 @@ class MoebiusMap:
 
     @classmethod
     def identity(cls) -> "MoebiusMap":
-        return cls.from_matrix(np.eye(2))
+        return _IDENTITY
 
     # -- algebra ------------------------------------------------------------
 
@@ -111,7 +111,7 @@ class MoebiusMap:
             return float(np.ldexp(min(np.linalg.norm(a - b), np.linalg.norm(a + b)), e))
 
     def distance_to_identity(self) -> float:
-        return self.distance(MoebiusMap.identity())
+        return self.distance(_IDENTITY)
 
     # -- action -------------------------------------------------------------
 
@@ -174,6 +174,9 @@ class MoebiusMap:
             v = max((b, lam - a), (lam - d, c), key=np.linalg.norm)
             out.append(FixedPoint(math.atan2(*v) * 2.0 % TWO_PI, 1.0 / (lam * lam)))
         return tuple(out)
+
+
+_IDENTITY = MoebiusMap.from_matrix(np.eye(2))  # held once: its matrix is read-only
 
 
 @dataclass(frozen=True)

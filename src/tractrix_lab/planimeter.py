@@ -18,7 +18,7 @@ import numpy as np
 
 from ._io import fmt17
 from ._num import PAIRABLE
-from .dynamics import _angles, _lifted, _rear_path, _require_resolved, _rk4, _scan
+from .dynamics import _angles, _lifted, _rear_path, _require_resolved, _rod_steps, _scan
 from .errors import ValidationError
 from .geom import CurveSpec, FrontTrack, Geometry, _region_moments, make_curve
 
@@ -46,18 +46,25 @@ class RodLeg:
     speed: np.ndarray | float
 
 
-def _leg_nodes(leg: FrontTrack, n: int, ell: float):
+def _straight(leg: FrontTrack) -> bool:
+    """Whether ``leg`` is made of pieces with no curvature and no corner, so its heading is constant."""
+    return leg.pieces is not None and not np.any(leg.pieces[:, 1:])
+
+
+def _leg_nodes(leg: FrontTrack, n: int, ell: float, parts: int = 2):
     """Step, nodes, positions, headings and ``sigma`` of ``n`` rod steps along ``leg``.
 
-    A leg with a chart is stepped in its chart parameter ``u`` over all its
-    passes, any other in arc length (``sigma`` is 1.0, and ``max |k|`` is
-    over one pass, exact from its pieces); the grid is refused unless it
-    resolves the flow with ``c = 1/ell`` (:func:`.dynamics._resolves`).
+    The nodes split each step into ``parts``: 2 gives RK4's half-step
+    nodes, 1 the steps' ends alone. A leg with a chart is stepped in its
+    chart parameter ``u`` over all its passes, any other in arc length
+    (``sigma`` is 1.0, and ``max |k|`` is over one pass, exact from its
+    pieces); the grid is refused unless it resolves the flow with
+    ``c = 1/ell`` (:func:`.dynamics._resolves`).
     """
     chart = leg.chart
     span = leg.total_length if chart is None else chart.span * leg.traversals
     h = span / n
-    t = np.linspace(0.0, span, 2 * n + 1)
+    t = np.linspace(0.0, span, parts * n + 1)
     if chart is None:
         front, phi = leg.frame(t)
         sigma, top, turn = 1.0, 1.0, max(map(abs, leg.curvature_range()))
@@ -74,43 +81,51 @@ def rod_flow(legs: Sequence[FrontTrack], ell: float, theta0: float,
 
     Each leg is any :class:`FrontTrack`; corners between legs need no special
     treatment because only the front tangent angle enters the equation, not
-    its derivative. ``steps_per_unit`` fixes the RK4 resolution (steps per
-    unit of arc length); 0 picks 4096 steps per closed pass of the longest leg.
+    its derivative. ``steps_per_unit`` fixes the resolution (steps per unit
+    of arc length); 0 picks 4096 steps per closed pass of the longest leg.
 
     The rod equation ``theta' = sin(Phi - theta) / ell`` is the steering
     engine's flow in another generator: on the lift
     ``z = (sin(theta/2), cos(theta/2))`` it is the linear system ``z' = B z``
     with ``B = 1/(2 ell) [[-cos Phi, sin Phi], [sin Phi, cos Phi]]``, here
-    shifted by ``-I/(2 ell)``: that rescales ``z`` but not its direction, and
-    the lift contracts, so it cannot overflow however short the rod. All
-    legs' RK4 factors go through one prefix scan. Each leg takes ``n`` steps
-    (its length times ``steps_per_unit``, at least ``n_min``) and is
-    evaluated once, on its ``2n + 1`` half-step nodes, where its generator is
-    formed once for RK4's start, midpoint and end nodes; the even ones are
-    the nodes of its :class:`RodLeg`. A leg with a chart (an ellipse or a
-    support function) is stepped uniformly in its chart parameter ``u``,
-    with generator ``sigma(u) B(Phi(u))``, so no arc length is inverted;
-    any other leg is stepped in arc length. A leg's grid that breaks the
-    engine's one resolution rule, ``h max(max sigma / ell, max |k sigma|)
-    <= 2``, is refused with :class:`ResidualError`.
+    shifted by ``-I/(2 ell)``, to ``(n(Phi) - I) / (2 ell)`` with the
+    reflection ``n(Phi)``: that rescales ``z`` but not its direction, and
+    the lift contracts, so it cannot overflow however short the rod. Each
+    leg takes ``n`` steps (its length times ``steps_per_unit``, at least
+    ``n_min``) under the engine's one resolution rule,
+    ``h max(max sigma / ell, max |k sigma|) <= 2``, refused with
+    :class:`ResidualError` where broken, and is lifted from where the last
+    one ended. A straight leg (pieces with no curvature and no corner: a
+    line, a stretch of a polyline, the centroid start's legs) has a
+    constant ``Phi`` and is exact at every node: its lift is
+    ``I + expm1(-t/ell) (I - n(Phi)) / 2``, the tractrix. Any other leg is
+    evaluated once, on its ``2n + 1`` half-step nodes, and its RK4 steps
+    (:func:`.dynamics._rod_steps`, four scalars each) go through one prefix
+    scan; the even nodes are the nodes of its :class:`RodLeg`. A leg with a
+    chart (an ellipse or a support function) is stepped uniformly in its
+    chart parameter ``u``, with generator ``sigma(u) B(Phi(u))``, so no arc
+    length is inverted; any other leg is stepped in arc length.
     """
     if not ell > 0.0:
         raise ValidationError("rod length must be positive")
     if steps_per_unit <= 0.0:
         steps_per_unit = 4096.0 / max(leg.total_length for leg in legs)
 
-    ns = [max(n_min, int(math.ceil(leg.total_length * steps_per_unit))) for leg in legs]
-    factors, nodes = [], []
-    for leg, n in zip(legs, ns):
-        h, t, front, phi, sigma = _leg_nodes(leg, n, ell)
-        cos, sin = np.cos(phi), np.sin(phi)
-        gen = ((0.5 / ell) * sigma) * np.stack((-cos - 1.0, sin, sin, cos - 1.0))[:, None]
-        factors.append(_rk4(gen[..., 0:-1:2], gen[..., 1::2], gen[..., 2::2], h))
-        nodes.append((t[::2], front[::2], phi[::2], sigma if np.ndim(sigma) == 0 else sigma[::2]))
-    start = np.array([float(theta0)])
-    theta = _angles(_lifted(_scan(np.concatenate(factors, axis=-1)), start), start)[0, 0]
-    return [RodLeg(leg, t, theta[end - n: end + 1], front, phi, speed)
-            for leg, n, end, (t, front, phi, speed) in zip(legs, ns, np.cumsum(ns), nodes)]
+    out, start = [], np.array([float(theta0)])
+    for leg in legs:
+        n = max(n_min, int(math.ceil(leg.total_length * steps_per_unit)))
+        if _straight(leg):
+            _, t, front, phi, speed = _leg_nodes(leg, n, ell, parts=1)
+            cos, sin = math.cos(phi[0]), math.sin(phi[0])
+            lift = (0.5 * np.expm1(-t / ell)) * np.array([1.0 + cos, -sin, -sin, 1.0 - cos])[:, None, None]
+        else:
+            h, t, front, phi, sigma = _leg_nodes(leg, n, ell)
+            lift = _scan(_rod_steps(np.cos(phi), np.sin(phi), (0.5 / ell) * sigma, h))
+            t, front, phi, speed = t[::2], front[::2], phi[::2], sigma if np.ndim(sigma) == 0 else sigma[::2]
+        theta = _angles(_lifted(lift, start), start)[0, 0]
+        out.append(RodLeg(leg, t, theta, front, phi, speed))
+        start = theta[-1:]
+    return out
 
 
 def _chisel_zigzag_area(legs: Sequence[RodLeg], ell: float) -> float:

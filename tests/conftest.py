@@ -53,3 +53,21 @@ def strict_json(text: str):
         raise AssertionError(f"non-finite {token} in JSON output")
 
     return json.loads(text, parse_constant=refuse)
+
+
+def generic_rk4(a0: np.ndarray, am: np.ndarray, a1: np.ndarray, h: float) -> np.ndarray:
+    """``E = S - I`` of classical RK4 steps of ``z' = A z`` by three stacked 2x2 products.
+
+    ``a0``, ``am`` and ``a1`` are the generator at each step's start,
+    midpoint and end, entrywise ``(m00, m01, m10, m11)`` along axis 0:
+    ``K1 = A0``, ``K2 = Am (I + h/2 K1)``, ``K3 = Am (I + h/2 K2)``,
+    ``K4 = A1 (I + h K3)`` and ``E = h/6 (K1 + 2 K2 + 2 K3 + K4)``.
+    """
+    def mul(a, b):
+        return np.stack((a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+                         a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3]))
+
+    k2 = am + (0.5 * h) * mul(am, a0)
+    k3 = am + (0.5 * h) * mul(am, k2)
+    k4 = a1 + h * mul(a1, k3)
+    return (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)

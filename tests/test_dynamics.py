@@ -14,6 +14,7 @@ from scipy.linalg import expm
 import tractrix_lab as tl
 from tractrix_lab.dynamics import SCAN_BASE
 from tractrix_lab.geom import Geometry
+from conftest import generic_rk4
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -233,11 +234,9 @@ def test_closed_form_factors_match_rk4(case):
     # same generator stacks, scaled to determinant one in E-form,
     # (I + E) / s - I = (E - m I) / s with s = sqrt(det(I + E)) and
     # m = (s^2 - 1) / (1 + s), relative to each step's largest entry
-    from tractrix_lab.dynamics import _rk4
-
     sigma, ksigma, h, c = _steering_case(case)
     e = _case_factors(case)
-    ref = _rk4(*(_generator_stack(s, k, c) for s, k in zip(_nodes(sigma), _nodes(ksigma))), h)
+    ref = generic_rk4(*(_generator_stack(s, k, c) for s, k in zip(_nodes(sigma), _nodes(ksigma))), h)
     g = ref[0] + ref[3] + (ref[0] * ref[3] - ref[1] * ref[2])
     s = np.sqrt(1.0 + g)
     ref = (ref - g / (1.0 + s) * np.array([1.0, 0.0, 0.0, 1.0])[:, None, None]) / s

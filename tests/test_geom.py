@@ -305,6 +305,17 @@ def test_mean_square_radius_disk(unit_circle):
     assert tl.mean_square_radius(unit_circle) == pytest.approx(0.5, rel=1e-9)
 
 
+def test_zero_area_is_relative_to_the_perimeter():
+    # a region of area 3e-20 has a centroid (an absolute 1e-12 refused it);
+    # a boundary with no area has none at any scale
+    assert np.allclose(tl.area_centroid(tl.make_curve({"kind": "circle", "r": 1e-10, "center": [3e-10, 0.0]})),
+                       [3e-10, 0.0], rtol=0.0, atol=1e-24)
+    for scale in (1e-3, 1.0, 1e10):
+        flat = tl.make_curve({"kind": "samples", "closed": True, "points": [[0, 0], [scale, 0], [2 * scale, 0]]})
+        with pytest.raises(tl.ValidationError, match="zero-area"):
+            tl.area_centroid(flat)
+
+
 PLACEMENTS = [(0.0, 0.0), (5.0, -3.0), (1e3, 0.0), (1e5, 1e5), (1e7, 0.0)]
 
 

@@ -180,6 +180,18 @@ def test_long_geodesic_is_refused_once_the_lift_drifts():
         tl.develop_hyperbolic(line)
 
 
+def test_straight_piece_track_develops_as_far_as_a_smooth_geodesic():
+    # the line's exact factor keeps its contracting entry e^(-t/2) (it lost
+    # e^(t/2) eps, so length 30 was refused), and the frame then drifts from
+    # the rounding of 1 + E as on the smooth geodesic
+    line = tl.make_curve({"kind": "line", "start": [0.0, 0.0], "end": [30.0, 0.0]})
+    curve, smooth = tl.develop_hyperbolic(line), tl.develop_hyperbolic(lambda t: np.zeros_like(t), 30.0)
+    assert curve.frame_defect() < 2e-8
+    assert np.allclose(curve.points, smooth.points, rtol=1e-8, atol=0.0)
+    with pytest.raises(tl.ResidualError, match="unimodular"):
+        tl.develop_hyperbolic(tl.make_curve({"kind": "line", "start": [0.0, 0.0], "end": [40.0, 0.0]}))
+
+
 def test_stargazing_receding_geodesic():
     # riding straight away from the star: alpha stays identically zero
     curve = tl.develop_hyperbolic(lambda t: np.zeros_like(t), 5.0)

@@ -394,3 +394,29 @@ def test_open_line_area_is_its_end_term():
         line = tl.make_curve({"kind": "line", "start": start, "end": [start[0] + 40 * ell, start[1]]})
         sol = tl.integrate_steering(line, tl.BikeParams(ell=ell), math.pi - 1e-7)
         assert tl.area_between_tracks(sol) == pytest.approx(0.5 * math.pi * ell**2, rel=1e-6)
+
+
+@pytest.mark.parametrize("c", [1.0, -1.0])
+def test_line_factor_keeps_its_contracting_entry(c):
+    # a line of length 2x/|c| is diag(e^-x, e^x) in the lift: its E-form's
+    # contracting entry is expm1(-x) to a few ulp, where the difference
+    # cosh x - 1 - sinh x lost about e^x eps; the growing one is expm1(x)
+    from tractrix_lab.dynamics import _exact
+
+    x = np.array([1e-9, 0.3, 2.0, 20.0, 100.0, 400.0, 700.0])
+    e = _exact(np.array([[c]]), np.zeros_like(x), 2.0 * x)[:, 0]
+    shrink, grow = (e[0], e[3]) if c > 0 else (e[3], e[0])
+    assert np.all(np.abs(shrink / np.expm1(-x) - 1.0) <= 4 * np.finfo(float).eps)
+    assert np.all(np.abs(grow / np.expm1(x) - 1.0) <= 4 * np.finfo(float).eps)
+    assert np.all(e[1] == 0.0) and np.all(e[2] == 0.0)
+
+
+@pytest.mark.parametrize("ell", [0.5, 1.3, 2.0])
+def test_tractrix_area_is_the_finite_sweep(ell):
+    # from alpha0 = pi - 1e-7 on a line of 40 ell the rod sweeps the circuit
+    # (ell^2 / 2)(alpha0 - alpha_end) exactly; the error does not depend on ell
+    line = tl.make_curve({"kind": "line", "start": [0.0, 0.0], "end": [40.0 * ell, 0.0]})
+    alpha0 = math.pi - 1e-7
+    sol = tl.integrate_steering(line, tl.BikeParams(ell=ell), alpha0)
+    sweep = 0.5 * ell**2 * (alpha0 - sol.final_alpha)
+    assert tl.area_between_tracks(sol) == pytest.approx(sweep, rel=1e-12)

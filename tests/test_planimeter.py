@@ -9,6 +9,7 @@ import pytest
 import tractrix_lab as tl
 from tractrix_lab.geom import Geometry
 from tractrix_lab.planimeter import CSV_HEADER
+from conftest import generic_rk4
 
 TWO_PI = 2.0 * math.pi
 
@@ -35,8 +36,9 @@ def test_mean_square_radius_reported(unit_circle):
 
 
 def test_centroid_reading_frozen_oracle(ellipse21):
-    # deterministic RK4 at 4096 steps per traversal: the residual after the
-    # R^2/(2 ell^2) correction reproduces bit-for-bit
+    # RK4 in the eccentric anomaly at 4096 steps per traversal, with exact
+    # straight legs to and from the centroid: the residual after the
+    # R^2/(2 ell^2) correction is pinned to 1e-12 (it moves with rounding)
     r = tl.measure(ellipse21, ell=10.0, placement="centroid")
     assert r.exact_area == pytest.approx(TWO_PI, rel=1e-10)
     assert r.residual_error == pytest.approx(-3.956131849861322e-3, abs=1e-12)
@@ -113,40 +115,75 @@ def test_rod_flow_multi_leg(ellipse21):
 
 def test_rod_flow_straight_leg_closed_form():
     # along a straight leg alpha = Phi - theta obeys alpha' = -sin(alpha) / ell,
-    # so tan(alpha/2) = tan(alpha0/2) e^(-t/ell)
+    # so tan(alpha/2) = tan(alpha0/2) e^(-t/ell); the leg's lift is that tractrix
     seg = tl.make_curve({"kind": "line", "start": [0.0, 0.0], "end": [3.0, 4.0]})
     phi, ell, theta0 = math.atan2(4.0, 3.0), 2.0, 0.3
     (leg,) = tl.rod_flow([seg], ell=ell, theta0=theta0)
     exact = phi - 2.0 * np.arctan(math.tan(0.5 * (phi - theta0)) * np.exp(-leg.t / ell))
-    assert np.max(np.abs(leg.theta - exact)) < 1e-12
+    assert np.max(np.abs(leg.theta - exact)) < 1e-14
 
 
-def test_rod_flow_forms_each_generator_once():
-    # the generator at all 2n + 1 nodes, sliced, gives the same bits as one
-    # generator per node set (start, midpoint, end) on re-based ellipses,
-    # stepped in the chart, and on the centroid start's straight legs
-    from tractrix_lab.dynamics import _angles, _lifted, _rk4, _scan
+def test_long_straight_leg_behind_a_short_rod():
+    # 1500 rod lengths: in the steering gauge the lift would grow like e^750;
+    # the tractrix lift contracts, and the rod settles onto the leg's heading
+    seg = tl.make_curve({"kind": "line", "start": [0.0, 0.0], "end": [0.0, -3.0]})
+    phi, ell, theta0 = -0.5 * math.pi, 0.002, 0.4
+    (leg,) = tl.rod_flow([seg], ell=ell, theta0=theta0)
+    assert np.all(np.isfinite(leg.theta))
+    exact = phi - 2.0 * np.arctan(math.tan(0.5 * (phi - theta0)) * np.exp(-leg.t / ell))
+    assert np.max(np.abs(leg.theta - exact)) < 1e-14
+    assert leg.theta[-1] == pytest.approx(phi, abs=1e-15)
+
+
+def test_polyline_reading_is_exact_on_every_grid():
+    # every stretch between corners is straight, so the rod is exact at every
+    # node: the deflection does not depend on the step count, and the chisel
+    # area closes the identity to rounding
+    square = tl.make_curve({"kind": "polyline", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]})
+    for placement in ("normal", "centroid"):
+        fine, coarse = (tl.measure(square, ell=3.0, placement=placement, steps_per_traversal=n)
+                        for n in (4096, 64))
+        assert coarse.deflection == pytest.approx(fine.deflection, rel=0.0, abs=1e-15)
+        assert abs(fine.closure_defect) < 1e-14
+
+
+def test_scaled_reading_scales_exactly():
+    # the square, its base point and the rod scaled by 2^-20 scale every length
+    # of the reading by 2^-20 and every area by 2^-40, bit for bit: the small
+    # square (area 2^-40) is read, since no area is refused in absolute terms
+    unit, small = (tl.make_curve({"kind": "polyline", "vertices": [[0, 0], [s, 0], [s, s], [0, s]]})
+                   for s in (1.0, 2.0**-20))
+    for placement in ("centroid", "normal"):
+        a = tl.measure(unit, 3.0, base=0.3, placement=placement)
+        b = tl.measure(small, 3.0 * 2.0**-20, base=0.3 * 2.0**-20, placement=placement)
+        lengths = {name: math.ldexp(getattr(a, name), -20) for name in ("base_param", "ell")}
+        areas = {name: math.ldexp(getattr(a, name), -40)
+                 for name in ("estimate", "exact_area", "correction_estimate", "residual_error",
+                              "mean_square_radius", "rear_area", "closure_defect")}
+        base_point = tuple(math.ldexp(x, -20) for x in a.base_point)
+        assert b == replace(a, base_point=base_point, **lengths, **areas)
+
+
+def test_rod_steps_match_generic_rk4():
+    # the four-scalar RK4 steps of the rod generator g (n(Phi) - I) agree
+    # with generic RK4 of the stacked generator (three 2x2 products), relative
+    # to each step's largest entry, on re-based ellipses stepped in their
+    # chart, a fourier-support leg, and a circle in arc length (g a float)
+    from tractrix_lab.dynamics import _rod_steps
     from tractrix_lab.planimeter import _leg_nodes
 
     rng = np.random.default_rng(11)
-    for _ in range(10):
-        a = rng.uniform(0.5, 3.0)
-        loop = tl.make_curve({"kind": "ellipse", "a": a, "b": a * rng.uniform(0.2, 1.0)}).rebased(
-            rng.uniform(0.0, 5.0))
-        ell, n = rng.uniform(0.3, 3.0), 1024
-        legs = [tl.make_curve({"kind": "line", "start": [0.0, 0.0], "end": [1.0, 0.5]}), loop]
-        factors = []
-        for leg in legs:
-            h, t, _, phi, sigma = _leg_nodes(leg, n, ell)
-            s = np.broadcast_to(sigma, t.shape)
-            parts = [(0.5 / ell) * s[p] * np.stack((-np.cos(phi[p]) - 1.0, np.sin(phi[p]), np.sin(phi[p]),
-                                                    np.cos(phi[p]) - 1.0))[:, None]
-                     for p in (slice(0, -1, 2), slice(1, None, 2), slice(2, None, 2))]
-            factors.append(_rk4(*parts, h))
-        start = np.array([0.7])
-        theta = _angles(_lifted(_scan(np.concatenate(factors, axis=-1)), start), start)[0, 0]
-        rod = tl.rod_flow(legs, ell, 0.7, steps_per_unit=1.0, n_min=n)  # every leg takes n steps
-        assert np.array_equal(np.concatenate((rod[0].theta, rod[1].theta[1:])), theta)
+    legs = [tl.make_curve({"kind": "ellipse", "a": a, "b": a * rng.uniform(0.2, 1.0)}).rebased(
+        rng.uniform(0.0, 5.0)) for a in rng.uniform(0.5, 3.0, 8)]
+    legs += [tl.make_curve(CHARTED["fourier"]).rebased(0.7), tl.make_curve({"kind": "circle", "r": 1.3})]
+    for leg, ell in zip(legs, np.geomspace(0.05, 10.0, len(legs))):
+        h, _, _, phi, sigma = _leg_nodes(leg, 4096, ell)
+        cos, sin = np.cos(phi), np.sin(phi)
+        gen = ((0.5 / ell) * sigma) * np.stack((-cos - 1.0, sin, sin, cos - 1.0))[:, None]
+        ref = generic_rk4(gen[..., 0:-1:2], gen[..., 1::2], gen[..., 2::2], h)
+        e = _rod_steps(cos, sin, (0.5 / ell) * sigma, h)
+        assert e.shape == ref.shape == (4, 1, 4096)
+        assert np.all(np.max(np.abs(e - ref), axis=0) <= 2e-15 * np.max(np.abs(ref), axis=0))
 
 
 def test_short_rod_does_not_overflow(unit_circle):
